@@ -15,9 +15,6 @@
 //!   processes, shipped as data;
 //! * [`CellKind`] / [`AqfpCell`] — the cell types, their dimensions, pin
 //!   geometry and Josephson-junction (JJ) cost;
-//! * [`CellLibrary`] — the legacy rules-plus-cells view; its constructors
-//!   are thin lookups into the registry data and it converts into a
-//!   [`Technology`];
 //! * [`ProcessRules`] — spacing, maximum-wirelength and routing-layer rules;
 //! * [`TimingConfig`] — the delay coefficients of the AQFP timing model;
 //! * [`clocking`] — the four-phase zigzag clock model that gives every logic
@@ -44,7 +41,6 @@ pub mod clocking;
 pub mod energy;
 pub mod geometry;
 pub mod layers;
-pub mod library;
 pub mod process;
 pub mod technology;
 pub mod timing;
@@ -56,7 +52,6 @@ pub use clocking::{ClockPhase, FourPhaseClock};
 pub use energy::EnergyModel;
 pub use geometry::{Orientation, Point, Rect};
 pub use layers::LayerMap;
-pub use library::{CellLibrary, Process};
 pub use process::ProcessRules;
 pub use technology::{Technology, TechnologyRegistry, AIST_STP2, MIT_LL_SQF5EE};
 pub use timing::TimingConfig;

@@ -678,6 +678,61 @@ mod tests {
     }
 
     #[test]
+    fn paper_dimensions_are_respected() {
+        let tech = Technology::mit_ll_sqf5ee();
+        let buf = tech.cell(CellKind::Buffer);
+        assert_eq!((buf.width, buf.height), (40.0, 30.0));
+        let maj = tech.cell(CellKind::Majority3);
+        assert_eq!((maj.width, maj.height), (60.0, 70.0));
+    }
+
+    #[test]
+    fn all_dimensions_are_grid_aligned() {
+        for tech in [Technology::mit_ll_sqf5ee(), Technology::aist_stp2()] {
+            for cell in tech.iter() {
+                assert_eq!(cell.width % 10.0, 0.0, "{} width off-grid", cell.kind);
+                assert_eq!(cell.height % 10.0, 0.0, "{} height off-grid", cell.kind);
+                for pin in cell.input_pins.iter().chain(cell.output_pins.iter()) {
+                    assert_eq!(pin.offset.x % 10.0, 0.0, "{} pin {} off-grid", cell.kind, pin.name);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pin_counts_match_cell_arity() {
+        for cell in Technology::mit_ll_sqf5ee().iter() {
+            assert_eq!(cell.input_pins.len(), cell.kind.input_count());
+            assert_eq!(cell.output_pins.len(), cell.kind.output_count());
+        }
+    }
+
+    #[test]
+    fn pin_positions_are_inside_cell() {
+        for cell in Technology::mit_ll_sqf5ee().iter() {
+            for pin in cell.input_pins.iter().chain(cell.output_pins.iter()) {
+                assert!(pin.offset.x >= 0.0 && pin.offset.x <= cell.width);
+                assert!(pin.offset.y >= 0.0 && pin.offset.y <= cell.height);
+            }
+        }
+    }
+
+    #[test]
+    fn buffer_is_double_jj() {
+        let tech = Technology::mit_ll_sqf5ee();
+        assert_eq!(tech.cell(CellKind::Buffer).jj_count, 2);
+        assert!(tech.cell(CellKind::Majority3).jj_count > 2);
+        assert_eq!(tech.cell(CellKind::Input).jj_count, 0);
+    }
+
+    #[test]
+    fn total_jj_sums_kinds() {
+        let tech = Technology::mit_ll_sqf5ee();
+        let total = tech.total_jj([CellKind::Buffer, CellKind::Buffer, CellKind::Majority3]);
+        assert_eq!(total, 2 + 2 + 6);
+    }
+
+    #[test]
     fn grid_multiple_tolerance_is_tight() {
         assert!(is_grid_multiple(40.0, 10.0));
         assert!(is_grid_multiple(0.0, 10.0));

@@ -3,8 +3,14 @@
 //! Runs the RTL-to-GDS flow on a structural-Verilog or BLIF file, or on one
 //! of the built-in benchmark circuits, and writes the resulting GDSII (and
 //! optionally an SVG rendering, a JSON report, or a resumable stage
-//! checkpoint). The `tech` subcommand inspects and dumps the technology
-//! (PDK) descriptions the flow can target.
+//! checkpoint). The subcommands run many designs at once (`batch`), run the
+//! static checks on their own (`lint`, `predict`, `verify`), emit large
+//! generated designs (`generate`) and inspect the technology (PDK)
+//! descriptions the flow can target (`tech`).
+//!
+//! Every subcommand reads its flags through one option table: a flag means
+//! the same thing wherever it is accepted, and a flag a subcommand does not
+//! take is a usage error.
 //!
 //! ```text
 //! superflow [OPTIONS] <input>
@@ -16,8 +22,6 @@
 //!   --tech <name|file>      technology to target: a built-in name
 //!                           (mit-ll-sqf5ee, aist-stp2) or a technology
 //!                           file (.toml, or .json)            [mit-ll-sqf5ee]
-//!   --process <name>        mit-ll | stp2 — legacy alias for the built-in
-//!                           technologies
 //!   --threads <n>           worker threads for parallel stages; 0 = all
 //!                           cores                             [0]
 //!   --stop-after <stage>    stop after synthesis | placement | routing |
@@ -58,8 +62,8 @@
 //!   --report <file.json>    write the structured batch report as JSON
 //!   --fault <k:d:s>         inject a deterministic fault (testing):
 //!                           panic|deadline|truncate|corrupt : design : stage
-//!   plus --placer/--tech/--process/--threads/--fast/--verify/
-//!   --fanout-threshold/--quiet as above
+//!   plus --placer/--tech/--threads/--fast/--verify/--fanout-threshold/
+//!   --quiet as above
 //!
 //! superflow lint [OPTIONS] <input>...
 //!
@@ -69,17 +73,13 @@
 //!   undriven net is reported with its source span instead of failing at
 //!   the first.
 //!
-//!   --tech/--process        technology to lint against, as above
+//!   --tech <name|file>      technology to lint against, as above
 //!   --format <text|json>    output format                     [text]
 //!   --deny <rule>           treat a rule (or `all`) as an error; repeatable
 //!   --warn <rule>           demote a rule (or `all`) to a warning; repeatable
 //!   --allow <rule>          suppress a rule (or `all`); repeatable
 //!   --fanout-threshold <n>  fan-out above which AQFP-W009 fires
 //!   --rules                 print the rule catalog and exit
-//!
-//!   exits 0 when every design is clean or has only warnings, 1 when any
-//!   design has error-severity findings or fails to load, 2 on usage
-//!   errors.
 //!
 //! superflow predict [OPTIONS] <input>...
 //!
@@ -90,17 +90,11 @@
 //!   AQFP-P0xx rule ids and also fire inside `superflow lint` and the
 //!   flow/batch pre-flight gate.
 //!
-//!   --tech/--process        technology to predict against, as above
+//!   --tech <name|file>      technology to predict against, as above
 //!   --format <text|json>    output format; json includes the numeric
 //!                           bounds and the cost forecast         [text]
-//!   --deny <rule>           treat a rule (or `all`) as an error; repeatable
-//!   --warn <rule>           demote a rule (or `all`) to a warning; repeatable
-//!   --allow <rule>          suppress a rule (or `all`); repeatable
+//!   --deny/--warn/--allow <rule>   severity overrides, as for lint
 //!   --rules                 print the prediction rule catalog and exit
-//!
-//!   exits 0 when every design is predicted feasible (warnings allowed),
-//!   1 when any design has error-severity findings or fails to load, 2 on
-//!   usage errors.
 //!
 //! superflow verify [OPTIONS] <artifact>...
 //!
@@ -113,10 +107,10 @@
 //!   `.json` stage checkpoint written by `--stop-after`/`--journal` (the
 //!   verifiers applicable to that stage run directly on it).
 //!
-//!   --tech/--process        technology to verify under, as above
+//!   --tech <name|file>      technology to verify under, as above
+//!   --placer <name>         re-derive with this placer, as above
 //!   --fast                  re-derive with the reduced-effort placement
-//!                           configuration (must match how the artifact
-//!                           was produced)
+//!                           configuration
 //!   --threads <n>           worker threads for the re-derivation     [0]
 //!   --against <input>       the original design input (file, benchmark
 //!                           name or gen: spec) for LEC; defaults to the
@@ -126,8 +120,12 @@
 //!                           verifying, to prove the defect is caught
 //!   --rules                 print the verification rule catalog and exit
 //!
-//!   exits 0 when every artifact verifies clean, 1 when any artifact has
-//!   findings or fails to load, 2 on usage errors.
+//!   --tech, --placer and --fast decide the re-derived layout, so a `.gds`
+//!   artifact verifies only under the values it was built with.
+//!
+//!   lint, predict and verify exit 0 when every input is clean or has only
+//!   warnings, 1 when any input has error-severity findings or fails to
+//!   load, 2 on usage errors.
 //!
 //! superflow generate <family> [OPTIONS]
 //!
@@ -151,10 +149,10 @@
 //!                                   editable TOML file (stdout by default)
 //! ```
 //!
-//! Exit codes: 0 success, 1 flow error, 2 usage error, 3 partial batch
-//! failure (the batch completed, but at least one design failed — including
-//! designs rejected by the pre-flight lint stage, which the batch report
-//! distinguishes from runtime failures).
+//! Every subcommand takes `--help`. Exit codes: 0 success, 1 flow error, 2
+//! usage error, 3 partial batch failure (the batch completed, but at least
+//! one design failed — including designs rejected by the pre-flight lint
+//! stage, which the batch report distinguishes from runtime failures).
 
 #![warn(clippy::unwrap_used)]
 
@@ -165,11 +163,13 @@ use aqfp_layout::{render_svg, DrcReport, SvgOptions};
 use aqfp_netlist::generators::LargeFamily;
 use aqfp_netlist::Netlist;
 use aqfp_place::PlacerKind;
+use serde::Serialize;
+use superflow::lint::RuleInfo;
 use superflow::verify::{mutate, Defect};
 use superflow::{
     error_chain, BatchConfig, BatchJob, BatchRunner, Checked, Fault, FaultPlan, Flow, FlowConfig,
-    FlowObserver, FlowReport, FlowSession, FlowStage, LintConfig, Placed, RepairScope, Routed,
-    Synthesized, TechSpec, VerifyConfig, VerifyReport,
+    FlowObserver, FlowReport, FlowSession, FlowStage, LintConfig, LintReport, Placed,
+    PredictReport, RepairScope, Routed, Synthesized, TechSpec, VerifyConfig, VerifyReport,
 };
 
 /// Exit code for usage errors (bad flags, malformed specs).
@@ -178,127 +178,455 @@ const EXIT_USAGE: u8 = 2;
 /// as failed.
 const EXIT_PARTIAL_FAILURE: u8 = 3;
 
+// ---------------------------------------------------------------------------
+// The option table
+// ---------------------------------------------------------------------------
+
+/// The subcommand a command line selects. `Flow` is the bare
+/// `superflow <input>` form; `Tech` is `tech` without a known action, which
+/// only parses as `--help` or a usage error.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+enum Command {
+    #[default]
+    Flow,
+    Batch,
+    Lint,
+    Predict,
+    Verify,
+    Generate,
+    Tech,
+    TechList,
+    TechShow,
+    TechDump,
+}
+
+impl Command {
+    /// Splits the subcommand words off the front of the arguments.
+    fn split(args: &[String]) -> (Command, &[String]) {
+        let word = |index: usize| args.get(index).map(String::as_str);
+        let command = match word(0) {
+            Some("batch") => Command::Batch,
+            Some("lint") => Command::Lint,
+            Some("predict") => Command::Predict,
+            Some("verify") => Command::Verify,
+            Some("generate") => Command::Generate,
+            Some("tech") => match word(1) {
+                Some("list") => return (Command::TechList, &args[2..]),
+                Some("show") => return (Command::TechShow, &args[2..]),
+                Some("dump") => return (Command::TechDump, &args[2..]),
+                _ => Command::Tech,
+            },
+            _ => return (Command::Flow, args),
+        };
+        (command, &args[1..])
+    }
+
+    /// The subcommand's name in messages.
+    fn name(self) -> &'static str {
+        match self {
+            Command::Flow => "flow",
+            Command::Batch => "batch",
+            Command::Lint => "lint",
+            Command::Predict => "predict",
+            Command::Verify => "verify",
+            Command::Generate => "generate",
+            Command::Tech => "tech",
+            Command::TechList => "tech list",
+            Command::TechShow => "tech show",
+            Command::TechDump => "tech dump",
+        }
+    }
+
+    /// The flags the subcommand takes besides `--help`; any other flag is a
+    /// usage error.
+    fn flags(self) -> &'static [Flag] {
+        use Flag::*;
+        match self {
+            Command::Flow => &[
+                Placer,
+                Tech,
+                Threads,
+                Fast,
+                Verify,
+                FanoutThreshold,
+                Quiet,
+                StopAfter,
+                Report,
+                Output,
+                Svg,
+            ],
+            Command::Batch => &[
+                Placer,
+                Tech,
+                Threads,
+                Fast,
+                Verify,
+                FanoutThreshold,
+                Quiet,
+                Workers,
+                StageTimeout,
+                NoPredict,
+                NoRetry,
+                Journal,
+                OutputDir,
+                Report,
+                FaultSpec,
+            ],
+            Command::Lint => &[Tech, Format, Deny, Warn, Allow, FanoutThreshold, Rules],
+            Command::Predict => &[Tech, Format, Deny, Warn, Allow, Rules],
+            Command::Verify => &[Tech, Placer, Fast, Threads, Against, Format, InjectDefect, Rules],
+            Command::Generate => &[Cells, Seed, Output, ShortOutput],
+            Command::TechList => &[Quiet],
+            Command::TechDump => &[Output],
+            Command::Tech | Command::TechShow => &[],
+        }
+    }
+}
+
+/// Every command-line flag. [`Flag::parse`] is the one place a flag is
+/// spelled, and [`Command::flags`] lists the ones each subcommand takes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Flag {
+    Placer,
+    Tech,
+    Threads,
+    Fast,
+    Verify,
+    FanoutThreshold,
+    Quiet,
+    StopAfter,
+    Report,
+    Output,
+    ShortOutput,
+    Svg,
+    Workers,
+    StageTimeout,
+    NoPredict,
+    NoRetry,
+    Journal,
+    OutputDir,
+    FaultSpec,
+    Format,
+    Deny,
+    Warn,
+    Allow,
+    Rules,
+    Against,
+    InjectDefect,
+    Cells,
+    Seed,
+    Help,
+}
+
+impl Flag {
+    /// The flag `arg` spells, if any.
+    fn parse(arg: &str) -> Option<Flag> {
+        Some(match arg {
+            "--placer" => Flag::Placer,
+            "--tech" => Flag::Tech,
+            "--threads" => Flag::Threads,
+            "--fast" => Flag::Fast,
+            "--verify" => Flag::Verify,
+            "--fanout-threshold" => Flag::FanoutThreshold,
+            "--quiet" => Flag::Quiet,
+            "--stop-after" => Flag::StopAfter,
+            "--report" => Flag::Report,
+            "--output" => Flag::Output,
+            "-o" => Flag::ShortOutput,
+            "--svg" => Flag::Svg,
+            "--workers" => Flag::Workers,
+            "--stage-timeout" => Flag::StageTimeout,
+            "--no-predict" => Flag::NoPredict,
+            "--no-retry" => Flag::NoRetry,
+            "--journal" => Flag::Journal,
+            "--output-dir" => Flag::OutputDir,
+            "--fault" => Flag::FaultSpec,
+            "--format" => Flag::Format,
+            "--deny" => Flag::Deny,
+            "--warn" => Flag::Warn,
+            "--allow" => Flag::Allow,
+            "--rules" => Flag::Rules,
+            "--against" => Flag::Against,
+            "--inject-defect" => Flag::InjectDefect,
+            "--cells" => Flag::Cells,
+            "--seed" => Flag::Seed,
+            "--help" | "-h" => Flag::Help,
+            _ => return None,
+        })
+    }
+}
+
+/// Why a command line did not parse into [`Options`].
 #[derive(Debug)]
-struct CliOptions {
-    input: String,
-    placer: PlacerKind,
+enum Usage {
+    /// `--help`: print the usage text and exit 0.
+    Help,
+    /// A usage error: print it with the usage text and exit 2.
+    Error(String),
+}
+
+impl From<String> for Usage {
+    fn from(message: String) -> Self {
+        Usage::Error(message)
+    }
+}
+
+/// A parsed command line. Flags the subcommand does not take keep their
+/// defaults.
+#[derive(Debug, Default)]
+struct Options {
+    command: Command,
+    /// The positional arguments: inputs, artifacts, the generator family or
+    /// the technology name or file.
+    inputs: Vec<String>,
+    placer: Option<PlacerKind>,
     tech: Option<String>,
     threads: Option<usize>,
+    fast: bool,
+    verify: bool,
+    quiet: bool,
+    /// The `--deny/--warn/--allow/--fanout-threshold` lint policy.
+    lint: LintConfig,
     stop_after: Option<FlowStage>,
     report: Option<String>,
     output: Option<String>,
     svg: Option<String>,
-    fast: bool,
-    verify: bool,
-    fanout_threshold: Option<usize>,
-    quiet: bool,
+    workers: usize,
+    stage_timeout_s: Option<f64>,
+    no_predict: bool,
+    no_retry: bool,
+    journal: Option<String>,
+    output_dir: Option<String>,
+    faults: Vec<Fault>,
+    json: bool,
+    rules: bool,
+    against: Option<String>,
+    inject: Option<Defect>,
+    family: Option<LargeFamily>,
+    cells: usize,
+    seed: u64,
 }
 
-fn parse_args(args: &[String]) -> Result<CliOptions, String> {
-    let mut options = CliOptions {
-        input: String::new(),
-        placer: PlacerKind::SuperFlow,
-        tech: None,
-        threads: None,
-        stop_after: None,
-        report: None,
-        output: None,
-        svg: None,
-        fast: false,
-        verify: false,
-        fanout_threshold: None,
-        quiet: false,
-    };
-    let mut iter = args.iter().peekable();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--placer" => {
-                let value = iter.next().ok_or("--placer needs a value")?;
-                options.placer = match value.as_str() {
-                    "superflow" => PlacerKind::SuperFlow,
-                    "gordian" => PlacerKind::GordianBased,
-                    "taas" => PlacerKind::Taas,
-                    other => return Err(format!("unknown placer `{other}`")),
-                };
-            }
-            "--tech" => {
-                let value = iter.next().ok_or("--tech needs a value")?;
-                if options.tech.is_some() {
-                    return Err("--tech/--process given more than once".to_owned());
+impl Options {
+    /// Parses a whole command line, subcommand words included.
+    fn parse(args: &[String]) -> Result<Options, Usage> {
+        let (command, args) = Command::split(args);
+        let mut options = Options { command, cells: 10_000, ..Options::default() };
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            let flag = match Flag::parse(arg) {
+                Some(flag) if flag == Flag::Help || command.flags().contains(&flag) => flag,
+                None if !arg.starts_with("--") => {
+                    options.inputs.push(arg.clone());
+                    continue;
                 }
-                options.tech = Some(value.clone());
-            }
-            "--process" => {
-                let value = iter.next().ok_or("--process needs a value")?;
-                let name = match value.as_str() {
-                    "mit-ll" | "mitll" => aqfp_cells::MIT_LL_SQF5EE,
-                    "stp2" => aqfp_cells::AIST_STP2,
-                    other => return Err(format!("unknown process `{other}`")),
-                };
-                if options.tech.is_some() {
-                    return Err("--tech/--process given more than once".to_owned());
+                _ => return Err(format!("unknown {} option `{arg}`", command.name()).into()),
+            };
+            let mut value = || args.next().cloned().ok_or_else(|| format!("{arg} needs a value"));
+            match flag {
+                Flag::Help => return Err(Usage::Help),
+                Flag::Placer => {
+                    options.placer = Some(match value()?.as_str() {
+                        "superflow" => PlacerKind::SuperFlow,
+                        "gordian" => PlacerKind::GordianBased,
+                        "taas" => PlacerKind::Taas,
+                        other => return Err(format!("unknown placer `{other}`").into()),
+                    })
                 }
-                options.tech = Some(name.to_owned());
-            }
-            "--threads" => {
-                let value = iter.next().ok_or("--threads needs a value")?;
-                options.threads = Some(
-                    value
-                        .parse::<usize>()
-                        .map_err(|_| format!("--threads needs a number, got `{value}`"))?,
-                );
-            }
-            "--stop-after" => {
-                let value = iter.next().ok_or("--stop-after needs a value")?;
-                options.stop_after = Some(match value.as_str() {
-                    "synthesis" | "synth" => FlowStage::Synthesis,
-                    "placement" | "place" => FlowStage::Placement,
-                    "routing" | "route" => FlowStage::Routing,
-                    "check" | "drc" => FlowStage::Check,
-                    other => return Err(format!("unknown stage `{other}`")),
-                });
-            }
-            "--report" => {
-                options.report = Some(iter.next().ok_or("--report needs a value")?.clone())
-            }
-            "--output" => {
-                options.output = Some(iter.next().ok_or("--output needs a value")?.clone())
-            }
-            "--svg" => options.svg = Some(iter.next().ok_or("--svg needs a value")?.clone()),
-            "--fast" => options.fast = true,
-            "--verify" => options.verify = true,
-            "--fanout-threshold" => {
-                let value = iter.next().ok_or("--fanout-threshold needs a value")?;
-                options.fanout_threshold =
-                    Some(value.parse::<usize>().map_err(|_| {
-                        format!("--fanout-threshold needs a number, got `{value}`")
+                Flag::Tech => once(&mut options.tech, arg, value()?)?,
+                Flag::Threads => options.threads = Some(number(arg, &value()?)?),
+                Flag::Fast => options.fast = true,
+                Flag::Verify => options.verify = true,
+                Flag::FanoutThreshold => {
+                    options.lint.fanout_threshold = Some(number(arg, &value()?)?)
+                }
+                Flag::Quiet => options.quiet = true,
+                Flag::StopAfter => {
+                    options.stop_after = Some(match value()?.as_str() {
+                        "synthesis" | "synth" => FlowStage::Synthesis,
+                        "placement" | "place" => FlowStage::Placement,
+                        "routing" | "route" => FlowStage::Routing,
+                        "check" | "drc" => FlowStage::Check,
+                        other => return Err(format!("unknown stage `{other}`").into()),
+                    })
+                }
+                Flag::Report => options.report = Some(value()?),
+                Flag::Output | Flag::ShortOutput => once(&mut options.output, arg, value()?)?,
+                Flag::Svg => options.svg = Some(value()?),
+                Flag::Workers => options.workers = number(arg, &value()?)?,
+                Flag::StageTimeout => {
+                    let value = value()?;
+                    let seconds: f64 = number(arg, &value)?;
+                    if !seconds.is_finite() || seconds < 0.0 {
+                        return Err(format!(
+                            "{arg} needs a non-negative finite number, got `{value}`"
+                        )
+                        .into());
+                    }
+                    options.stage_timeout_s = Some(seconds);
+                }
+                Flag::NoPredict => options.no_predict = true,
+                Flag::NoRetry => options.no_retry = true,
+                Flag::Journal => options.journal = Some(value()?),
+                Flag::OutputDir => options.output_dir = Some(value()?),
+                Flag::FaultSpec => options.faults.push(Fault::parse(&value()?)?),
+                Flag::Format => {
+                    options.json = match value()?.as_str() {
+                        "json" => true,
+                        "text" => false,
+                        other => return Err(format!("unknown format `{other}`").into()),
+                    }
+                }
+                Flag::Deny => options.lint.deny.push(value()?),
+                Flag::Warn => options.lint.warn.push(value()?),
+                Flag::Allow => options.lint.allow.push(value()?),
+                Flag::Rules => options.rules = true,
+                Flag::Against => once(&mut options.against, arg, value()?)?,
+                Flag::InjectDefect => {
+                    let value = value()?;
+                    options.inject = Some(Defect::parse(&value).ok_or_else(|| {
+                        format!("unknown defect `{value}` (available: wire, cell, phase)")
                     })?);
-            }
-            "--quiet" => options.quiet = true,
-            "--help" | "-h" => return Err("help".to_owned()),
-            other if other.starts_with("--") => return Err(format!("unknown option `{other}`")),
-            other => {
-                if !options.input.is_empty() {
-                    return Err("more than one input given".to_owned());
                 }
-                options.input = other.to_owned();
+                Flag::Cells => options.cells = number(arg, &value()?)?,
+                Flag::Seed => options.seed = number(arg, &value()?)?,
             }
         }
+        options.check_inputs()?;
+        Ok(options)
     }
-    if options.input.is_empty() {
-        return Err("no input given".to_owned());
+
+    /// Checks the positional arguments against what the subcommand takes.
+    fn check_inputs(&mut self) -> Result<(), String> {
+        let name = self.command.name();
+        match self.command {
+            Command::Flow => {
+                self.single("an input")?;
+                if self.stop_after.is_some() && (self.output.is_some() || self.svg.is_some()) {
+                    return Err("--output/--svg write final layout artifacts, which --stop-after \
+                         skips; drop --stop-after (or use --report to keep that stage's \
+                         checkpoint)"
+                        .to_owned());
+                }
+            }
+            Command::Batch => {
+                if self.inputs.is_empty() {
+                    return Err("batch needs at least one input".to_owned());
+                }
+                let mut names: Vec<String> = Vec::new();
+                for input in &self.inputs {
+                    let name = BatchJob::from_input(input).name;
+                    if names.contains(&name) {
+                        return Err(format!(
+                            "two batch inputs reduce to the design name `{name}`; journals and \
+                             GDS outputs are keyed by name, so each design needs a distinct one"
+                        ));
+                    }
+                    names.push(name);
+                }
+            }
+            Command::Lint | Command::Predict | Command::Verify => {
+                if self.inputs.is_empty() && !self.rules {
+                    return Err(format!("{name} needs at least one input (or --rules)"));
+                }
+            }
+            Command::Generate => {
+                let available = LargeFamily::ALL.map(|f| f.name()).join(", ");
+                let family = self.single(&format!("a family (available: {available})"))?;
+                let family = LargeFamily::parse(family).ok_or_else(|| {
+                    format!("unknown generator family `{family}` (available: {available})")
+                })?;
+                self.family = Some(family);
+            }
+            Command::Tech => {
+                return Err(match self.inputs.first() {
+                    Some(action) => {
+                        format!("unknown tech action `{action}` (available: list, show, dump)")
+                    }
+                    None => "tech needs an action: list, show or dump".to_owned(),
+                })
+            }
+            Command::TechList => {
+                if let Some(extra) = self.inputs.first() {
+                    return Err(format!("unexpected argument `{extra}`"));
+                }
+            }
+            Command::TechShow => {
+                self.single("a technology name or file")?;
+            }
+            Command::TechDump => {
+                self.single("a built-in technology name")?;
+            }
+        }
+        Ok(())
     }
-    if options.stop_after.is_some() && (options.output.is_some() || options.svg.is_some()) {
-        return Err("--output/--svg write final layout artifacts, which --stop-after skips; \
-             drop --stop-after (or use --report to keep that stage's checkpoint)"
-            .to_owned());
+
+    /// The one positional argument (`what`) the subcommand takes.
+    fn single(&self, what: &str) -> Result<&str, String> {
+        match self.inputs.as_slice() {
+            [input] => Ok(input),
+            [] => Err(format!("{} needs {what}", self.command.name())),
+            [_, extra, ..] => Err(format!("unexpected argument `{extra}`")),
+        }
     }
-    Ok(options)
+
+    /// The flow configuration the command line selects. Subcommands that do
+    /// not take a flag get its default: lint and predict run under the paper
+    /// default on the chosen technology, and verify re-derives with the
+    /// per-stage gates off because it runs the verifiers itself.
+    fn flow_config(&self) -> FlowConfig {
+        let config = if self.fast { FlowConfig::fast() } else { FlowConfig::paper_default() };
+        let mut config = config.with_lint(self.lint.clone());
+        if let Some(value) = &self.tech {
+            config = config.with_tech(tech_spec(value));
+        }
+        if let Some(placer) = self.placer {
+            config = config.with_placer(placer);
+        }
+        if let Some(threads) = self.threads {
+            config = config.with_threads(threads);
+        }
+        if self.verify {
+            config = config.with_verify(VerifyConfig { enabled: true, ..VerifyConfig::default() });
+        }
+        config
+    }
+
+    /// The batch configuration: the flow configuration plus the batch flags.
+    fn batch_config(&self) -> BatchConfig {
+        let mut config = BatchConfig::new(self.flow_config())
+            .with_workers(self.workers)
+            .with_retry_degraded(!self.no_retry)
+            .with_predict(!self.no_predict)
+            .with_faults(FaultPlan { faults: self.faults.clone() });
+        if let Some(seconds) = self.stage_timeout_s {
+            config = config.with_stage_timeout_s(seconds);
+        }
+        if let Some(dir) = &self.journal {
+            config = config.with_journal_dir(dir);
+        }
+        if let Some(dir) = &self.output_dir {
+            config = config.with_output_dir(dir);
+        }
+        config
+    }
+}
+
+/// Stores a flag value that may be given only once.
+fn once(slot: &mut Option<String>, flag: &str, value: String) -> Result<(), String> {
+    match slot.replace(value) {
+        Some(_) => Err(format!("{flag} given more than once")),
+        None => Ok(()),
+    }
+}
+
+/// Parses a numeric flag value.
+fn number<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
+    value.parse().map_err(|_| format!("{flag} needs a number, got `{value}`"))
 }
 
 fn usage() -> &'static str {
-    "usage: superflow [--placer superflow|gordian|taas] [--tech name|file.toml] \
-     [--process mit-ll|stp2] [--threads n] \
+    "usage: superflow [--placer superflow|gordian|taas] [--tech name|file.toml] [--threads n] \
      [--stop-after synthesis|placement|routing|check] [--report out.json] \
      [--output out.gds] [--svg out.svg] [--fast] [--verify] \
      [--fanout-threshold n] [--quiet] \
@@ -306,13 +634,13 @@ fn usage() -> &'static str {
      \x20      superflow batch [--workers n] [--stage-timeout seconds] [--no-predict] \
      [--no-retry] [--journal dir] [--output-dir dir] [--report out.json] \
      [--fault panic|deadline|truncate|corrupt:design:stage] [flow options] <input>...\n\
-     \x20      superflow lint [--tech name|file.toml] [--process mit-ll|stp2] \
+     \x20      superflow lint [--tech name|file.toml] \
      [--format text|json] [--deny rule] [--warn rule] [--allow rule] \
      [--fanout-threshold n] [--rules] <input>...\n\
-     \x20      superflow predict [--tech name|file.toml] [--process mit-ll|stp2] \
+     \x20      superflow predict [--tech name|file.toml] \
      [--format text|json] [--deny rule] [--warn rule] [--allow rule] \
      [--rules] <input>...\n\
-     \x20      superflow verify [--tech name|file.toml] [--process mit-ll|stp2] \
+     \x20      superflow verify [--tech name|file.toml] [--placer superflow|gordian|taas] \
      [--fast] [--threads n] [--against input] [--format text|json] \
      [--inject-defect wire|cell|phase] [--rules] <artifact.gds|checkpoint.json>...\n\
      \x20      superflow generate tiled_mul|apc_array|random_dag [--cells n] \
@@ -322,47 +650,55 @@ fn usage() -> &'static str {
      \x20      superflow tech dump <name> [--output file.toml]"
 }
 
-/// Interprets a `--tech` value: a known registry name (or one of the
-/// legacy `--process` aliases) resolves to the built-in; anything that
-/// looks like a path — it contains a separator or an extension dot — is a
-/// technology file. A bare name that matches nothing still resolves as
-/// `Builtin`, so the error lists the available registry names instead of a
-/// confusing missing-file message.
+/// Interprets a `--tech` value: a known registry name resolves to the
+/// built-in; anything that looks like a path — it contains a separator or
+/// an extension dot — is a technology file. A bare name that matches
+/// nothing still resolves as `Builtin`, so the error lists the available
+/// registry names instead of a confusing missing-file message.
 fn tech_spec(value: &str) -> TechSpec {
-    if TechnologyRegistry::global().get(value).is_some() {
-        return TechSpec::builtin(value);
-    }
-    match value {
-        "mit-ll" | "mitll" => TechSpec::builtin(aqfp_cells::MIT_LL_SQF5EE),
-        "stp2" => TechSpec::builtin(aqfp_cells::AIST_STP2),
-        _ if !value.contains(['/', '\\', '.']) => TechSpec::builtin(value),
-        _ => TechSpec::file(value),
+    if TechnologyRegistry::global().get(value).is_some() || !value.contains(['/', '\\', '.']) {
+        TechSpec::builtin(value)
+    } else {
+        TechSpec::file(value)
     }
 }
 
-/// The flow configuration the command line selects, assembled through the
-/// `FlowConfig` builders.
-fn build_config(options: &CliOptions) -> FlowConfig {
-    let config = if options.fast { FlowConfig::fast() } else { FlowConfig::paper_default() };
-    let config = match &options.tech {
-        Some(value) => config.with_tech(tech_spec(value)),
-        None => config,
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let options = match Options::parse(&args) {
+        Ok(options) => options,
+        Err(Usage::Help) => {
+            println!("{}", usage());
+            return ExitCode::SUCCESS;
+        }
+        Err(Usage::Error(message)) => {
+            eprintln!("error: {message}\n{}", usage());
+            return ExitCode::from(EXIT_USAGE);
+        }
     };
-    let config = config.with_placer(options.placer);
-    let config = match options.threads {
-        Some(threads) => config.with_threads(threads),
-        None => config,
-    };
-    let mut config = if options.verify {
-        config.with_verify(VerifyConfig { enabled: true, ..VerifyConfig::default() })
-    } else {
-        config
-    };
-    if let Some(threshold) = options.fanout_threshold {
-        config.lint.fanout_threshold = Some(threshold);
+    match options.command {
+        Command::Flow => run_flow(&options),
+        Command::Batch => run_batch(&options),
+        Command::Lint | Command::Predict | Command::Verify => run_checks(&options),
+        Command::Generate => run_generate(&options),
+        Command::Tech | Command::TechList | Command::TechShow | Command::TechDump => {
+            match run_tech(&options) {
+                Ok(output) => {
+                    println!("{output}");
+                    ExitCode::SUCCESS
+                }
+                Err(message) => {
+                    eprintln!("error: {message}");
+                    ExitCode::FAILURE
+                }
+            }
+        }
     }
-    config
 }
+
+// ---------------------------------------------------------------------------
+// The flow
+// ---------------------------------------------------------------------------
 
 /// Loads the input netlist through the shared [`superflow::input`] loader
 /// (benchmark names resolve to generated circuits, file paths dispatch on
@@ -397,9 +733,9 @@ enum Outcome {
     Stopped { stage: FlowStage, summary: String, checkpoint: Option<String> },
 }
 
-fn run(options: &CliOptions) -> Result<Outcome, String> {
-    let netlist = load_netlist(&options.input)?;
-    let flow = Flow::with_config(build_config(options));
+fn run(options: &Options) -> Result<Outcome, String> {
+    let netlist = load_netlist(&options.inputs[0])?;
+    let flow = Flow::with_config(options.flow_config());
     let mut session = flow.session().map_err(|e| error_chain(&e))?;
     if !options.quiet {
         println!(
@@ -480,1196 +816,8 @@ fn run(options: &CliOptions) -> Result<Outcome, String> {
     Ok(Outcome::Complete(Box::new(session.finish(checked))))
 }
 
-// ---------------------------------------------------------------------------
-// `superflow batch` subcommand
-// ---------------------------------------------------------------------------
-
-#[derive(Debug)]
-struct BatchCliOptions {
-    inputs: Vec<String>,
-    placer: PlacerKind,
-    tech: Option<String>,
-    threads: Option<usize>,
-    workers: usize,
-    stage_timeout_s: Option<f64>,
-    predict: bool,
-    retry: bool,
-    journal: Option<String>,
-    output_dir: Option<String>,
-    report: Option<String>,
-    faults: Vec<Fault>,
-    fast: bool,
-    verify: bool,
-    fanout_threshold: Option<usize>,
-    quiet: bool,
-}
-
-fn parse_batch_args(args: &[String]) -> Result<BatchCliOptions, String> {
-    let mut options = BatchCliOptions {
-        inputs: Vec::new(),
-        placer: PlacerKind::SuperFlow,
-        tech: None,
-        threads: None,
-        workers: 0,
-        stage_timeout_s: None,
-        predict: true,
-        retry: true,
-        journal: None,
-        output_dir: None,
-        report: None,
-        faults: Vec::new(),
-        fast: false,
-        verify: false,
-        fanout_threshold: None,
-        quiet: false,
-    };
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--placer" => {
-                let value = iter.next().ok_or("--placer needs a value")?;
-                options.placer = match value.as_str() {
-                    "superflow" => PlacerKind::SuperFlow,
-                    "gordian" => PlacerKind::GordianBased,
-                    "taas" => PlacerKind::Taas,
-                    other => return Err(format!("unknown placer `{other}`")),
-                };
-            }
-            "--tech" => {
-                let value = iter.next().ok_or("--tech needs a value")?;
-                if options.tech.is_some() {
-                    return Err("--tech/--process given more than once".to_owned());
-                }
-                options.tech = Some(value.clone());
-            }
-            "--process" => {
-                let value = iter.next().ok_or("--process needs a value")?;
-                let name = match value.as_str() {
-                    "mit-ll" | "mitll" => aqfp_cells::MIT_LL_SQF5EE,
-                    "stp2" => aqfp_cells::AIST_STP2,
-                    other => return Err(format!("unknown process `{other}`")),
-                };
-                if options.tech.is_some() {
-                    return Err("--tech/--process given more than once".to_owned());
-                }
-                options.tech = Some(name.to_owned());
-            }
-            "--threads" => {
-                let value = iter.next().ok_or("--threads needs a value")?;
-                options.threads = Some(
-                    value
-                        .parse::<usize>()
-                        .map_err(|_| format!("--threads needs a number, got `{value}`"))?,
-                );
-            }
-            "--workers" => {
-                let value = iter.next().ok_or("--workers needs a value")?;
-                options.workers = value
-                    .parse::<usize>()
-                    .map_err(|_| format!("--workers needs a number, got `{value}`"))?;
-            }
-            "--stage-timeout" => {
-                let value = iter.next().ok_or("--stage-timeout needs a value")?;
-                let seconds = value.parse::<f64>().map_err(|_| {
-                    format!("--stage-timeout needs a number of seconds, got `{value}`")
-                })?;
-                if !seconds.is_finite() || seconds < 0.0 {
-                    return Err(format!(
-                        "--stage-timeout needs a non-negative finite number, got `{value}`"
-                    ));
-                }
-                options.stage_timeout_s = Some(seconds);
-            }
-            "--no-predict" => options.predict = false,
-            "--no-retry" => options.retry = false,
-            "--journal" => {
-                options.journal = Some(iter.next().ok_or("--journal needs a value")?.clone())
-            }
-            "--output-dir" => {
-                options.output_dir = Some(iter.next().ok_or("--output-dir needs a value")?.clone())
-            }
-            "--report" => {
-                options.report = Some(iter.next().ok_or("--report needs a value")?.clone())
-            }
-            "--fault" => {
-                let value = iter.next().ok_or("--fault needs a value")?;
-                options.faults.push(Fault::parse(value)?);
-            }
-            "--fast" => options.fast = true,
-            "--verify" => options.verify = true,
-            "--fanout-threshold" => {
-                let value = iter.next().ok_or("--fanout-threshold needs a value")?;
-                options.fanout_threshold =
-                    Some(value.parse::<usize>().map_err(|_| {
-                        format!("--fanout-threshold needs a number, got `{value}`")
-                    })?);
-            }
-            "--quiet" => options.quiet = true,
-            "--help" | "-h" => return Err("help".to_owned()),
-            other if other.starts_with("--") => {
-                return Err(format!("unknown batch option `{other}`"))
-            }
-            other => options.inputs.push(other.to_owned()),
-        }
-    }
-    if options.inputs.is_empty() {
-        return Err("batch needs at least one input".to_owned());
-    }
-    let mut names: Vec<String> = Vec::new();
-    for input in &options.inputs {
-        let name = BatchJob::from_input(input).name;
-        if names.contains(&name) {
-            return Err(format!(
-                "two batch inputs reduce to the design name `{name}`; journals and GDS outputs \
-                 are keyed by name, so each design needs a distinct one"
-            ));
-        }
-        names.push(name);
-    }
-    Ok(options)
-}
-
-/// The batch configuration a `superflow batch` command line selects.
-fn build_batch_config(options: &BatchCliOptions) -> BatchConfig {
-    let flow = if options.fast { FlowConfig::fast() } else { FlowConfig::paper_default() };
-    let flow = match &options.tech {
-        Some(value) => flow.with_tech(tech_spec(value)),
-        None => flow,
-    };
-    let flow = flow.with_placer(options.placer);
-    let flow = match options.threads {
-        Some(threads) => flow.with_threads(threads),
-        None => flow,
-    };
-    let mut flow = if options.verify {
-        flow.with_verify(VerifyConfig { enabled: true, ..VerifyConfig::default() })
-    } else {
-        flow
-    };
-    if let Some(threshold) = options.fanout_threshold {
-        flow.lint.fanout_threshold = Some(threshold);
-    }
-    let mut config = BatchConfig::new(flow)
-        .with_workers(options.workers)
-        .with_retry_degraded(options.retry)
-        .with_predict(options.predict)
-        .with_faults(FaultPlan { faults: options.faults.clone() });
-    if let Some(seconds) = options.stage_timeout_s {
-        config = config.with_stage_timeout_s(seconds);
-    }
-    if let Some(dir) = &options.journal {
-        config = config.with_journal_dir(dir);
-    }
-    if let Some(dir) = &options.output_dir {
-        config = config.with_output_dir(dir);
-    }
-    config
-}
-
-fn run_batch_cli(args: &[String]) -> ExitCode {
-    let options = match parse_batch_args(args) {
-        Ok(options) => options,
-        Err(message) => {
-            if message == "help" {
-                println!("{}", usage());
-                return ExitCode::SUCCESS;
-            }
-            eprintln!("error: {message}\n{}", usage());
-            return ExitCode::from(EXIT_USAGE);
-        }
-    };
-    let jobs: Vec<BatchJob> = options.inputs.iter().map(BatchJob::from_input).collect();
-    let runner = BatchRunner::new(build_batch_config(&options));
-    let report = match runner.run(&jobs) {
-        Ok(report) => report,
-        Err(e) => {
-            eprintln!("error: {}", error_chain(&e));
-            return ExitCode::FAILURE;
-        }
-    };
-    if options.quiet {
-        // First line of the render is the one-line summary.
-        println!("{}", report.render().lines().next().unwrap_or_default());
-    } else {
-        print!("{}", report.render());
-    }
-    if let Some(path) = &options.report {
-        let json = match report.to_json() {
-            Ok(json) => json,
-            Err(e) => {
-                eprintln!("error: {}", error_chain(&e));
-                return ExitCode::FAILURE;
-            }
-        };
-        if let Err(e) = std::fs::write(path, json) {
-            eprintln!("error: cannot write `{path}`: {e}");
-            return ExitCode::FAILURE;
-        }
-        if !options.quiet {
-            println!("batch report written to {path}");
-        }
-    }
-    if report.failed() > 0 {
-        ExitCode::from(EXIT_PARTIAL_FAILURE)
-    } else {
-        ExitCode::SUCCESS
-    }
-}
-
-// ---------------------------------------------------------------------------
-// `superflow lint` subcommand
-// ---------------------------------------------------------------------------
-
-#[derive(Debug)]
-struct LintCliOptions {
-    inputs: Vec<String>,
-    tech: Option<String>,
-    json: bool,
-    lint: LintConfig,
-    rules: bool,
-}
-
-fn parse_lint_args(args: &[String]) -> Result<LintCliOptions, String> {
-    let mut options = LintCliOptions {
-        inputs: Vec::new(),
-        tech: None,
-        json: false,
-        lint: LintConfig::default(),
-        rules: false,
-    };
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--tech" => {
-                let value = iter.next().ok_or("--tech needs a value")?;
-                if options.tech.is_some() {
-                    return Err("--tech/--process given more than once".to_owned());
-                }
-                options.tech = Some(value.clone());
-            }
-            "--process" => {
-                let value = iter.next().ok_or("--process needs a value")?;
-                let name = match value.as_str() {
-                    "mit-ll" | "mitll" => aqfp_cells::MIT_LL_SQF5EE,
-                    "stp2" => aqfp_cells::AIST_STP2,
-                    other => return Err(format!("unknown process `{other}`")),
-                };
-                if options.tech.is_some() {
-                    return Err("--tech/--process given more than once".to_owned());
-                }
-                options.tech = Some(name.to_owned());
-            }
-            "--format" => {
-                let value = iter.next().ok_or("--format needs a value")?;
-                options.json = match value.as_str() {
-                    "json" => true,
-                    "text" => false,
-                    other => return Err(format!("unknown lint format `{other}`")),
-                };
-            }
-            "--deny" => {
-                options.lint.deny.push(iter.next().ok_or("--deny needs a rule id")?.clone())
-            }
-            "--warn" => {
-                options.lint.warn.push(iter.next().ok_or("--warn needs a rule id")?.clone())
-            }
-            "--allow" => {
-                options.lint.allow.push(iter.next().ok_or("--allow needs a rule id")?.clone())
-            }
-            "--fanout-threshold" => {
-                let value = iter.next().ok_or("--fanout-threshold needs a value")?;
-                options.lint.fanout_threshold =
-                    Some(value.parse::<usize>().map_err(|_| {
-                        format!("--fanout-threshold needs a number, got `{value}`")
-                    })?);
-            }
-            "--rules" => options.rules = true,
-            "--help" | "-h" => return Err("help".to_owned()),
-            other if other.starts_with("--") => {
-                return Err(format!("unknown lint option `{other}`"))
-            }
-            other => options.inputs.push(other.to_owned()),
-        }
-    }
-    if options.inputs.is_empty() && !options.rules {
-        return Err("lint needs at least one input (or --rules)".to_owned());
-    }
-    Ok(options)
-}
-
-/// The rule catalog table `superflow lint --rules` prints.
-fn render_rule_catalog() -> String {
-    let mut out = String::from("rule       default  summary\n");
-    for info in superflow::lint::catalog() {
-        out.push_str(&format!("{:<10} {:<8} {}\n", info.id, info.severity.keyword(), info.summary));
-    }
-    out.trim_end().to_owned()
-}
-
-fn run_lint_cli(args: &[String]) -> ExitCode {
-    let options = match parse_lint_args(args) {
-        Ok(options) => options,
-        Err(message) => {
-            if message == "help" {
-                println!("{}", usage());
-                return ExitCode::SUCCESS;
-            }
-            eprintln!("error: {message}\n{}", usage());
-            return ExitCode::from(EXIT_USAGE);
-        }
-    };
-    if options.rules {
-        println!("{}", render_rule_catalog());
-        return ExitCode::SUCCESS;
-    }
-    let flow = match &options.tech {
-        Some(value) => FlowConfig::paper_default().with_tech(tech_spec(value)),
-        None => FlowConfig::paper_default(),
-    }
-    .with_lint(options.lint);
-    let technology = match flow.resolve_technology() {
-        Ok(technology) => technology,
-        Err(e) => {
-            eprintln!("error: {}", error_chain(&e));
-            return ExitCode::FAILURE;
-        }
-    };
-    let mut reports = Vec::new();
-    let mut failed = false;
-    for input in &options.inputs {
-        // Lenient loading: undriven nets become AQFP-E002 findings with
-        // their source spans instead of a parse error at the first one.
-        match superflow::load_design(input) {
-            Ok(design) => {
-                let name = superflow::input::design_name(input);
-                // The shared pre-flight gate: structural lint rules plus
-                // the predictive AQFP-P0xx feasibility rules.
-                let report = superflow::lint_design(&name, &design.netlist, &technology, &flow);
-                failed |= report.has_errors();
-                reports.push(report);
-            }
-            Err(e) => {
-                failed = true;
-                eprintln!("error: `{input}`: {}", error_chain(&e));
-            }
-        }
-    }
-    if options.json {
-        match serde_json::to_string_pretty(&reports) {
-            Ok(json) => println!("{json}"),
-            Err(e) => {
-                eprintln!("error: cannot serialize lint reports: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    } else {
-        for report in &reports {
-            print!("{}", report.render());
-        }
-    }
-    if failed {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
-}
-
-// ---------------------------------------------------------------------------
-// `superflow predict` subcommand
-// ---------------------------------------------------------------------------
-
-#[derive(Debug)]
-struct PredictCliOptions {
-    inputs: Vec<String>,
-    tech: Option<String>,
-    json: bool,
-    lint: LintConfig,
-    rules: bool,
-}
-
-fn parse_predict_args(args: &[String]) -> Result<PredictCliOptions, String> {
-    let mut options = PredictCliOptions {
-        inputs: Vec::new(),
-        tech: None,
-        json: false,
-        lint: LintConfig::default(),
-        rules: false,
-    };
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--tech" => {
-                let value = iter.next().ok_or("--tech needs a value")?;
-                if options.tech.is_some() {
-                    return Err("--tech/--process given more than once".to_owned());
-                }
-                options.tech = Some(value.clone());
-            }
-            "--process" => {
-                let value = iter.next().ok_or("--process needs a value")?;
-                let name = match value.as_str() {
-                    "mit-ll" | "mitll" => aqfp_cells::MIT_LL_SQF5EE,
-                    "stp2" => aqfp_cells::AIST_STP2,
-                    other => return Err(format!("unknown process `{other}`")),
-                };
-                if options.tech.is_some() {
-                    return Err("--tech/--process given more than once".to_owned());
-                }
-                options.tech = Some(name.to_owned());
-            }
-            "--format" => {
-                let value = iter.next().ok_or("--format needs a value")?;
-                options.json = match value.as_str() {
-                    "json" => true,
-                    "text" => false,
-                    other => return Err(format!("unknown predict format `{other}`")),
-                };
-            }
-            "--deny" => {
-                options.lint.deny.push(iter.next().ok_or("--deny needs a rule id")?.clone())
-            }
-            "--warn" => {
-                options.lint.warn.push(iter.next().ok_or("--warn needs a rule id")?.clone())
-            }
-            "--allow" => {
-                options.lint.allow.push(iter.next().ok_or("--allow needs a rule id")?.clone())
-            }
-            "--rules" => options.rules = true,
-            "--help" | "-h" => return Err("help".to_owned()),
-            other if other.starts_with("--") => {
-                return Err(format!("unknown predict option `{other}`"))
-            }
-            other => options.inputs.push(other.to_owned()),
-        }
-    }
-    if options.inputs.is_empty() && !options.rules {
-        return Err("predict needs at least one input (or --rules)".to_owned());
-    }
-    Ok(options)
-}
-
-/// The rule catalog table `superflow predict --rules` prints.
-fn render_predict_rule_catalog() -> String {
-    let mut out = String::from("rule       default  summary\n");
-    for info in superflow::predict::catalog() {
-        out.push_str(&format!("{:<10} {:<8} {}\n", info.id, info.severity.keyword(), info.summary));
-    }
-    out.trim_end().to_owned()
-}
-
-/// Runs the predictive analysis on one input: the design loads leniently
-/// (so a netlist with undriven nets still gets its feasibility forecast),
-/// and the prediction itself never runs a stage engine.
-fn predict_one(
-    input: &str,
-    technology: &Technology,
-    flow: &FlowConfig,
-) -> Result<superflow::PredictReport, String> {
-    let design = superflow::load_design(input).map_err(|e| error_chain(&e))?;
-    let name = superflow::input::design_name(input);
-    Ok(superflow::predict::predict(&name, &design.netlist, technology, &flow.predict_options()))
-}
-
-fn run_predict_cli(args: &[String]) -> ExitCode {
-    let options = match parse_predict_args(args) {
-        Ok(options) => options,
-        Err(message) => {
-            if message == "help" {
-                println!("{}", usage());
-                return ExitCode::SUCCESS;
-            }
-            eprintln!("error: {message}\n{}", usage());
-            return ExitCode::from(EXIT_USAGE);
-        }
-    };
-    if options.rules {
-        println!("{}", render_predict_rule_catalog());
-        return ExitCode::SUCCESS;
-    }
-    let flow = match &options.tech {
-        Some(value) => FlowConfig::paper_default().with_tech(tech_spec(value)),
-        None => FlowConfig::paper_default(),
-    }
-    .with_lint(options.lint);
-    let technology = match flow.resolve_technology() {
-        Ok(technology) => technology,
-        Err(e) => {
-            eprintln!("error: {}", error_chain(&e));
-            return ExitCode::FAILURE;
-        }
-    };
-    let mut reports = Vec::new();
-    let mut failed = false;
-    for input in &options.inputs {
-        match predict_one(input, &technology, &flow) {
-            Ok(report) => {
-                failed |= report.has_errors();
-                reports.push(report);
-            }
-            Err(message) => {
-                failed = true;
-                eprintln!("error: `{input}`: {message}");
-            }
-        }
-    }
-    if options.json {
-        match serde_json::to_string_pretty(&reports) {
-            Ok(json) => println!("{json}"),
-            Err(e) => {
-                eprintln!("error: cannot serialize predict reports: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    } else {
-        for report in &reports {
-            print!("{}", report.render());
-        }
-    }
-    if failed {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
-}
-
-// ---------------------------------------------------------------------------
-// `superflow verify` subcommand
-// ---------------------------------------------------------------------------
-
-#[derive(Debug)]
-struct VerifyCliOptions {
-    inputs: Vec<String>,
-    tech: Option<String>,
-    threads: Option<usize>,
-    fast: bool,
-    json: bool,
-    against: Option<String>,
-    inject: Option<Defect>,
-    rules: bool,
-}
-
-fn parse_verify_args(args: &[String]) -> Result<VerifyCliOptions, String> {
-    let mut options = VerifyCliOptions {
-        inputs: Vec::new(),
-        tech: None,
-        threads: None,
-        fast: false,
-        json: false,
-        against: None,
-        inject: None,
-        rules: false,
-    };
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--tech" => {
-                let value = iter.next().ok_or("--tech needs a value")?;
-                if options.tech.is_some() {
-                    return Err("--tech/--process given more than once".to_owned());
-                }
-                options.tech = Some(value.clone());
-            }
-            "--process" => {
-                let value = iter.next().ok_or("--process needs a value")?;
-                let name = match value.as_str() {
-                    "mit-ll" | "mitll" => aqfp_cells::MIT_LL_SQF5EE,
-                    "stp2" => aqfp_cells::AIST_STP2,
-                    other => return Err(format!("unknown process `{other}`")),
-                };
-                if options.tech.is_some() {
-                    return Err("--tech/--process given more than once".to_owned());
-                }
-                options.tech = Some(name.to_owned());
-            }
-            "--threads" => {
-                let value = iter.next().ok_or("--threads needs a value")?;
-                options.threads = Some(
-                    value
-                        .parse::<usize>()
-                        .map_err(|_| format!("--threads needs a number, got `{value}`"))?,
-                );
-            }
-            "--fast" => options.fast = true,
-            "--format" => {
-                let value = iter.next().ok_or("--format needs a value")?;
-                options.json = match value.as_str() {
-                    "json" => true,
-                    "text" => false,
-                    other => return Err(format!("unknown verify format `{other}`")),
-                };
-            }
-            "--against" => {
-                let value = iter.next().ok_or("--against needs a value")?;
-                if options.against.is_some() {
-                    return Err("--against given more than once".to_owned());
-                }
-                options.against = Some(value.clone());
-            }
-            "--inject-defect" => {
-                let value = iter.next().ok_or("--inject-defect needs a value")?;
-                options.inject = Some(Defect::parse(value).ok_or_else(|| {
-                    format!("unknown defect `{value}` (available: wire, cell, phase)")
-                })?);
-            }
-            "--rules" => options.rules = true,
-            "--help" | "-h" => return Err("help".to_owned()),
-            other if other.starts_with("--") => {
-                return Err(format!("unknown verify option `{other}`"))
-            }
-            other => options.inputs.push(other.to_owned()),
-        }
-    }
-    if options.inputs.is_empty() && !options.rules {
-        return Err("verify needs at least one artifact (or --rules)".to_owned());
-    }
-    Ok(options)
-}
-
-/// The rule catalog table `superflow verify --rules` prints.
-fn render_verify_rule_catalog() -> String {
-    let mut out = String::from("rule       default  summary\n");
-    for info in superflow::verify::catalog() {
-        out.push_str(&format!("{:<10} {:<8} {}\n", info.id, info.severity.keyword(), info.summary));
-    }
-    out.trim_end().to_owned()
-}
-
-/// The flow configuration a `superflow verify` command line re-derives
-/// artifacts under. The per-stage verify gates stay off: the subcommand
-/// runs the verifiers itself, on the final artifacts.
-fn build_verify_config(options: &VerifyCliOptions) -> FlowConfig {
-    let config = if options.fast { FlowConfig::fast() } else { FlowConfig::paper_default() };
-    let config = match &options.tech {
-        Some(value) => config.with_tech(tech_spec(value)),
-        None => config,
-    };
-    match options.threads {
-        Some(threads) => config.with_threads(threads),
-        None => config,
-    }
-}
-
-/// Fails verification up front when an artifact was produced under a
-/// different technology than the session targets — comparing across
-/// processes would produce nonsense findings, not a useful report.
-fn ensure_artifact_technology(
-    session: &FlowSession,
-    found: &str,
-    input: &str,
-) -> Result<(), String> {
-    if session.tech_fingerprint() == found {
-        Ok(())
-    } else {
-        Err(format!(
-            "technology mismatch: the session targets `{}`, but `{input}` was produced under \
-             `{found}`; pass the matching --tech/--process",
-            session.tech_fingerprint()
-        ))
-    }
-}
-
-/// Injects one deliberate defect into a routed (or later) artifact, so a
-/// subsequent verification run must report it. Returns a human-readable
-/// description of what was damaged.
-fn inject_routed_defect(defect: Defect, routed: &mut Routed) -> Result<String, String> {
-    let note = match defect {
-        Defect::Phase => mutate::corrupt_design_phase(&mut routed.placed.placement.design)
-            .map(|net| format!("repointed a sink of net n{net} two phases past its driver")),
-        Defect::Cell => mutate::corrupt_design_cell(&mut routed.placed.placement.design)
-            .map(|cell| format!("nudged cell `{cell}` half a micron off its placement site")),
-        Defect::Wire => mutate::corrupt_routing(&mut routed.routing)
-            .map(|net| format!("dropped one routed segment of net n{net}")),
-    };
-    note.ok_or_else(|| format!("the design is too small to inject a {} defect", defect.name()))
-}
-
-/// Resolves the original input netlist for LEC: `--against` when given,
-/// otherwise the design name (which resolves for benchmark circuits but not
-/// for generated or file-based designs). `required` turns an unresolvable
-/// input into an error instead of a skipped check.
-fn lec_input(
-    options: &VerifyCliOptions,
-    design_name: &str,
-    required: bool,
-) -> Result<Option<Netlist>, String> {
-    match &options.against {
-        Some(spec) => load_netlist(spec).map(Some).map_err(|e| format!("--against `{spec}`: {e}")),
-        None => match superflow::load_netlist(design_name) {
-            Ok(netlist) => Ok(Some(netlist)),
-            Err(_) if !required => Ok(None),
-            Err(_) => Err(format!(
-                "cannot resolve the original input for `{design_name}` to run logic \
-                 equivalence; pass --against <input>"
-            )),
-        },
-    }
-}
-
-/// Verifies a committed `.gds` layout: re-runs the flow on the matching
-/// input, then checks logic equivalence, phase-legality and an LVS-lite
-/// comparison of the committed bytes against the re-derived design.
-fn verify_gds_input(
-    input: &str,
-    options: &VerifyCliOptions,
-    config: &FlowConfig,
-) -> Result<VerifyReport, String> {
-    let bytes = std::fs::read(input).map_err(|e| format!("cannot read `{input}`: {e}"))?;
-    let spec = match &options.against {
-        Some(spec) => spec.clone(),
-        None => std::path::Path::new(input)
-            .file_stem()
-            .and_then(|stem| stem.to_str())
-            .map(str::to_owned)
-            .ok_or_else(|| format!("cannot infer a design name from `{input}`"))?,
-    };
-    let netlist = load_netlist(&spec)?;
-    let flow = Flow::with_config(config.clone());
-    let mut session = flow.session().map_err(|e| error_chain(&e))?;
-    let synthesized = session.synthesize(&netlist).map_err(|e| error_chain(&e))?;
-    let placed = session.place(synthesized).map_err(|e| error_chain(&e))?;
-    let routed = session.route(placed).map_err(|e| error_chain(&e))?;
-    let mut checked = session.check(routed).map_err(|e| error_chain(&e))?;
-    if let Some(defect) = options.inject {
-        let note = inject_routed_defect(defect, &mut checked.routed)?;
-        eprintln!("note: injected {} defect into `{input}`: {note}", defect.name());
-    }
-    let mut report = session.verify_synthesized(&netlist, &checked.routed.placed.synthesized);
-    report.merge(session.verify_routed(&checked.routed));
-    report.record_check("lvs");
-    report.extend(superflow::verify::check_gds(
-        &bytes,
-        &checked.routed.placed.placement.design,
-        &checked.routed.routing,
-        session.technology().as_ref(),
-    ));
-    report.normalize();
-    Ok(report)
-}
-
-/// Verifies a `.json` stage checkpoint with the verifiers applicable to its
-/// stage: LEC for synthesis artifacts (and any later stage whose input
-/// resolves), phase-legality from placement on, LVS-lite for checked
-/// artifacts (which embed their layout).
-fn verify_checkpoint_input(
-    input: &str,
-    options: &VerifyCliOptions,
-    config: &FlowConfig,
-) -> Result<VerifyReport, String> {
-    let text = std::fs::read_to_string(input).map_err(|e| format!("cannot read `{input}`: {e}"))?;
-    let flow = Flow::with_config(config.clone());
-    let session = flow.session().map_err(|e| error_chain(&e))?;
-
-    if let Ok(mut checked) = Checked::from_json(&text) {
-        ensure_artifact_technology(&session, checked.tech_fingerprint(), input)?;
-        if let Some(defect) = options.inject {
-            let note = inject_routed_defect(defect, &mut checked.routed)?;
-            eprintln!("note: injected {} defect into `{input}`: {note}", defect.name());
-        }
-        let mut report = session.verify_checked(&checked);
-        let name = checked.routed.placed.synthesized.design_name.clone();
-        if let Some(netlist) = lec_input(options, &name, false)? {
-            report.merge(session.verify_synthesized(&netlist, &checked.routed.placed.synthesized));
-        }
-        report.normalize();
-        return Ok(report);
-    }
-    if let Ok(mut routed) = Routed::from_json(&text) {
-        ensure_artifact_technology(&session, routed.tech_fingerprint(), input)?;
-        if let Some(defect) = options.inject {
-            let note = inject_routed_defect(defect, &mut routed)?;
-            eprintln!("note: injected {} defect into `{input}`: {note}", defect.name());
-        }
-        let mut report = session.verify_routed(&routed);
-        if let Some(netlist) = lec_input(options, &routed.placed.synthesized.design_name, false)? {
-            report.merge(session.verify_synthesized(&netlist, &routed.placed.synthesized));
-        }
-        report.normalize();
-        return Ok(report);
-    }
-    if let Ok(mut placed) = Placed::from_json(&text) {
-        ensure_artifact_technology(&session, placed.tech_fingerprint(), input)?;
-        if let Some(defect) = options.inject {
-            let note = match defect {
-                Defect::Phase => mutate::corrupt_design_phase(&mut placed.placement.design)
-                    .map(|net| format!("repointed a sink of net n{net} two phases past its driver"))
-                    .ok_or_else(|| "the design is too small to inject a phase defect".to_owned())?,
-                other => {
-                    return Err(format!(
-                        "--inject-defect {} needs a routed artifact; `{input}` stops at placement",
-                        other.name()
-                    ))
-                }
-            };
-            eprintln!("note: injected {} defect into `{input}`: {note}", defect.name());
-        }
-        let mut report = session.verify_placed(&placed);
-        if let Some(netlist) = lec_input(options, &placed.synthesized.design_name, false)? {
-            report.merge(session.verify_synthesized(&netlist, &placed.synthesized));
-        }
-        report.normalize();
-        return Ok(report);
-    }
-    if let Ok(synthesized) = Synthesized::from_json(&text) {
-        ensure_artifact_technology(&session, &synthesized.tech_fingerprint, input)?;
-        if let Some(defect) = options.inject {
-            return Err(format!(
-                "--inject-defect {} needs a placed artifact; `{input}` stops at synthesis",
-                defect.name()
-            ));
-        }
-        // LEC is the only verifier that applies at this stage, so an
-        // unresolvable input is an error: a report with no checks run
-        // would read as a pass.
-        let Some(netlist) = lec_input(options, &synthesized.design_name, true)? else {
-            unreachable!("required lec_input returns Some or errors")
-        };
-        let mut report = session.verify_synthesized(&netlist, &synthesized);
-        report.normalize();
-        return Ok(report);
-    }
-    Err(format!(
-        "`{input}` is not a stage checkpoint this version can read (expected the JSON written \
-         by --stop-after/--journal for the synthesis, placement, routing or check stage)"
-    ))
-}
-
-/// Dispatches one verify input on its extension.
-fn verify_one(
-    input: &str,
-    options: &VerifyCliOptions,
-    config: &FlowConfig,
-) -> Result<VerifyReport, String> {
-    if input.ends_with(".gds") {
-        verify_gds_input(input, options, config)
-    } else if input.ends_with(".json") {
-        verify_checkpoint_input(input, options, config)
-    } else {
-        Err(format!("verify inputs are .gds layouts or .json stage checkpoints, got `{input}`"))
-    }
-}
-
-fn run_verify_cli(args: &[String]) -> ExitCode {
-    let options = match parse_verify_args(args) {
-        Ok(options) => options,
-        Err(message) => {
-            if message == "help" {
-                println!("{}", usage());
-                return ExitCode::SUCCESS;
-            }
-            eprintln!("error: {message}\n{}", usage());
-            return ExitCode::from(EXIT_USAGE);
-        }
-    };
-    if options.rules {
-        println!("{}", render_verify_rule_catalog());
-        return ExitCode::SUCCESS;
-    }
-    let config = build_verify_config(&options);
-    let mut reports = Vec::new();
-    let mut failed = false;
-    for input in &options.inputs {
-        match verify_one(input, &options, &config) {
-            Ok(report) => {
-                failed |= report.has_errors();
-                reports.push(report);
-            }
-            Err(message) => {
-                failed = true;
-                eprintln!("error: `{input}`: {message}");
-            }
-        }
-    }
-    if options.json {
-        match serde_json::to_string_pretty(&reports) {
-            Ok(json) => println!("{json}"),
-            Err(e) => {
-                eprintln!("error: cannot serialize verify reports: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    } else {
-        for report in &reports {
-            print!("{}", report.render());
-        }
-    }
-    if failed {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
-}
-
-// ---------------------------------------------------------------------------
-// `superflow tech …` subcommands
-// ---------------------------------------------------------------------------
-
-/// The header `tech dump` prepends to the pure-TOML body; the parser treats
-/// it as comments, so a dumped file loads back unchanged.
-fn dump_header(technology: &Technology) -> String {
-    format!(
-        "# SuperFlow technology description — dumped from `{}`.\n\
-         # Edit any value and pass the file back with `superflow --tech <file>`;\n\
-         # loading re-validates every field.\n",
-        technology.name
-    )
-}
-
-/// Resolves a `tech show` target: a registry name or a technology file
-/// (the same dispatch `--tech` uses, so the two can never diverge).
-fn resolve_tech_target(target: &str) -> Result<Technology, String> {
-    match tech_spec(target).resolve() {
-        Ok(technology) => Ok((*technology).clone()),
-        Err(e) => Err(e.to_string()),
-    }
-}
-
-/// A multi-line human-readable summary of a technology.
-fn tech_summary(technology: &Technology) -> String {
-    let rules = technology.rules();
-    let layers = technology.layers();
-    let cell_count = technology.iter().count();
-    format!(
-        "technology    : {}\n\
-         description   : {}\n\
-         fingerprint   : {}\n\
-         rules         : {} (grid {} µm, spacing {} µm, W_max {} µm, {} routing layers)\n\
-         clock         : {} GHz ({} ps phase budget)\n\
-         timing        : gate {} ps, wire {} ps/µm, skew {} ps/µm, α = {}\n\
-         layers        : outline {} / jj {} / pin {} / metal1 {} / metal2 {} / label {}\n\
-         cells         : {} kinds, {} total JJs in the table",
-        technology.name,
-        technology.description,
-        technology.fingerprint(),
-        rules.name,
-        rules.grid,
-        rules.min_spacing,
-        rules.max_wirelength,
-        rules.routing_layers,
-        technology.clock().frequency_ghz,
-        technology.clock().phase_budget_ps(),
-        technology.timing.gate_delay_ps,
-        technology.timing.wire_delay_ps_per_um,
-        technology.timing.clock_skew_ps_per_um,
-        technology.timing.alpha,
-        layers.outline,
-        layers.jj,
-        layers.pin,
-        layers.metal1,
-        layers.metal2,
-        layers.label,
-        cell_count,
-        technology.iter().map(|c| c.jj_count).sum::<usize>(),
-    )
-}
-
-#[derive(Debug)]
-struct GenerateCliOptions {
-    family: LargeFamily,
-    cells: usize,
-    seed: u64,
-    output: Option<String>,
-}
-
-fn parse_generate_args(args: &[String]) -> Result<GenerateCliOptions, String> {
-    let mut family = None;
-    let mut cells = 10_000usize;
-    let mut seed = 0u64;
-    let mut output = None;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--cells" => {
-                let value = iter.next().ok_or("--cells needs a value")?;
-                cells = value
-                    .parse::<usize>()
-                    .map_err(|_| format!("--cells needs a number, got `{value}`"))?;
-            }
-            "--seed" => {
-                let value = iter.next().ok_or("--seed needs a value")?;
-                seed = value
-                    .parse::<u64>()
-                    .map_err(|_| format!("--seed needs a number, got `{value}`"))?;
-            }
-            "--output" | "-o" => {
-                let value = iter.next().ok_or("--output needs a value")?;
-                if output.is_some() {
-                    return Err("--output given more than once".to_owned());
-                }
-                output = Some(value.clone());
-            }
-            "--help" | "-h" => return Err("help".to_owned()),
-            other if other.starts_with('-') => {
-                return Err(format!("unknown generate option `{other}`"))
-            }
-            other => {
-                if family.is_some() {
-                    return Err("generate takes exactly one family".to_owned());
-                }
-                family = Some(LargeFamily::parse(other).ok_or_else(|| {
-                    format!(
-                        "unknown generator family `{other}` (available: {})",
-                        LargeFamily::ALL.map(|f| f.name()).join(", ")
-                    )
-                })?);
-            }
-        }
-    }
-    let family = family.ok_or_else(|| {
-        format!(
-            "generate needs a family (available: {})",
-            LargeFamily::ALL.map(|f| f.name()).join(", ")
-        )
-    })?;
-    Ok(GenerateCliOptions { family, cells, seed, output })
-}
-
-fn run_generate_cli(args: &[String]) -> ExitCode {
-    let options = match parse_generate_args(args) {
-        Ok(options) => options,
-        Err(message) => {
-            if message == "help" {
-                println!("{}", usage());
-                return ExitCode::SUCCESS;
-            }
-            eprintln!("error: {message}\n{}", usage());
-            return ExitCode::from(EXIT_USAGE);
-        }
-    };
-    let netlist = options.family.by_cells(options.cells, options.seed);
-    let blif = options.output.as_deref().is_some_and(|path| path.ends_with(".blif"));
-    let text = if blif {
-        aqfp_netlist::writers::to_blif(&netlist)
-    } else {
-        aqfp_netlist::writers::to_verilog(&netlist)
-    };
-    match &options.output {
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, &text) {
-                eprintln!("error: cannot write `{path}`: {e}");
-                return ExitCode::FAILURE;
-            }
-            println!(
-                "generated {}: {} gates / {} inputs / {} outputs, written to {path}",
-                netlist.name(),
-                netlist.cell_count(),
-                netlist.primary_inputs().len(),
-                netlist.primary_outputs().len(),
-            );
-        }
-        None => print!("{text}"),
-    }
-    ExitCode::SUCCESS
-}
-
-fn run_tech_command(args: &[String]) -> Result<String, String> {
-    let command = args.first().map(String::as_str).ok_or_else(|| {
-        format!("tech subcommand needs an action: list, show or dump\n{}", usage())
-    })?;
-    match command {
-        "list" => {
-            let quiet = args[1..].iter().any(|a| a == "--quiet");
-            let registry = TechnologyRegistry::global();
-            let mut out = String::new();
-            for technology in registry.iter() {
-                if quiet {
-                    out.push_str(&technology.name);
-                    out.push('\n');
-                } else {
-                    out.push_str(&format!("{:<16} {}\n", technology.name, technology.description));
-                }
-            }
-            Ok(out.trim_end().to_owned())
-        }
-        "show" => {
-            let target = args.get(1).ok_or("tech show needs a technology name or file")?;
-            let technology = resolve_tech_target(target)?;
-            // Files were validated by the loader; re-validate registry
-            // entries too so `tech show` is always a full check.
-            technology.validate().map_err(|e| format!("technology `{target}` invalid: {e}"))?;
-            Ok(tech_summary(&technology))
-        }
-        "dump" => {
-            let name = args.get(1).ok_or("tech dump needs a built-in technology name")?;
-            let technology = TechnologyRegistry::global().get(name).ok_or_else(|| {
-                format!(
-                    "no built-in technology named `{name}` (available: {})",
-                    TechnologyRegistry::global().names().collect::<Vec<_>>().join(", ")
-                )
-            })?;
-            let body = technology.to_toml().map_err(|e| format!("cannot dump `{name}`: {e}"))?;
-            let text = format!("{}{body}", dump_header(&technology));
-            let mut output = None;
-            let mut iter = args[2..].iter();
-            while let Some(arg) = iter.next() {
-                match arg.as_str() {
-                    "--output" => {
-                        output = Some(iter.next().ok_or("--output needs a value")?.clone())
-                    }
-                    other => return Err(format!("unknown tech dump option `{other}`")),
-                }
-            }
-            match output {
-                Some(path) => {
-                    std::fs::write(&path, &text)
-                        .map_err(|e| format!("cannot write `{path}`: {e}"))?;
-                    Ok(format!("technology `{name}` written to {path}"))
-                }
-                None => Ok(text.trim_end().to_owned()),
-            }
-        }
-        other => Err(format!("unknown tech subcommand `{other}`\n{}", usage())),
-    }
-}
-
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-
-    if args.first().map(String::as_str) == Some("batch") {
-        return run_batch_cli(&args[1..]);
-    }
-
-    if args.first().map(String::as_str) == Some("lint") {
-        return run_lint_cli(&args[1..]);
-    }
-
-    if args.first().map(String::as_str) == Some("predict") {
-        return run_predict_cli(&args[1..]);
-    }
-
-    if args.first().map(String::as_str) == Some("verify") {
-        return run_verify_cli(&args[1..]);
-    }
-
-    if args.first().map(String::as_str) == Some("generate") {
-        return run_generate_cli(&args[1..]);
-    }
-
-    if args.first().map(String::as_str) == Some("tech") {
-        return match run_tech_command(&args[1..]) {
-            Ok(output) => {
-                println!("{output}");
-                ExitCode::SUCCESS
-            }
-            Err(message) => {
-                eprintln!("error: {message}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-
-    let options = match parse_args(&args) {
-        Ok(options) => options,
-        Err(message) => {
-            if message == "help" {
-                println!("{}", usage());
-                return ExitCode::SUCCESS;
-            }
-            eprintln!("error: {message}\n{}", usage());
-            return ExitCode::from(EXIT_USAGE);
-        }
-    };
-
-    let report = match run(&options) {
+fn run_flow(options: &Options) -> ExitCode {
+    let report = match run(options) {
         Ok(Outcome::Complete(report)) => report,
         Ok(Outcome::Stopped { stage, summary, checkpoint }) => {
             println!("{summary}");
@@ -1751,19 +899,519 @@ fn main() -> ExitCode {
     ExitCode::SUCCESS
 }
 
+// ---------------------------------------------------------------------------
+// `superflow batch`
+// ---------------------------------------------------------------------------
+
+fn run_batch(options: &Options) -> ExitCode {
+    let jobs: Vec<BatchJob> = options.inputs.iter().map(BatchJob::from_input).collect();
+    let report = match BatchRunner::new(options.batch_config()).run(&jobs) {
+        Ok(report) => report,
+        Err(e) => {
+            eprintln!("error: {}", error_chain(&e));
+            return ExitCode::FAILURE;
+        }
+    };
+    if options.quiet {
+        // First line of the render is the one-line summary.
+        println!("{}", report.render().lines().next().unwrap_or_default());
+    } else {
+        print!("{}", report.render());
+    }
+    if let Some(path) = &options.report {
+        let json = match report.to_json() {
+            Ok(json) => json,
+            Err(e) => {
+                eprintln!("error: {}", error_chain(&e));
+                return ExitCode::FAILURE;
+            }
+        };
+        if let Err(e) = std::fs::write(path, json) {
+            eprintln!("error: cannot write `{path}`: {e}");
+            return ExitCode::FAILURE;
+        }
+        if !options.quiet {
+            println!("batch report written to {path}");
+        }
+    }
+    if report.failed() > 0 {
+        ExitCode::from(EXIT_PARTIAL_FAILURE)
+    } else {
+        ExitCode::SUCCESS
+    }
+}
+
+// ---------------------------------------------------------------------------
+// `superflow lint|predict|verify`
+// ---------------------------------------------------------------------------
+
+/// The shared front end of the three static checks: `--rules` prints the
+/// subcommand's rule catalog; otherwise every input gets one report.
+fn run_checks(options: &Options) -> ExitCode {
+    if options.rules {
+        let catalog = match options.command {
+            Command::Lint => superflow::lint::catalog(),
+            Command::Predict => superflow::predict::catalog(),
+            _ => superflow::verify::catalog(),
+        };
+        println!("{}", render_catalog(&catalog));
+        return ExitCode::SUCCESS;
+    }
+    let config = options.flow_config();
+    // Verify opens a session per artifact, and the session resolves the
+    // technology; lint and predict take a resolved technology directly.
+    if options.command == Command::Verify {
+        let verify = |input: &str| verify_one(input, options, &config);
+        return report_each(options, verify, VerifyReport::has_errors, VerifyReport::render);
+    }
+    let technology = match config.resolve_technology() {
+        Ok(technology) => technology,
+        Err(e) => {
+            eprintln!("error: {}", error_chain(&e));
+            return ExitCode::FAILURE;
+        }
+    };
+    if options.command == Command::Lint {
+        let lint = |input: &str| lint_one(input, &technology, &config);
+        report_each(options, lint, LintReport::has_errors, LintReport::render)
+    } else {
+        let predict = |input: &str| predict_one(input, &technology, &config);
+        report_each(options, predict, PredictReport::has_errors, PredictReport::render)
+    }
+}
+
+/// Reports on every input and prints the reports as text or as one JSON
+/// array. Exits 0 when no report has error findings, 1 when any does or an
+/// input fails to load.
+fn report_each<R: Serialize>(
+    options: &Options,
+    report_one: impl Fn(&str) -> Result<R, String>,
+    has_errors: fn(&R) -> bool,
+    render: fn(&R) -> String,
+) -> ExitCode {
+    let mut reports = Vec::new();
+    let mut failed = false;
+    for input in &options.inputs {
+        match report_one(input) {
+            Ok(report) => {
+                failed |= has_errors(&report);
+                reports.push(report);
+            }
+            Err(message) => {
+                failed = true;
+                eprintln!("error: `{input}`: {message}");
+            }
+        }
+    }
+    if options.json {
+        match serde_json::to_string_pretty(&reports) {
+            Ok(json) => println!("{json}"),
+            Err(e) => {
+                eprintln!("error: cannot serialize {} reports: {e}", options.command.name());
+                return ExitCode::FAILURE;
+            }
+        }
+    } else {
+        for report in &reports {
+            print!("{}", render(report));
+        }
+    }
+    if failed {
+        ExitCode::FAILURE
+    } else {
+        ExitCode::SUCCESS
+    }
+}
+
+/// The rule catalog table `--rules` prints.
+fn render_catalog(catalog: &[RuleInfo]) -> String {
+    let mut out = String::from("rule       default  summary\n");
+    for info in catalog {
+        out.push_str(&format!("{:<10} {:<8} {}\n", info.id, info.severity.keyword(), info.summary));
+    }
+    out.trim_end().to_owned()
+}
+
+/// Lints one input with the flow's own pre-flight gate: the structural lint
+/// rules plus the predictive AQFP-P0xx feasibility rules. The design loads
+/// leniently, so undriven nets become AQFP-E002 findings with their source
+/// spans instead of a parse error at the first one.
+fn lint_one(input: &str, technology: &Technology, flow: &FlowConfig) -> Result<LintReport, String> {
+    let design = superflow::load_design(input).map_err(|e| error_chain(&e))?;
+    let name = superflow::input::design_name(input);
+    Ok(superflow::lint_design(&name, &design.netlist, technology, flow))
+}
+
+/// Runs the predictive analysis on one input: the design loads leniently
+/// (so a netlist with undriven nets still gets its feasibility forecast),
+/// and the prediction itself never runs a stage engine.
+fn predict_one(
+    input: &str,
+    technology: &Technology,
+    flow: &FlowConfig,
+) -> Result<PredictReport, String> {
+    let design = superflow::load_design(input).map_err(|e| error_chain(&e))?;
+    let name = superflow::input::design_name(input);
+    Ok(superflow::predict::predict(&name, &design.netlist, technology, &flow.predict_options()))
+}
+
+/// Fails verification up front when an artifact was produced under a
+/// different technology than the session targets — comparing across
+/// processes would produce nonsense findings, not a useful report.
+fn ensure_artifact_technology(
+    session: &FlowSession,
+    found: &str,
+    input: &str,
+) -> Result<(), String> {
+    if session.tech_fingerprint() == found {
+        Ok(())
+    } else {
+        Err(format!(
+            "technology mismatch: the session targets `{}`, but `{input}` was produced under \
+             `{found}`; pass the matching --tech",
+            session.tech_fingerprint()
+        ))
+    }
+}
+
+/// Injects one deliberate defect into a routed (or later) artifact, so a
+/// subsequent verification run must report it. Returns a human-readable
+/// description of what was damaged.
+fn inject_routed_defect(defect: Defect, routed: &mut Routed) -> Result<String, String> {
+    let note = match defect {
+        Defect::Phase => mutate::corrupt_design_phase(&mut routed.placed.placement.design)
+            .map(|net| format!("repointed a sink of net n{net} two phases past its driver")),
+        Defect::Cell => mutate::corrupt_design_cell(&mut routed.placed.placement.design)
+            .map(|cell| format!("nudged cell `{cell}` half a micron off its placement site")),
+        Defect::Wire => mutate::corrupt_routing(&mut routed.routing)
+            .map(|net| format!("dropped one routed segment of net n{net}")),
+    };
+    note.ok_or_else(|| format!("the design is too small to inject a {} defect", defect.name()))
+}
+
+/// Resolves the original input netlist for LEC: `--against` when given,
+/// otherwise the design name (which resolves for benchmark circuits but not
+/// for generated or file-based designs). `required` turns an unresolvable
+/// input into an error instead of a skipped check.
+fn lec_input(
+    options: &Options,
+    design_name: &str,
+    required: bool,
+) -> Result<Option<Netlist>, String> {
+    match &options.against {
+        Some(spec) => load_netlist(spec).map(Some).map_err(|e| format!("--against `{spec}`: {e}")),
+        None => match superflow::load_netlist(design_name) {
+            Ok(netlist) => Ok(Some(netlist)),
+            Err(_) if !required => Ok(None),
+            Err(_) => Err(format!(
+                "cannot resolve the original input for `{design_name}` to run logic \
+                 equivalence; pass --against <input>"
+            )),
+        },
+    }
+}
+
+/// Verifies a committed `.gds` layout: re-runs the flow on the matching
+/// input, then checks logic equivalence, phase-legality and an LVS-lite
+/// comparison of the committed bytes against the re-derived design.
+fn verify_gds_input(
+    input: &str,
+    options: &Options,
+    config: &FlowConfig,
+) -> Result<VerifyReport, String> {
+    let bytes = std::fs::read(input).map_err(|e| format!("cannot read `{input}`: {e}"))?;
+    let spec = match &options.against {
+        Some(spec) => spec.clone(),
+        None => std::path::Path::new(input)
+            .file_stem()
+            .and_then(|stem| stem.to_str())
+            .map(str::to_owned)
+            .ok_or_else(|| format!("cannot infer a design name from `{input}`"))?,
+    };
+    let netlist = load_netlist(&spec)?;
+    let flow = Flow::with_config(config.clone());
+    let mut session = flow.session().map_err(|e| error_chain(&e))?;
+    let synthesized = session.synthesize(&netlist).map_err(|e| error_chain(&e))?;
+    let placed = session.place(synthesized).map_err(|e| error_chain(&e))?;
+    let routed = session.route(placed).map_err(|e| error_chain(&e))?;
+    let mut checked = session.check(routed).map_err(|e| error_chain(&e))?;
+    if let Some(defect) = options.inject {
+        let note = inject_routed_defect(defect, &mut checked.routed)?;
+        eprintln!("note: injected {} defect into `{input}`: {note}", defect.name());
+    }
+    let mut report = session.verify_synthesized(&netlist, &checked.routed.placed.synthesized);
+    report.merge(session.verify_routed(&checked.routed));
+    report.record_check("lvs");
+    report.extend(superflow::verify::check_gds(
+        &bytes,
+        &checked.routed.placed.placement.design,
+        &checked.routed.routing,
+        session.technology().as_ref(),
+    ));
+    report.normalize();
+    Ok(report)
+}
+
+/// Verifies a `.json` stage checkpoint with the verifiers applicable to its
+/// stage: LEC for synthesis artifacts (and any later stage whose input
+/// resolves), phase-legality from placement on, LVS-lite for checked
+/// artifacts (which embed their layout).
+fn verify_checkpoint_input(
+    input: &str,
+    options: &Options,
+    config: &FlowConfig,
+) -> Result<VerifyReport, String> {
+    let text = std::fs::read_to_string(input).map_err(|e| format!("cannot read `{input}`: {e}"))?;
+    let flow = Flow::with_config(config.clone());
+    let session = flow.session().map_err(|e| error_chain(&e))?;
+
+    if let Ok(mut checked) = Checked::from_json(&text) {
+        ensure_artifact_technology(&session, checked.tech_fingerprint(), input)?;
+        if let Some(defect) = options.inject {
+            let note = inject_routed_defect(defect, &mut checked.routed)?;
+            eprintln!("note: injected {} defect into `{input}`: {note}", defect.name());
+        }
+        let mut report = session.verify_checked(&checked);
+        let name = checked.routed.placed.synthesized.design_name.clone();
+        if let Some(netlist) = lec_input(options, &name, false)? {
+            report.merge(session.verify_synthesized(&netlist, &checked.routed.placed.synthesized));
+        }
+        report.normalize();
+        return Ok(report);
+    }
+    if let Ok(mut routed) = Routed::from_json(&text) {
+        ensure_artifact_technology(&session, routed.tech_fingerprint(), input)?;
+        if let Some(defect) = options.inject {
+            let note = inject_routed_defect(defect, &mut routed)?;
+            eprintln!("note: injected {} defect into `{input}`: {note}", defect.name());
+        }
+        let mut report = session.verify_routed(&routed);
+        if let Some(netlist) = lec_input(options, &routed.placed.synthesized.design_name, false)? {
+            report.merge(session.verify_synthesized(&netlist, &routed.placed.synthesized));
+        }
+        report.normalize();
+        return Ok(report);
+    }
+    if let Ok(mut placed) = Placed::from_json(&text) {
+        ensure_artifact_technology(&session, placed.tech_fingerprint(), input)?;
+        if let Some(defect) = options.inject {
+            let note = match defect {
+                Defect::Phase => mutate::corrupt_design_phase(&mut placed.placement.design)
+                    .map(|net| format!("repointed a sink of net n{net} two phases past its driver"))
+                    .ok_or_else(|| "the design is too small to inject a phase defect".to_owned())?,
+                other => {
+                    return Err(format!(
+                        "--inject-defect {} needs a routed artifact; `{input}` stops at placement",
+                        other.name()
+                    ))
+                }
+            };
+            eprintln!("note: injected {} defect into `{input}`: {note}", defect.name());
+        }
+        let mut report = session.verify_placed(&placed);
+        if let Some(netlist) = lec_input(options, &placed.synthesized.design_name, false)? {
+            report.merge(session.verify_synthesized(&netlist, &placed.synthesized));
+        }
+        report.normalize();
+        return Ok(report);
+    }
+    if let Ok(synthesized) = Synthesized::from_json(&text) {
+        ensure_artifact_technology(&session, &synthesized.tech_fingerprint, input)?;
+        if let Some(defect) = options.inject {
+            return Err(format!(
+                "--inject-defect {} needs a placed artifact; `{input}` stops at synthesis",
+                defect.name()
+            ));
+        }
+        // LEC is the only verifier that applies at this stage, so an
+        // unresolvable input is an error: a report with no checks run
+        // would read as a pass.
+        let Some(netlist) = lec_input(options, &synthesized.design_name, true)? else {
+            unreachable!("required lec_input returns Some or errors")
+        };
+        let mut report = session.verify_synthesized(&netlist, &synthesized);
+        report.normalize();
+        return Ok(report);
+    }
+    Err(format!(
+        "`{input}` is not a stage checkpoint this version can read (expected the JSON written \
+         by --stop-after/--journal for the synthesis, placement, routing or check stage)"
+    ))
+}
+
+/// Dispatches one verify input on its extension.
+fn verify_one(input: &str, options: &Options, config: &FlowConfig) -> Result<VerifyReport, String> {
+    if input.ends_with(".gds") {
+        verify_gds_input(input, options, config)
+    } else if input.ends_with(".json") {
+        verify_checkpoint_input(input, options, config)
+    } else {
+        Err(format!("verify inputs are .gds layouts or .json stage checkpoints, got `{input}`"))
+    }
+}
+
+// ---------------------------------------------------------------------------
+// `superflow generate`
+// ---------------------------------------------------------------------------
+
+fn run_generate(options: &Options) -> ExitCode {
+    let Some(family) = options.family else {
+        unreachable!("the parser requires a generator family")
+    };
+    let netlist = family.by_cells(options.cells, options.seed);
+    let blif = options.output.as_deref().is_some_and(|path| path.ends_with(".blif"));
+    let text = if blif {
+        aqfp_netlist::writers::to_blif(&netlist)
+    } else {
+        aqfp_netlist::writers::to_verilog(&netlist)
+    };
+    match &options.output {
+        Some(path) => {
+            if let Err(e) = std::fs::write(path, &text) {
+                eprintln!("error: cannot write `{path}`: {e}");
+                return ExitCode::FAILURE;
+            }
+            println!(
+                "generated {}: {} gates / {} inputs / {} outputs, written to {path}",
+                netlist.name(),
+                netlist.cell_count(),
+                netlist.primary_inputs().len(),
+                netlist.primary_outputs().len(),
+            );
+        }
+        None => print!("{text}"),
+    }
+    ExitCode::SUCCESS
+}
+
+// ---------------------------------------------------------------------------
+// `superflow tech list|show|dump`
+// ---------------------------------------------------------------------------
+
+/// The header `tech dump` prepends to the pure-TOML body; the parser treats
+/// it as comments, so a dumped file loads back unchanged.
+fn dump_header(technology: &Technology) -> String {
+    format!(
+        "# SuperFlow technology description — dumped from `{}`.\n\
+         # Edit any value and pass the file back with `superflow --tech <file>`;\n\
+         # loading re-validates every field.\n",
+        technology.name
+    )
+}
+
+/// A multi-line human-readable summary of a technology.
+fn tech_summary(technology: &Technology) -> String {
+    let rules = technology.rules();
+    let layers = technology.layers();
+    let cell_count = technology.iter().count();
+    format!(
+        "technology    : {}\n\
+         description   : {}\n\
+         fingerprint   : {}\n\
+         rules         : {} (grid {} µm, spacing {} µm, W_max {} µm, {} routing layers)\n\
+         clock         : {} GHz ({} ps phase budget)\n\
+         timing        : gate {} ps, wire {} ps/µm, skew {} ps/µm, α = {}\n\
+         layers        : outline {} / jj {} / pin {} / metal1 {} / metal2 {} / label {}\n\
+         cells         : {} kinds, {} total JJs in the table",
+        technology.name,
+        technology.description,
+        technology.fingerprint(),
+        rules.name,
+        rules.grid,
+        rules.min_spacing,
+        rules.max_wirelength,
+        rules.routing_layers,
+        technology.clock().frequency_ghz,
+        technology.clock().phase_budget_ps(),
+        technology.timing.gate_delay_ps,
+        technology.timing.wire_delay_ps_per_um,
+        technology.timing.clock_skew_ps_per_um,
+        technology.timing.alpha,
+        layers.outline,
+        layers.jj,
+        layers.pin,
+        layers.metal1,
+        layers.metal2,
+        layers.label,
+        cell_count,
+        technology.iter().map(|c| c.jj_count).sum::<usize>(),
+    )
+}
+
+/// Runs a `tech` action, returning the text to print.
+fn run_tech(options: &Options) -> Result<String, String> {
+    let target = options.inputs.first().map(String::as_str).unwrap_or_default();
+    match options.command {
+        Command::TechShow => {
+            // The same dispatch `--tech` uses, so the two never diverge.
+            let technology = tech_spec(target).resolve().map_err(|e| e.to_string())?;
+            // Files were validated by the loader; re-validate registry
+            // entries too so `tech show` is always a full check.
+            technology.validate().map_err(|e| format!("technology `{target}` invalid: {e}"))?;
+            Ok(tech_summary(&technology))
+        }
+        Command::TechDump => {
+            let technology = TechnologyRegistry::global().get(target).ok_or_else(|| {
+                format!(
+                    "no built-in technology named `{target}` (available: {})",
+                    TechnologyRegistry::global().names().collect::<Vec<_>>().join(", ")
+                )
+            })?;
+            let body = technology.to_toml().map_err(|e| format!("cannot dump `{target}`: {e}"))?;
+            let text = format!("{}{body}", dump_header(&technology));
+            match &options.output {
+                Some(path) => {
+                    std::fs::write(path, &text)
+                        .map_err(|e| format!("cannot write `{path}`: {e}"))?;
+                    Ok(format!("technology `{target}` written to {path}"))
+                }
+                None => Ok(text.trim_end().to_owned()),
+            }
+        }
+        _ => {
+            let mut out = String::new();
+            for technology in TechnologyRegistry::global().iter() {
+                if options.quiet {
+                    out.push_str(&technology.name);
+                    out.push('\n');
+                } else {
+                    out.push_str(&format!("{:<16} {}\n", technology.name, technology.description));
+                }
+            }
+            Ok(out.trim_end().to_owned())
+        }
+    }
+}
+
+/// Parses a command line given as string slices, for the tests.
+#[cfg(test)]
+fn cli(list: &[&str]) -> Result<Options, Usage> {
+    Options::parse(&list.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+}
+
+/// The usage-error message a command line is rejected with, for the tests.
+#[cfg(test)]
+fn usage_error(list: &[&str]) -> String {
+    match cli(list) {
+        Err(Usage::Error(message)) => message,
+        other => panic!("expected a usage error for {list:?}, got {other:?}"),
+    }
+}
+
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use aqfp_cells::{AIST_STP2, MIT_LL_SQF5EE};
 
-    fn args(list: &[&str]) -> Vec<String> {
-        list.iter().map(|s| s.to_string()).collect()
+    /// Runs a `tech` command line.
+    fn tech(list: &[&str]) -> Result<String, String> {
+        run_tech(&cli(list).expect("parses"))
     }
 
     #[test]
     fn parses_a_full_command_line() {
-        let options = parse_args(&args(&[
+        let options = cli(&[
             "--placer",
             "taas",
             "--tech",
@@ -1779,49 +1427,51 @@ mod tests {
             "--fast",
             "--quiet",
             "adder8",
-        ]))
+        ])
         .expect("parses");
-        assert_eq!(options.placer, PlacerKind::Taas);
+        assert_eq!(options.command, Command::Flow);
+        assert_eq!(options.placer, Some(PlacerKind::Taas));
         assert_eq!(options.tech.as_deref(), Some("aist-stp2"));
         assert_eq!(options.threads, Some(3));
         assert_eq!(options.report.as_deref(), Some("out.json"));
         assert_eq!(options.output.as_deref(), Some("out.gds"));
         assert_eq!(options.svg.as_deref(), Some("out.svg"));
         assert!(options.fast && options.quiet);
-        assert_eq!(options.input, "adder8");
+        assert_eq!(options.inputs, vec!["adder8".to_owned()]);
         // --stop-after composes with --report (the checkpoint sink).
-        let stopped = parse_args(&args(&["--stop-after", "routing", "--report", "r.json", "a.v"]))
-            .expect("parses");
+        let stopped =
+            cli(&["--stop-after", "routing", "--report", "r.json", "a.v"]).expect("parses");
         assert_eq!(stopped.stop_after, Some(FlowStage::Routing));
     }
 
     #[test]
     fn rejects_bad_arguments() {
-        assert!(parse_args(&args(&[])).is_err());
-        assert!(parse_args(&args(&["--placer"])).is_err());
-        assert!(parse_args(&args(&["--placer", "magic", "adder8"])).is_err());
-        assert!(parse_args(&args(&["--threads", "many", "adder8"])).is_err());
-        assert!(parse_args(&args(&["--stop-after", "teardown", "adder8"])).is_err());
-        assert!(parse_args(&args(&["--frobnicate", "adder8"])).is_err());
-        assert!(parse_args(&args(&["a.v", "b.v"])).is_err());
-        // --tech and --process both name the technology; passing both is a
-        // contradiction.
-        assert!(parse_args(&args(&["--tech", "x.toml", "--process", "stp2", "adder8"])).is_err());
-        assert!(parse_args(&args(&["--process", "vaporware", "adder8"])).is_err());
+        assert!(cli(&[]).is_err());
+        assert!(cli(&["--placer"]).is_err());
+        assert!(cli(&["--placer", "magic", "adder8"]).is_err());
+        assert!(cli(&["--threads", "many", "adder8"]).is_err());
+        assert!(cli(&["--stop-after", "teardown", "adder8"]).is_err());
+        assert!(cli(&["--frobnicate", "adder8"]).is_err());
+        assert!(cli(&["a.v", "b.v"]).is_err());
+        assert!(cli(&["--tech", "x.toml", "--tech", "aist-stp2", "adder8"]).is_err());
+        // `--process` is an unknown flag like any other.
+        assert!(usage_error(&["--process", "stp2", "adder8"]).contains("--process"));
+        // Flags of other subcommands are not flow flags.
+        assert!(cli(&["--workers", "2", "adder8"]).is_err());
+        assert!(cli(&["--format", "json", "adder8"]).is_err());
+        assert!(cli(&["-o", "out.gds", "adder8"]).is_err());
         // --stop-after skips the layout outputs, so combining it with
         // --output/--svg is a contradiction, not a silent no-op.
-        let error = parse_args(&args(&["--stop-after", "route", "--output", "o.gds", "adder8"]))
-            .expect_err("contradictory flags");
+        let error = usage_error(&["--stop-after", "route", "--output", "o.gds", "adder8"]);
         assert!(error.contains("--stop-after"), "unhelpful message: {error}");
-        assert!(parse_args(&args(&["--stop-after", "route", "--svg", "o.svg", "adder8"])).is_err());
+        assert!(cli(&["--stop-after", "route", "--svg", "o.svg", "adder8"]).is_err());
     }
 
     #[test]
     fn config_builders_reflect_the_flags() {
         let options =
-            parse_args(&args(&["--tech", "aist-stp2", "--threads", "2", "--fast", "adder8"]))
-                .expect("parses");
-        let config = build_config(&options);
+            cli(&["--tech", "aist-stp2", "--threads", "2", "--fast", "adder8"]).expect("parses");
+        let config = options.flow_config();
         assert_eq!(config.tech, TechSpec::builtin(AIST_STP2));
         assert_eq!(config.threads(), 2);
         // --fast lowers the placement effort.
@@ -1829,24 +1479,28 @@ mod tests {
             config.placement.global.iterations
                 < FlowConfig::paper_default().placement.global.iterations
         );
-        // The legacy --process alias reaches the same registry entries.
-        let legacy = parse_args(&args(&["--process", "stp2", "adder8"])).expect("parses");
-        assert_eq!(build_config(&legacy).tech, TechSpec::builtin(AIST_STP2));
         // A non-registry value with an extension is treated as a file path.
-        let file = parse_args(&args(&["--tech", "custom.toml", "adder8"])).expect("parses");
-        assert_eq!(build_config(&file).tech, TechSpec::file("custom.toml"));
-        // The legacy --process names also work directly as --tech values...
-        assert_eq!(tech_spec("mit-ll"), TechSpec::builtin(MIT_LL_SQF5EE));
-        assert_eq!(tech_spec("stp2"), TechSpec::builtin(AIST_STP2));
-        // ...and a bare unknown name resolves as Builtin, so its error
-        // lists the registry instead of complaining about a missing file.
-        let err = tech_spec("mit-ll-sqfee").resolve().expect_err("unknown name");
-        assert!(err.to_string().contains(MIT_LL_SQF5EE), "{err}");
+        let file = cli(&["--tech", "custom.toml", "adder8"]).expect("parses");
+        assert_eq!(file.flow_config().tech, TechSpec::file("custom.toml"));
+        // A bare unknown name — `mit-ll` and `stp2` included — resolves as
+        // Builtin, so its error lists the registry instead of complaining
+        // about a missing file.
+        for name in ["mit-ll-sqfee", "mit-ll", "stp2"] {
+            assert_eq!(tech_spec(name), TechSpec::builtin(name));
+            let err = tech_spec(name).resolve().expect_err("unknown name");
+            assert!(err.to_string().contains(MIT_LL_SQF5EE), "{err}");
+        }
+        // Without flags every subcommand runs the paper default.
+        let paper = serde_json::to_string(&FlowConfig::paper_default()).unwrap();
+        for list in [&["adder8"][..], &["lint", "a.v"], &["predict", "a.v"], &["verify", "a.gds"]] {
+            let config = cli(list).expect("parses").flow_config();
+            assert_eq!(serde_json::to_string(&config).unwrap(), paper, "{list:?}");
+        }
     }
 
     #[test]
     fn benchmark_names_resolve_without_touching_the_filesystem() {
-        let options = parse_args(&args(&["--fast", "--quiet", "adder8"])).expect("parses");
+        let options = cli(&["--fast", "--quiet", "adder8"]).expect("parses");
         match run(&options).expect("flow runs") {
             Outcome::Complete(report) => assert_eq!(report.design_name, "adder8"),
             Outcome::Stopped { .. } => panic!("no --stop-after given"),
@@ -1855,7 +1509,7 @@ mod tests {
 
     #[test]
     fn stop_after_produces_a_resumable_checkpoint() {
-        let options = parse_args(&args(&[
+        let options = cli(&[
             "--fast",
             "--quiet",
             "--stop-after",
@@ -1863,7 +1517,7 @@ mod tests {
             "--report",
             "unused.json",
             "adder8",
-        ]))
+        ])
         .expect("parses");
         match run(&options).expect("flow runs") {
             Outcome::Stopped { stage, checkpoint, .. } => {
@@ -1892,7 +1546,8 @@ mod tests {
 
     #[test]
     fn batch_args_parse_into_a_batch_config() {
-        let options = parse_batch_args(&args(&[
+        let options = cli(&[
+            "batch",
             "--workers",
             "2",
             "--stage-timeout",
@@ -1909,10 +1564,11 @@ mod tests {
             "--fast",
             "adder8",
             "c432",
-        ]))
+        ])
         .expect("parses");
+        assert_eq!(options.command, Command::Batch);
         assert_eq!(options.inputs, vec!["adder8".to_owned(), "c432".to_owned()]);
-        let config = build_batch_config(&options);
+        let config = options.batch_config();
         assert_eq!(config.workers, 2);
         assert_eq!(config.stage_timeout, Some(std::time::Duration::from_secs(30)));
         assert!(!config.retry_degraded);
@@ -1928,28 +1584,28 @@ mod tests {
 
     #[test]
     fn batch_args_reject_bad_input() {
-        assert!(parse_batch_args(&args(&[])).is_err());
-        assert!(parse_batch_args(&args(&["--workers", "two", "adder8"])).is_err());
-        assert!(parse_batch_args(&args(&["--stage-timeout", "-5", "adder8"])).is_err());
-        assert!(parse_batch_args(&args(&["--fault", "panic:adder8", "adder8"])).is_err());
-        assert!(parse_batch_args(&args(&["--frobnicate", "adder8"])).is_err());
+        assert!(cli(&["batch"]).is_err());
+        assert!(cli(&["batch", "--workers", "two", "adder8"]).is_err());
+        assert!(cli(&["batch", "--stage-timeout", "-5", "adder8"]).is_err());
+        assert!(cli(&["batch", "--fault", "panic:adder8", "adder8"]).is_err());
+        assert!(cli(&["batch", "--frobnicate", "adder8"]).is_err());
+        assert!(cli(&["batch", "--stop-after", "place", "adder8"]).is_err());
         // Two inputs reducing to one design name would share a journal.
-        let error =
-            parse_batch_args(&args(&["adder8", "designs/adder8.v"])).expect_err("colliding names");
+        let error = usage_error(&["batch", "adder8", "designs/adder8.v"]);
         assert!(error.contains("adder8"), "{error}");
     }
 
     #[test]
     fn tech_list_names_every_registry_entry() {
-        let listing = run_tech_command(&args(&["list"])).expect("lists");
+        let listing = tech(&["tech", "list"]).expect("lists");
         assert!(listing.contains(MIT_LL_SQF5EE) && listing.contains(AIST_STP2), "{listing}");
-        let quiet = run_tech_command(&args(&["list", "--quiet"])).expect("lists");
+        let quiet = tech(&["tech", "list", "--quiet"]).expect("lists");
         assert_eq!(quiet.lines().collect::<Vec<_>>(), vec![MIT_LL_SQF5EE, AIST_STP2]);
     }
 
     #[test]
     fn tech_show_summarizes_builtins_and_files() {
-        let shown = run_tech_command(&args(&["show", MIT_LL_SQF5EE])).expect("shows");
+        let shown = tech(&["tech", "show", MIT_LL_SQF5EE]).expect("shows");
         assert!(shown.contains("MIT-LL SQF5ee"), "{shown}");
         assert!(shown.contains("fingerprint"), "{shown}");
 
@@ -1962,20 +1618,37 @@ mod tests {
             format!("{}{}", dump_header(&technology), technology.to_toml().unwrap()),
         )
         .expect("writes");
-        let shown = run_tech_command(&args(&["show", path.to_str().unwrap()])).expect("shows file");
+        let shown = tech(&["tech", "show", path.to_str().unwrap()]).expect("shows file");
         assert!(shown.contains("AIST STP2"), "{shown}");
 
-        assert!(run_tech_command(&args(&["show", "missing.toml"])).is_err());
-        assert!(run_tech_command(&args(&["bogus"])).is_err());
-        assert!(run_tech_command(&args(&[])).is_err());
+        assert!(tech(&["tech", "show", "missing.toml"]).is_err());
+        assert!(cli(&["tech", "bogus"]).is_err());
+        assert!(cli(&["tech"]).is_err());
+    }
+
+    /// `tech` follows the usage-error contract of every other subcommand: a
+    /// missing or unknown action, an unknown flag or an extra argument is a
+    /// usage error (exit 2), never silently ignored.
+    #[test]
+    fn tech_usage_errors_are_rejected() {
+        assert!(usage_error(&["tech"]).contains("list, show or dump"));
+        assert!(usage_error(&["tech", "bogus"]).contains("`bogus`"));
+        assert!(usage_error(&["tech", "--frobnicate"]).contains("--frobnicate"));
+        assert!(usage_error(&["tech", "list", "--bogus"]).contains("--bogus"));
+        assert!(usage_error(&["tech", "list", "extra"]).contains("`extra`"));
+        assert!(usage_error(&["tech", "show", MIT_LL_SQF5EE, "extra"]).contains("`extra`"));
+        assert!(usage_error(&["tech", "show"]).contains("tech show needs"));
+        assert!(usage_error(&["tech", "show", MIT_LL_SQF5EE, "--quiet"]).contains("--quiet"));
+        assert!(usage_error(&["tech", "dump", MIT_LL_SQF5EE, "--quiet"]).contains("--quiet"));
+        assert!(usage_error(&["tech", "dump"]).contains("tech dump needs"));
     }
 
     #[test]
     fn tech_dump_round_trips_through_the_loader() {
-        let dumped = run_tech_command(&args(&["dump", MIT_LL_SQF5EE])).expect("dumps");
+        let dumped = tech(&["tech", "dump", MIT_LL_SQF5EE]).expect("dumps");
         let loaded = Technology::from_toml(&dumped).expect("dump parses (header is comments)");
         assert_eq!(loaded, Technology::mit_ll_sqf5ee());
-        assert!(run_tech_command(&args(&["dump", "no-such-tech"])).is_err());
+        assert!(tech(&["tech", "dump", "no-such-tech"]).is_err());
     }
 
     /// The acceptance path: dump a built-in, edit one number, run the full
@@ -1985,23 +1658,22 @@ mod tests {
         let dir = std::env::temp_dir().join("superflow_cli_tech_flow");
         std::fs::create_dir_all(&dir).expect("temp dir");
         let path = dir.join("tight.toml");
-        let dumped = run_tech_command(&args(&["dump", MIT_LL_SQF5EE])).expect("dumps");
+        let dumped = tech(&["tech", "dump", MIT_LL_SQF5EE]).expect("dumps");
         let edited = dumped
             .replace("max_wirelength = 400.0", "max_wirelength = 300.0")
             .replace("name = \"mit-ll-sqf5ee\"", "name = \"mit-ll-tight\"");
         assert_ne!(edited, dumped);
         std::fs::write(&path, &edited).expect("writes");
 
-        let options =
-            parse_args(&args(&["--fast", "--quiet", "--tech", path.to_str().unwrap(), "adder8"]))
-                .expect("parses");
+        let options = cli(&["--fast", "--quiet", "--tech", path.to_str().unwrap(), "adder8"])
+            .expect("parses");
         match run(&options).expect("flow runs on the edited technology") {
             Outcome::Complete(report) => {
                 assert_eq!(report.design_name, "adder8");
                 // The tighter W_max forces at least as many buffer lines as
                 // the stock process.
-                let stock = run(&parse_args(&args(&["--fast", "--quiet", "adder8"])).unwrap())
-                    .expect("stock flow runs");
+                let stock =
+                    run(&cli(&["--fast", "--quiet", "adder8"]).unwrap()).expect("stock flow runs");
                 let Outcome::Complete(stock) = stock else { panic!("no --stop-after") };
                 assert!(
                     report.placement.buffer_lines >= stock.placement.buffer_lines,
@@ -2020,13 +1692,10 @@ mod tests {
 mod lint_cli_tests {
     use super::*;
 
-    fn args(list: &[&str]) -> Vec<String> {
-        list.iter().map(|s| s.to_string()).collect()
-    }
-
     #[test]
     fn parses_a_full_lint_command_line() {
-        let options = parse_lint_args(&args(&[
+        let options = cli(&[
+            "lint",
             "--tech",
             "aist-stp2",
             "--format",
@@ -2043,8 +1712,9 @@ mod lint_cli_tests {
             "8",
             "a.v",
             "b.blif",
-        ]))
+        ])
         .expect("parses");
+        assert_eq!(options.command, Command::Lint);
         assert_eq!(options.inputs, vec!["a.v".to_owned(), "b.blif".to_owned()]);
         assert_eq!(options.tech.as_deref(), Some("aist-stp2"));
         assert!(options.json);
@@ -2053,11 +1723,13 @@ mod lint_cli_tests {
         assert_eq!(options.lint.allow, vec!["AQFP-W007".to_owned()]);
         assert_eq!(options.lint.fanout_threshold, Some(8));
         assert!(!options.rules);
+        // The policy reaches the flow configuration lint runs under.
+        assert_eq!(options.flow_config().lint, options.lint);
     }
 
     #[test]
     fn lint_defaults_are_text_format_and_empty_policy() {
-        let options = parse_lint_args(&args(&["adder8"])).expect("parses");
+        let options = cli(&["lint", "adder8"]).expect("parses");
         assert!(!options.json);
         assert_eq!(options.lint, LintConfig::default());
         assert!(options.tech.is_none());
@@ -2065,39 +1737,31 @@ mod lint_cli_tests {
 
     #[test]
     fn lint_usage_errors_are_rejected() {
-        assert!(parse_lint_args(&args(&[])).is_err(), "no input");
-        assert!(parse_lint_args(&args(&["--format", "xml", "a.v"])).is_err(), "bad format");
-        assert!(parse_lint_args(&args(&["--deny"])).is_err(), "missing rule id");
+        assert!(cli(&["lint"]).is_err(), "no input");
+        assert!(cli(&["lint", "--format", "xml", "a.v"]).is_err(), "bad format");
+        assert!(cli(&["lint", "--deny"]).is_err(), "missing rule id");
         assert!(
-            parse_lint_args(&args(&["--fanout-threshold", "lots", "a.v"])).is_err(),
+            cli(&["lint", "--fanout-threshold", "lots", "a.v"]).is_err(),
             "non-numeric threshold"
         );
-        assert!(parse_lint_args(&args(&["--frobnicate", "a.v"])).is_err(), "unknown flag");
-        assert!(
-            parse_lint_args(&args(&["--tech", "a", "--process", "stp2", "a.v"])).is_err(),
-            "tech and process conflict"
-        );
+        assert!(cli(&["lint", "--frobnicate", "a.v"]).is_err(), "unknown flag");
+        assert!(cli(&["lint", "--tech", "a", "--tech", "b", "a.v"]).is_err(), "two technologies");
+        assert!(cli(&["lint", "--process", "stp2", "a.v"]).is_err(), "not a flag");
+        assert!(cli(&["lint", "--fast", "a.v"]).is_err(), "flow-only flag");
     }
 
     #[test]
     fn generate_args_parse_with_defaults_and_overrides() {
-        let options = parse_generate_args(&args(&["random_dag"])).expect("parses");
-        assert_eq!(options.family, LargeFamily::RandomDag);
+        let options = cli(&["generate", "random_dag"]).expect("parses");
+        assert_eq!(options.family, Some(LargeFamily::RandomDag));
         assert_eq!(options.cells, 10_000);
         assert_eq!(options.seed, 0);
         assert!(options.output.is_none());
 
-        let options = parse_generate_args(&args(&[
-            "tiled-mul",
-            "--cells",
-            "50000",
-            "--seed",
-            "9",
-            "-o",
-            "big.v",
-        ]))
-        .expect("parses");
-        assert_eq!(options.family, LargeFamily::TiledMultiplier);
+        let options =
+            cli(&["generate", "tiled-mul", "--cells", "50000", "--seed", "9", "-o", "big.v"])
+                .expect("parses");
+        assert_eq!(options.family, Some(LargeFamily::TiledMultiplier));
         assert_eq!(options.cells, 50_000);
         assert_eq!(options.seed, 9);
         assert_eq!(options.output.as_deref(), Some("big.v"));
@@ -2105,19 +1769,20 @@ mod lint_cli_tests {
 
     #[test]
     fn generate_usage_errors_are_rejected() {
-        assert!(parse_generate_args(&args(&[])).is_err(), "no family");
-        assert!(parse_generate_args(&args(&["no_such_family"])).is_err(), "unknown family");
-        assert!(parse_generate_args(&args(&["random_dag", "apc_array"])).is_err(), "two families");
-        assert!(parse_generate_args(&args(&["random_dag", "--cells", "lots"])).is_err());
-        assert!(parse_generate_args(&args(&["random_dag", "--seed"])).is_err(), "missing value");
-        assert!(parse_generate_args(&args(&["random_dag", "--frobnicate"])).is_err());
+        assert!(cli(&["generate"]).is_err(), "no family");
+        assert!(cli(&["generate", "no_such_family"]).is_err(), "unknown family");
+        assert!(cli(&["generate", "random_dag", "apc_array"]).is_err(), "two families");
+        assert!(cli(&["generate", "random_dag", "--cells", "lots"]).is_err());
+        assert!(cli(&["generate", "random_dag", "--seed"]).is_err(), "missing value");
+        assert!(cli(&["generate", "random_dag", "--frobnicate"]).is_err());
+        assert!(cli(&["generate", "random_dag", "-o", "a.v", "--output", "b.v"]).is_err());
     }
 
     #[test]
     fn rules_flag_needs_no_input_and_catalog_renders_every_rule() {
-        let options = parse_lint_args(&args(&["--rules"])).expect("parses");
+        let options = cli(&["lint", "--rules"]).expect("parses");
         assert!(options.rules);
-        let catalog = render_rule_catalog();
+        let catalog = render_catalog(&superflow::lint::catalog());
         for info in superflow::lint::catalog() {
             assert!(catalog.contains(info.id), "{} missing from:\n{catalog}", info.id);
         }
@@ -2129,13 +1794,10 @@ mod lint_cli_tests {
 mod predict_cli_tests {
     use super::*;
 
-    fn args(list: &[&str]) -> Vec<String> {
-        list.iter().map(|s| s.to_string()).collect()
-    }
-
     #[test]
     fn parses_a_full_predict_command_line() {
-        let options = parse_predict_args(&args(&[
+        let options = cli(&[
+            "predict",
             "--tech",
             "aist-stp2",
             "--format",
@@ -2148,8 +1810,9 @@ mod predict_cli_tests {
             "AQFP-P005",
             "a.v",
             "b.blif",
-        ]))
+        ])
         .expect("parses");
+        assert_eq!(options.command, Command::Predict);
         assert_eq!(options.inputs, vec!["a.v".to_owned(), "b.blif".to_owned()]);
         assert_eq!(options.tech.as_deref(), Some("aist-stp2"));
         assert!(options.json);
@@ -2161,21 +1824,23 @@ mod predict_cli_tests {
 
     #[test]
     fn predict_usage_errors_are_rejected() {
-        assert!(parse_predict_args(&args(&[])).is_err(), "no input");
-        assert!(parse_predict_args(&args(&["--format", "xml", "a.v"])).is_err(), "bad format");
-        assert!(parse_predict_args(&args(&["--deny"])).is_err(), "missing rule id");
-        assert!(parse_predict_args(&args(&["--frobnicate", "a.v"])).is_err(), "unknown flag");
+        assert!(cli(&["predict"]).is_err(), "no input");
+        assert!(cli(&["predict", "--format", "xml", "a.v"]).is_err(), "bad format");
+        assert!(cli(&["predict", "--deny"]).is_err(), "missing rule id");
+        assert!(cli(&["predict", "--frobnicate", "a.v"]).is_err(), "unknown flag");
         assert!(
-            parse_predict_args(&args(&["--tech", "a", "--process", "stp2", "a.v"])).is_err(),
-            "tech and process conflict"
+            cli(&["predict", "--tech", "a", "--tech", "b", "a.v"]).is_err(),
+            "two technologies"
         );
+        // predict never took a fan-out threshold.
+        assert!(cli(&["predict", "--fanout-threshold", "4", "a.v"]).is_err());
     }
 
     #[test]
     fn predict_rules_catalog_names_every_predict_rule() {
-        let options = parse_predict_args(&args(&["--rules"])).expect("parses");
+        let options = cli(&["predict", "--rules"]).expect("parses");
         assert!(options.rules);
-        let catalog = render_predict_rule_catalog();
+        let catalog = render_catalog(&superflow::predict::catalog());
         for info in superflow::predict::catalog() {
             assert!(catalog.contains(info.id), "{} missing from:\n{catalog}", info.id);
         }
@@ -2196,31 +1861,28 @@ mod predict_cli_tests {
     }
 
     /// `--fanout-threshold` reaches the lint gate through `FlowConfig` on
-    /// both the main command and the batch driver (the lint subcommand
-    /// already wires it through `LintConfig`).
+    /// both the main command and the batch driver.
     #[test]
     fn fanout_threshold_flows_into_the_flow_and_batch_configs() {
-        let options =
-            parse_args(&args(&["--fanout-threshold", "5", "--fast", "adder8"])).expect("parses");
-        assert_eq!(build_config(&options).lint.fanout_threshold, Some(5));
-        let plain = parse_args(&args(&["adder8"])).expect("parses");
-        assert_eq!(build_config(&plain).lint.fanout_threshold, None);
+        let options = cli(&["--fanout-threshold", "5", "--fast", "adder8"]).expect("parses");
+        assert_eq!(options.flow_config().lint.fanout_threshold, Some(5));
+        let plain = cli(&["adder8"]).expect("parses");
+        assert_eq!(plain.flow_config().lint.fanout_threshold, None);
 
-        let batch =
-            parse_batch_args(&args(&["--fanout-threshold", "7", "adder8"])).expect("parses");
-        assert_eq!(build_batch_config(&batch).flow.lint.fanout_threshold, Some(7));
-        assert!(parse_args(&args(&["--fanout-threshold", "lots", "adder8"])).is_err());
-        assert!(parse_batch_args(&args(&["--fanout-threshold", "lots", "adder8"])).is_err());
+        let batch = cli(&["batch", "--fanout-threshold", "7", "adder8"]).expect("parses");
+        assert_eq!(batch.batch_config().flow.lint.fanout_threshold, Some(7));
+        assert!(cli(&["--fanout-threshold", "lots", "adder8"]).is_err());
+        assert!(cli(&["batch", "--fanout-threshold", "lots", "adder8"]).is_err());
     }
 
     /// `--no-predict` turns the batch prediction pass off; it is on by
     /// default.
     #[test]
     fn no_predict_disables_the_batch_prediction_pass() {
-        let default = parse_batch_args(&args(&["adder8"])).expect("parses");
-        assert!(build_batch_config(&default).predict);
-        let off = parse_batch_args(&args(&["--no-predict", "adder8"])).expect("parses");
-        assert!(!build_batch_config(&off).predict);
+        let default = cli(&["batch", "adder8"]).expect("parses");
+        assert!(default.batch_config().predict);
+        let off = cli(&["batch", "--no-predict", "adder8"]).expect("parses");
+        assert!(!off.batch_config().predict);
     }
 }
 
@@ -2229,15 +1891,33 @@ mod predict_cli_tests {
 mod verify_cli_tests {
     use super::*;
 
-    fn args(list: &[&str]) -> Vec<String> {
-        list.iter().map(|s| s.to_string()).collect()
+    /// Writes the fast-config adder8 GDS placed with `placer` to a scratch
+    /// file and returns its path.
+    fn adder8_gds(dir: &str, placer: PlacerKind) -> String {
+        let dir = std::env::temp_dir().join(dir);
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let path = dir.join("adder8.gds");
+        let flow = Flow::with_config(FlowConfig::fast().with_placer(placer));
+        let report =
+            flow.run_benchmark(aqfp_netlist::generators::Benchmark::Adder8).expect("flow runs");
+        std::fs::write(&path, report.layout.to_gds_bytes()).expect("writes");
+        path.to_str().expect("utf-8 path").to_owned()
+    }
+
+    /// Verifies one artifact under a `superflow verify` command line.
+    fn verify(list: &[&str]) -> VerifyReport {
+        let options = cli(list).expect("parses");
+        verify_one(&options.inputs[0], &options, &options.flow_config()).expect("verifies")
     }
 
     #[test]
     fn parses_a_full_verify_command_line() {
-        let options = parse_verify_args(&args(&[
+        let options = cli(&[
+            "verify",
             "--tech",
             "aist-stp2",
+            "--placer",
+            "gordian",
             "--fast",
             "--threads",
             "2",
@@ -2249,8 +1929,9 @@ mod verify_cli_tests {
             "phase",
             "a.gds",
             "b.json",
-        ]))
+        ])
         .expect("parses");
+        assert_eq!(options.command, Command::Verify);
         assert_eq!(options.inputs, vec!["a.gds".to_owned(), "b.json".to_owned()]);
         assert_eq!(options.tech.as_deref(), Some("aist-stp2"));
         assert_eq!(options.threads, Some(2));
@@ -2259,8 +1940,9 @@ mod verify_cli_tests {
         assert_eq!(options.inject, Some(Defect::Phase));
         assert!(!options.rules);
         // The re-derivation config reflects the flags.
-        let config = build_verify_config(&options);
+        let config = options.flow_config();
         assert_eq!(config.tech, TechSpec::builtin(aqfp_cells::AIST_STP2));
+        assert_eq!(config.placer, PlacerKind::GordianBased);
         assert_eq!(config.threads(), 2);
         // The subcommand drives the verifiers itself; the per-stage gates
         // stay off so the re-derivation cannot double-report.
@@ -2269,31 +1951,29 @@ mod verify_cli_tests {
 
     #[test]
     fn verify_usage_errors_are_rejected() {
-        assert!(parse_verify_args(&args(&[])).is_err(), "no input");
-        assert!(parse_verify_args(&args(&["--format", "xml", "a.gds"])).is_err(), "bad format");
+        assert!(cli(&["verify"]).is_err(), "no input");
+        assert!(cli(&["verify", "--format", "xml", "a.gds"]).is_err(), "bad format");
+        assert!(cli(&["verify", "--inject-defect", "bitflip", "a.gds"]).is_err(), "unknown defect");
+        assert!(cli(&["verify", "--against", "a", "--against", "b", "x.gds"]).is_err());
+        assert!(cli(&["verify", "--frobnicate", "a.gds"]).is_err(), "unknown flag");
         assert!(
-            parse_verify_args(&args(&["--inject-defect", "bitflip", "a.gds"])).is_err(),
-            "unknown defect"
+            cli(&["verify", "--tech", "a", "--tech", "b", "a.gds"]).is_err(),
+            "two technologies"
         );
-        assert!(parse_verify_args(&args(&["--against", "a", "--against", "b", "x.gds"])).is_err());
-        assert!(parse_verify_args(&args(&["--frobnicate", "a.gds"])).is_err(), "unknown flag");
-        assert!(
-            parse_verify_args(&args(&["--tech", "a", "--process", "stp2", "a.gds"])).is_err(),
-            "tech and process conflict"
-        );
+        assert!(cli(&["verify", "--verify", "a.gds"]).is_err(), "flow-only flag");
         // Inputs that are neither GDS nor checkpoints are rejected at
         // dispatch, with the supported kinds named.
-        let options = parse_verify_args(&args(&["design.v"])).expect("parses");
-        let error = verify_one("design.v", &options, &build_verify_config(&options))
-            .expect_err("not an artifact");
+        let options = cli(&["verify", "design.v"]).expect("parses");
+        let error =
+            verify_one("design.v", &options, &options.flow_config()).expect_err("not an artifact");
         assert!(error.contains(".gds") && error.contains(".json"), "{error}");
     }
 
     #[test]
     fn verify_rules_catalog_names_every_verify_rule() {
-        let options = parse_verify_args(&args(&["--rules"])).expect("parses");
+        let options = cli(&["verify", "--rules"]).expect("parses");
         assert!(options.rules);
-        let catalog = render_verify_rule_catalog();
+        let catalog = render_catalog(&superflow::verify::catalog());
         for info in superflow::verify::catalog() {
             assert!(catalog.contains(info.id), "{} missing from:\n{catalog}", info.id);
         }
@@ -2301,38 +1981,25 @@ mod verify_cli_tests {
 
     #[test]
     fn verify_flag_gates_the_flow_and_batch_configs() {
-        let options = parse_args(&args(&["--verify", "--fast", "adder8"])).expect("parses");
-        assert!(build_config(&options).verify.enabled);
-        let plain = parse_args(&args(&["adder8"])).expect("parses");
-        assert!(!build_config(&plain).verify.enabled);
-        let batch = parse_batch_args(&args(&["--verify", "adder8"])).expect("parses");
-        assert!(build_batch_config(&batch).flow.verify.enabled);
+        let options = cli(&["--verify", "--fast", "adder8"]).expect("parses");
+        assert!(options.flow_config().verify.enabled);
+        let plain = cli(&["adder8"]).expect("parses");
+        assert!(!plain.flow_config().verify.enabled);
+        let batch = cli(&["batch", "--verify", "adder8"]).expect("parses");
+        assert!(batch.batch_config().flow.verify.enabled);
     }
 
     /// The acceptance path: write a GDS with the flow, verify it clean,
     /// then prove an injected defect is caught with its catalogued rule.
     #[test]
     fn a_fresh_gds_verifies_clean_and_an_injected_defect_is_caught() {
-        let dir = std::env::temp_dir().join("superflow_cli_verify_gds");
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let path = dir.join("adder8.gds");
-        let flow = Flow::with_config(FlowConfig::fast());
-        let report =
-            flow.run_benchmark(aqfp_netlist::generators::Benchmark::Adder8).expect("flow runs");
-        std::fs::write(&path, report.layout.to_gds_bytes()).expect("writes");
-        let path = path.to_str().expect("utf-8 path");
-
-        let options = parse_verify_args(&args(&["--fast", path])).expect("parses");
-        let config = build_verify_config(&options);
-        let clean = verify_one(path, &options, &config).expect("verifies");
+        let path = adder8_gds("superflow_cli_verify_gds", PlacerKind::SuperFlow);
+        let clean = verify(&["verify", "--fast", &path]);
         assert!(clean.ran("lec") && clean.ran("phase") && clean.ran("lvs"), "{:?}", clean.checks);
         assert!(!clean.has_errors(), "{}", clean.render());
 
         for defect in [Defect::Wire, Defect::Cell, Defect::Phase] {
-            let injected =
-                parse_verify_args(&args(&["--fast", "--inject-defect", defect.name(), path]))
-                    .expect("parses");
-            let report = verify_one(path, &injected, &config).expect("verifies");
+            let report = verify(&["verify", "--fast", "--inject-defect", defect.name(), &path]);
             assert!(
                 report.mentions(defect.expected_rule()),
                 "{} defect must trip {}:\n{}",
@@ -2344,13 +2011,28 @@ mod verify_cli_tests {
         }
     }
 
+    /// `--placer` decides the re-derived layout just like `--fast`: a
+    /// TAAS-placed GDS verifies clean under `--placer taas`, and the default
+    /// placer's re-derivation rejects the same bytes.
+    #[test]
+    fn a_gds_verifies_clean_only_under_the_placer_it_was_built_with() {
+        let path = adder8_gds("superflow_cli_verify_taas", PlacerKind::Taas);
+        let clean = verify(&["verify", "--fast", "--placer", "taas", "--against", "adder8", &path]);
+        assert!(clean.ran("lvs"), "{:?}", clean.checks);
+        assert!(!clean.has_errors(), "{}", clean.render());
+
+        let mismatched = verify(&["verify", "--fast", "--against", "adder8", &path]);
+        assert!(mismatched.mentions("AQFP-V022"), "{}", mismatched.render());
+        assert!(mismatched.has_errors());
+    }
+
     /// Stage checkpoints verify with the checks applicable to their stage.
     #[test]
     fn a_placement_checkpoint_verifies_with_phase_and_lec() {
         let dir = std::env::temp_dir().join("superflow_cli_verify_ckpt");
         std::fs::create_dir_all(&dir).expect("temp dir");
         let path = dir.join("adder8_placed.json");
-        let options = parse_args(&args(&[
+        let options = cli(&[
             "--fast",
             "--quiet",
             "--stop-after",
@@ -2358,7 +2040,7 @@ mod verify_cli_tests {
             "--report",
             "unused.json",
             "adder8",
-        ]))
+        ])
         .expect("parses");
         let Outcome::Stopped { checkpoint: Some(json), .. } = run(&options).expect("flow runs")
         else {
@@ -2367,10 +2049,7 @@ mod verify_cli_tests {
         std::fs::write(&path, json).expect("writes");
         let path = path.to_str().expect("utf-8 path");
 
-        let options =
-            parse_verify_args(&args(&["--fast", "--against", "adder8", path])).expect("parses");
-        let config = build_verify_config(&options);
-        let report = verify_one(path, &options, &config).expect("verifies");
+        let report = verify(&["verify", "--fast", "--against", "adder8", path]);
         assert!(report.ran("phase") && report.ran("lec"), "{:?}", report.checks);
         assert!(!report.ran("lvs"), "no layout exists before the check stage");
         assert!(!report.has_errors(), "{}", report.render());

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use aqfp_cells::{Process, Technology, TechnologyRegistry};
+use aqfp_cells::{Technology, TechnologyRegistry};
 use aqfp_place::{PlacementOptions, PlacerKind};
 use aqfp_route::RouterConfig;
 use aqfp_synth::SynthesisOptions;
@@ -180,14 +180,6 @@ impl FlowConfig {
         self.with_tech(TechSpec::Inline(technology))
     }
 
-    /// Returns the same configuration targeting the built-in technology of
-    /// a legacy [`Process`] value (kept for symmetry with the old
-    /// `Process`-based API; equivalent to
-    /// `with_tech(TechSpec::builtin(process.tech_name()))`).
-    pub fn with_process(self, process: Process) -> Self {
-        self.with_tech(TechSpec::builtin(process.tech_name()))
-    }
-
     /// Returns the same configuration with an explicit worker-thread count
     /// for the parallel flow stages: channel routing, the detailed
     /// placer's row sweeps and the global placer's shards. `0` uses every
@@ -306,12 +298,9 @@ mod tests {
         let config = FlowConfig::default().with_tech(TechSpec::builtin("aist-stp2"));
         let technology = config.resolve_technology().expect("resolves");
         assert_eq!(technology.rules().name, "AIST STP2");
-        // The legacy Process values reach the same registry entries.
-        let via_process = FlowConfig::default().with_process(Process::Stp2);
-        assert_eq!(via_process.tech, TechSpec::builtin("aist-stp2"));
         // Builders chain in any order.
         let chained = FlowConfig::fast()
-            .with_process(Process::MitLl)
+            .with_tech(TechSpec::builtin(MIT_LL_SQF5EE))
             .with_placer(PlacerKind::GordianBased)
             .with_threads(2);
         assert_eq!(chained.tech, TechSpec::builtin(MIT_LL_SQF5EE));

@@ -109,7 +109,8 @@ impl FlowStage {
     }
 
     /// Parses a stage from its [`name`](FlowStage::name); the inverse of
-    /// `name`, used by the CLI (`--stop-after`, `--fault` specs).
+    /// `name`, used by the batch `--fault` specs. (`--stop-after` keeps its
+    /// own spellings, which also accept `synth|place|route|drc`.)
     pub fn parse(name: &str) -> Option<FlowStage> {
         FlowStage::ALL.into_iter().find(|stage| stage.name() == name)
     }
@@ -814,10 +815,10 @@ impl FlowSession {
         Ok(routed)
     }
 
-    /// Generates the layout and runs DRC, repairing violations in place:
-    /// spacing problems are fixed by re-legalization, max-wirelength
-    /// problems by another round of buffer rows, and both trigger a reroute
-    /// before the layout is regenerated.
+    /// Runs DRC, repairing violations in place, then generates the layout
+    /// of the repaired design: spacing problems are fixed by
+    /// re-legalization, max-wirelength problems by another round of buffer
+    /// rows, and both trigger a reroute before DRC runs again.
     ///
     /// Every repair — including buffer-row insertion — is *incremental*.
     /// A spacing fix reroutes only the channels touched by the cells
@@ -872,7 +873,6 @@ impl FlowSession {
             dirty_channels.clear();
         }
 
-        let mut layout = generator.generate(&placed.placement.design, &routing);
         let mut drc = checker.check(&placed.placement.design, &routing);
         let mut drc_iterations = 0;
         while !drc.is_clean() && drc_iterations < self.config.max_drc_iterations {
@@ -946,8 +946,8 @@ impl FlowSession {
                 observer.drc_iteration(drc_iterations, &drc, scope);
             }
             if scope == RepairScope::Unchanged {
-                // The repair moved nothing: rerouting, layout and DRC would
-                // all reproduce themselves exactly (routing is
+                // The repair moved nothing: rerouting and DRC would both
+                // reproduce themselves exactly (routing is
                 // deterministic), so the loop has reached a fixed point and
                 // further iterations cannot make progress. The remaining
                 // violations are reported, not hidden.
@@ -959,9 +959,11 @@ impl FlowSession {
             // onto their renumbered rows when the edit shifted them.
             routing =
                 router.route_partial(&placed.placement.design, &routing, &dirty, edit.as_ref());
-            layout = generator.generate(&placed.placement.design, &routing);
             drc = checker.check(&placed.placement.design, &routing);
         }
+        // DRC reads only the design and its routing, so the layout is
+        // generated once, from the final repaired state.
+        let layout = generator.generate(&placed.placement.design, &routing);
 
         // Refresh the placement metrics in case DRC repair moved cells. The
         // timing report re-runs on the incrementally maintained batch, so it

@@ -14,7 +14,7 @@
 /// SuperFlow workspace.
 pub mod prelude {
     pub use aqfp_cells::{
-        AqfpCell, CellKind, CellLibrary, LayerMap, ProcessRules, Technology, TechnologyRegistry,
+        AqfpCell, CellKind, LayerMap, ProcessRules, Technology, TechnologyRegistry,
     };
     pub use aqfp_netlist::generators::{benchmark_circuit, Benchmark};
     pub use aqfp_netlist::{GateId, Netlist};

@@ -57,10 +57,11 @@ fn synthesis_preserves_benchmark_functionality_through_the_flow() {
 
 #[test]
 fn placers_rank_as_the_paper_reports_on_a_larger_circuit() {
-    let library = CellLibrary::mit_ll();
-    let synthesized =
-        Synthesizer::new(library.clone()).run(&benchmark_circuit(Benchmark::Sorter32)).expect("ok");
-    let engine = PlacementEngine::new(library);
+    let technology = Technology::mit_ll_sqf5ee();
+    let synthesized = Synthesizer::new(technology.clone())
+        .run(&benchmark_circuit(Benchmark::Sorter32))
+        .expect("ok");
+    let engine = PlacementEngine::new(technology);
 
     let gordian = engine.place(&synthesized, PlacerKind::GordianBased);
     let taas = engine.place(&synthesized, PlacerKind::Taas);

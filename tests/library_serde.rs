@@ -1,18 +1,18 @@
 //! Serialization round-trips for the technology data structures.
 //!
-//! Design teams exchange library and rule data as JSON-like documents; the
-//! serde implementations must round-trip without loss so a library tweaked
-//! by an external tool can be fed back into the flow.
+//! Design teams exchange technology and rule data as JSON-like documents;
+//! the serde implementations must round-trip without loss so a technology
+//! tweaked by an external tool can be fed back into the flow.
 
-use aqfp_cells::{CellKind, CellLibrary, EnergyModel, FourPhaseClock, ProcessRules};
+use aqfp_cells::{CellKind, EnergyModel, FourPhaseClock, ProcessRules, Technology};
 use aqfp_timing::TimingConfig;
 
 #[test]
 fn cell_library_round_trips_through_json() {
-    let library = CellLibrary::mit_ll();
-    let json = serde_json::to_string(&library).expect("serialize");
-    let back: CellLibrary = serde_json::from_str(&json).expect("deserialize");
-    assert_eq!(library, back);
+    let technology = Technology::mit_ll_sqf5ee();
+    let json = serde_json::to_string(&technology).expect("serialize");
+    let back: Technology = serde_json::from_str(&json).expect("deserialize");
+    assert_eq!(technology, back);
     assert_eq!(back.cell(CellKind::Majority3).jj_count, 6);
 }
 
