@@ -40,10 +40,17 @@
 //!   its newest intact checkpoint, and the flow's determinism makes the
 //!   resumed GDS byte-identical to an uninterrupted run. A checkpoint that
 //!   is truncated, corrupt, or from a different technology fails that
-//!   design loudly ([`FlowError::Checkpoint`] /
-//!   [`FlowError::TechnologyMismatch`] with the file path) instead of
-//!   silently recomputing or — worse — resuming garbage; the degraded
-//!   retry, which always starts from scratch, can still rescue it.
+//!   design loudly at the checkpoint's own stage
+//!   ([`FlowError::Checkpoint`] / [`FlowError::TechnologyMismatch`] with
+//!   the file path) instead of silently recomputing or — worse — resuming
+//!   garbage; the degraded retry, which always starts from scratch, can
+//!   still rescue it.
+//!
+//! One attempt is one loop over [`Artifact`]s: resume the newest
+//! checkpoint, or lint and synthesize the netlist; then, for each
+//! remaining stage, [`FlowSession::advance`] inside the fault boundary,
+//! the injected-corruption check through [`FlowSession::verify_artifact`],
+//! and the checkpoint write ([`Artifact::to_json`]).
 //!
 //! # Fault model
 //!
@@ -55,7 +62,7 @@
 //! | stage panic                  | `catch_unwind` per stage         | `Failed` (stage, panic message) |
 //! | stage over deadline          | `CancelToken` deadline           | `Failed` (stage, deadline error) |
 //! | corrupt / truncated journal  | strict checkpoint validation     | `Failed` (checkpoint stage, path + cause) |
-//! | journal from another PDK     | technology fingerprint check     | `Failed` (`TechnologyMismatch`) |
+//! | journal from another PDK     | technology fingerprint check     | `Failed` (checkpoint stage, path + `TechnologyMismatch`) |
 //! | unreadable input / bad parse | typed [`crate::input`] errors    | `Failed` (no stage, error chain) |
 //! | infeasible design            | pre-flight lint (stage 0)        | `Failed` (stage [`LINT_STAGE`], rule ids); no degraded retry |
 //! | corrupt stage artifact       | post-stage verification          | `Failed` (stage [`VERIFY_STAGE`], rule ids); no degraded retry |
@@ -100,6 +107,7 @@ use std::sync::{Arc, Mutex, Once};
 use std::time::{Duration, Instant};
 
 use aqfp_cells::{CancelToken, Technology};
+use aqfp_netlist::Netlist;
 use aqfp_place::ThreadBudget;
 use serde::{Deserialize, Serialize};
 
@@ -107,7 +115,7 @@ use crate::config::FlowConfig;
 use crate::error::FlowError;
 use crate::input::{design_name, load_design};
 use crate::report::{FlowReport, StageTimings};
-use crate::session::{Checked, FlowSession, FlowStage, Placed, Routed, Synthesized};
+use crate::session::{Artifact, FlowSession, FlowStage};
 
 /// One design in a batch: a display name and the input it loads from (a
 /// benchmark name or a netlist file path — see [`crate::input`]).
@@ -541,20 +549,11 @@ impl StageFailure {
 
 /// What a successful attempt reports back.
 struct AttemptSuccess {
+    /// The stage of the journal checkpoint the attempt resumed from.
     resumed_from: Option<FlowStage>,
-    checkpoint_hits: usize,
     /// Measured per-stage wall-clock of this attempt, from the session's
     /// accumulators (stages resumed from the journal contribute 0).
     timings: StageTimings,
-}
-
-/// The newest intact journal checkpoint a design resumes from.
-enum Resume {
-    None,
-    Synthesized(Synthesized),
-    Placed(Placed),
-    Routed(Routed),
-    Checked(Checked),
 }
 
 thread_local! {
@@ -710,14 +709,10 @@ impl BatchRunner {
     ) -> DesignReport {
         let start = Instant::now();
         let first = self.run_attempt(job, flow.clone(), technology, 1, predicted.as_ref());
-        let (status, attempts, resumed_from, checkpoint_hits, actual) = match first {
-            Ok(success) => (
-                DesignStatus::Succeeded,
-                1,
-                success.resumed_from,
-                success.checkpoint_hits,
-                Some(success.timings),
-            ),
+        let (status, attempts, resumed_from, actual) = match first {
+            Ok(success) => {
+                (DesignStatus::Succeeded, 1, success.resumed_from, Some(success.timings))
+            }
             // Lint rejections and verification failures are deterministic —
             // the degraded retry changes thread counts and repair budgets,
             // not the netlist or the verifier's verdict — so retrying would
@@ -735,7 +730,7 @@ impl BatchRunner {
                     2,
                     predicted.as_ref(),
                 ) {
-                    Ok(success) => (DesignStatus::Degraded, 2, None, 0, Some(success.timings)),
+                    Ok(success) => (DesignStatus::Degraded, 2, None, Some(success.timings)),
                     Err(retry_failure) => (
                         DesignStatus::Failed {
                             error: format!(
@@ -747,7 +742,6 @@ impl BatchRunner {
                         },
                         2,
                         None,
-                        0,
                         None,
                     ),
                 }
@@ -756,7 +750,6 @@ impl BatchRunner {
                 DesignStatus::Failed { error: failure.error, stage: failure.stage, attempts: 1 },
                 1,
                 None,
-                0,
                 None,
             ),
         };
@@ -766,15 +759,18 @@ impl BatchRunner {
             attempts,
             wall_s: start.elapsed().as_secs_f64(),
             resumed_from: resumed_from.map(|s| s.name().to_owned()),
-            checkpoint_hits,
+            // A resumed design skipped its checkpoint's stage and every
+            // earlier one.
+            checkpoint_hits: resumed_from.map_or(0, |stage| stage as usize + 1),
             predicted_stage_s: predicted,
             actual_stage_s: actual,
         }
     }
 
     /// One attempt at one design: resume from the newest intact journal
-    /// checkpoint (attempt 1 only), run the remaining stages inside the
-    /// fault boundary, checkpoint each, and write the final GDS.
+    /// checkpoint (attempt 1 only) or lint and synthesize the netlist, then
+    /// advance through the remaining stages inside the fault boundary,
+    /// checkpointing each, and write the final GDS.
     fn run_attempt(
         &self,
         job: &BatchJob,
@@ -797,167 +793,58 @@ impl BatchRunner {
         // recomputes from scratch rather than resuming the journal that may
         // itself be the problem (it still refreshes the checkpoints it
         // passes).
-        let resume = if attempt == 1 {
-            self.load_resume(journal.as_deref(), &session)?
-        } else {
-            Resume::None
-        };
-        let mut resumed_from = None;
-        let mut checkpoint_hits = 0;
-
-        let checked = match resume {
-            Resume::Checked(checked) => {
-                resumed_from = Some(FlowStage::Check);
-                checkpoint_hits = 4;
-                checked
-            }
-            resume => {
-                let routed = match resume {
-                    Resume::Routed(routed) => {
-                        resumed_from = Some(FlowStage::Routing);
-                        checkpoint_hits = 3;
-                        routed
-                    }
-                    resume => {
-                        let placed = match resume {
-                            Resume::Placed(placed) => {
-                                resumed_from = Some(FlowStage::Placement);
-                                checkpoint_hits = 2;
-                                placed
-                            }
-                            resume => {
-                                let synthesized = match resume {
-                                    Resume::Synthesized(synthesized) => {
-                                        resumed_from = Some(FlowStage::Synthesis);
-                                        checkpoint_hits = 1;
-                                        synthesized
-                                    }
-                                    _ => {
-                                        let design = load_design(&job.input).map_err(|e| {
-                                            StageFailure::unattributed(error_chain(&e))
-                                        })?;
-                                        let netlist = design.netlist;
-                                        // Stage 0: pre-flight lint. An
-                                        // infeasible design is rejected here
-                                        // in milliseconds, before any stage
-                                        // engine runs.
-                                        let lint = session.lint(&netlist);
-                                        if lint.has_errors() {
-                                            return Err(StageFailure {
-                                                stage: Some(LINT_STAGE.to_owned()),
-                                                error: error_chain(&FlowError::Lint(lint)),
-                                            });
-                                        }
-                                        let mut synthesized = self.run_stage(
-                                            &mut session,
-                                            &job.name,
-                                            FlowStage::Synthesis,
-                                            attempt,
-                                            predicted,
-                                            |session| session.synthesize(&netlist),
-                                        )?;
-                                        if self.corrupt_fault_armed(
-                                            &job.name,
-                                            FlowStage::Synthesis,
-                                            attempt,
-                                        ) {
-                                            aqfp_verify::mutate::corrupt_netlist_gate(
-                                                &mut synthesized.synthesis.netlist,
-                                            );
-                                            self.corrupt_gate(
-                                                FlowStage::Synthesis,
-                                                session.verify_synthesized(&netlist, &synthesized),
-                                            )?;
-                                        }
-                                        self.write_checkpoint(
-                                            journal.as_deref(),
-                                            &job.name,
-                                            FlowStage::Synthesis,
-                                            attempt,
-                                            synthesized.to_json(),
-                                        )?;
-                                        synthesized
-                                    }
-                                };
-                                let mut placed = self.run_stage(
-                                    &mut session,
-                                    &job.name,
-                                    FlowStage::Placement,
-                                    attempt,
-                                    predicted,
-                                    |session| session.place(synthesized),
-                                )?;
-                                if self.corrupt_fault_armed(
-                                    &job.name,
-                                    FlowStage::Placement,
-                                    attempt,
-                                ) {
-                                    aqfp_verify::mutate::corrupt_design_phase(
-                                        &mut placed.placement.design,
-                                    );
-                                    self.corrupt_gate(
-                                        FlowStage::Placement,
-                                        session.verify_placed(&placed),
-                                    )?;
-                                }
-                                self.write_checkpoint(
-                                    journal.as_deref(),
-                                    &job.name,
-                                    FlowStage::Placement,
-                                    attempt,
-                                    placed.to_json(),
-                                )?;
-                                placed
-                            }
-                        };
-                        let mut routed = self.run_stage(
-                            &mut session,
-                            &job.name,
-                            FlowStage::Routing,
-                            attempt,
-                            predicted,
-                            |session| session.route(placed),
-                        )?;
-                        if self.corrupt_fault_armed(&job.name, FlowStage::Routing, attempt) {
-                            aqfp_verify::mutate::corrupt_routing(&mut routed.routing);
-                            self.corrupt_gate(FlowStage::Routing, session.verify_routed(&routed))?;
-                        }
-                        self.write_checkpoint(
-                            journal.as_deref(),
-                            &job.name,
-                            FlowStage::Routing,
-                            attempt,
-                            routed.to_json(),
-                        )?;
-                        routed
-                    }
-                };
-                let mut checked = self.run_stage(
+        let resumed =
+            if attempt == 1 { self.load_resume(journal.as_deref(), &session)? } else { None };
+        let resumed_from = resumed.as_ref().map(Artifact::stage);
+        let mut artifact = match resumed {
+            Some(artifact) => artifact,
+            None => {
+                let design = load_design(&job.input)
+                    .map_err(|e| StageFailure::unattributed(error_chain(&e)))?;
+                let netlist = design.netlist;
+                // Stage 0: pre-flight lint. An infeasible design is rejected
+                // here in milliseconds, before any stage engine runs.
+                let lint = session.lint(&netlist);
+                if lint.has_errors() {
+                    return Err(StageFailure {
+                        stage: Some(LINT_STAGE.to_owned()),
+                        error: error_chain(&FlowError::Lint(lint)),
+                    });
+                }
+                let mut synthesized = self.run_stage(
                     &mut session,
                     &job.name,
-                    FlowStage::Check,
+                    FlowStage::Synthesis,
                     attempt,
                     predicted,
-                    |session| session.check(routed),
+                    |session| session.synthesize(&netlist).map(Artifact::Synthesized),
                 )?;
-                if self.corrupt_fault_armed(&job.name, FlowStage::Check, attempt) {
-                    aqfp_verify::mutate::corrupt_layout(&mut checked.layout);
-                    self.corrupt_gate(FlowStage::Check, session.verify_checked(&checked))?;
-                }
-                self.write_checkpoint(
-                    journal.as_deref(),
+                // The input netlist is needed only for LEC of the synthesis
+                // artifact; it is dropped once that artifact is journaled.
+                self.seal(
+                    &session,
                     &job.name,
-                    FlowStage::Check,
                     attempt,
-                    checked.to_json(),
+                    journal.as_deref(),
+                    &mut synthesized,
+                    Some(&netlist),
                 )?;
-                checked
+                synthesized
             }
+        };
+        while let Some(stage) = artifact.stage().next() {
+            artifact = self.run_stage(&mut session, &job.name, stage, attempt, predicted, |s| {
+                s.advance(artifact)
+            })?;
+            self.seal(&session, &job.name, attempt, journal.as_deref(), &mut artifact, None)?;
+        }
+        let Artifact::Checked(checked) = artifact else {
+            unreachable!("the stage loop ends at the check stage")
         };
         session.set_cancel_token(CancelToken::none());
         let report = session.finish(checked);
         self.write_gds(&job.name, &report)?;
-        Ok(AttemptSuccess { resumed_from, checkpoint_hits, timings: report.stage_timings })
+        Ok(AttemptSuccess { resumed_from, timings: report.stage_timings })
     }
 
     /// The cancellation token a stage runs under: an injected zero
@@ -988,15 +875,15 @@ impl BatchRunner {
 
     /// Runs one stage inside the fault boundary: deadline armed, injected
     /// panic fired, and any unwind caught and attributed to the stage.
-    fn run_stage<T>(
+    fn run_stage(
         &self,
         session: &mut FlowSession,
         design: &str,
         stage: FlowStage,
         attempt: usize,
         predicted: Option<&StageTimings>,
-        body: impl FnOnce(&mut FlowSession) -> Result<T, FlowError>,
-    ) -> Result<T, StageFailure> {
+        body: impl FnOnce(&mut FlowSession) -> Result<Artifact, FlowError>,
+    ) -> Result<Artifact, StageFailure> {
         session.set_cancel_token(self.stage_token(design, stage, attempt, predicted));
         let inject_panic =
             attempt == 1 && self.config.faults.matches(design, stage, FaultKind::Panic);
@@ -1023,33 +910,37 @@ impl BatchRunner {
         }
     }
 
-    /// Whether an artifact-corruption fault is planned here.
-    fn corrupt_fault_armed(&self, design: &str, stage: FlowStage, attempt: usize) -> bool {
-        attempt == 1 && self.config.faults.matches(design, stage, FaultKind::CorruptArtifact)
-    }
-
-    /// Fails at [`VERIFY_STAGE`] when a post-corruption verification report
-    /// carries errors. An injected corruption the verifier *misses* is also
-    /// a failure — a corrupt fault exists to prove the verifier catches it.
-    fn corrupt_gate(
+    /// Closes a stage this attempt ran: fires the corrupt fault planned for
+    /// it — the damaged artifact is re-verified and the attempt fails at
+    /// [`VERIFY_STAGE`] — or else journals the artifact. `input` is the
+    /// flow's netlist, given for the synthesis artifact so LEC judges its
+    /// corruption.
+    fn seal(
         &self,
-        stage: FlowStage,
-        report: aqfp_verify::VerifyReport,
+        session: &FlowSession,
+        design: &str,
+        attempt: usize,
+        journal: Option<&Path>,
+        artifact: &mut Artifact,
+        input: Option<&Netlist>,
     ) -> Result<(), StageFailure> {
-        if report.has_errors() {
-            Err(StageFailure {
-                stage: Some(VERIFY_STAGE.to_owned()),
-                error: error_chain(&FlowError::Verify(report)),
-            })
-        } else {
-            Err(StageFailure {
-                stage: Some(VERIFY_STAGE.to_owned()),
-                error: format!(
+        let stage = artifact.stage();
+        if attempt == 1 && self.config.faults.matches(design, stage, FaultKind::CorruptArtifact) {
+            corrupt(artifact);
+            let report = session.verify_artifact(artifact, input);
+            // A corruption the verifier misses is a failure too: a corrupt
+            // fault exists to prove the verifier catches it.
+            let error = if report.has_errors() {
+                error_chain(&FlowError::Verify(report))
+            } else {
+                format!(
                     "injected corrupt fault at the {stage} stage was not detected by \
                      post-stage verification"
-                ),
-            })
+                )
+            };
+            return Err(StageFailure { stage: Some(VERIFY_STAGE.to_owned()), error });
         }
+        self.write_checkpoint(journal, design, attempt, artifact)
     }
 
     /// Journals a stage artifact (atomically), applying the truncation
@@ -1058,23 +949,22 @@ impl BatchRunner {
         &self,
         journal: Option<&Path>,
         design: &str,
-        stage: FlowStage,
         attempt: usize,
-        json: Result<String, FlowError>,
+        artifact: &Artifact,
     ) -> Result<(), StageFailure> {
         let Some(dir) = journal else { return Ok(()) };
-        let attribute = |error: String| StageFailure::at(stage, error);
-        let json = json.map_err(|e| attribute(error_chain(&e)))?;
+        let stage = artifact.stage();
+        let attribute = |error: FlowError| StageFailure::at(stage, error_chain(&error));
+        let json = artifact.to_json().map_err(attribute)?;
         let path = dir.join(checkpoint_file(stage));
-        write_atomic(&path, json.as_bytes()).map_err(|e| attribute(error_chain(&e)))?;
+        write_atomic(&path, json.as_bytes()).map_err(attribute)?;
         if attempt == 1 && self.config.faults.matches(design, stage, FaultKind::TruncateCheckpoint)
         {
             // Simulate a torn write (the atomic rename protocol prevents
             // real ones): the *next* run over this journal must detect the
             // damage instead of resuming garbage.
             let half = json.len() / 2;
-            write_atomic(&path, &json.as_bytes()[..half])
-                .map_err(|e| attribute(error_chain(&e)))?;
+            write_atomic(&path, &json.as_bytes()[..half]).map_err(attribute)?;
         }
         Ok(())
     }
@@ -1090,17 +980,16 @@ impl BatchRunner {
 
     /// Finds the newest intact checkpoint in a design's journal. A
     /// checkpoint that exists but fails to read, parse, validate, or match
-    /// the session's technology fails the attempt — resuming a damaged
-    /// journal silently would defeat the byte-identity guarantee.
+    /// the session's technology fails the attempt at its stage, naming the
+    /// file — resuming a damaged journal silently would defeat the
+    /// byte-identity guarantee.
     fn load_resume(
         &self,
         journal: Option<&Path>,
         session: &FlowSession,
-    ) -> Result<Resume, StageFailure> {
-        let Some(dir) = journal else { return Ok(Resume::None) };
-        for stage in
-            [FlowStage::Check, FlowStage::Routing, FlowStage::Placement, FlowStage::Synthesis]
-        {
+    ) -> Result<Option<Artifact>, StageFailure> {
+        let Some(dir) = journal else { return Ok(None) };
+        for stage in FlowStage::ALL.into_iter().rev() {
             let path = dir.join(checkpoint_file(stage));
             let text = match std::fs::read_to_string(&path) {
                 Ok(text) => text,
@@ -1115,29 +1004,31 @@ impl BatchRunner {
             let located = |e: FlowError| {
                 StageFailure::at(stage, format!("`{}`: {}", path.display(), error_chain(&e)))
             };
-            let resume = match stage {
-                FlowStage::Synthesis => {
-                    Resume::Synthesized(Synthesized::from_json(&text).map_err(located)?)
-                }
-                FlowStage::Placement => Resume::Placed(Placed::from_json(&text).map_err(located)?),
-                FlowStage::Routing => Resume::Routed(Routed::from_json(&text).map_err(located)?),
-                FlowStage::Check => {
-                    let checked = Checked::from_json(&text).map_err(located)?;
-                    // Later stages verify fingerprints themselves when they
-                    // consume an artifact; a check-stage resume runs no
-                    // further stage, so the mismatch must be caught here.
-                    if checked.tech_fingerprint() != session.tech_fingerprint() {
-                        return Err(located(FlowError::TechnologyMismatch {
-                            expected: session.tech_fingerprint().to_owned(),
-                            found: checked.tech_fingerprint().to_owned(),
-                        }));
-                    }
-                    Resume::Checked(checked)
-                }
-            };
-            return Ok(resume);
+            let artifact = Artifact::from_json(stage, &text).map_err(located)?;
+            session.ensure_same_technology(artifact.tech_fingerprint()).map_err(located)?;
+            return Ok(Some(artifact));
         }
-        Ok(Resume::None)
+        Ok(None)
+    }
+}
+
+/// Damages an artifact the way its stage's verifier must catch: a gate of
+/// the synthesized netlist, the phase of a placed net, a routed segment or
+/// the emitted layout.
+fn corrupt(artifact: &mut Artifact) {
+    match artifact {
+        Artifact::Synthesized(synthesized) => {
+            aqfp_verify::mutate::corrupt_netlist_gate(&mut synthesized.synthesis.netlist);
+        }
+        Artifact::Placed(placed) => {
+            aqfp_verify::mutate::corrupt_design_phase(&mut placed.placement.design);
+        }
+        Artifact::Routed(routed) => {
+            aqfp_verify::mutate::corrupt_routing(&mut routed.routing);
+        }
+        Artifact::Checked(checked) => {
+            aqfp_verify::mutate::corrupt_layout(&mut checked.layout);
+        }
     }
 }
 

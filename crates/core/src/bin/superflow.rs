@@ -167,9 +167,9 @@ use serde::Serialize;
 use superflow::lint::RuleInfo;
 use superflow::verify::{mutate, Defect};
 use superflow::{
-    error_chain, BatchConfig, BatchJob, BatchRunner, Checked, Fault, FaultPlan, Flow, FlowConfig,
-    FlowObserver, FlowReport, FlowSession, FlowStage, LintConfig, LintReport, Placed,
-    PredictReport, RepairScope, Routed, Synthesized, TechSpec, VerifyConfig, VerifyReport,
+    error_chain, Artifact, BatchConfig, BatchJob, BatchRunner, Checked, Fault, FaultPlan, Flow,
+    FlowConfig, FlowObserver, FlowReport, FlowSession, FlowStage, LintConfig, LintReport,
+    PredictReport, RepairScope, TechSpec, VerifyConfig, VerifyReport,
 };
 
 /// Exit code for usage errors (bad flags, malformed specs).
@@ -746,74 +746,70 @@ fn run(options: &Options) -> Result<Outcome, String> {
         );
         session.add_observer(Box::new(StageLog));
     }
-    let want_checkpoint = options.report.is_some();
-    let checkpoint_of =
-        |json: Result<String, superflow::FlowError>| json.map_err(|e| error_chain(&e)).map(Some);
-
-    let synthesized = session.synthesize(&netlist).map_err(|e| error_chain(&e))?;
-    if options.stop_after == Some(FlowStage::Synthesis) {
-        return Ok(Outcome::Stopped {
-            stage: FlowStage::Synthesis,
-            summary: format!(
-                "{}: {} JJs / {} nets / {} phases after synthesis",
-                synthesized.design_name,
-                synthesized.stats().jj_count,
-                synthesized.stats().net_count,
-                synthesized.stats().delay
-            ),
-            checkpoint: if want_checkpoint { checkpoint_of(synthesized.to_json())? } else { None },
-        });
+    let last = options.stop_after.unwrap_or(FlowStage::Check);
+    match run_through(&mut session, &netlist, last)? {
+        Artifact::Checked(checked) if options.stop_after.is_none() => {
+            Ok(Outcome::Complete(Box::new(session.finish(checked))))
+        }
+        artifact => Ok(Outcome::Stopped {
+            stage: artifact.stage(),
+            summary: stop_summary(&artifact),
+            checkpoint: match options.report {
+                Some(_) => Some(artifact.to_json().map_err(|e| error_chain(&e))?),
+                None => None,
+            },
+        }),
     }
+}
 
-    let placed = session.place(synthesized).map_err(|e| error_chain(&e))?;
-    if options.stop_after == Some(FlowStage::Placement) {
-        return Ok(Outcome::Stopped {
-            stage: FlowStage::Placement,
-            summary: format!(
-                "{}: HPWL {:.0} µm, {} buffer lines, WNS {}",
-                placed.synthesized.design_name,
-                placed.placement.hpwl_um,
-                placed.placement.buffer_lines,
-                placed.placement.wns_display()
-            ),
-            checkpoint: if want_checkpoint { checkpoint_of(placed.to_json())? } else { None },
-        });
+/// Runs `session` on `netlist` from synthesis through stage `last`.
+fn run_through(
+    session: &mut FlowSession,
+    netlist: &Netlist,
+    last: FlowStage,
+) -> Result<Artifact, String> {
+    let mut artifact =
+        Artifact::Synthesized(session.synthesize(netlist).map_err(|e| error_chain(&e))?);
+    while artifact.stage() != last {
+        artifact = session.advance(artifact).map_err(|e| error_chain(&e))?;
     }
+    Ok(artifact)
+}
 
-    let routed = session.route(placed).map_err(|e| error_chain(&e))?;
-    if options.stop_after == Some(FlowStage::Routing) {
-        return Ok(Outcome::Stopped {
-            stage: FlowStage::Routing,
-            summary: format!(
-                "{}: routed {} nets, {:.0} µm, {} vias",
-                routed.placed.synthesized.design_name,
-                routed.routing.stats.nets_routed,
-                routed.routing.stats.total_wirelength_um,
-                routed.routing.stats.total_vias
-            ),
-            checkpoint: if want_checkpoint { checkpoint_of(routed.to_json())? } else { None },
-        });
+/// The one-line summary `--stop-after` prints for the artifact it stopped
+/// at.
+fn stop_summary(artifact: &Artifact) -> String {
+    let name = artifact.design_name();
+    match artifact {
+        Artifact::Synthesized(synthesized) => {
+            let stats = synthesized.stats();
+            format!(
+                "{name}: {} JJs / {} nets / {} phases after synthesis",
+                stats.jj_count, stats.net_count, stats.delay
+            )
+        }
+        Artifact::Placed(placed) => format!(
+            "{name}: HPWL {:.0} µm, {} buffer lines, WNS {}",
+            placed.placement.hpwl_um,
+            placed.placement.buffer_lines,
+            placed.placement.wns_display()
+        ),
+        Artifact::Routed(routed) => format!(
+            "{name}: routed {} nets, {:.0} µm, {} vias",
+            routed.routing.stats.nets_routed,
+            routed.routing.stats.total_wirelength_um,
+            routed.routing.stats.total_vias
+        ),
+        Artifact::Checked(checked) => format!(
+            "{name}: DRC {} after {} repair iteration(s)",
+            if checked.drc.is_clean() {
+                "clean".to_owned()
+            } else {
+                format!("{} violations", checked.drc.violations.len())
+            },
+            checked.drc_iterations
+        ),
     }
-
-    let checked = session.check(routed).map_err(|e| error_chain(&e))?;
-    if options.stop_after == Some(FlowStage::Check) {
-        return Ok(Outcome::Stopped {
-            stage: FlowStage::Check,
-            summary: format!(
-                "{}: DRC {} after {} repair iteration(s)",
-                checked.routed.placed.synthesized.design_name,
-                if checked.drc.is_clean() {
-                    "clean".to_owned()
-                } else {
-                    format!("{} violations", checked.drc.violations.len())
-                },
-                checked.drc_iterations
-            ),
-            checkpoint: if want_checkpoint { checkpoint_of(checked.to_json())? } else { None },
-        });
-    }
-
-    Ok(Outcome::Complete(Box::new(session.finish(checked))))
 }
 
 fn run_flow(options: &Options) -> ExitCode {
@@ -1055,36 +1051,33 @@ fn predict_one(
     Ok(superflow::predict::predict(&name, &design.netlist, technology, &flow.predict_options()))
 }
 
-/// Fails verification up front when an artifact was produced under a
-/// different technology than the session targets — comparing across
-/// processes would produce nonsense findings, not a useful report.
-fn ensure_artifact_technology(
-    session: &FlowSession,
-    found: &str,
-    input: &str,
-) -> Result<(), String> {
-    if session.tech_fingerprint() == found {
-        Ok(())
-    } else {
-        Err(format!(
-            "technology mismatch: the session targets `{}`, but `{input}` was produced under \
-             `{found}`; pass the matching --tech",
-            session.tech_fingerprint()
-        ))
-    }
-}
-
-/// Injects one deliberate defect into a routed (or later) artifact, so a
-/// subsequent verification run must report it. Returns a human-readable
-/// description of what was damaged.
-fn inject_routed_defect(defect: Defect, routed: &mut Routed) -> Result<String, String> {
-    let note = match defect {
-        Defect::Phase => mutate::corrupt_design_phase(&mut routed.placed.placement.design)
+/// Injects one deliberate defect into the artifact of verify input `input`,
+/// so a subsequent verification run must report it: a phase defect needs a
+/// placed artifact, a cell or wire defect a routed one. Returns a
+/// human-readable description of what was damaged.
+fn inject_defect(defect: Defect, artifact: &mut Artifact, input: &str) -> Result<String, String> {
+    let stage = artifact.stage();
+    let (design, routing) = match artifact {
+        Artifact::Synthesized(_) => (None, None),
+        Artifact::Placed(placed) => (Some(&mut placed.placement.design), None),
+        Artifact::Routed(routed) | Artifact::Checked(Checked { routed, .. }) => {
+            (Some(&mut routed.placed.placement.design), Some(&mut routed.routing))
+        }
+    };
+    let note = match (defect, design, routing) {
+        (Defect::Phase, Some(design), _) => mutate::corrupt_design_phase(design)
             .map(|net| format!("repointed a sink of net n{net} two phases past its driver")),
-        Defect::Cell => mutate::corrupt_design_cell(&mut routed.placed.placement.design)
+        (Defect::Cell, Some(design), Some(_)) => mutate::corrupt_design_cell(design)
             .map(|cell| format!("nudged cell `{cell}` half a micron off its placement site")),
-        Defect::Wire => mutate::corrupt_routing(&mut routed.routing)
+        (Defect::Wire, _, Some(routing)) => mutate::corrupt_routing(routing)
             .map(|net| format!("dropped one routed segment of net n{net}")),
+        (_, design, _) => {
+            let needs = if design.is_none() { "placed" } else { "routed" };
+            return Err(format!(
+                "--inject-defect {} needs a {needs} artifact; `{input}` stops at {stage}",
+                defect.name()
+            ));
+        }
     };
     note.ok_or_else(|| format!("the design is too small to inject a {} defect", defect.name()))
 }
@@ -1131,14 +1124,14 @@ fn verify_gds_input(
     let netlist = load_netlist(&spec)?;
     let flow = Flow::with_config(config.clone());
     let mut session = flow.session().map_err(|e| error_chain(&e))?;
-    let synthesized = session.synthesize(&netlist).map_err(|e| error_chain(&e))?;
-    let placed = session.place(synthesized).map_err(|e| error_chain(&e))?;
-    let routed = session.route(placed).map_err(|e| error_chain(&e))?;
-    let mut checked = session.check(routed).map_err(|e| error_chain(&e))?;
+    let mut artifact = run_through(&mut session, &netlist, FlowStage::Check)?;
     if let Some(defect) = options.inject {
-        let note = inject_routed_defect(defect, &mut checked.routed)?;
+        let note = inject_defect(defect, &mut artifact, input)?;
         eprintln!("note: injected {} defect into `{input}`: {note}", defect.name());
     }
+    let Artifact::Checked(checked) = artifact else {
+        unreachable!("the flow runs through the check stage")
+    };
     let mut report = session.verify_synthesized(&netlist, &checked.routed.placed.synthesized);
     report.merge(session.verify_routed(&checked.routed));
     report.record_check("lvs");
@@ -1152,10 +1145,9 @@ fn verify_gds_input(
     Ok(report)
 }
 
-/// Verifies a `.json` stage checkpoint with the verifiers applicable to its
-/// stage: LEC for synthesis artifacts (and any later stage whose input
-/// resolves), phase-legality from placement on, LVS-lite for checked
-/// artifacts (which embed their layout).
+/// Verifies a `.json` stage checkpoint with the verifiers of its stage
+/// (phase legality from placement on, LVS-lite for checked artifacts, which
+/// embed their layout), plus LEC whenever the original input resolves.
 fn verify_checkpoint_input(
     input: &str,
     options: &Options,
@@ -1164,79 +1156,37 @@ fn verify_checkpoint_input(
     let text = std::fs::read_to_string(input).map_err(|e| format!("cannot read `{input}`: {e}"))?;
     let flow = Flow::with_config(config.clone());
     let session = flow.session().map_err(|e| error_chain(&e))?;
-
-    if let Ok(mut checked) = Checked::from_json(&text) {
-        ensure_artifact_technology(&session, checked.tech_fingerprint(), input)?;
-        if let Some(defect) = options.inject {
-            let note = inject_routed_defect(defect, &mut checked.routed)?;
-            eprintln!("note: injected {} defect into `{input}`: {note}", defect.name());
-        }
-        let mut report = session.verify_checked(&checked);
-        let name = checked.routed.placed.synthesized.design_name.clone();
-        if let Some(netlist) = lec_input(options, &name, false)? {
-            report.merge(session.verify_synthesized(&netlist, &checked.routed.placed.synthesized));
-        }
-        report.normalize();
-        return Ok(report);
+    let mut artifact = FlowStage::ALL
+        .into_iter()
+        .rev()
+        .find_map(|stage| Artifact::from_json(stage, &text).ok())
+        .ok_or_else(|| {
+            format!(
+                "`{input}` is not a stage checkpoint this version can read (expected the JSON \
+                 written by --stop-after/--journal for the synthesis, placement, routing or \
+                 check stage)"
+            )
+        })?;
+    // Comparing an artifact against another technology's rules would
+    // produce nonsense findings, not a useful report.
+    if artifact.tech_fingerprint() != session.tech_fingerprint() {
+        return Err(format!(
+            "technology mismatch: the session targets `{}`, but `{input}` was produced under \
+             `{}`; pass the matching --tech",
+            session.tech_fingerprint(),
+            artifact.tech_fingerprint()
+        ));
     }
-    if let Ok(mut routed) = Routed::from_json(&text) {
-        ensure_artifact_technology(&session, routed.tech_fingerprint(), input)?;
-        if let Some(defect) = options.inject {
-            let note = inject_routed_defect(defect, &mut routed)?;
-            eprintln!("note: injected {} defect into `{input}`: {note}", defect.name());
-        }
-        let mut report = session.verify_routed(&routed);
-        if let Some(netlist) = lec_input(options, &routed.placed.synthesized.design_name, false)? {
-            report.merge(session.verify_synthesized(&netlist, &routed.placed.synthesized));
-        }
-        report.normalize();
-        return Ok(report);
+    if let Some(defect) = options.inject {
+        let note = inject_defect(defect, &mut artifact, input)?;
+        eprintln!("note: injected {} defect into `{input}`: {note}", defect.name());
     }
-    if let Ok(mut placed) = Placed::from_json(&text) {
-        ensure_artifact_technology(&session, placed.tech_fingerprint(), input)?;
-        if let Some(defect) = options.inject {
-            let note = match defect {
-                Defect::Phase => mutate::corrupt_design_phase(&mut placed.placement.design)
-                    .map(|net| format!("repointed a sink of net n{net} two phases past its driver"))
-                    .ok_or_else(|| "the design is too small to inject a phase defect".to_owned())?,
-                other => {
-                    return Err(format!(
-                        "--inject-defect {} needs a routed artifact; `{input}` stops at placement",
-                        other.name()
-                    ))
-                }
-            };
-            eprintln!("note: injected {} defect into `{input}`: {note}", defect.name());
-        }
-        let mut report = session.verify_placed(&placed);
-        if let Some(netlist) = lec_input(options, &placed.synthesized.design_name, false)? {
-            report.merge(session.verify_synthesized(&netlist, &placed.synthesized));
-        }
-        report.normalize();
-        return Ok(report);
-    }
-    if let Ok(synthesized) = Synthesized::from_json(&text) {
-        ensure_artifact_technology(&session, &synthesized.tech_fingerprint, input)?;
-        if let Some(defect) = options.inject {
-            return Err(format!(
-                "--inject-defect {} needs a placed artifact; `{input}` stops at synthesis",
-                defect.name()
-            ));
-        }
-        // LEC is the only verifier that applies at this stage, so an
-        // unresolvable input is an error: a report with no checks run
-        // would read as a pass.
-        let Some(netlist) = lec_input(options, &synthesized.design_name, true)? else {
-            unreachable!("required lec_input returns Some or errors")
-        };
-        let mut report = session.verify_synthesized(&netlist, &synthesized);
-        report.normalize();
-        return Ok(report);
-    }
-    Err(format!(
-        "`{input}` is not a stage checkpoint this version can read (expected the JSON written \
-         by --stop-after/--journal for the synthesis, placement, routing or check stage)"
-    ))
+    // LEC is the only verifier of a synthesis artifact, so there an
+    // unresolvable input is an error: a report with no checks run would
+    // read as a pass.
+    let required = artifact.stage() == FlowStage::Synthesis;
+    let netlist = lec_input(options, artifact.design_name(), required)?;
+    Ok(session.verify_artifact(&artifact, netlist.as_ref()))
 }
 
 /// Dispatches one verify input on its extension.

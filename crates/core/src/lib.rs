@@ -34,7 +34,8 @@
 //! [`Flow::run`] is a thin wrapper over the staged [`FlowSession`] API:
 //! each stage returns a typed, inspectable artifact
 //! ([`Synthesized`] → [`Placed`] → [`Routed`] → [`Checked`]) that
-//! serializes to a resumable JSON checkpoint, observers
+//! serializes to a resumable JSON checkpoint; drivers that loop over the
+//! stages hold one [`Artifact`] and call [`FlowSession::advance`]. Observers
 //! ([`FlowObserver`]) watch stage boundaries and DRC-repair iterations, and
 //! per-stage wall-clock timings land in [`FlowReport::stage_timings`]. The
 //! DRC-repair loop is incremental: only the channels whose cells actually
@@ -126,8 +127,8 @@ pub use flow::Flow;
 pub use input::{load_design, load_netlist};
 pub use report::{FlowReport, StageTimings};
 pub use session::{
-    lint_design, Checked, FlowObserver, FlowSession, FlowStage, Placed, RepairScope, Routed,
-    Synthesized,
+    lint_design, Artifact, Checked, FlowObserver, FlowSession, FlowStage, Placed, RepairScope,
+    Routed, Synthesized,
 };
 
 // Re-export the stage crates so downstream users can depend on `superflow`

@@ -56,6 +56,31 @@
 //! # let _ = checkpoint;
 //! # Ok::<(), superflow::FlowError>(())
 //! ```
+//!
+//! # One stage driver
+//!
+//! A driver that walks the stages in a loop — the batch journal,
+//! `--stop-after`, checkpoint verification — holds the current artifact as
+//! an [`Artifact`] instead of four typed values. [`FlowSession::advance`]
+//! runs the next stage through its typed method, [`Artifact::to_json`] and
+//! [`Artifact::from_json`] write and read the typed checkpoint bytes, and
+//! [`FlowSession::verify_artifact`] runs the verifiers of the artifact's
+//! stage, then LEC when given the input netlist.
+//!
+//! ```
+//! use superflow::{Artifact, FlowConfig, FlowSession, FlowStage};
+//!
+//! let netlist = superflow::load_netlist("adder8")?;
+//! let mut session = FlowSession::new(FlowConfig::fast())?;
+//! let mut artifact = Artifact::Synthesized(session.synthesize(&netlist)?);
+//! while artifact.stage() != FlowStage::Routing {
+//!     artifact = session.advance(artifact)?;
+//! }
+//! let checkpoint = artifact.to_json()?; // the bytes `Routed::to_json` writes
+//! assert_eq!(Artifact::from_json(FlowStage::Routing, &checkpoint)?, artifact);
+//! assert!(!session.verify_artifact(&artifact, Some(&netlist)).has_errors());
+//! # Ok::<(), superflow::FlowError>(())
+//! ```
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -113,6 +138,11 @@ impl FlowStage {
     /// own spellings, which also accept `synth|place|route|drc`.)
     pub fn parse(name: &str) -> Option<FlowStage> {
         FlowStage::ALL.into_iter().find(|stage| stage.name() == name)
+    }
+
+    /// The stage that runs after this one; `None` after the last.
+    pub(crate) fn next(self) -> Option<FlowStage> {
+        FlowStage::ALL.get(self as usize + 1).copied()
     }
 }
 
@@ -228,11 +258,6 @@ pub struct Synthesized {
 }
 
 impl Synthesized {
-    /// The stage this artifact completes.
-    pub fn stage(&self) -> FlowStage {
-        FlowStage::Synthesis
-    }
-
     /// Synthesis statistics: #JJs, #Nets, #Delay (Table II).
     pub fn stats(&self) -> &NetlistStats {
         &self.synthesis.stats
@@ -280,11 +305,6 @@ pub struct Placed {
 }
 
 impl Placed {
-    /// The stage this artifact completes.
-    pub fn stage(&self) -> FlowStage {
-        FlowStage::Placement
-    }
-
     /// Fingerprint of the technology the artifact was produced under.
     pub fn tech_fingerprint(&self) -> &str {
         &self.synthesized.tech_fingerprint
@@ -339,11 +359,6 @@ pub struct Routed {
 }
 
 impl Routed {
-    /// The stage this artifact completes.
-    pub fn stage(&self) -> FlowStage {
-        FlowStage::Routing
-    }
-
     /// Fingerprint of the technology the artifact was produced under.
     pub fn tech_fingerprint(&self) -> &str {
         self.placed.tech_fingerprint()
@@ -442,11 +457,6 @@ pub struct Checked {
 }
 
 impl Checked {
-    /// The stage this artifact completes.
-    pub fn stage(&self) -> FlowStage {
-        FlowStage::Check
-    }
-
     /// Fingerprint of the technology the artifact was produced under.
     pub fn tech_fingerprint(&self) -> &str {
         self.routed.tech_fingerprint()
@@ -471,6 +481,87 @@ impl Checked {
         let artifact: Self = checkpoint_from_json(text, "check")?;
         validate_routed(&artifact.routed, "check")?;
         Ok(artifact)
+    }
+}
+
+/// The artifact of any one stage: what a driver holds when it walks the
+/// stages in a loop ([`FlowSession::advance`]) instead of calling each
+/// typed stage method by name.
+///
+/// Every method delegates to the typed artifact, so [`Artifact::to_json`]
+/// writes the same bytes as that artifact's own `to_json`, and
+/// [`Artifact::from_json`] reads them back.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Artifact {
+    /// The synthesis-stage artifact.
+    Synthesized(Synthesized),
+    /// The placement-stage artifact.
+    Placed(Placed),
+    /// The routing-stage artifact.
+    Routed(Routed),
+    /// The check-stage artifact.
+    Checked(Checked),
+}
+
+impl Artifact {
+    /// The stage this artifact completes.
+    pub fn stage(&self) -> FlowStage {
+        match self {
+            Artifact::Synthesized(_) => FlowStage::Synthesis,
+            Artifact::Placed(_) => FlowStage::Placement,
+            Artifact::Routed(_) => FlowStage::Routing,
+            Artifact::Checked(_) => FlowStage::Check,
+        }
+    }
+
+    /// The synthesis artifact, which every later artifact embeds.
+    fn synthesized(&self) -> &Synthesized {
+        match self {
+            Artifact::Synthesized(synthesized) => synthesized,
+            Artifact::Placed(placed) => &placed.synthesized,
+            Artifact::Routed(routed) => &routed.placed.synthesized,
+            Artifact::Checked(checked) => &checked.routed.placed.synthesized,
+        }
+    }
+
+    /// Design name (propagated from the input netlist).
+    pub fn design_name(&self) -> &str {
+        &self.synthesized().design_name
+    }
+
+    /// Fingerprint of the technology the artifact was produced under.
+    pub fn tech_fingerprint(&self) -> &str {
+        &self.synthesized().tech_fingerprint
+    }
+
+    /// Serializes the artifact to its stage's JSON checkpoint.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FlowError::Checkpoint`] if serialization fails.
+    pub fn to_json(&self) -> Result<String, FlowError> {
+        match self {
+            Artifact::Synthesized(synthesized) => synthesized.to_json(),
+            Artifact::Placed(placed) => placed.to_json(),
+            Artifact::Routed(routed) => routed.to_json(),
+            Artifact::Checked(checked) => checked.to_json(),
+        }
+    }
+
+    /// Restores the artifact of `stage` from its JSON checkpoint.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FlowError::Checkpoint`] for malformed (truncated, corrupt
+    /// or semantically inconsistent) checkpoints, including the checkpoint
+    /// of another stage.
+    pub fn from_json(stage: FlowStage, text: &str) -> Result<Self, FlowError> {
+        Ok(match stage {
+            FlowStage::Synthesis => Artifact::Synthesized(Synthesized::from_json(text)?),
+            FlowStage::Placement => Artifact::Placed(Placed::from_json(text)?),
+            FlowStage::Routing => Artifact::Routed(Routed::from_json(text)?),
+            FlowStage::Check => Artifact::Checked(Checked::from_json(text)?),
+        })
     }
 }
 
@@ -606,7 +697,7 @@ impl FlowSession {
 
     /// Fails with [`FlowError::TechnologyMismatch`] when an artifact from a
     /// different technology is resumed into this session.
-    fn ensure_same_technology(&self, found: &str) -> Result<(), FlowError> {
+    pub(crate) fn ensure_same_technology(&self, found: &str) -> Result<(), FlowError> {
         if found == self.fingerprint {
             Ok(())
         } else {
@@ -701,6 +792,25 @@ impl FlowSession {
             &checked.routed.routing,
             &self.technology,
         ));
+        report.normalize();
+        report
+    }
+
+    /// Runs the verifiers of `artifact`'s stage — phase legality from
+    /// placement on, wire coverage from routing on, LVS-lite on a checked
+    /// layout — then, when the flow's `input` netlist is given, logic
+    /// equivalence against it. This is the check order `superflow verify`
+    /// reports for a stage checkpoint.
+    pub fn verify_artifact(&self, artifact: &Artifact, input: Option<&Netlist>) -> VerifyReport {
+        let mut report = match artifact {
+            Artifact::Synthesized(_) => VerifyReport::clean(artifact.design_name()),
+            Artifact::Placed(placed) => self.verify_placed(placed),
+            Artifact::Routed(routed) => self.verify_routed(routed),
+            Artifact::Checked(checked) => self.verify_checked(checked),
+        };
+        if let Some(input) = input {
+            report.merge(self.verify_synthesized(input, artifact.synthesized()));
+        }
         report.normalize();
         report
     }
@@ -987,6 +1097,23 @@ impl FlowSession {
         Ok(checked)
     }
 
+    /// Runs the stage after `artifact`'s through its typed method
+    /// ([`place`](Self::place), [`route`](Self::route) or
+    /// [`check`](Self::check)) and returns that stage's artifact. A
+    /// [`Checked`] artifact is final and comes back unchanged.
+    ///
+    /// # Errors
+    ///
+    /// Returns the error of the stage method it runs.
+    pub fn advance(&mut self, artifact: Artifact) -> Result<Artifact, FlowError> {
+        Ok(match artifact {
+            Artifact::Synthesized(synthesized) => Artifact::Placed(self.place(synthesized)?),
+            Artifact::Placed(placed) => Artifact::Routed(self.route(placed)?),
+            Artifact::Routed(routed) => Artifact::Checked(self.check(routed)?),
+            checked @ Artifact::Checked(_) => checked,
+        })
+    }
+
     /// Assembles the final [`FlowReport`] from the check-stage artifact,
     /// folding in the per-stage timings this session collected. The timing
     /// accumulators reset afterwards, so a session reused for another run
@@ -1066,13 +1193,11 @@ mod tests {
 
         let netlist = benchmark_circuit(Benchmark::Adder8);
         let synthesized = session.synthesize(&netlist).expect("synthesis succeeds");
-        assert_eq!(synthesized.stage(), FlowStage::Synthesis);
         let placed = session.place(synthesized).expect("placement succeeds");
         assert!(placed.design().cell_count() > 0);
         let routed = session.route(placed).expect("routing succeeds");
         assert!(!routed.is_dirty());
         let checked = session.check(routed).expect("check succeeds");
-        assert_eq!(checked.stage(), FlowStage::Check);
         let report = session.finish(checked);
         assert_eq!(report.design_name, "adder8");
         assert!(report.stage_timings.total_s() > 0.0);
@@ -1093,6 +1218,29 @@ mod tests {
                 "finish:check"
             ]
         );
+    }
+
+    #[test]
+    fn advance_runs_the_remaining_stages_in_order() {
+        let netlist = benchmark_circuit(Benchmark::Adder8);
+        let mut session = FlowSession::new(FlowConfig::fast()).expect("session opens");
+        let mut artifact = Artifact::Synthesized(session.synthesize(&netlist).expect("ok"));
+        let mut stages = vec![artifact.stage()];
+        while let Some(next) = artifact.stage().next() {
+            artifact = session.advance(artifact).expect("stage succeeds");
+            assert_eq!(artifact.stage(), next);
+            stages.push(next);
+        }
+        assert_eq!(stages, FlowStage::ALL);
+        assert_eq!(artifact.design_name(), "adder8");
+        assert_eq!(artifact.tech_fingerprint(), session.tech_fingerprint());
+        // The check stage is the last: advancing its artifact is a no-op.
+        let last = artifact.clone();
+        assert_eq!(session.advance(artifact).expect("no stage runs"), last);
+
+        let Artifact::Checked(checked) = last else { panic!("ends at the check stage") };
+        let typed = crate::Flow::with_config(FlowConfig::fast()).run(&netlist).expect("flow runs");
+        assert_eq!(session.finish(checked).layout.to_gds_bytes(), typed.layout.to_gds_bytes());
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! two levels of majority gates over (possibly inverted) inputs and
 //! constants, the cheapest majority-based implementation.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::OnceLock;
 
 /// A 3-input boolean function encoded as an 8-bit truth table.
@@ -245,8 +245,11 @@ impl MappingTable {
             }
         }
         // Deduplicate level-1 expressions by truth table, keeping the
-        // cheapest, to bound the level-2 enumeration.
-        let mut level1_best: HashMap<TruthTable3, MajExpr> = HashMap::new();
+        // cheapest, to bound the level-2 enumeration. The operands are then
+        // taken in truth-table order: equal-cost level-2 candidates keep the
+        // first one seen, so a hash order here would pick a different
+        // recipe in every process.
+        let mut level1_best: BTreeMap<TruthTable3, MajExpr> = BTreeMap::new();
         for expr in level1 {
             let tt = expr.truth_table();
             match level1_best.get(&tt) {
@@ -361,6 +364,20 @@ mod tests {
         // XOR/parity needs three levels); the table must cover the functions
         // AOI cones produce.
         assert!(table.coverage() >= 100, "coverage {} too small", table.coverage());
+    }
+
+    /// Every `HashMap::new()` draws fresh hash keys, so repeated builds in
+    /// one process see the iteration orders separate processes would; the
+    /// recipes must not depend on them.
+    #[test]
+    fn builds_pick_the_same_recipe_under_any_hash_order() {
+        let reference = MappingTable::build();
+        for _ in 0..8 {
+            let table = MappingTable::build();
+            for tt in (0..=u8::MAX).map(TruthTable3) {
+                assert_eq!(table.lookup(tt), reference.lookup(tt), "recipe for {tt:?}");
+            }
+        }
     }
 
     #[test]

@@ -354,7 +354,12 @@ pub fn check_gds(
             _ => extra_srefs.push((sname, x, y)),
         }
     }
-    for ((sname, x, y), names) in &expected_instances {
+    // Key order, not hash order: past the per-rule cap, which cells get
+    // reported must not change from run to run.
+    let mut unreferenced: Vec<_> =
+        expected_instances.iter().filter(|(_, names)| !names.is_empty()).collect();
+    unreferenced.sort_unstable_by(|a, b| a.0.cmp(b.0));
+    for ((sname, x, y), names) in unreferenced {
         for name in names {
             instance_findings.push(violation(
                 RULE_INSTANCE,
@@ -426,7 +431,7 @@ pub fn check_gds(
         .filter(|(_, (count, _, _))| *count > 0)
         .map(|(path, &(count, net, channel))| (path, count, net, channel))
         .collect();
-    missing.sort_by_key(|&(_, _, net, _)| net);
+    missing.sort_unstable_by_key(|&(path, _, net, _)| (net, path));
     for (path, count, net, channel) in missing {
         let (x, y) = path.points_db[0];
         wire_findings.push(violation(
@@ -553,5 +558,29 @@ mod tests {
         }
         let findings = check_gds(&layout.to_gds_bytes(), &design, &routing, &technology);
         assert!(findings.iter().any(|d| d.rule == RULE_INSTANCE), "{findings:?}");
+    }
+
+    /// A layout missing every instance and wire overflows the per-rule cap;
+    /// which findings survive it, and in what order, must not depend on the
+    /// hash order of the expected-instance and expected-segment maps.
+    #[test]
+    fn capped_findings_are_the_same_on_every_call() {
+        let (design, routing, technology, _) = laid_out_adder();
+        let mut layout = LayoutGenerator::new(technology.clone()).generate(&design, &routing);
+        let top_name = layout.top_name.clone();
+        let top =
+            layout.gds.structures.iter_mut().find(|s| s.name == top_name).expect("top exists");
+        top.elements.retain(|e| !matches!(e, GdsElement::Sref { .. } | GdsElement::Path { .. }));
+        let bytes = layout.to_gds_bytes();
+        assert!(design.cells.len() > 32, "the cap must be exceeded");
+
+        let first = check_gds(&bytes, &design, &routing, &technology);
+        for rule in [RULE_INSTANCE, RULE_WIRE_CONNECTIVITY] {
+            let suppressed = first.iter().rfind(|d| d.rule == rule).expect("findings");
+            assert!(suppressed.message.contains("suppressed"), "{}", suppressed.message);
+        }
+        for _ in 0..4 {
+            assert_eq!(check_gds(&bytes, &design, &routing, &technology), first);
+        }
     }
 }

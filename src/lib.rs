@@ -23,9 +23,10 @@ pub mod prelude {
     pub use aqfp_synth::Synthesizer;
     pub use aqfp_timing::TimingAnalyzer;
     pub use superflow::{
-        error_chain, BatchConfig, BatchJob, BatchReport, BatchRunner, Checked, DesignReport,
-        DesignStatus, Fault, FaultKind, FaultPlan, Flow, FlowConfig, FlowError, FlowObserver,
-        FlowReport, FlowSession, FlowStage, LintConfig, LintReport, Placed, RepairScope, Routed,
-        StageTimings, Synthesized, TechSpec, VerifyConfig, VerifyReport, LINT_STAGE, VERIFY_STAGE,
+        error_chain, Artifact, BatchConfig, BatchJob, BatchReport, BatchRunner, Checked,
+        DesignReport, DesignStatus, Fault, FaultKind, FaultPlan, Flow, FlowConfig, FlowError,
+        FlowObserver, FlowReport, FlowSession, FlowStage, LintConfig, LintReport, Placed,
+        RepairScope, Routed, StageTimings, Synthesized, TechSpec, VerifyConfig, VerifyReport,
+        LINT_STAGE, VERIFY_STAGE,
     };
 }

@@ -236,6 +236,35 @@ fn a_journal_from_another_technology_is_rejected() {
 }
 
 #[test]
+fn a_foreign_synthesis_checkpoint_fails_at_its_own_stage() {
+    let journal = temp_dir("foreign_synthesis");
+    let jobs = [BatchJob::from_input("adder8")];
+
+    // The journal holds only a synthesis checkpoint written under another
+    // technology.
+    let foreign = FlowConfig::fast().with_tech(TechSpec::builtin("aist-stp2"));
+    let mut session = FlowSession::new(foreign).expect("session opens");
+    let synthesized =
+        session.synthesize(&benchmark_circuit(Benchmark::Adder8)).expect("synthesis succeeds");
+    let checkpoint = journal.join("adder8").join("synthesis.json");
+    std::fs::create_dir_all(journal.join("adder8")).expect("journal dir");
+    std::fs::write(&checkpoint, synthesized.to_json().expect("serializes")).expect("writes");
+
+    let config = fast_batch().with_retry_degraded(false).with_journal_dir(&journal);
+    let report = BatchRunner::new(config).run(&jobs).expect("batch runs");
+    match &status_of(&report, "adder8").status {
+        DesignStatus::Failed { error, stage, .. } => {
+            assert_eq!(stage.as_deref(), Some("synthesis"), "{error}");
+            assert!(error.contains("technology mismatch"), "{error}");
+            assert!(error.contains(&checkpoint.display().to_string()), "{error}");
+        }
+        other => panic!("a foreign synthesis checkpoint should fail, got {other:?}"),
+    }
+
+    let _ = std::fs::remove_dir_all(&journal);
+}
+
+#[test]
 fn bad_inputs_fail_outside_any_stage() {
     let config = fast_batch().with_retry_degraded(false);
     let jobs = [BatchJob::from_input("no_such_design.v"), BatchJob::from_input("adder8")];

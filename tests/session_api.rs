@@ -77,6 +77,34 @@ fn every_stage_checkpoint_resumes_to_identical_gds() {
 }
 
 #[test]
+fn artifact_checkpoints_are_the_typed_checkpoints_byte_for_byte() {
+    let mut session = FlowSession::new(fast_config()).expect("session opens");
+    let synthesized =
+        session.synthesize(&benchmark_circuit(Benchmark::Adder8)).expect("synthesis succeeds");
+    let placed = session.place(synthesized.clone()).expect("placement succeeds");
+    let routed = session.route(placed.clone()).expect("routing succeeds");
+    let checked = session.check(routed.clone()).expect("check succeeds");
+    let typed = [
+        (synthesized.to_json(), Artifact::Synthesized(synthesized)),
+        (placed.to_json(), Artifact::Placed(placed)),
+        (routed.to_json(), Artifact::Routed(routed)),
+        (checked.to_json(), Artifact::Checked(checked)),
+    ];
+    for (json, artifact) in typed {
+        let stage = artifact.stage();
+        let json = json.expect("typed artifact serializes");
+        assert_eq!(artifact.to_json().expect("artifact serializes"), json, "{stage} bytes");
+        let back = Artifact::from_json(stage, &json).expect("typed checkpoint parses");
+        assert_eq!(back, artifact, "{stage} round trip");
+        // Another stage's checkpoint is an error, never a misread artifact.
+        for other in FlowStage::ALL.into_iter().filter(|&other| other != stage) {
+            let error = Artifact::from_json(other, &json).expect_err("wrong stage");
+            assert!(matches!(error, FlowError::Checkpoint(_)), "{other} from {stage}: {error}");
+        }
+    }
+}
+
+#[test]
 fn flow_reports_round_trip_through_json() {
     let report =
         Flow::with_config(fast_config()).run_benchmark(Benchmark::Adder8).expect("flow succeeds");
