@@ -9,14 +9,11 @@
 //! * `sta_full_analysis` — one full timing analysis of the placed design:
 //!   `scalar_rebuild` allocates `to_placed_nets()` and runs the scalar
 //!   analyzer (the old engine path), `batched` refills the SoA
-//!   [`TimingBatch`] in place and runs `analyze_batch`;
-//! * `drc_repair_timing` — the timing call of one DRC-repair iteration
-//!   after legalization displaced two cells: `from_scratch` rebuilds the
-//!   whole net view per call, `incremental` refreshes only the nets
-//!   incident to the moved cells and re-analyzes the batch.
+//!   [`TimingBatch`] in place and runs `analyze_batch` (what the placement
+//!   engine and the check stage run once per design).
 //!
-//! The two STA pairs are asserted bit-identical before timing, so those
-//! rows compare exactly equal work. The detailed-place pair compares two
+//! The STA pair is asserted bit-identical before timing, so those rows
+//! compare exactly equal work. The detailed-place pair compares two
 //! placers with intentionally different evaluation order (the baseline's
 //! Gauss-Seidel sweeps vs the rewrite's frozen-snapshot half-sweeps); they
 //! accept slightly different move sets of equivalent quality, which the
@@ -28,7 +25,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criteri
 
 use aqfp_cells::Technology;
 use aqfp_netlist::generators::{benchmark_circuit, Benchmark};
-use aqfp_place::design::{NetIncidence, PlacedDesign};
+use aqfp_place::design::PlacedDesign;
 use aqfp_place::detailed::{detailed_place, detailed_place_reference, DetailedPlacementConfig};
 use aqfp_place::global::{global_place, GlobalPlacementConfig};
 use aqfp_place::legalize::legalize;
@@ -109,43 +106,6 @@ fn bench_sta_full_analysis(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_drc_repair_timing(c: &mut Criterion) {
-    let mut design = placed_apc32();
-    let analyzer = TimingAnalyzer::new(TimingConfig::paper_default());
-    let incidence = NetIncidence::build(&design);
-    let mut batch = TimingBatch::with_capacity(design.net_count());
-    design.fill_timing_batch(&mut batch);
-
-    // Reproduce a typical DRC-repair iteration: legalization nudged one
-    // cell in each of two mid-design rows. The batch then only needs the
-    // nets incident to those two cells refreshed before re-analysis, while
-    // the scalar path rebuilds the whole net view.
-    let moved: Vec<usize> = [13usize, 20].iter().map(|&row| design.rows[row][0]).collect();
-    for &cell in &moved {
-        design.cells[cell].x += design.rules.grid;
-    }
-    design.refresh_timing_batch(&mut batch, &incidence, &moved);
-    let layer_width = design.layer_width().max(1.0);
-
-    let scalar = analyzer.analyze(&design.to_placed_nets(), layer_width);
-    let incremental = analyzer.analyze_batch(&batch, layer_width);
-    assert_eq!(scalar.wns_ps.to_bits(), incremental.wns_ps.to_bits());
-    assert_eq!(scalar, incremental, "incremental timing diverged from the rebuild");
-
-    let mut group = c.benchmark_group("drc_repair_timing");
-    group.sample_size(10);
-    group.bench_with_input(BenchmarkId::from_parameter("from_scratch"), &design, |b, design| {
-        b.iter(|| analyzer.analyze(&design.to_placed_nets(), layer_width));
-    });
-    group.bench_with_input(BenchmarkId::from_parameter("incremental"), &design, |b, design| {
-        b.iter(|| {
-            design.refresh_timing_batch(&mut batch, &incidence, &moved);
-            analyzer.analyze_batch(&batch, layer_width)
-        });
-    });
-    group.finish();
-}
-
 /// Prints a report-only comparison of this run against the committed
 /// `BENCH_placement.json`, then rewrites the file with the fresh numbers
 /// (shared procedure: [`bench::baseline::compare_and_emit`]).
@@ -158,11 +118,5 @@ fn compare_and_emit_baseline(c: &mut Criterion) {
     );
 }
 
-criterion_group!(
-    benches,
-    bench_detailed_place,
-    bench_sta_full_analysis,
-    bench_drc_repair_timing,
-    compare_and_emit_baseline
-);
+criterion_group!(benches, bench_detailed_place, bench_sta_full_analysis, compare_and_emit_baseline);
 criterion_main!(benches);

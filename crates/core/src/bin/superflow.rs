@@ -536,6 +536,13 @@ impl Options {
                 let family = LargeFamily::parse(family).ok_or_else(|| {
                     format!("unknown generator family `{family}` (available: {available})")
                 })?;
+                if self.cells > LargeFamily::MAX_CELLS {
+                    return Err(format!(
+                        "--cells {} exceeds the generator limit of {} cells",
+                        self.cells,
+                        LargeFamily::MAX_CELLS
+                    ));
+                }
                 self.family = Some(family);
             }
             Command::Tech => {
@@ -1723,6 +1730,7 @@ mod lint_cli_tests {
         assert!(cli(&["generate", "no_such_family"]).is_err(), "unknown family");
         assert!(cli(&["generate", "random_dag", "apc_array"]).is_err(), "two families");
         assert!(cli(&["generate", "random_dag", "--cells", "lots"]).is_err());
+        assert!(cli(&["generate", "random_dag", "--cells", "100000000000"]).is_err(), "over limit");
         assert!(cli(&["generate", "random_dag", "--seed"]).is_err(), "missing value");
         assert!(cli(&["generate", "random_dag", "--frobnicate"]).is_err());
         assert!(cli(&["generate", "random_dag", "-o", "a.v", "--output", "b.v"]).is_err());

@@ -58,7 +58,8 @@ fn read_source(input: &str) -> Result<String, FlowError> {
 
 /// Parses a `gen:<family>:<cells>[:<seed>]` generated-design spec. Returns
 /// `None` when `input` does not start with `gen:` (it is a name or path),
-/// `Some(Err(_))` when it does but the family or numbers are malformed.
+/// `Some(Err(_))` when it does but the family or numbers are malformed or
+/// the cell count exceeds [`LargeFamily::MAX_CELLS`].
 fn parse_generator_spec(input: &str) -> Option<Result<(LargeFamily, usize, u64), FlowError>> {
     let spec = input.strip_prefix("gen:")?;
     let mut parts = spec.split(':');
@@ -75,6 +76,12 @@ fn parse_generator_spec(input: &str) -> Option<Result<(LargeFamily, usize, u64),
             "bad cell count in `{input}`: expected gen:<family>:<cells>[:<seed>]"
         ))));
     };
+    if cells > LargeFamily::MAX_CELLS {
+        return Some(Err(FlowError::Input(format!(
+            "cell count {cells} in `{input}` exceeds the generator limit of {} cells",
+            LargeFamily::MAX_CELLS
+        ))));
+    }
     let seed = match parts.next() {
         None => 0,
         Some(raw) => match raw.parse::<u64>() {
@@ -244,6 +251,28 @@ mod tests {
                 "`{bad}` should be rejected"
             );
         }
+    }
+
+    #[test]
+    fn oversized_generator_specs_are_input_errors_naming_the_limit() {
+        let limit = LargeFamily::MAX_CELLS;
+        for oversized in [
+            format!("gen:random_dag:{}", limit + 1),
+            "gen:random_dag:100000000000".to_owned(),
+            format!("gen:apc_array:{}", usize::MAX),
+        ] {
+            for result in [load_netlist(&oversized).map(drop), load_design(&oversized).map(drop)] {
+                assert!(
+                    matches!(&result, Err(FlowError::Input(m)) if m.contains(&limit.to_string())),
+                    "`{oversized}` should be rejected naming the limit, got {result:?}"
+                );
+            }
+        }
+        // The limit itself is a valid spec.
+        let at_limit = format!("gen:random_dag:{limit}:3");
+        assert!(
+            matches!(parse_generator_spec(&at_limit), Some(Ok((_, cells, 3))) if cells == limit)
+        );
     }
 
     #[test]

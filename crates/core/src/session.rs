@@ -30,11 +30,9 @@
 //! and the session hands both to [`Router::route_partial`], which routes
 //! only the affected channels and re-keys every clean one — the result is
 //! byte-identical to a from-scratch reroute even across buffer-row
-//! insertions. Timing follows the same discipline: the repair loop
-//! maintains one structure-of-arrays [`TimingBatch`], appending the nets an
-//! edit created and refreshing only the slots it rewrote plus those
-//! incident to moved cells, and the final placement report carries the
-//! post-repair timing.
+//! insertions. The loop keeps no timing state: after it, the check stage
+//! analyzes the repaired design once, so the final placement report
+//! carries the post-repair timing.
 //!
 //! # Examples
 //!
@@ -92,9 +90,7 @@ use aqfp_layout::{DrcChecker, DrcReport, DrcViolationKind, Layout, LayoutGenerat
 use aqfp_netlist::{Netlist, NetlistStats};
 use aqfp_place::buffer_rows::repair_buffer_rows;
 use aqfp_place::legalize::legalize;
-use aqfp_place::{
-    DetailedPlacementConfig, NetIncidence, PlacedDesign, PlacementEngine, PlacementResult,
-};
+use aqfp_place::{DetailedPlacementConfig, PlacedDesign, PlacementEngine, PlacementResult};
 use aqfp_route::{Router, RoutingResult};
 use aqfp_synth::{SynthesizedNetlist, Synthesizer};
 use aqfp_timing::{TimingAnalyzer, TimingBatch};
@@ -941,16 +937,11 @@ impl FlowSession {
     /// reroute fallback left in the loop. Either way the routing is
     /// byte-identical to rerouting the repaired design from scratch.
     ///
-    /// Timing bookkeeping follows the same discipline: the session keeps
-    /// one structure-of-arrays [`TimingBatch`] alive across the repair
-    /// loop; a buffer-row edit appends the new nets and refreshes the split
-    /// and renumbered slots in place
-    /// (`PlacedDesign::extend_timing_batch_for_edit`), and moved cells
-    /// refresh just their incident nets over the (rebuilt-on-edit)
-    /// incidence map. The final [`PlacementResult::timing`] therefore
-    /// reflects the *repaired* placement — bit-identical to a from-scratch
-    /// scalar analysis of the final design — instead of going stale the
-    /// moment the repair loop moves a cell.
+    /// After the loop, one batched timing analysis of the repaired design
+    /// refreshes [`PlacementResult::timing`], so the report reflects the
+    /// placement the repairs left behind, bit-identical to a scalar
+    /// analysis of it.
+    ///
     /// # Errors
     ///
     /// Returns [`FlowError::TechnologyMismatch`] when `routed` was produced
@@ -965,14 +956,6 @@ impl FlowSession {
         let checker = DrcChecker::for_technology(&self.technology).with_cancel(self.cancel.clone());
         let router = Router::with_config(Arc::clone(&self.technology), self.config.router)
             .with_cancel(self.cancel.clone());
-
-        // The batched timing state survives the whole repair loop: the SoA
-        // batch is refreshed in place (incrementally where possible) instead
-        // of re-allocating a `Vec<PlacedNet>` per iteration.
-        let analyzer = TimingAnalyzer::for_technology(&self.technology);
-        let mut timing_batch = TimingBatch::with_capacity(placed.placement.design.net_count());
-        placed.placement.design.fill_timing_batch(&mut timing_batch);
-        let mut incidence = NetIncidence::build(&placed.placement.design);
 
         // The caller may have edited the placement since routing (that is
         // what the dirty-channel set records); bring the routing up to date
@@ -1009,7 +992,7 @@ impl FlowSession {
                 // bounded by the edit. The returned `DesignEdit` records
                 // the row renumbering and the appended cells/nets, and the
                 // moved-cell list covers both follow-up passes, so the
-                // reroute and the timing refresh below stay incremental.
+                // reroute below stays incremental.
                 let (_, buffer_edit, repair_moved) =
                     repair_buffer_rows(design, &self.technology, &self.effective_detailed());
                 moved_cells.extend(repair_moved);
@@ -1019,18 +1002,6 @@ impl FlowSession {
             }
             moved_cells.sort_unstable();
             moved_cells.dedup();
-            // Keep the timing batch in sync with the repaired placement: a
-            // buffer-row edit appends the new nets and refreshes the split
-            // and renumbered slots in place (the incidence map is rebuilt —
-            // cell/net indices grew), then the moved cells refresh just
-            // their incident nets.
-            if let Some(edit) = &edit {
-                design.extend_timing_batch_for_edit(&mut timing_batch, edit);
-                incidence = NetIncidence::build(design);
-            }
-            if !moved_cells.is_empty() {
-                design.refresh_timing_batch(&mut timing_batch, &incidence, &moved_cells);
-            }
             // Dirty channels: the ones the buffer edit created or rewrote
             // plus the (at most two) channels each moved cell touches. Cell
             // rows are read *after* every repair of this iteration, so the
@@ -1075,13 +1046,13 @@ impl FlowSession {
         // generated once, from the final repaired state.
         let layout = generator.generate(&placed.placement.design, &routing);
 
-        // Refresh the placement metrics in case DRC repair moved cells. The
-        // timing report re-runs on the incrementally maintained batch, so it
-        // matches the repaired design exactly without rebuilding the net
-        // view.
-        placed.placement.hpwl_um = placed.placement.design.hpwl();
-        placed.placement.timing =
-            analyzer.analyze_batch(&timing_batch, placed.placement.design.layer_width().max(1.0));
+        // Refresh the placement metrics in case DRC repair moved cells.
+        let design = &placed.placement.design;
+        let mut timing_batch = TimingBatch::with_capacity(design.net_count());
+        design.fill_timing_batch(&mut timing_batch);
+        placed.placement.timing = TimingAnalyzer::for_technology(&self.technology)
+            .analyze_batch(&timing_batch, design.layer_width().max(1.0));
+        placed.placement.hpwl_um = design.hpwl();
 
         self.ensure_not_cancelled(FlowStage::Check)?;
         self.stage_finished(FlowStage::Check, start.elapsed().as_secs_f64());

@@ -1,7 +1,8 @@
 //! The `superflow` binary's usage contract, checked on the built executable:
 //! a flag a subcommand does not take, a missing or unknown `tech` action and
-//! a stray positional argument all exit 2, and `--help` prints the usage
-//! text and exits 0 on every subcommand.
+//! a stray positional argument all exit 2, `--help` prints the usage text
+//! and exits 0 on every subcommand, and a generated-design size past the
+//! generator limit exits with a typed error instead of aborting.
 
 use std::process::{Command, Output};
 
@@ -70,4 +71,23 @@ fn help_prints_usage_and_exits_zero_on_every_subcommand() {
         assert!(stdout.starts_with("usage: superflow"), "superflow {args:?}: {stdout}");
         assert!(!stdout.contains("--process"), "usage documents a flag no subcommand takes");
     }
+}
+
+#[test]
+fn oversized_generated_designs_exit_with_typed_errors() {
+    // Flow input: a typed input error (exit 1) naming the limit.
+    for args in [
+        &["--fast", "--quiet", "gen:random_dag:100000000000"][..],
+        &["--fast", "--quiet", "--stop-after", "synthesis", "gen:apc_array:18446744073709551615"],
+    ] {
+        let output = superflow(args);
+        assert_eq!(output.status.code(), Some(1), "superflow {args:?}");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(stderr.contains("generator limit of 10000000 cells"), "{stderr}");
+    }
+    // `generate --cells`: a usage error (exit 2).
+    assert_eq!(exit_code(&["generate", "random_dag", "--cells", "100000000000"]), 2);
+    // Batch: that design fails, the others still run (partial failure, exit 3).
+    let batch = ["batch", "--fast", "--no-retry", "adder8", "gen:random_dag:100000000000"];
+    assert_eq!(exit_code(&batch), 3);
 }

@@ -104,55 +104,15 @@ impl LayoutGenerator {
     /// Generates the chip layout for a placed and routed design.
     pub fn generate(&self, design: &PlacedDesign, routing: &RoutingResult) -> Layout {
         let mut gds = GdsLibrary::new(design.name.clone());
-
-        // Only emit the cell structures that are actually instantiated.
-        let used_kinds: BTreeSet<_> = design.cells.iter().map(|c| c.kind).collect();
-        for kind in &used_kinds {
-            gds.add_structure(cells::cell_structure(&self.technology, *kind));
+        for structure in self.cell_structures(design) {
+            gds.add_structure(structure);
         }
-
-        let top_name = format!("{}_top", design.name);
-        let mut top = GdsStructure::new(top_name.clone());
-        for cell in &design.cells {
-            top.elements.push(GdsElement::Sref {
-                name: cells::structure_name(cell.kind),
-                origin: Point::new(cell.x, design.row_y(cell.row)),
-            });
-        }
-        let mut wire_paths = 0usize;
-        let layers = self.technology.layers();
-        for wire in &routing.wires {
-            if wire.path.len() < 2 {
-                continue;
-            }
-            // Split the path into maximal straight segments, alternating the
-            // two wiring metals: horizontal runs on metal1, vertical runs on
-            // metal2, mirroring the two-layer channel model of the router.
-            for segment in straight_segments(&wire.path) {
-                let layer = if (segment[0].y - segment[segment.len() - 1].y).abs() < 1e-9 {
-                    layers.metal1
-                } else {
-                    layers.metal2
-                };
-                top.elements.push(GdsElement::Path {
-                    layer,
-                    width: self.technology.rules().wire_width,
-                    points: segment,
-                });
-                wire_paths += 1;
-            }
-        }
-        let cell_instances = design.cells.len();
+        let mut top = GdsStructure::new(top_name(design));
+        top.elements.extend(self.top_elements(design, routing));
+        let LayoutSummary { top_name, cell_instances, wire_paths, width_um, height_um } =
+            summary(design, top.elements.iter().filter(|e| is_path(e)).count());
         gds.add_structure(top);
-
-        Layout {
-            gds,
-            top_name,
-            cell_instances,
-            wire_paths,
-            width_um: design.layer_width(),
-            height_um: design.rows.len() as f64 * design.row_pitch,
-        }
+        Layout { gds, top_name, cell_instances, wire_paths, width_um, height_um }
     }
 
     /// Streams the chip layout for a placed and routed design straight into
@@ -177,55 +137,78 @@ impl LayoutGenerator {
     ) -> io::Result<LayoutSummary> {
         let mut writer = GdsStreamWriter::new(out);
         writer.begin_library(&design.name, DEFAULT_USER_UNIT_DB, DEFAULT_DATABASE_UNIT_M)?;
-
-        let used_kinds: BTreeSet<_> = design.cells.iter().map(|c| c.kind).collect();
-        for kind in &used_kinds {
-            let structure = cells::cell_structure(&self.technology, *kind);
+        for structure in self.cell_structures(design) {
             writer.begin_structure(&structure.name)?;
             for element in &structure.elements {
                 writer.element(element)?;
             }
             writer.end_structure()?;
         }
-
-        let top_name = format!("{}_top", design.name);
-        writer.begin_structure(&top_name)?;
-        for cell in &design.cells {
-            writer.element(&GdsElement::Sref {
-                name: cells::structure_name(cell.kind),
-                origin: Point::new(cell.x, design.row_y(cell.row)),
-            })?;
-        }
+        writer.begin_structure(&top_name(design))?;
         let mut wire_paths = 0usize;
+        for element in self.top_elements(design, routing) {
+            wire_paths += usize::from(is_path(&element));
+            writer.element(&element)?;
+        }
+        writer.end_structure()?;
+        writer.end_library()?;
+        Ok(summary(design, wire_paths))
+    }
+
+    /// One structure per cell kind the design instantiates, in kind order.
+    fn cell_structures(&self, design: &PlacedDesign) -> impl Iterator<Item = GdsStructure> + '_ {
+        let used_kinds: BTreeSet<_> = design.cells.iter().map(|c| c.kind).collect();
+        used_kinds.into_iter().map(|kind| cells::cell_structure(&self.technology, kind))
+    }
+
+    /// The top structure's elements: a reference per placed cell in
+    /// placement order, then every wire split into maximal straight
+    /// segments in routing order. The segments alternate the two wiring
+    /// metals — horizontal runs on metal1, vertical runs on metal2 —
+    /// mirroring the two-layer channel model of the router.
+    fn top_elements<'a>(
+        &'a self,
+        design: &'a PlacedDesign,
+        routing: &'a RoutingResult,
+    ) -> impl Iterator<Item = GdsElement> + 'a {
         let layers = self.technology.layers();
-        for wire in &routing.wires {
-            if wire.path.len() < 2 {
-                continue;
-            }
-            for segment in straight_segments(&wire.path) {
+        let width = self.technology.rules().wire_width;
+        let references = design.cells.iter().map(move |cell| GdsElement::Sref {
+            name: cells::structure_name(cell.kind),
+            origin: Point::new(cell.x, design.row_y(cell.row)),
+        });
+        let paths = routing.wires.iter().flat_map(|wire| straight_segments(&wire.path)).map(
+            move |segment| {
                 let layer = if (segment[0].y - segment[segment.len() - 1].y).abs() < 1e-9 {
                     layers.metal1
                 } else {
                     layers.metal2
                 };
-                writer.element(&GdsElement::Path {
-                    layer,
-                    width: self.technology.rules().wire_width,
-                    points: segment,
-                })?;
-                wire_paths += 1;
-            }
-        }
-        writer.end_structure()?;
-        writer.end_library()?;
+                GdsElement::Path { layer, width, points: segment }
+            },
+        );
+        references.chain(paths)
+    }
+}
 
-        Ok(LayoutSummary {
-            top_name,
-            cell_instances: design.cells.len(),
-            wire_paths,
-            width_um: design.layer_width(),
-            height_um: design.rows.len() as f64 * design.row_pitch,
-        })
+/// Name of a design's top-level structure.
+fn top_name(design: &PlacedDesign) -> String {
+    format!("{}_top", design.name)
+}
+
+/// Whether a top-structure element is a routed wire path.
+fn is_path(element: &GdsElement) -> bool {
+    matches!(element, GdsElement::Path { .. })
+}
+
+/// The summary numbers of a design's layout with `wire_paths` wire paths.
+fn summary(design: &PlacedDesign, wire_paths: usize) -> LayoutSummary {
+    LayoutSummary {
+        top_name: top_name(design),
+        cell_instances: design.cells.len(),
+        wire_paths,
+        width_um: design.layer_width(),
+        height_um: design.rows.len() as f64 * design.row_pitch,
     }
 }
 

@@ -7,7 +7,7 @@
 //! linear algorithms quadratic in allocator traffic. [`FanoutCsr`] stores
 //! the same adjacency as two flat arrays — `offsets` (one entry per gate,
 //! prefix sums) and `sinks` (one entry per connection) — in the style of
-//! `aqfp_place::NetIncidence`, and [`out_degrees`] answers the common
+//! the placement crate's cell→net incidence, and [`out_degrees`] answers the common
 //! "how many consumers" question without materializing the lists at all.
 //!
 //! Entry order is identical to [`Netlist::fanouts`]: for every driver, its

@@ -53,6 +53,13 @@ impl LargeFamily {
     pub const ALL: [LargeFamily; 3] =
         [LargeFamily::TiledMultiplier, LargeFamily::ApcArray, LargeFamily::RandomDag];
 
+    /// The largest cell count the front ends accept for a generated
+    /// design, about ten times the largest design the flow has been
+    /// measured on. [`by_cells`](Self::by_cells) allocates for the count it
+    /// is given, so a larger request aborts the process on a failed
+    /// allocation instead of returning an error.
+    pub const MAX_CELLS: usize = 10_000_000;
+
     /// The family's CLI name.
     pub fn name(self) -> &'static str {
         match self {

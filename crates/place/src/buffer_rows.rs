@@ -51,12 +51,9 @@ impl Deserialize for BufferRowReport {
 }
 
 /// A structured record of what [`insert_buffer_rows`] did to the design,
-/// precise enough for downstream engines to update incrementally instead of
-/// rebuilding: the router re-keys clean channels through
-/// [`DesignEdit::row_remap`] and reroutes only
-/// [`DesignEdit::edited_channel_rows`], and the timing batch appends the
-/// nets past [`DesignEdit::first_new_net`] and refreshes the rewritten
-/// [`DesignEdit::split_nets`] in place.
+/// precise enough for the router to update incrementally instead of
+/// rebuilding: it re-keys clean channels through [`DesignEdit::row_remap`]
+/// and reroutes only [`DesignEdit::edited_channel_rows`].
 ///
 /// Cell and net *indices* below [`DesignEdit::first_new_cell`] /
 /// [`DesignEdit::first_new_net`] are stable across the edit; only the
@@ -99,11 +96,6 @@ impl DesignEdit {
         self.split_nets.is_empty()
             && self.row_remap.len() == self.row_count
             && self.row_remap.iter().enumerate().all(|(old, &new)| old == new)
-    }
-
-    /// The first old row whose index changed, if any.
-    pub fn first_remapped_row(&self) -> Option<usize> {
-        self.row_remap.iter().enumerate().find(|&(old, &new)| old != new).map(|(old, _)| old)
     }
 
     /// New-numbering rows of every channel the edit created or rewrote: for
@@ -180,8 +172,7 @@ pub fn required_buffer_lines(design: &PlacedDesign) -> usize {
 ///
 /// Besides the summary report, the returned [`DesignEdit`] records the
 /// old→new row remap, the appended cell/net ranges and the split nets, so
-/// the routing and timing engines can update incrementally instead of
-/// rebuilding from scratch.
+/// the router can update incrementally instead of rebuilding from scratch.
 pub fn insert_buffer_rows(
     design: &mut PlacedDesign,
     library: &Technology,
@@ -536,7 +527,6 @@ mod tests {
         for (old, &new) in edit.row_remap.iter().enumerate() {
             assert!(new >= old);
         }
-        assert_eq!(edit.first_remapped_row().is_some(), report.buffer_lines > 0);
         // Split nets: rewritten in place, driver now a fresh buffer cell on
         // the row right below the sink.
         assert!(!edit.split_nets.is_empty());

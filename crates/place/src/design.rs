@@ -7,8 +7,6 @@ use aqfp_synth::SynthesizedNetlist;
 use aqfp_timing::{PlacedNet, TimingBatch};
 use serde::{Deserialize, Serialize};
 
-use crate::buffer_rows::DesignEdit;
-
 /// A placed cell instance.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PlacedCell {
@@ -56,13 +54,12 @@ pub struct PhysNet {
 ///
 /// Built once from a [`PlacedDesign`], it replaces the per-cell
 /// `Vec<Vec<usize>>` adjacency with two contiguous arrays, so the detailed
-/// placer's move evaluation and the timing batch's incremental refresh walk
-/// dense memory without chasing per-cell heap allocations. The structure
-/// stays valid as long as the design's cell and net *indices* are stable —
-/// moving cells is fine, inserting buffer rows (which renumbers both)
-/// requires a rebuild.
+/// placer's move evaluation walks dense memory without chasing per-cell
+/// heap allocations. The structure stays valid as long as the design's cell
+/// and net *indices* are stable — moving cells is fine, inserting buffer
+/// rows (which renumbers both) requires a rebuild.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct NetIncidence {
+pub(crate) struct NetIncidence {
     /// `offsets[c]..offsets[c + 1]` spans cell `c`'s entries in `nets`.
     offsets: Vec<u32>,
     /// Net indices, grouped by cell.
@@ -72,7 +69,7 @@ pub struct NetIncidence {
 impl NetIncidence {
     /// Builds the incidence structure with two counting passes over the
     /// design's nets (no intermediate per-cell vectors).
-    pub fn build(design: &PlacedDesign) -> Self {
+    pub(crate) fn build(design: &PlacedDesign) -> Self {
         let cell_count = design.cells.len();
         let mut offsets = vec![0u32; cell_count + 1];
         for net in &design.nets {
@@ -95,13 +92,8 @@ impl NetIncidence {
 
     /// The nets incident to `cell` (each net index appears once per endpoint
     /// on the cell).
-    pub fn of(&self, cell: usize) -> &[u32] {
+    pub(crate) fn of(&self, cell: usize) -> &[u32] {
         &self.nets[self.offsets[cell] as usize..self.offsets[cell + 1] as usize]
-    }
-
-    /// Number of cells the structure was built for.
-    pub fn cell_count(&self) -> usize {
-        self.offsets.len() - 1
     }
 }
 
@@ -306,86 +298,18 @@ impl PlacedDesign {
         }
     }
 
-    /// Converts the design into the per-net view the timing analyzer
-    /// consumes.
-    ///
-    /// Allocates a fresh vector on every call; hot paths that re-analyze
-    /// timing repeatedly (the DRC-repair loop) should maintain a
-    /// [`TimingBatch`] via [`PlacedDesign::fill_timing_batch`] /
-    /// [`PlacedDesign::refresh_timing_batch`] instead.
+    /// Converts the design into the per-net view the scalar timing analyzer
+    /// consumes — the reference the batched path is tested against.
     pub fn to_placed_nets(&self) -> Vec<PlacedNet> {
         self.nets.iter().map(|net| self.placed_net(net)).collect()
     }
 
-    /// Rebuilds `batch` from every net of the design, reusing the batch's
-    /// allocations (no allocation once the batch has reached the design's
-    /// net count).
+    /// Refills `batch` with every net of the design, in net order, reusing
+    /// the batch's allocations.
     pub fn fill_timing_batch(&self, batch: &mut TimingBatch) {
-        batch.resize(self.nets.len());
-        for (index, net) in self.nets.iter().enumerate() {
-            batch.set(index, self.placed_net(net));
-        }
-    }
-
-    /// Incrementally refreshes `batch` after the cells in `moved_cells`
-    /// changed position: only the nets incident to those cells are
-    /// recomputed, every other slot keeps its (still exact) value.
-    ///
-    /// `incidence` must have been built from this design with the current
-    /// cell/net numbering, and `batch` must have been filled from it; after
-    /// any edit that renumbers cells or nets (buffer-row insertion), rebuild
-    /// both with [`NetIncidence::build`] and
-    /// [`PlacedDesign::fill_timing_batch`].
-    pub fn refresh_timing_batch(
-        &self,
-        batch: &mut TimingBatch,
-        incidence: &NetIncidence,
-        moved_cells: &[usize],
-    ) {
-        debug_assert_eq!(batch.len(), self.nets.len(), "batch was filled from this design");
-        debug_assert_eq!(incidence.cell_count(), self.cells.len());
-        for &cell in moved_cells {
-            for &net_index in incidence.of(cell) {
-                let net_index = net_index as usize;
-                batch.set(net_index, self.placed_net(&self.nets[net_index]));
-            }
-        }
-    }
-
-    /// Brings `batch` (filled from this design *before* a buffer-row edit)
-    /// up to date with the edited design: the appended nets are pushed, the
-    /// split nets are overwritten in place, and every pre-existing net whose
-    /// driver the edit moved to a renumbered row has its phase-dependent
-    /// slot recomputed. Together with a
-    /// [`refresh_timing_batch`](PlacedDesign::refresh_timing_batch) over the
-    /// cells later repairs moved, the result is value-identical to a
-    /// from-scratch [`fill_timing_batch`](PlacedDesign::fill_timing_batch)
-    /// — without recomputing the (typically dominant) untouched slots.
-    ///
-    /// Only a net's `phase` depends on absolute row numbers (the vertical
-    /// span of an adjacent-row net is one row pitch before and after the
-    /// edit), so the renumbered-row refresh is exactly the set of nets
-    /// driven from at or above the first remapped row.
-    pub fn extend_timing_batch_for_edit(&self, batch: &mut TimingBatch, edit: &DesignEdit) {
-        debug_assert_eq!(batch.len(), edit.first_new_net, "batch predates the edit");
-        batch.extend_for_edit(
-            self.nets[edit.first_new_net..].iter().map(|net| self.placed_net(net)),
-        );
-        for &net_index in &edit.split_nets {
-            batch.set(net_index, self.placed_net(&self.nets[net_index]));
-        }
-        if let Some(first_old) = edit.first_remapped_row() {
-            // Pre-existing cells sat on old row `r` and now sit on
-            // `row_remap[r]`; the remap is strictly monotone, so exactly the
-            // cells at or above `row_remap[first_old]` changed phase. (Split
-            // nets are driven by appended buffer cells and were refreshed
-            // above.)
-            let threshold = edit.row_remap[first_old];
-            for (index, net) in self.nets[..edit.first_new_net].iter().enumerate() {
-                if net.driver < edit.first_new_cell && self.cells[net.driver].row >= threshold {
-                    batch.set(index, self.placed_net(net));
-                }
-            }
+        batch.clear();
+        for net in &self.nets {
+            batch.push(self.placed_net(net));
         }
     }
 
@@ -517,7 +441,7 @@ mod tests {
     fn incidence_matches_the_net_list() {
         let design = small_design();
         let incidence = NetIncidence::build(&design);
-        assert_eq!(incidence.cell_count(), design.cell_count());
+        assert_eq!(incidence.offsets.len(), design.cell_count() + 1, "one span per cell");
         // Every net appears exactly once in its driver's and its sink's
         // incidence list.
         for (index, net) in design.nets.iter().enumerate() {
@@ -535,64 +459,10 @@ mod tests {
         let design = small_design();
         let mut batch = aqfp_timing::TimingBatch::new();
         design.fill_timing_batch(&mut batch);
-        let nets = design.to_placed_nets();
-        assert_eq!(batch.len(), nets.len());
-        for (index, net) in nets.iter().enumerate() {
-            assert_eq!(batch.get(index), *net);
-        }
-    }
-
-    #[test]
-    fn incremental_refresh_tracks_a_moved_cell() {
-        let mut design = small_design();
-        let incidence = NetIncidence::build(&design);
-        let mut batch = aqfp_timing::TimingBatch::new();
+        assert_eq!(batch, aqfp_timing::TimingBatch::from_nets(&design.to_placed_nets()));
+        // A refill replaces the previous contents instead of appending.
         design.fill_timing_batch(&mut batch);
-
-        let cell = design.nets[0].driver;
-        design.cells[cell].x += 120.0;
-        design.refresh_timing_batch(&mut batch, &incidence, &[cell]);
-
-        let mut fresh = aqfp_timing::TimingBatch::new();
-        design.fill_timing_batch(&mut fresh);
-        assert_eq!(batch, fresh, "incremental refresh equals a full rebuild");
-    }
-
-    /// `extend_timing_batch_for_edit` + a moved-cell refresh after a real
-    /// buffer-row edit must equal a from-scratch refill, bit for bit.
-    #[test]
-    fn extend_for_edit_plus_refresh_equals_full_rebuild() {
-        use crate::buffer_rows::insert_buffer_rows;
-        use crate::legalize::legalize;
-
-        let library = Technology::mit_ll_sqf5ee();
-        let synthesized = Synthesizer::new(library.clone())
-            .run(&benchmark_circuit(Benchmark::Adder8))
-            .expect("ok");
-        let mut design = PlacedDesign::from_synthesized(&synthesized, &library);
-        let net = design.nets[0];
-        design.cells[net.driver].x = design.rules.max_wirelength * 3.0;
-        let mut batch = aqfp_timing::TimingBatch::new();
-        design.fill_timing_batch(&mut batch);
-
-        let (report, edit) = insert_buffer_rows(&mut design, &library);
-        assert!(report.buffer_lines > 0, "the edit must actually insert rows");
-        let moved = legalize(&mut design).moved_cells;
-        design.extend_timing_batch_for_edit(&mut batch, &edit);
-        let incidence = NetIncidence::build(&design);
-        design.refresh_timing_batch(&mut batch, &incidence, &moved);
-
-        let mut rebuilt = aqfp_timing::TimingBatch::new();
-        design.fill_timing_batch(&mut rebuilt);
-        assert_eq!(batch.len(), rebuilt.len());
-        let (ap, asx, akx, al) = batch.as_slices();
-        let (bp, bsx, bkx, bl) = rebuilt.as_slices();
-        assert_eq!(ap, bp, "phases match");
-        for i in 0..al.len() {
-            assert_eq!(asx[i].to_bits(), bsx[i].to_bits(), "source_x of net {i}");
-            assert_eq!(akx[i].to_bits(), bkx[i].to_bits(), "sink_x of net {i}");
-            assert_eq!(al[i].to_bits(), bl[i].to_bits(), "length of net {i}");
-        }
+        assert_eq!(batch.len(), design.net_count());
     }
 
     #[test]

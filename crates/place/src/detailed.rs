@@ -14,8 +14,8 @@
 //! Move evaluation is the hottest loop of the placement stage, so it is
 //! engineered around the same discipline as the router's `SearchScratch`:
 //!
-//! 1. **Flat CSR incidence** — the cell→net adjacency is a
-//!    [`NetIncidence`] (two contiguous arrays) built once per run, not a
+//! 1. **Flat CSR incidence** — the cell→net adjacency is a crate-private
+//!    `NetIncidence` (two contiguous arrays) built once per run, not a
 //!    `Vec<Vec<usize>>` rebuilt per call.
 //! 2. **Delta cost, no allocation per move** — each row sweep keeps a
 //!    generation-stamped cache of per-net costs; evaluating a move computes

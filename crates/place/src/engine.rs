@@ -56,25 +56,12 @@ impl std::fmt::Display for PlacerKind {
 /// facts, so the engine reads them from its [`Technology`] (and overrides
 /// [`DetailedPlacementConfig::timing`] with them) instead of carrying a
 /// side-channel copy that could drift from the targeted process.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct PlacementOptions {
     /// Global-placement tuning for the SuperFlow placer.
     pub global: GlobalPlacementConfig,
     /// Detailed-placement tuning for the SuperFlow placer.
     pub detailed: DetailedPlacementConfig,
-    /// Whether to insert buffer rows for max-wirelength violations after
-    /// placement.
-    pub insert_buffer_rows: bool,
-}
-
-impl Default for PlacementOptions {
-    fn default() -> Self {
-        Self {
-            global: GlobalPlacementConfig::default(),
-            detailed: DetailedPlacementConfig::default(),
-            insert_buffer_rows: true,
-        }
-    }
 }
 
 /// The outcome of one placement run — the rows Table III reports.
@@ -210,23 +197,13 @@ impl PlacementEngine {
             }
         }
 
-        let buffer_report = if self.options.insert_buffer_rows {
-            let (report, _edit) = insert_buffer_rows(&mut design, &self.technology);
-            if report.buffer_cells > 0 {
-                // The freshly inserted buffer rows are packed onto legal,
-                // grid-aligned positions; already-legal rows are untouched
-                // because legalization is idempotent.
-                legalize(&mut design);
-            }
-            report
-        } else {
-            BufferRowReport {
-                buffer_lines: crate::buffer_rows::required_buffer_lines(&design),
-                buffer_cells: 0,
-                violating_nets: design.max_wirelength_violations().len(),
-                skipped_nets: 0,
-            }
-        };
+        let (buffer_report, _edit) = insert_buffer_rows(&mut design, &self.technology);
+        if buffer_report.buffer_cells > 0 {
+            // The freshly inserted buffer rows are packed onto legal,
+            // grid-aligned positions; already-legal rows are untouched
+            // because legalization is idempotent.
+            legalize(&mut design);
+        }
 
         let analyzer = TimingAnalyzer::for_technology(&self.technology);
         let mut batch = TimingBatch::with_capacity(design.net_count());
@@ -310,15 +287,6 @@ mod tests {
             superflow.timing.wns_ps,
             gordian.timing.wns_ps
         );
-    }
-
-    #[test]
-    fn buffer_row_insertion_can_be_disabled() {
-        let (synth, library) = synthesized(Benchmark::Adder8);
-        let options = PlacementOptions { insert_buffer_rows: false, ..Default::default() };
-        let engine = PlacementEngine::with_options(library, options);
-        let result = engine.place(&synth, PlacerKind::SuperFlow);
-        assert_eq!(result.buffer_report.buffer_cells, 0);
     }
 
     #[test]

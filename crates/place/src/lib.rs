@@ -8,17 +8,16 @@
 //!
 //! * [`design`] — the physical view of a synthesized netlist: rows, cells,
 //!   two-pin nets, HPWL and spacing checks, plus the bridge to the batched
-//!   timing engine (a cell→net [`NetIncidence`] and in-place
-//!   fill/incremental-refresh of an `aqfp_timing::TimingBatch`);
+//!   timing engine (an in-place fill of an `aqfp_timing::TimingBatch`);
 //! * [`global`] — an analytical global placer with a smooth weighted-average
 //!   wirelength model, the phase-dependent timing cost of Eq. (2) and a
 //!   max-wirelength penalty (a CPU stand-in for the DREAMPlace engine);
 //! * [`legalize`] — Tetris-based row legalization on the 10 µm grid;
 //! * [`detailed`] — timing-aware detailed placement with flexible
 //!   mixed-cell-size swapping (Fig. 4 of the paper), evaluated by delta
-//!   cost over a flat [`NetIncidence`] with parallel, deterministic row
-//!   sweeps (serial and parallel results are byte-identical — see the
-//!   module docs for the contract);
+//!   cost over a flat cell→net incidence structure with parallel,
+//!   deterministic row sweeps (serial and parallel results are
+//!   byte-identical — see the module docs for the contract);
 //! * [`parallel`] — the worker-count policy shared with the channel router;
 //! * [`buffer_rows`] — insertion of buffer rows for connections exceeding
 //!   the maximum wirelength;
@@ -56,7 +55,7 @@ pub mod legalize;
 pub mod parallel;
 
 pub use buffer_rows::{BufferRowReport, DesignEdit};
-pub use design::{NetIncidence, PhysNet, PlacedCell, PlacedDesign};
+pub use design::{PhysNet, PlacedCell, PlacedDesign};
 pub use detailed::DetailedPlacementConfig;
 pub use engine::{PlacementEngine, PlacementOptions, PlacementResult, PlacerKind};
 pub use global::{GlobalPlaceScratch, GlobalPlacementConfig, GlobalPlacementReport};

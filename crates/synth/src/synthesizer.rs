@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use aqfp_cells::{CellKind, Technology};
+use aqfp_cells::Technology;
 use aqfp_netlist::{Netlist, NetlistStats};
 use serde::{Deserialize, Serialize};
 
@@ -17,17 +17,13 @@ use crate::maj::{self, MajConversionReport};
 pub struct SynthesisOptions {
     /// Run the AOI → majority conversion (disable for ablation studies).
     pub majority_conversion: bool,
-    /// Decompose composite XOR/NAND/NOR cells into and-or-inverter logic
-    /// before conversion, mimicking a plain AOI netlist from the CMOS
-    /// synthesis front-end.
-    pub decompose_to_aoi: bool,
     /// Largest splitter arity available in the library.
     pub max_splitter_arity: usize,
 }
 
 impl Default for SynthesisOptions {
     fn default() -> Self {
-        Self { majority_conversion: true, decompose_to_aoi: false, max_splitter_arity: 4 }
+        Self { majority_conversion: true, max_splitter_arity: 4 }
     }
 }
 
@@ -121,11 +117,6 @@ impl Synthesizer {
         aoi.validate().map_err(SynthesisError::InvalidInput)?;
 
         let mut current = aoi.clone();
-        if self.options.decompose_to_aoi {
-            current = decompose_to_aoi(&current);
-            current.validate().map_err(SynthesisError::InternalRewrite)?;
-        }
-
         let maj_report = if self.options.majority_conversion {
             let (converted, report) = maj::convert_to_majority(&current, &self.technology);
             current = converted;
@@ -155,58 +146,11 @@ impl Synthesizer {
     }
 }
 
-/// Rewrites composite XOR/NAND/NOR cells into and-or-inverter logic, the
-/// representation a CMOS synthesis front-end would hand over.
-fn decompose_to_aoi(netlist: &Netlist) -> Netlist {
-    let mut work = netlist.clone();
-    for id in netlist.ids() {
-        let gate = work.gate(id).clone();
-        match gate.kind {
-            CellKind::Nand => {
-                let and = work.add_gate(
-                    CellKind::And,
-                    format!("aoi_and_{}", id.index()),
-                    gate.fanin.clone(),
-                );
-                let g = work.gate_mut(id);
-                g.kind = CellKind::Inverter;
-                g.fanin = vec![and];
-            }
-            CellKind::Nor => {
-                let or = work.add_gate(
-                    CellKind::Or,
-                    format!("aoi_or_{}", id.index()),
-                    gate.fanin.clone(),
-                );
-                let g = work.gate_mut(id);
-                g.kind = CellKind::Inverter;
-                g.fanin = vec![or];
-            }
-            CellKind::Xor => {
-                let a = gate.fanin[0];
-                let b = gate.fanin[1];
-                let not_a =
-                    work.add_gate(CellKind::Inverter, format!("aoi_na_{}", id.index()), vec![a]);
-                let not_b =
-                    work.add_gate(CellKind::Inverter, format!("aoi_nb_{}", id.index()), vec![b]);
-                let left =
-                    work.add_gate(CellKind::And, format!("aoi_l_{}", id.index()), vec![a, not_b]);
-                let right =
-                    work.add_gate(CellKind::And, format!("aoi_r_{}", id.index()), vec![not_a, b]);
-                let g = work.gate_mut(id);
-                g.kind = CellKind::Or;
-                g.fanin = vec![left, right];
-            }
-            _ => {}
-        }
-    }
-    work
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use aqfp_cells::CellKind;
     use aqfp_netlist::generators::{benchmark_circuit, Benchmark};
     use aqfp_netlist::simulate;
 
@@ -244,17 +188,6 @@ mod tests {
         .run(&aoi)
         .expect("ok");
         assert!(with.maj_report.jj_after <= without.maj_report.jj_after);
-    }
-
-    #[test]
-    fn aoi_decomposition_preserves_function() {
-        let aoi = benchmark_circuit(Benchmark::Adder8);
-        let options = SynthesisOptions { decompose_to_aoi: true, ..Default::default() };
-        let result =
-            Synthesizer::with_options(Technology::mit_ll_sqf5ee(), options).run(&aoi).expect("ok");
-        assert!(simulate::equivalent_sampled(&aoi, &result.netlist, 64, 5).unwrap());
-        assert_eq!(result.netlist.count_kind(CellKind::Xor), 0, "XOR cells are decomposed");
-        assert_eq!(result.netlist.count_kind(CellKind::Nand), 0);
     }
 
     #[test]

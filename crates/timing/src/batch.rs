@@ -4,9 +4,7 @@
 //! `sink_x`, `length_um`) in four contiguous arrays instead of an array of
 //! [`PlacedNet`] structs. The batched analyzer walks those arrays in index
 //! order with every configuration coefficient hoisted out of the loop, so
-//! the whole analysis runs allocation-free over dense, cache-friendly data —
-//! the shape the DRC-repair loop needs when it re-evaluates timing after
-//! every incremental placement fix.
+//! the whole analysis runs allocation-free over dense, cache-friendly data.
 //!
 //! # Determinism contract
 //!
@@ -16,14 +14,6 @@
 //! identical** [`TimingReport`]s for the same nets — asserted by this
 //! module's tests and by the repository-level property tests over every
 //! benchmark circuit.
-//!
-//! # Incremental refresh
-//!
-//! A batch is cheap to keep in sync with a changing placement: entries are
-//! overwritten in place with [`TimingBatch::set`], so a caller that knows
-//! which nets an edit touched (e.g. via a cell→net incidence structure)
-//! updates only those slots instead of rebuilding the whole array. See
-//! `PlacedDesign::refresh_timing_batch` in the placement crate.
 
 use serde::{Deserialize, Serialize};
 
@@ -96,16 +86,6 @@ impl TimingBatch {
         self.length_um.clear();
     }
 
-    /// Resizes the batch to `len` nets; new slots are zeroed and existing
-    /// slots keep their values. No allocation occurs while `len` stays
-    /// within the current capacity.
-    pub fn resize(&mut self, len: usize) {
-        self.phase.resize(len, 0);
-        self.source_x.resize(len, 0.0);
-        self.sink_x.resize(len, 0.0);
-        self.length_um.resize(len, 0.0);
-    }
-
     /// Appends a net.
     pub fn push(&mut self, net: PlacedNet) {
         self.phase.push(net.phase as u32);
@@ -114,61 +94,9 @@ impl TimingBatch {
         self.length_um.push(net.length_um);
     }
 
-    /// Appends the nets a design edit added at the end of the net list —
-    /// the batch-growth primitive of the incremental repair loop.
-    ///
-    /// A design edit that only *appends* nets (buffer-row insertion) leaves
-    /// every existing slot's index valid, so the batch extends in place and
-    /// the caller then refreshes just the slots the edit rewrote (via
-    /// [`TimingBatch::set`]) instead of refilling the whole batch. See
-    /// `PlacedDesign::extend_timing_batch_for_edit` in the placement crate.
-    pub fn extend_for_edit<I: IntoIterator<Item = PlacedNet>>(&mut self, appended: I) {
-        for net in appended {
-            self.push(net);
-        }
-    }
-
-    /// Overwrites the net at `index` in place — the incremental-refresh
-    /// primitive.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of bounds.
-    pub fn set(&mut self, index: usize, net: PlacedNet) {
-        self.phase[index] = net.phase as u32;
-        self.source_x[index] = net.source_x;
-        self.sink_x[index] = net.sink_x;
-        self.length_um[index] = net.length_um;
-    }
-
-    /// The net at `index`, reassembled as a [`PlacedNet`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of bounds.
-    pub fn get(&self, index: usize) -> PlacedNet {
-        PlacedNet {
-            phase: self.phase[index] as usize,
-            source_x: self.source_x[index],
-            sink_x: self.sink_x[index],
-            length_um: self.length_um[index],
-        }
-    }
-
     /// The contiguous per-net arrays `(phase, source_x, sink_x, length_um)`.
     pub fn as_slices(&self) -> (&[u32], &[f64], &[f64], &[f64]) {
         (&self.phase, &self.source_x, &self.sink_x, &self.length_um)
-    }
-}
-
-impl FromIterator<PlacedNet> for TimingBatch {
-    fn from_iter<I: IntoIterator<Item = PlacedNet>>(iter: I) -> Self {
-        let iter = iter.into_iter();
-        let mut batch = Self::with_capacity(iter.size_hint().0);
-        for net in iter {
-            batch.push(net);
-        }
-        batch
     }
 }
 
@@ -298,12 +226,20 @@ mod tests {
     #[test]
     fn batch_round_trips_nets() {
         let nets = sample_nets();
-        let batch = TimingBatch::from_nets(&nets);
+        let mut batch = TimingBatch::from_nets(&nets);
         assert_eq!(batch.len(), nets.len());
         assert!(!batch.is_empty());
+        let (phases, sources, sinks, lengths) = batch.as_slices();
         for (i, net) in nets.iter().enumerate() {
-            assert_eq!(batch.get(i), *net);
+            assert_eq!(phases[i] as usize, net.phase);
+            assert_eq!(sources[i], net.source_x);
+            assert_eq!(sinks[i], net.sink_x);
+            assert_eq!(lengths[i], net.length_um);
         }
+        batch.clear();
+        assert!(batch.is_empty());
+        let (phases, sources, sinks, lengths) = batch.as_slices();
+        assert!(phases.is_empty() && sources.is_empty() && sinks.is_empty() && lengths.is_empty());
     }
 
     #[test]
@@ -322,48 +258,5 @@ mod tests {
     fn empty_batch_matches_empty_scalar_analysis() {
         let a = analyzer();
         assert_eq!(a.analyze_batch(&TimingBatch::new(), 100.0), a.analyze(&[], 100.0));
-    }
-
-    #[test]
-    fn set_overwrites_one_slot_in_place() {
-        let nets = sample_nets();
-        let mut batch = TimingBatch::from_nets(&nets);
-        let replacement = PlacedNet { phase: 2, source_x: 1.0, sink_x: 2.0, length_um: 3.0 };
-        batch.set(3, replacement);
-        assert_eq!(batch.get(3), replacement);
-        assert_eq!(batch.get(2), nets[2], "neighbouring slots are untouched");
-        assert_eq!(batch.len(), nets.len());
-    }
-
-    #[test]
-    fn resize_and_clear_keep_arrays_in_lockstep() {
-        let mut batch = TimingBatch::from_nets(&sample_nets());
-        batch.resize(2);
-        assert_eq!(batch.len(), 2);
-        batch.resize(4);
-        assert_eq!(batch.len(), 4);
-        assert_eq!(batch.get(3).length_um, 0.0, "new slots are zeroed");
-        batch.clear();
-        assert!(batch.is_empty());
-        let (phases, sources, sinks, lengths) = batch.as_slices();
-        assert!(phases.is_empty() && sources.is_empty() && sinks.is_empty() && lengths.is_empty());
-    }
-
-    #[test]
-    fn from_iterator_collects() {
-        let batch: TimingBatch = sample_nets().into_iter().collect();
-        assert_eq!(batch.len(), 5);
-    }
-
-    #[test]
-    fn extend_for_edit_appends_without_touching_existing_slots() {
-        let nets = sample_nets();
-        let mut batch = TimingBatch::from_nets(&nets[..3]);
-        batch.extend_for_edit(nets[3..].iter().copied());
-        assert_eq!(batch.len(), nets.len());
-        for (i, net) in nets.iter().enumerate() {
-            assert_eq!(batch.get(i), *net);
-        }
-        assert_eq!(batch, TimingBatch::from_nets(&nets));
     }
 }

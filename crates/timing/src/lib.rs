@@ -14,8 +14,7 @@
 //!   target clock frequency (5 GHz in the paper's evaluation);
 //! * [`batch`] — a structure-of-arrays [`TimingBatch`] and the batched
 //!   [`TimingAnalyzer::analyze_batch`] path, bit-for-bit identical to the
-//!   scalar analysis but allocation-free and refreshable in place (the hot
-//!   path of the DRC-repair loop);
+//!   scalar analysis but allocation-free over a reused batch;
 //! * [`TimingConfig`] — the delay coefficients of the model.
 //!
 //! # Examples

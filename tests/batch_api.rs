@@ -281,6 +281,25 @@ fn bad_inputs_fail_outside_any_stage() {
 }
 
 #[test]
+fn an_oversized_generated_design_fails_next_to_a_healthy_one() {
+    // A `gen:` size past `LargeFamily::MAX_CELLS` is an input error of that
+    // one design, not a failed allocation that aborts the whole batch.
+    let oversized = "gen:random_dag:100000000000";
+    let config = fast_batch().with_retry_degraded(false);
+    let jobs = [BatchJob::from_input("adder8"), BatchJob::from_input(oversized)];
+    let report = BatchRunner::new(config).run(&jobs).expect("batch runs");
+
+    match &status_of(&report, oversized).status {
+        DesignStatus::Failed { error, stage, .. } => {
+            assert!(error.contains("generator limit of 10000000 cells"), "{error}");
+            assert_eq!(*stage, None, "the failure struck before any stage ran");
+        }
+        other => panic!("the oversized design should fail, got {other:?}"),
+    }
+    assert_eq!(status_of(&report, "adder8").status, DesignStatus::Succeeded);
+}
+
+#[test]
 fn lint_rejected_designs_fail_at_stage_zero_without_a_retry() {
     let config = fast_batch(); // retry_degraded stays on: lint must skip it.
     let jobs = [BatchJob::from_input("designs/lint_bad.v"), BatchJob::from_input("adder8")];

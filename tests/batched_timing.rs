@@ -10,11 +10,10 @@
 
 use aqfp_cells::Technology;
 use aqfp_netlist::generators::{benchmark_circuit, Benchmark};
-use aqfp_place::design::{NetIncidence, PlacedDesign};
+use aqfp_place::design::PlacedDesign;
 use aqfp_place::detailed::{detailed_place, DetailedPlacementConfig};
 use aqfp_place::global::{global_place, GlobalPlacementConfig};
 use aqfp_place::legalize::legalize;
-use aqfp_place::{PlacementEngine, PlacerKind};
 use aqfp_synth::Synthesizer;
 use aqfp_timing::{TimingAnalyzer, TimingBatch, TimingConfig};
 
@@ -55,37 +54,6 @@ fn analyze_batch_is_bit_identical_to_scalar_on_every_benchmark() {
         );
         assert_eq!(scalar, batched, "{benchmark}: batched report diverged from scalar");
     }
-}
-
-#[test]
-fn incremental_refresh_is_exact_on_a_fully_placed_design() {
-    let library = Technology::mit_ll_sqf5ee();
-    let synthesized =
-        Synthesizer::new(library.clone()).run(&benchmark_circuit(Benchmark::Apc32)).expect("ok");
-    let mut design =
-        PlacementEngine::new(library).place(&synthesized, PlacerKind::SuperFlow).design;
-
-    let incidence = NetIncidence::build(&design);
-    let mut batch = TimingBatch::with_capacity(design.net_count());
-    design.fill_timing_batch(&mut batch);
-
-    // A repair-style edit: move one cell in each of three rows.
-    let moved: Vec<usize> = [3usize, 11, 20].iter().map(|&row| design.rows[row][0]).collect();
-    for &cell in &moved {
-        design.cells[cell].x += design.rules.grid;
-    }
-    design.refresh_timing_batch(&mut batch, &incidence, &moved);
-
-    let mut rebuilt = TimingBatch::new();
-    design.fill_timing_batch(&mut rebuilt);
-    assert_eq!(batch, rebuilt, "incremental refresh must equal a full rebuild");
-
-    let analyzer = TimingAnalyzer::new(TimingConfig::paper_default());
-    let layer_width = design.layer_width().max(1.0);
-    assert_eq!(
-        analyzer.analyze_batch(&batch, layer_width),
-        analyzer.analyze(&design.to_placed_nets(), layer_width),
-    );
 }
 
 #[test]

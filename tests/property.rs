@@ -12,7 +12,7 @@ use aqfp_layout::DrcViolationKind;
 use aqfp_netlist::generators::{random_dag, RandomDagConfig};
 use aqfp_netlist::simulate;
 use aqfp_place::buffer_rows::required_buffer_lines;
-use aqfp_place::design::{NetIncidence, PlacedDesign};
+use aqfp_place::design::PlacedDesign;
 use aqfp_place::detailed::{detailed_place, DetailedPlacementConfig};
 use aqfp_place::global::{global_place, global_place_reference, GlobalPlacementConfig};
 use aqfp_place::legalize::legalize;
@@ -140,41 +140,6 @@ proptest! {
         prop_assert_eq!(scalar.wns_ps.to_bits(), batched.wns_ps.to_bits());
         prop_assert_eq!(scalar.tns_ps.to_bits(), batched.tns_ps.to_bits());
         prop_assert_eq!(scalar, batched);
-    }
-
-    /// Incrementally refreshing the timing batch after cell moves equals a
-    /// full rebuild, bit for bit.
-    #[test]
-    fn incremental_batch_refresh_equals_rebuild(input in (dag_config(), any::<u64>())) {
-        let (config, seed) = input;
-        let netlist = random_dag(&config);
-        prop_assume!(netlist.validate().is_ok());
-        let library = Technology::mit_ll_sqf5ee();
-        let synthesized = Synthesizer::new(library.clone()).run(&netlist).expect("ok");
-        let mut design = PlacedDesign::from_synthesized(&synthesized, &library);
-
-        let incidence = NetIncidence::build(&design);
-        let mut batch = TimingBatch::new();
-        design.fill_timing_batch(&mut batch);
-
-        // Nudge a handful of seed-chosen cells by whole grid steps.
-        let mut state = seed;
-        let mut next = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            state
-        };
-        let mut moved = Vec::new();
-        for _ in 0..(1 + next() % 7) {
-            let cell = (next() as usize) % design.cell_count();
-            let steps = (next() % 11) as i64 - 5;
-            design.cells[cell].x += design.rules.grid * steps as f64;
-            moved.push(cell);
-        }
-        design.refresh_timing_batch(&mut batch, &incidence, &moved);
-
-        let mut rebuilt = TimingBatch::new();
-        design.fill_timing_batch(&mut rebuilt);
-        prop_assert_eq!(batch, rebuilt);
     }
 
     /// The DRC-repair loop converges on randomized stretched placements:
