@@ -2,13 +2,12 @@
 //!
 //! [`Netlist::fanouts`] materializes a `Vec<Vec<GateId>>` — one heap
 //! allocation per gate. That is fine at benchmark scale, but at 10⁵–10⁶
-//! cells the per-gate `Vec` headers and allocator slack dominate peak RSS,
-//! and building it inside a loop (the majority-conversion passes) turns
-//! linear algorithms quadratic in allocator traffic. [`FanoutCsr`] stores
-//! the same adjacency as two flat arrays — `offsets` (one entry per gate,
-//! prefix sums) and `sinks` (one entry per connection) — in the style of
-//! the placement crate's cell→net incidence, and [`out_degrees`] answers the common
-//! "how many consumers" question without materializing the lists at all.
+//! cells the per-gate `Vec` headers and allocator slack dominate peak RSS.
+//! [`FanoutCsr`] stores the same adjacency as two flat arrays — `offsets`
+//! (one entry per gate, prefix sums) and `sinks` (one entry per
+//! connection) — in the style of the placement crate's cell→net incidence,
+//! and [`out_degrees`] answers the common "how many consumers" question
+//! without materializing the lists at all.
 //!
 //! Entry order is identical to [`Netlist::fanouts`]: for every driver, its
 //! sinks appear in ascending consumer id order, so algorithms switched

@@ -119,16 +119,6 @@ pub fn fanout_cone(netlist: &Netlist, root: GateId) -> Vec<GateId> {
     cone
 }
 
-/// Whether `ancestor` lies in the transitive fan-in cone of `descendant`.
-/// Used by the majority-conversion search to ensure candidate parents are
-/// independent (no parent may be a descendant of another).
-pub fn is_ancestor(netlist: &Netlist, ancestor: GateId, descendant: GateId) -> bool {
-    if ancestor == descendant {
-        return true;
-    }
-    fanin_cone(netlist, descendant).binary_search(&ancestor).is_ok()
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
@@ -205,10 +195,6 @@ mod tests {
         let fo = fanout_cone(&n, b);
         assert!(fo.contains(&g1) && fo.contains(&g3));
         assert!(!fo.contains(&a));
-
-        assert!(is_ancestor(&n, a, g2));
-        assert!(is_ancestor(&n, g2, g2));
-        assert!(!is_ancestor(&n, g3, g2));
     }
 
     #[test]

@@ -9,11 +9,33 @@
 //! Karnaugh-map matching. A cone is only rewritten when the replacement uses
 //! no more Josephson junctions than the original (ties are broken in favour
 //! of fewer logic levels).
+//!
+//! # Cost
+//!
+//! Each root grows a cone of at most five gates and three leaves, so
+//! evaluating and matching it is constant work. Two pieces of bookkeeping
+//! keep the rest of the pass linear in practice:
+//!
+//! - Leaf independence (no leaf in another leaf's fan-in cone) is a
+//!   backward search from one leaf that stops at the other leaf's logic
+//!   level, since a path between them climbs strictly in level. It visits
+//!   only the part of the fan-in cone above that level, and reuses one
+//!   epoch-stamped visited buffer, so no query allocates.
+//! - Fan-out counts are updated per rewrite from the root's old and new
+//!   fan-in and the appended gates, instead of recounted over the netlist.
+//!
+//! The logic levels are computed once, before any rewrite, and stay exact
+//! for every gate a later search reaches. A rewrite changes only the fan-in
+//! of the current root and appends gates that only that root reads. Roots
+//! are visited in reverse topological order, so every later root, together
+//! with its whole fan-in cone, precedes the rewritten roots in that order:
+//! no later search reaches a rewritten root or an appended gate, and the
+//! gates it does reach have their original fan-in.
 
 use std::collections::HashMap;
 
 use aqfp_cells::{CellKind, Technology};
-use aqfp_netlist::{traverse, GateId, Netlist};
+use aqfp_netlist::{csr, traverse, GateId, Netlist};
 use serde::{Deserialize, Serialize};
 
 use crate::truth::{Literal, MajExpr, MappingTable, TruthTable3};
@@ -41,6 +63,16 @@ pub fn convert_to_majority(
     netlist: &Netlist,
     library: &Technology,
 ) -> (Netlist, MajConversionReport) {
+    convert(netlist, library, |_, _, _, _| {})
+}
+
+/// [`convert_to_majority`], passing every leaf-independence query to
+/// `observe` as (netlist at query time, ancestor, descendant, answer).
+fn convert(
+    netlist: &Netlist,
+    library: &Technology,
+    observe: impl FnMut(&Netlist, GateId, GateId, bool),
+) -> (Netlist, MajConversionReport) {
     let mut work = netlist.clone();
     let table = MappingTable::global();
     let mut report = MajConversionReport {
@@ -59,17 +91,18 @@ pub fn convert_to_majority(
     // Gates consumed as cone internals; they are skipped as future roots and
     // swept at the end.
     let mut dead = vec![false; work.gate_count()];
-    let mut fanout_count: Vec<usize> = count_fanouts(&work);
+    let mut fanout_count = csr::out_degrees(&work);
+    let mut ancestry = Ancestry::new(&work, &order, observe);
 
     for &root in order.iter().rev() {
-        if root.index() >= dead.len() || dead[root.index()] {
+        if dead[root.index()] {
             continue;
         }
         let kind = work.gate(root).kind;
         if !kind.is_logic() || kind.input_count() < 2 {
             continue;
         }
-        let Some(cone) = grow_cone(&work, root, &dead, &fanout_count) else {
+        let Some(cone) = grow_cone(&work, root, &dead, &fanout_count, &mut ancestry) else {
             continue;
         };
         report.cones_examined += 1;
@@ -87,6 +120,14 @@ pub fn convert_to_majority(
             continue;
         }
 
+        // Keep the fan-out counts equal to a full recount of `work`: the
+        // rewrite replaces the root's fan-in and appends gates. Absorbed
+        // internals keep their fan-in until the final sweep, so what they
+        // contribute stays.
+        for &f in &work.gate(root).fanin {
+            fanout_count[f.index()] -= 1;
+        }
+        let first_appended = work.gate_count();
         apply_recipe(&mut work, &cone, recipe);
         report.cones_converted += 1;
         for &g in &cone.internal {
@@ -94,11 +135,16 @@ pub fn convert_to_majority(
                 dead[g.index()] = true;
             }
         }
-        // New gates were appended; extend the bookkeeping vectors and refresh
-        // fan-out counts (the rewrite changed them).
         dead.resize(work.gate_count(), false);
-        fanout_count = count_fanouts(&work);
+        fanout_count.resize(work.gate_count(), 0);
+        let rewired = std::iter::once(root).chain((first_appended..work.gate_count()).map(GateId));
+        for g in rewired {
+            for &f in &work.gate(g).fanin {
+                fanout_count[f.index()] += 1;
+            }
+        }
     }
+    debug_assert_eq!(fanout_count, csr::out_degrees(&work), "incremental fan-out counts");
 
     let swept = work.pruned();
     report.jj_after = swept.jj_count(library);
@@ -114,10 +160,67 @@ struct Cone {
     leaves: Vec<GateId>,
 }
 
-fn count_fanouts(netlist: &Netlist) -> Vec<usize> {
-    // Degrees only — materializing the full Vec<Vec> adjacency here made
-    // every conversion pass pay one allocation per gate.
-    aqfp_netlist::csr::out_degrees(netlist)
+/// Ancestry queries bounded by logic level (see the [module docs](self)).
+/// A path from `a` to `d` climbs strictly in level, so the backward search
+/// from `d` never needs a gate at or below `a`'s level other than `a`
+/// itself.
+struct Ancestry<F> {
+    level: Vec<usize>,
+    /// `seen[g] == epoch` marks `g` visited by the current query.
+    seen: Vec<u32>,
+    epoch: u32,
+    stack: Vec<GateId>,
+    observe: F,
+}
+
+impl<F: FnMut(&Netlist, GateId, GateId, bool)> Ancestry<F> {
+    /// Levels every gate of `netlist` from its topological `order`.
+    fn new(netlist: &Netlist, order: &[GateId], observe: F) -> Self {
+        let mut level = vec![0usize; netlist.gate_count()];
+        for &id in order {
+            level[id.index()] =
+                netlist.gate(id).fanin.iter().map(|f| level[f.index()] + 1).max().unwrap_or(0);
+        }
+        let seen = vec![0; level.len()];
+        Self { level, seen, epoch: 0, stack: Vec::new(), observe }
+    }
+
+    /// Whether `ancestor` is `descendant` or lies in its transitive fan-in
+    /// cone.
+    fn is_ancestor(&mut self, netlist: &Netlist, ancestor: GateId, descendant: GateId) -> bool {
+        let answer = self.search(netlist, ancestor, descendant);
+        (self.observe)(netlist, ancestor, descendant, answer);
+        answer
+    }
+
+    fn search(&mut self, netlist: &Netlist, ancestor: GateId, descendant: GateId) -> bool {
+        if ancestor == descendant {
+            return true;
+        }
+        let floor = self.level[ancestor.index()];
+        if self.level[descendant.index()] <= floor {
+            return false;
+        }
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.seen.fill(0);
+            self.epoch = 1;
+        }
+        self.stack.clear();
+        self.stack.push(descendant);
+        while let Some(id) = self.stack.pop() {
+            for &f in &netlist.gate(id).fanin {
+                if f == ancestor {
+                    return true;
+                }
+                if self.level[f.index()] > floor && self.seen[f.index()] != self.epoch {
+                    self.seen[f.index()] = self.epoch;
+                    self.stack.push(f);
+                }
+            }
+        }
+        false
+    }
 }
 
 /// Grows a cone rooted at `root` following the paper's search: start from the
@@ -128,6 +231,7 @@ fn grow_cone(
     root: GateId,
     dead: &[bool],
     fanout_count: &[usize],
+    ancestry: &mut Ancestry<impl FnMut(&Netlist, GateId, GateId, bool)>,
 ) -> Option<Cone> {
     const MAX_INTERNAL: usize = 5;
 
@@ -184,7 +288,7 @@ fn grow_cone(
     // the cone's function is not a free function of its leaves.
     for (i, &a) in leaves.iter().enumerate() {
         for &b in leaves.iter().skip(i + 1) {
-            if traverse::is_ancestor(netlist, a, b) || traverse::is_ancestor(netlist, b, a) {
+            if ancestry.is_ancestor(netlist, a, b) || ancestry.is_ancestor(netlist, b, a) {
                 return None;
             }
         }
@@ -328,8 +432,10 @@ fn materialize(
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use aqfp_netlist::generators::{benchmark_circuit, kogge_stone_adder, Benchmark};
+    use aqfp_netlist::generators::{benchmark_circuit, kogge_stone_adder, Benchmark, LargeFamily};
     use aqfp_netlist::simulate;
+
+    use crate::Synthesizer;
 
     fn library() -> Technology {
         Technology::mit_ll_sqf5ee()
@@ -423,5 +529,72 @@ mod tests {
         assert!(simulate::equivalent(&n, &converted).unwrap());
         // g1 must still exist (its value is observable at y1).
         assert!(converted.primary_outputs().len() == 2);
+    }
+
+    #[test]
+    fn bounded_ancestry_matches_fanin_cone_membership() {
+        let mut n = Netlist::new("cone");
+        let a = n.add_input("a");
+        let b = n.add_input("b");
+        let g1 = n.add_gate(CellKind::And, "g1", vec![a, b]);
+        let g2 = n.add_gate(CellKind::Buffer, "g2", vec![g1]);
+        let g3 = n.add_gate(CellKind::Buffer, "g3", vec![b]);
+        n.add_output("y", g2);
+        n.add_output("z", g3);
+        let order = traverse::topological_order(&n).unwrap();
+        let mut ancestry = Ancestry::new(&n, &order, |_, _, _, _| {});
+        assert!(ancestry.is_ancestor(&n, a, g2));
+        assert!(ancestry.is_ancestor(&n, g2, g2));
+        assert!(!ancestry.is_ancestor(&n, g3, g2));
+
+        // Every leaf pair the search checks, on the netlist as it stands
+        // when the check runs (earlier cones already rewritten).
+        let lib = library();
+        let random = (1..=6).zip([300, 600, 900, 1200, 1600, 2000]);
+        let netlists = random
+            .map(|(seed, cells)| LargeFamily::RandomDag.by_cells(cells, seed))
+            .chain([Benchmark::Adder8, Benchmark::C1908].map(benchmark_circuit));
+        for netlist in netlists {
+            let mut queries = 0;
+            convert(&netlist, &lib, |work, ancestor, descendant, answer| {
+                let in_cone =
+                    traverse::fanin_cone(work, descendant).binary_search(&ancestor).is_ok();
+                assert_eq!(answer, in_cone, "{}: {ancestor} -> {descendant}", netlist.name());
+                queries += 1;
+            });
+            assert!(queries > 0, "{}: no leaf pair was checked", netlist.name());
+        }
+    }
+
+    /// The search outcome, pinned: a level bound that cut a search short
+    /// would change `cones_examined` first.
+    #[test]
+    fn conversion_outcome_is_pinned() {
+        // (cones_examined, cones_converted, jj_before, jj_after, synthesized jj_count)
+        let paper = [
+            (Benchmark::Adder8, (35, 0, 578, 578, 1_162)),
+            (Benchmark::Apc32, (26, 0, 684, 684, 1_256)),
+            (Benchmark::Apc128, (120, 0, 2_822, 2_822, 4_936)),
+            (Benchmark::Decoder, (128, 0, 1_932, 1_932, 4_426)),
+            (Benchmark::Sorter32, (0, 0, 2_880, 2_880, 4_800)),
+            (Benchmark::C432, (12, 2, 940, 530, 1_874)),
+            (Benchmark::C499, (37, 1, 1_172, 972, 3_114)),
+            (Benchmark::C1355, (76, 1, 3_142, 2_050, 9_156)),
+            (Benchmark::C1908, (102, 3, 4_998, 3_426, 20_344)),
+        ]
+        .map(|(b, pinned)| (benchmark_circuit(b), pinned));
+        let generated = [
+            (LargeFamily::RandomDag.by_cells(4_000, 1), (973, 16, 23_308, 18_098, 36_164)),
+            (LargeFamily::RandomDag.by_cells(4_000, 2), (896, 17, 23_022, 17_462, 35_418)),
+            (LargeFamily::TiledMultiplier.by_cells(10_000, 0), (0, 0, 68_850, 68_850, 141_312)),
+        ];
+        let synth = Synthesizer::new(library());
+        for (netlist, pinned) in paper.into_iter().chain(generated) {
+            let result = synth.run(&netlist).unwrap();
+            let MajConversionReport { cones_examined, cones_converted, jj_before, jj_after } =
+                result.maj_report;
+            let got = (cones_examined, cones_converted, jj_before, jj_after, result.stats.jj_count);
+            assert_eq!(got, pinned, "{}", netlist.name());
+        }
     }
 }

@@ -116,14 +116,11 @@ impl Synthesizer {
     pub fn run(&self, aoi: &Netlist) -> Result<SynthesizedNetlist, SynthesisError> {
         aoi.validate().map_err(SynthesisError::InvalidInput)?;
 
-        let mut current = aoi.clone();
-        let maj_report = if self.options.majority_conversion {
-            let (converted, report) = maj::convert_to_majority(&current, &self.technology);
-            current = converted;
-            report
+        let (current, maj_report) = if self.options.majority_conversion {
+            maj::convert_to_majority(aoi, &self.technology)
         } else {
-            let jj = current.jj_count(&self.technology);
-            MajConversionReport { jj_before: jj, jj_after: jj, ..Default::default() }
+            let jj = aoi.jj_count(&self.technology);
+            (aoi.clone(), MajConversionReport { jj_before: jj, jj_after: jj, ..Default::default() })
         };
         current.validate().map_err(SynthesisError::InternalRewrite)?;
 
