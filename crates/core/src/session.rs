@@ -28,11 +28,12 @@
 //! they displaced, buffer-row insertion returns a structured
 //! [`DesignEdit`](aqfp_place::DesignEdit) describing its row renumbering,
 //! and the session hands both to [`Router::route_partial`], which routes
-//! only the affected channels and re-keys every clean one — the result is
-//! byte-identical to a from-scratch reroute even across buffer-row
-//! insertions. The loop keeps no timing state: after it, the check stage
-//! analyzes the repaired design once, so the final placement report
-//! carries the post-repair timing.
+//! only the affected channels and re-keys every clean one (unless the
+//! repair changed the routing grid's column count; then it reroutes every
+//! channel) — the result is byte-identical to a from-scratch reroute even
+//! across buffer-row insertions. The loop keeps no timing state: after it,
+//! the check stage analyzes the repaired design once, so the final
+//! placement report carries the post-repair timing.
 //!
 //! # Examples
 //!
@@ -179,7 +180,9 @@ pub enum RepairScope<'a> {
     Full,
     /// Only these channel rows route fresh; every other channel's wires are
     /// reused — verbatim, or re-keyed onto their renumbered rows when a
-    /// buffer-row edit shifted them.
+    /// buffer-row edit shifted them. (If the repair changed the routing
+    /// grid's column count, [`Router::route_partial`] reroutes every
+    /// channel anyway; the scope still names the dirty rows.)
     Channels(&'a [usize]),
     /// The repair moved no cells; the previous routing is reused verbatim.
     Unchanged,
@@ -926,16 +929,19 @@ impl FlowSession {
     /// re-legalization, max-wirelength problems by another round of buffer
     /// rows, and both trigger a reroute before DRC runs again.
     ///
-    /// Every repair — including buffer-row insertion — is *incremental*.
-    /// A spacing fix reroutes only the channels touched by the cells
-    /// legalization displaced. A buffer-row fix hands the
-    /// [`DesignEdit`](aqfp_place::DesignEdit) that `insert_buffer_rows`
-    /// returns to [`Router::route_partial`], which re-keys every clean
+    /// Every repair — including buffer-row insertion — goes through
+    /// [`Router::route_partial`]. A spacing fix names the channels touched
+    /// by the cells legalization displaced. A buffer-row fix also hands
+    /// over the [`DesignEdit`](aqfp_place::DesignEdit) that
+    /// `insert_buffer_rows` returns, so `route_partial` re-keys every clean
     /// channel onto its renumbered row and routes only the channels the
     /// edit created plus those touched by cells the post-insertion
-    /// legalization/detailed-placement moved; there is no from-scratch
-    /// reroute fallback left in the loop. Either way the routing is
-    /// byte-identical to rerouting the repaired design from scratch.
+    /// legalization/detailed-placement moved. The reroute is incremental
+    /// only while the routing grid keeps its column count: when a repair
+    /// widens (or narrows) the widest layer, `route_partial` returns a
+    /// [`Router::route`] of the repaired design, which reroutes every
+    /// channel. Either way the routing is byte-identical to rerouting the
+    /// repaired design from scratch.
     ///
     /// After the loop, one batched timing analysis of the repaired design
     /// refreshes [`PlacementResult::timing`], so the report reflects the

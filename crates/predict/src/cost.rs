@@ -1,7 +1,8 @@
 //! Stage cost model calibrated against the committed scaling benchmark.
 //!
-//! `BENCH_scale.json` records single-thread wall-clock, GDS size and peak
-//! RSS for three generated designs (~1e4, ~1e5 and ~1e6 placed cells). Each
+//! `BENCH_scale.json` records wall-clock (at the thread count its
+//! `host_threads` field names), GDS size and peak RSS for three generated
+//! designs (~1e4, ~1e5 and ~1e6 placed cells). Each
 //! metric is modelled as a piecewise power law through those anchors: within
 //! a segment the prediction interpolates linearly in log-log space, outside
 //! the anchor range it extrapolates with the nearest segment's exponent.
@@ -15,15 +16,15 @@ use crate::report::CostForecast;
 /// Placed-cell counts of the calibration anchors (`BENCH_scale.json`).
 const ANCHOR_CELLS: [f64; 3] = [8_849.0, 106_606.0, 1_065_594.0];
 /// Placement seconds at the anchors.
-const ANCHOR_PLACE_S: [f64; 3] = [0.177_038_81, 0.943_810_408, 16.926_196_218];
+const ANCHOR_PLACE_S: [f64; 3] = [0.164_821_504, 0.880_697_054, 4.597_601_989];
 /// Routing seconds at the anchors.
-const ANCHOR_ROUTE_S: [f64; 3] = [0.072_830_571, 3.505_733_129, 101.663_997_69];
+const ANCHOR_ROUTE_S: [f64; 3] = [0.015_159_785, 0.279_831_527, 3.603_027_13];
 /// GDS streaming seconds at the anchors.
-const ANCHOR_GDS_S: [f64; 3] = [0.005_362_966, 0.151_250_638, 1.536_813_952];
+const ANCHOR_GDS_S: [f64; 3] = [0.010_299_342, 0.234_590_926, 2.777_187_29];
 /// GDS stream bytes at the anchors.
 const ANCHOR_GDS_BYTES: [f64; 3] = [3_836_822.0, 78_309_308.0, 985_762_692.0];
 /// Peak resident set size (KiB) at the anchors.
-const ANCHOR_RSS_KB: [f64; 3] = [10_652.0, 110_528.0, 1_154_088.0];
+const ANCHOR_RSS_KB: [f64; 3] = [11_404.0, 116_412.0, 1_187_772.0];
 
 /// Synthesis wall-clock as a fraction of predicted placement wall-clock.
 const SYNTH_PLACE_RATIO: f64 = 0.5;

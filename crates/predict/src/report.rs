@@ -140,7 +140,7 @@ impl CongestionForecast {
 }
 
 /// Stage cost forecast, calibrated against the committed `BENCH_scale.json`
-/// single-thread scaling trajectory.
+/// scaling trajectory.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct CostForecast {
     /// Predicted synthesis wall-clock in seconds.

@@ -12,10 +12,21 @@
 //! Edge occupancy is stored in two flat arrays indexed by
 //! `track * columns + column` (one per wiring layer), each slot holding the
 //! occupying net id or [`FREE`]. The A* search keeps all per-search state —
-//! cost table, parent table, priority queue, result path — in a reusable
-//! [`SearchScratch`] arena whose entries are invalidated by bumping a
-//! generation counter instead of clearing, so the per-net search performs no
-//! heap allocation once the channel is set up.
+//! cost table, parent table, priority queue, reach table, result path — in
+//! a reusable [`SearchScratch`] arena whose entries are invalidated by
+//! bumping a generation counter instead of clearing (the reach table is
+//! rewritten before it is read), so the per-net search performs no heap
+//! allocation once the channel is set up.
+//!
+//! A search whose goal lies right of and not below its start (every
+//! rightward net of a channel) skips the priority queue: one pass over the
+//! start–goal box fills the reach table with the nodes reachable by
+//! right/up moves, and the path is read back from it. The heap's tie-break
+//! pops that whole box before the goal anyway, so on a box of
+//! `Δcolumn × tracks` nodes the scan does the same visits without the
+//! queue. It returns the path the heap returns (the argument is on the
+//! private `ChannelGrid::monotone_scan`) and hands over to the heap when the
+//! goal needs a detour.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -51,9 +62,10 @@ impl GridPoint {
 }
 
 /// Reusable A* state: cost/parent/visit tables sized to the grid, the open
-/// queue and the reconstructed path. One instance routes any number of nets
-/// (and any number of channels) without allocating, growing only when a
-/// larger grid is attached.
+/// queue, the monotone scan's reach table and the reconstructed path. One
+/// instance routes any number of nets (and any number of channels) without
+/// allocating, growing only when a larger grid is attached (the reach table:
+/// when a larger start–goal box is scanned).
 #[derive(Debug, Clone, Default)]
 pub struct SearchScratch {
     generation: u32,
@@ -61,6 +73,11 @@ pub struct SearchScratch {
     best_cost: Vec<u32>,
     parent: Vec<u32>,
     queue: BinaryHeap<Reverse<(i64, GridPoint)>>,
+    /// Whether each node of the last monotone scan's start–goal box is
+    /// reachable by right/up moves, row-major within the box. Every entry a
+    /// scan reads was written earlier in the same scan, so it is never
+    /// cleared.
+    reach: Vec<bool>,
     path: Vec<GridPoint>,
     /// Occupant net ids of the occupied edges crossed by the last
     /// penalty-mode search, deduplicated and sorted (the rip-up candidates).
@@ -273,6 +290,10 @@ impl ChannelGrid {
     /// Returns `true` and fills [`SearchScratch::path`] (including both
     /// endpoints) on success. Performs no heap allocation once the scratch
     /// tables match the grid size.
+    ///
+    /// When the goal lies right of and not below the start, a monotone scan
+    /// answers instead of the priority queue if it can; the path is the one
+    /// the queue would return, so the choice never shows in the result.
     pub fn a_star_into(
         &self,
         start: GridPoint,
@@ -298,6 +319,126 @@ impl ChannelGrid {
     }
 
     fn search(
+        &self,
+        start: GridPoint,
+        goal: GridPoint,
+        scratch: &mut SearchScratch,
+        penalty: Option<u32>,
+    ) -> bool {
+        if penalty.is_none() && self.monotone_scan(start, goal, scratch) {
+            return true;
+        }
+        self.heap_search(start, goal, scratch, penalty)
+    }
+
+    /// The exact shortcut for a rightward query: finds the path
+    /// [`ChannelGrid::heap_search`] returns for it without a priority queue.
+    /// Returns `false` when the query is not rightward or the goal needs a
+    /// detour; the caller then runs the heap search, which resets `scratch`.
+    ///
+    /// It applies to queries without penalty whose goal satisfies
+    /// `goal.column > start.column` and `goal.track >= start.track`. Let `D`
+    /// be the Manhattan distance from start to goal and `R` the set of nodes
+    /// of the start–goal box reachable from the start by right/up moves
+    /// over free edges. Edge costs are 1 and the heuristic is the Manhattan
+    /// distance, so:
+    ///
+    /// * A node's `f = g + h` equals `D` exactly when it lies in the box and
+    ///   was reached at cost `Manhattan(start, n)` — that is, when it is in
+    ///   `R`; every other entry has `f > D`. The heap therefore pops `R`
+    ///   before anything else, and since its key is `(f, column, track)`
+    ///   and every node of `R` is pushed by a smaller one (its left or lower
+    ///   neighbour), it pops `R` in increasing `(column, track)` order. The
+    ///   goal has the box's largest column and track, so when it is in `R`
+    ///   it pops last: the heap floods the whole box first.
+    /// * A node's parent is the first popped neighbour that reaches it at
+    ///   cost `Manhattan(start, n)`; later equal-cost offers do not replace
+    ///   it. Its left neighbour pops before the one below, so the parent is
+    ///   the left neighbour when that is in `R` and the edge between them is
+    ///   free, and the neighbour below otherwise.
+    ///
+    /// So one pass over the box computes `R` (in row order here, the
+    /// occupancy arrays' layout — any order that visits the left and lower
+    /// neighbours first yields the same set), and if the goal is in `R`,
+    /// walking back from it — left when allowed, else down — rebuilds the
+    /// heap's path. If the goal is not in `R`, any path needs a detour (or
+    /// none exists) and the heap search runs instead, as it does for
+    /// leftward and vertical queries and in penalty mode.
+    fn monotone_scan(
+        &self,
+        start: GridPoint,
+        goal: GridPoint,
+        scratch: &mut SearchScratch,
+    ) -> bool {
+        if goal.column <= start.column
+            || goal.track < start.track
+            || !self.contains(start)
+            || !self.contains(goal)
+        {
+            return false;
+        }
+        scratch.begin(self.node_count());
+        let width = (goal.column - start.column + 1) as usize;
+        let height = (goal.track - start.track + 1) as usize;
+        if scratch.reach.len() < width * height {
+            scratch.reach.resize(width * height, false);
+        }
+        let reach = &mut scratch.reach[..width * height];
+        let columns = self.columns as usize;
+        let base = self.node_index(start);
+
+        // `from_left`: the node's left neighbour is reachable and the edge
+        // between them is free. Row 0 holds the start and the run of free
+        // horizontal edges right of it.
+        let mut from_left = true;
+        for (slot, &right) in reach[..width].iter_mut().zip(&self.occupied_horizontal[base..]) {
+            *slot = from_left;
+            from_left &= right == FREE;
+        }
+        for row in 1..height {
+            let node_row = base + row * columns;
+            let horizontal = &self.occupied_horizontal[node_row..node_row + width];
+            let vertical = &self.occupied_vertical[node_row - columns..node_row - columns + width];
+            let (below, current) = reach[(row - 1) * width..(row + 1) * width].split_at_mut(width);
+            let mut from_left = false;
+            let mut any = false;
+            for (col, slot) in current.iter_mut().enumerate() {
+                *slot = from_left || (below[col] && vertical[col] == FREE);
+                from_left = *slot && horizontal[col] == FREE;
+                any |= *slot;
+            }
+            if !any {
+                // Nothing above this row is reachable either.
+                return false;
+            }
+        }
+        if !reach[width * height - 1] {
+            return false;
+        }
+
+        let mut cursor = goal;
+        scratch.path.push(goal);
+        while cursor != start {
+            let col = (cursor.column - start.column) as usize;
+            let row = (cursor.track - start.track) as usize;
+            cursor = if col > 0
+                && reach[row * width + col - 1]
+                && self.occupied_horizontal[self.node_index(cursor) - 1] == FREE
+            {
+                GridPoint::new(cursor.column - 1, cursor.track)
+            } else {
+                GridPoint::new(cursor.column, cursor.track - 1)
+            };
+            scratch.path.push(cursor);
+        }
+        scratch.path.reverse();
+        true
+    }
+
+    /// The best-first A* search proper: a binary heap keyed
+    /// `(f, column, track)`. Any query, any mode; [`ChannelGrid::search`]
+    /// calls it for whatever the monotone scan does not answer.
+    fn heap_search(
         &self,
         start: GridPoint,
         goal: GridPoint,
@@ -528,15 +669,186 @@ mod tests {
         let mut dirty = SearchScratch::new();
         assert!(grid.a_star_into(GridPoint::new(15, 0), GridPoint::new(0, 5), &mut dirty));
 
+        // The small rightward queries follow a larger one, so a reach table
+        // left over from the larger box must not leak into them. The first
+        // of them runs along track 5, which the first net blocks, so a
+        // leaked table would turn its detour into a straight run.
         for (start, goal) in [
             (GridPoint::new(0, 0), GridPoint::new(15, 5)),
+            (GridPoint::new(0, 5), GridPoint::new(3, 5)),
             (GridPoint::new(3, 0), GridPoint::new(3, 5)),
+            (GridPoint::new(5, 1), GridPoint::new(7, 2)),
+            (GridPoint::new(12, 3), GridPoint::new(15, 4)),
         ] {
             let mut fresh = SearchScratch::new();
             assert!(grid.a_star_into(start, goal, &mut fresh));
             assert!(grid.a_star_into(start, goal, &mut dirty));
             assert_eq!(fresh.path(), dirty.path(), "dirty scratch altered the search result");
         }
+    }
+
+    /// Runs [`ChannelGrid::a_star_into`] and the heap search on one query
+    /// and asserts they agree (return value, path, no blockers). Returns
+    /// whether the monotone scan answered the query.
+    fn assert_matches_heap(
+        grid: &ChannelGrid,
+        start: GridPoint,
+        goal: GridPoint,
+        fast: &mut SearchScratch,
+        heap: &mut SearchScratch,
+    ) -> bool {
+        let found = grid.a_star_into(start, goal, fast);
+        let reference = grid.heap_search(start, goal, heap, None);
+        assert_eq!(found, reference, "{start:?} -> {goal:?}: routability differs");
+        assert_eq!(fast.path(), heap.path(), "{start:?} -> {goal:?}: path differs");
+        assert!(fast.blockers().is_empty(), "{start:?} -> {goal:?}: blockers without penalty");
+        grid.monotone_scan(start, goal, &mut SearchScratch::new())
+    }
+
+    /// Checks one named query against the heap search and returns the path
+    /// (empty when unroutable) and whether the monotone scan answered it.
+    fn named_case(grid: &ChannelGrid, start: GridPoint, goal: GridPoint) -> (Vec<GridPoint>, bool) {
+        let (mut fast, mut heap) = (SearchScratch::new(), SearchScratch::new());
+        let scanned = assert_matches_heap(grid, start, goal, &mut fast, &mut heap);
+        (fast.path().to_vec(), scanned)
+    }
+
+    /// Occupies every edge of the vertical wall between columns `column`
+    /// and `column + 1`, except on the tracks in `gaps`.
+    fn wall(grid: &mut ChannelGrid, column: i64, gaps: &[i64]) {
+        for track in (0..grid.tracks()).filter(|track| !gaps.contains(track)) {
+            grid.occupy_path(&[GridPoint::new(column, track), GridPoint::new(column + 1, track)]);
+        }
+    }
+
+    #[test]
+    fn monotone_scan_answers_reachable_rightward_queries() {
+        let mut grid = ChannelGrid::new(12, 6);
+        // A vertical obstacle the monotone path must climb around.
+        grid.occupy_path(&[GridPoint::new(4, 0), GridPoint::new(4, 1), GridPoint::new(4, 2)]);
+        wall(&mut grid, 5, &[3, 4, 5]);
+        let (start, goal) = (GridPoint::new(1, 1), GridPoint::new(9, 4));
+        let (path, scanned) = named_case(&grid, start, goal);
+        assert!(scanned, "a monotone path exists");
+        assert_eq!(path.len() as i64 - 1, start.manhattan(goal));
+    }
+
+    #[test]
+    fn monotone_scan_falls_back_to_the_heap_for_detours() {
+        let mut grid = ChannelGrid::new(8, 4);
+        // The only gap in the wall is below the start's track.
+        wall(&mut grid, 3, &[0]);
+        let (start, goal) = (GridPoint::new(1, 1), GridPoint::new(6, 2));
+        let (path, scanned) = named_case(&grid, start, goal);
+        assert!(!scanned, "no monotone path crosses the wall");
+        assert_eq!(path.len() as i64 - 1, start.manhattan(goal) + 2, "one step down and back up");
+    }
+
+    #[test]
+    fn monotone_scan_agrees_on_unreachable_goals() {
+        let mut grid = ChannelGrid::new(8, 4);
+        wall(&mut grid, 3, &[]);
+        let (path, scanned) = named_case(&grid, GridPoint::new(1, 0), GridPoint::new(6, 3));
+        assert!(!scanned);
+        assert!(path.is_empty(), "a fully blocked column separates start and goal");
+    }
+
+    #[test]
+    fn leftward_and_vertical_queries_use_the_heap() {
+        let mut grid = ChannelGrid::new(10, 5);
+        grid.occupy_path(&[GridPoint::new(3, 2), GridPoint::new(4, 2), GridPoint::new(5, 2)]);
+        let (path, scanned) = named_case(&grid, GridPoint::new(8, 0), GridPoint::new(2, 4));
+        assert!(!scanned, "leftward");
+        assert_eq!(path.len(), 11);
+        grid.occupy_path(&[GridPoint::new(6, 1), GridPoint::new(6, 2)]);
+        let (path, scanned) = named_case(&grid, GridPoint::new(6, 0), GridPoint::new(6, 4));
+        assert!(!scanned, "vertical (no column change)");
+        assert_eq!(path.len(), 7, "the blocked vertical edge costs a two-step detour");
+    }
+
+    #[test]
+    fn monotone_scan_handles_same_track_queries() {
+        let mut grid = ChannelGrid::new(10, 3);
+        let (path, scanned) = named_case(&grid, GridPoint::new(2, 1), GridPoint::new(7, 1));
+        assert!(scanned, "a free straight run");
+        assert!(path.iter().all(|point| point.track == 1));
+        // Block the run: the box is one track high, so the detour is the
+        // heap's.
+        grid.occupy_path(&[GridPoint::new(4, 1), GridPoint::new(5, 1)]);
+        let (path, scanned) = named_case(&grid, GridPoint::new(2, 1), GridPoint::new(7, 1));
+        assert!(!scanned);
+        assert_eq!(path.len(), 8);
+    }
+
+    /// SplitMix64: a small seeded generator, so the randomized test below
+    /// needs no RNG dependency.
+    struct SplitMix(u64);
+
+    impl SplitMix {
+        fn below(&mut self, bound: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % bound
+        }
+    }
+
+    #[test]
+    fn search_matches_heap_search_on_random_grids() {
+        let mut rng = SplitMix(0x5EED_0017);
+        let (mut fast, mut heap) = (SearchScratch::new(), SearchScratch::new());
+        let (mut scanned, mut fallback) = (0usize, 0usize);
+        for _ in 0..300 {
+            let columns = 2 + rng.below(39) as i64;
+            let tracks = 2 + rng.below(11) as i64;
+            let mut grid = ChannelGrid::new(columns, tracks);
+            let density = rng.below(61);
+            let net = rng.below(1000) as u32;
+            for track in 0..tracks {
+                for column in 0..columns {
+                    let here = GridPoint::new(column, track);
+                    if column + 1 < columns && rng.below(100) < density {
+                        grid.occupy_path_for(net, &[here, GridPoint::new(column + 1, track)]);
+                    }
+                    if track + 1 < tracks && rng.below(100) < density {
+                        grid.occupy_path_for(net, &[here, GridPoint::new(column, track + 1)]);
+                    }
+                }
+            }
+            // Walls: fully blocked columns, or ones with a single gap that
+            // is often only reachable by a detour.
+            match rng.below(4) {
+                0 => wall(&mut grid, rng.below(columns as u64 - 1) as i64, &[]),
+                1 => {
+                    let gap = rng.below(tracks as u64) as i64;
+                    wall(&mut grid, rng.below(columns as u64 - 1) as i64, &[gap]);
+                }
+                _ => {}
+            }
+            for query in 0..16 {
+                let mut point = || {
+                    GridPoint::new(
+                        rng.below(columns as u64) as i64,
+                        rng.below(tracks as u64) as i64,
+                    )
+                };
+                let (mut start, mut goal) = (point(), point());
+                if query % 2 == 0 {
+                    // The router's shape: driver on track 0, sink on the top.
+                    start.track = 0;
+                    goal.track = tracks - 1;
+                }
+                let rightward = goal.column > start.column && goal.track >= start.track;
+                if assert_matches_heap(&grid, start, goal, &mut fast, &mut heap) {
+                    scanned += 1;
+                } else if rightward && !fast.path().is_empty() {
+                    fallback += 1;
+                }
+            }
+        }
+        assert!(scanned > 500, "only {scanned} queries exercised the scan");
+        assert!(fallback > 100, "only {fallback} queries exercised the detour fallback");
     }
 
     #[test]

@@ -237,11 +237,13 @@ impl Router {
     /// The byte-identical guarantee requires `dirty_rows` to cover every
     /// channel whose cells moved since `previous` was routed — a channel
     /// wrongly reported clean keeps its stale wires. Grid-shape drift is
-    /// handled defensively on top of that: when the column count changed (a
-    /// moved or inserted cell widened the layer), the net list changed in a
-    /// way the edit does not describe, or a supposedly clean channel
-    /// disagrees with its previous report, the affected channels reroute
-    /// from scratch.
+    /// handled defensively on top of that. When the column count changed (a
+    /// moved or inserted cell widened or narrowed the widest layer), the
+    /// net list changed in a way the edit does not describe, or the edit's
+    /// row numbering does not fit the design, no previous wire is reused:
+    /// the call returns [`Router::route`] of the design, which reroutes
+    /// every channel. A supposedly clean channel whose net count disagrees
+    /// with its previous report reroutes on its own.
     pub fn route_partial(
         &self,
         design: &PlacedDesign,
