@@ -112,7 +112,6 @@ fn bench_sta_full_analysis(c: &mut Criterion) {
 fn compare_and_emit_baseline(c: &mut Criterion) {
     bench::baseline::compare_and_emit(
         c,
-        "placement",
         concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_placement.json"),
         &Benchmark::Apc32.to_string(),
     );

@@ -239,7 +239,6 @@ fn bench_global_place_iteration(c: &mut Criterion) {
 fn emit_baseline(c: &mut Criterion) {
     bench::baseline::compare_and_emit(
         c,
-        "routing",
         concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_routing.json"),
         &Benchmark::Apc32.to_string(),
     );

@@ -3,8 +3,9 @@
 //! `routing_perf` and `placement_perf` both persist their measurements to a
 //! committed JSON baseline (`BENCH_routing.json` / `BENCH_placement.json`)
 //! and print a report-only comparison of the current run against it. The
-//! file format and the compare-then-rewrite procedure live here so the two
-//! benches cannot drift apart.
+//! file format lives here so the two benches cannot drift apart; the
+//! compare-then-rewrite procedure is [`crate::compare_and_rewrite`], shared
+//! with every other `BENCH_*.json` file.
 
 use criterion::Criterion;
 use serde::{Deserialize, Serialize};
@@ -36,18 +37,10 @@ pub struct Baseline {
 
 /// Prints a report-only comparison of this run's summaries against the
 /// committed baseline at `path`, then rewrites the file with the fresh
-/// numbers. Skipped in `--test` smoke mode (nothing is measured) and in
-/// filtered runs (a partial result set must not clobber the full baseline).
-pub fn compare_and_emit(c: &mut Criterion, label: &str, path: &str, circuit: &str) {
-    let file_name = std::path::Path::new(path)
-        .file_name()
-        .and_then(|name| name.to_str())
-        .unwrap_or(path)
-        .to_owned();
-    if c.filter().is_some() {
-        println!("skipping {file_name} update: name filter active");
-        return;
-    }
+/// numbers (through [`crate::compare_and_rewrite`]). Nothing happens in
+/// `--test` smoke mode (nothing is measured), and a filtered run leaves the
+/// file alone: a partial result set must not clobber the full baseline.
+pub fn compare_and_emit(c: &mut Criterion, path: &str, circuit: &str) {
     let results: Vec<BaselineEntry> = c
         .summaries()
         .iter()
@@ -61,41 +54,24 @@ pub fn compare_and_emit(c: &mut Criterion, label: &str, path: &str, circuit: &st
     if results.is_empty() {
         return;
     }
-
-    // Report-only trajectory check against the committed baseline: print
-    // the delta per row, never fail.
-    if let Ok(text) = std::fs::read_to_string(path) {
-        match serde_json::from_str::<Baseline>(&text) {
-            Ok(committed) => {
-                println!("{label} perf vs committed baseline ({}):", committed.circuit);
-                for entry in &results {
-                    match committed.results.iter().find(|old| old.id == entry.id) {
-                        Some(old) if old.mean_ns > 0 => {
-                            let ratio = entry.mean_ns as f64 / old.mean_ns as f64;
-                            println!(
-                                "  {:<44} {:>12} ns -> {:>12} ns  ({ratio:.2}x)",
-                                entry.id, old.mean_ns, entry.mean_ns
-                            );
-                        }
-                        _ => println!("  {:<44} (new row, no baseline)", entry.id),
-                    }
-                }
-            }
-            Err(error) => println!("could not parse committed {file_name}: {error}"),
-        }
-    } else {
-        println!("no committed {file_name} yet; writing the first baseline");
-    }
-
     let baseline = Baseline {
         circuit: circuit.to_owned(),
         host_threads: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
         results,
     };
-    let json = serde_json::to_string_pretty(&baseline).expect("baseline serializes");
-    if let Err(error) = std::fs::write(path, json + "\n") {
-        eprintln!("warning: could not write {file_name}: {error}");
-    } else {
-        println!("wrote baseline to {file_name}");
-    }
+    let skip = c.filter().map(|_| "name filter active");
+    crate::compare_and_rewrite(path, "baseline", &baseline, skip, |committed, fresh| {
+        for entry in &fresh.results {
+            match committed.results.iter().find(|old| old.id == entry.id) {
+                Some(old) if old.mean_ns > 0 => {
+                    let ratio = entry.mean_ns as f64 / old.mean_ns as f64;
+                    println!(
+                        "  {:<44} {:>12} ns -> {:>12} ns  ({ratio:.2}x)",
+                        entry.id, old.mean_ns, entry.mean_ns
+                    );
+                }
+                _ => println!("  {:<44} (new row, no baseline)", entry.id),
+            }
+        }
+    });
 }

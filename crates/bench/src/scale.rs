@@ -62,61 +62,38 @@ pub fn peak_rss_kb() -> Option<u64> {
 }
 
 /// Prints a report-only comparison of `rows` against the committed
-/// `BENCH_scale.json` at `path`, then rewrites the file — unless `partial`
-/// is set (a capped or filtered run must not clobber the full trajectory).
+/// `BENCH_scale.json` at `path`, then rewrites the file (through
+/// [`crate::compare_and_rewrite`]) — unless `partial` is set (a capped or
+/// filtered run must not clobber the full trajectory).
 pub fn compare_and_emit(path: &str, rows: &[ScaleRow], partial: bool) {
-    let file_name = std::path::Path::new(path)
-        .file_name()
-        .and_then(|name| name.to_str())
-        .unwrap_or(path)
-        .to_owned();
     if rows.is_empty() {
-        return;
-    }
-
-    if let Ok(text) = std::fs::read_to_string(path) {
-        match serde_json::from_str::<ScaleBaseline>(&text) {
-            Ok(committed) => {
-                println!("scale trajectory vs committed {file_name}:");
-                for row in rows {
-                    match committed.rows.iter().find(|old| old.label == row.label) {
-                        Some(old) if old.total_s() > 0.0 => {
-                            let ratio = row.total_s() / old.total_s();
-                            println!(
-                                "  {:<4} {:>9} cells  {:>8.2}s -> {:>8.2}s  ({ratio:.2}x)  \
-                                 rss {} MB -> {} MB",
-                                row.label,
-                                row.placed_cells,
-                                old.total_s(),
-                                row.total_s(),
-                                old.peak_rss_kb / 1024,
-                                row.peak_rss_kb / 1024,
-                            );
-                        }
-                        _ => println!("  {:<4} (new row, no baseline)", row.label),
-                    }
-                }
-            }
-            Err(error) => println!("could not parse committed {file_name}: {error}"),
-        }
-    } else {
-        println!("no committed {file_name} yet; writing the first trajectory");
-    }
-
-    if partial {
-        println!("skipping {file_name} update: partial run (size cap or filter active)");
         return;
     }
     let baseline = ScaleBaseline {
         host_threads: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
         rows: rows.to_vec(),
     };
-    let json = serde_json::to_string_pretty(&baseline).expect("scale baseline serializes");
-    if let Err(error) = std::fs::write(path, json + "\n") {
-        eprintln!("warning: could not write {file_name}: {error}");
-    } else {
-        println!("wrote scale trajectory to {file_name}");
-    }
+    let skip = partial.then_some("partial run (size cap or filter active)");
+    crate::compare_and_rewrite(path, "scale trajectory", &baseline, skip, |committed, fresh| {
+        for row in &fresh.rows {
+            match committed.rows.iter().find(|old| old.label == row.label) {
+                Some(old) if old.total_s() > 0.0 => {
+                    let ratio = row.total_s() / old.total_s();
+                    println!(
+                        "  {:<4} {:>9} cells  {:>8.2}s -> {:>8.2}s  ({ratio:.2}x)  \
+                         rss {} MB -> {} MB",
+                        row.label,
+                        row.placed_cells,
+                        old.total_s(),
+                        row.total_s(),
+                        old.peak_rss_kb / 1024,
+                        row.peak_rss_kb / 1024,
+                    );
+                }
+                _ => println!("  {:<4} (new row, no baseline)", row.label),
+            }
+        }
+    });
 }
 
 #[cfg(test)]

@@ -91,7 +91,7 @@ use aqfp_layout::{DrcChecker, DrcReport, DrcViolationKind, Layout, LayoutGenerat
 use aqfp_netlist::{Netlist, NetlistStats};
 use aqfp_place::buffer_rows::repair_buffer_rows;
 use aqfp_place::legalize::legalize;
-use aqfp_place::{DetailedPlacementConfig, PlacedDesign, PlacementEngine, PlacementResult};
+use aqfp_place::{PlacedDesign, PlacementEngine, PlacementResult};
 use aqfp_route::{Router, RoutingResult};
 use aqfp_synth::{SynthesizedNetlist, Synthesizer};
 use aqfp_timing::{TimingAnalyzer, TimingBatch};
@@ -686,14 +686,6 @@ impl FlowSession {
         &self.fingerprint
     }
 
-    /// The detailed-placement configuration the session's repair loop runs
-    /// with: the configured options with the technology's timing
-    /// coefficients injected, mirroring
-    /// `PlacementEngine::effective_detailed`.
-    fn effective_detailed(&self) -> DetailedPlacementConfig {
-        DetailedPlacementConfig { timing: self.technology.timing, ..self.config.placement.detailed }
-    }
-
     /// Fails with [`FlowError::TechnologyMismatch`] when an artifact from a
     /// different technology is resumed into this session.
     pub(crate) fn ensure_same_technology(&self, found: &str) -> Result<(), FlowError> {
@@ -946,7 +938,9 @@ impl FlowSession {
     /// After the loop, one batched timing analysis of the repaired design
     /// refreshes [`PlacementResult::timing`], so the report reflects the
     /// placement the repairs left behind, bit-identical to a scalar
-    /// analysis of it.
+    /// analysis of it. Each buffer-row repair adds the lines and cells it
+    /// inserted to [`PlacementResult::buffer_lines`] and
+    /// [`PlacementResult::buffer_report`].
     ///
     /// # Errors
     ///
@@ -999,8 +993,13 @@ impl FlowSession {
                 // the row renumbering and the appended cells/nets, and the
                 // moved-cell list covers both follow-up passes, so the
                 // reroute below stays incremental.
-                let (_, buffer_edit, repair_moved) =
-                    repair_buffer_rows(design, &self.technology, &self.effective_detailed());
+                let detailed =
+                    self.config.placement.detailed.with_technology_timing(&self.technology);
+                let (report, buffer_edit, repair_moved) =
+                    repair_buffer_rows(design, &self.technology, &detailed);
+                placed.placement.buffer_lines += report.buffer_lines;
+                placed.placement.buffer_report.buffer_lines += report.buffer_lines;
+                placed.placement.buffer_report.buffer_cells += report.buffer_cells;
                 moved_cells.extend(repair_moved);
                 if !buffer_edit.is_noop() {
                     edit = Some(buffer_edit);

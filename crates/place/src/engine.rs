@@ -75,9 +75,12 @@ pub struct PlacementResult {
     pub design: PlacedDesign,
     /// Half-perimeter wirelength in µm.
     pub hpwl_um: f64,
-    /// Buffer lines inserted for max-wirelength violations.
+    /// Buffer lines inserted for max-wirelength violations: by placement,
+    /// plus those the flow's DRC repair (`FlowSession::check`) adds later.
     pub buffer_lines: usize,
-    /// Buffer-row insertion details.
+    /// Buffer-row insertion details. The flow's DRC repair adds the lines
+    /// and cells it inserts to `buffer_lines` and `buffer_cells`;
+    /// `violating_nets` and `skipped_nets` stay those of placement.
     pub buffer_report: BufferRowReport,
     /// Static timing report at the target clock.
     pub timing: TimingReport,

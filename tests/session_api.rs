@@ -300,6 +300,39 @@ fn buffer_row_repair_is_incremental_and_byte_identical() {
     }
 }
 
+/// The buffer-line counts cover every inserted line and cell, after
+/// placement and again after `check`'s repairs: the design has one row per
+/// clock phase plus one per buffer line, and one gate-less cell per
+/// inserted buffer.
+#[test]
+fn buffer_line_counts_match_the_design_after_place_and_check() {
+    for benchmark in [Benchmark::Adder8, Benchmark::Apc32, Benchmark::C432] {
+        let mut session = FlowSession::new(fast_config()).expect("session opens");
+        let synthesized =
+            session.synthesize(&benchmark_circuit(benchmark)).expect("synthesis succeeds");
+        let phase_rows = synthesized.stats().delay + 1;
+        let assert_counts = |stage: &str, placement: &aqfp_place::PlacementResult| {
+            let design = &placement.design;
+            assert_eq!(
+                design.rows.len(),
+                phase_rows + placement.buffer_lines,
+                "{benchmark:?} after {stage}: rows are phase rows plus buffer lines"
+            );
+            let buffer_cells = design.cells.iter().filter(|cell| cell.gate.is_none()).count();
+            assert_eq!(
+                placement.buffer_report.buffer_cells, buffer_cells,
+                "{benchmark:?} after {stage}: buffer cells"
+            );
+            assert_eq!(placement.buffer_report.buffer_lines, placement.buffer_lines);
+        };
+        let placed = session.place(synthesized).expect("placement succeeds");
+        assert_counts("place", &placed.placement);
+        let routed = session.route(placed).expect("routing succeeds");
+        let checked = session.check(routed).expect("check succeeds");
+        assert_counts("check", &checked.routed.placed.placement);
+    }
+}
+
 #[test]
 fn synthesize_refuses_lint_rejected_netlists_with_the_full_report() {
     // A two-gate combinational loop: structurally parseable, never legal.
