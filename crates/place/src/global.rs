@@ -26,34 +26,50 @@
 //! `std::thread::scope` pool (sized by
 //! [`crate::parallel::effective_threads`] from
 //! [`GlobalPlacementConfig::threads`]) owns a contiguous block of shards
-//! per worker. Each iteration runs three phases:
+//! per worker, plus an equal slice of the net list. Each iteration runs
+//! four phases and two barriers:
 //!
-//! 1. **gather** — every worker computes the net-term gradient of its own
-//!    cells by *gathering* over a per-cell incidence list (CSR), reading
-//!    the positions of cells in other shards ("the halo") but writing only
-//!    its own gradient slots;
-//! 2. **spread** — the intra-row overlap force; rows never span shards, so
+//! 1. *barrier* — the halo exchange (below);
+//! 2. **evaluate** — every worker computes the gradient terms of its own
+//!    nets once each (one `sqrt`, one `|d|^(α−1)`, which is `|d|` itself
+//!    at the paper's α = 2) into per-net arrays, reading the positions of
+//!    cells in any shard;
+//! 3. *barrier* — every net's terms are final before anyone reads them;
+//! 4. **gather** — every worker adds up the gradient of its own cells by
+//!    *gathering* the terms of their incident nets over a per-cell
+//!    incidence list (CSR), writing only its own gradient slots;
+//! 5. **spread** — the intra-row overlap force; rows never span shards, so
 //!    this phase is entirely shard-local;
-//! 3. **update** — the momentum step writes the new positions of the
+//! 6. **update** — the momentum step writes the new positions of the
 //!    worker's own cells.
 //!
-//! Positions are exchanged across shards only at the iteration barrier
-//! between *update* and the next *gather* — that barrier is the halo
-//! exchange, and it is the invariant that makes the result independent of
-//! the worker count: shard boundaries depend only on the design (never on
-//! the machine or the thread knob), every gradient slot is written by
-//! exactly one worker from inputs that are frozen for the whole phase, and
-//! per-shard objective partial sums are reduced in shard order. The gather
-//! replays, per cell, the exact floating-point addition sequence of the
-//! serial net-order scatter (per incident net, in net order: wirelength,
-//! then timing, then max-wirelength term), so sharded and serial runs are
-//! **byte-identical at any thread count** — the same contract the detailed
-//! placer and router already keep, pinned by the golden-GDS tests and
-//! randomized cross-thread-count tests in `tests/property.rs`.
+//! Gather, spread and update need no barrier between them: the gather
+//! reads net terms, which stay frozen until the next evaluate, and spread
+//! and update touch only the worker's own rows. Positions are exchanged
+//! across shards only at the barrier that opens each iteration — that
+//! barrier is the halo exchange, and it is the invariant that makes the
+//! result independent of the worker count: shard boundaries depend only on
+//! the design (never on the machine or the thread knob), every net's terms
+//! and every gradient slot are written by exactly one worker from inputs
+//! that are frozen for the whole phase, and per-shard objective partial
+//! sums are reduced in shard order. The gather replays, per cell, the
+//! exact floating-point addition sequence of the serial net-order scatter
+//! (per incident net, in net order: wirelength, then timing, then
+//! max-wirelength term), so sharded and serial runs are **byte-identical
+//! at any thread count** — the same contract the detailed placer and
+//! router already keep, pinned by the golden-GDS tests and randomized
+//! cross-thread-count tests in `tests/property.rs`.
+//!
+//! The objective itself feeds no gradient, so its net terms (smoothed
+//! wirelength, timing cost and excess²) are evaluated on the final
+//! iteration only, at the positions that iteration starts from. The
+//! spreading penalty costs two multiplies in the spread phase's force loop,
+//! so that loop sums it every iteration and only the final sum is kept.
 //!
 //! [`global_place_reference`] keeps the original single-threaded net-order
 //! scatter implementation as the oracle those tests compare against.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Barrier;
 
@@ -62,6 +78,7 @@ use serde::{Deserialize, Serialize};
 
 use aqfp_timing::model::{
     phase_timing_cost, phase_timing_cost_grad_end, phase_timing_cost_grad_start,
+    phase_timing_cost_grads,
 };
 
 use crate::design::PlacedDesign;
@@ -136,7 +153,9 @@ pub struct GlobalPlacementReport {
     pub hpwl_before: f64,
     /// HPWL after optimization, µm.
     pub hpwl_after: f64,
-    /// Objective value at the final iteration.
+    /// Objective value at the start of the final iteration. It is
+    /// evaluated on that iteration only, so it reads 0.0 when cancellation
+    /// stopped the run before the final iteration.
     pub final_objective: f64,
     /// Iterations executed.
     pub iterations: usize,
@@ -198,11 +217,15 @@ pub struct GlobalPlaceScratch {
     inc: Vec<u32>,
     /// Shard boundaries as row indices, `shard_count + 1` entries.
     shard_rows: Vec<u32>,
-    /// Cell x positions by slot, as `f64` bits. Atomic because the gather
+    /// Cell x positions by slot, as `f64` bits. Atomic because the evaluate
     /// phase reads halo positions while no one writes, and the update
-    /// phase writes owned slots while no one reads — the iteration
-    /// barriers provide the happens-before edges, so `Relaxed` suffices.
+    /// phase writes owned slots while only their owner reads them — the
+    /// iteration barriers provide the happens-before edges, so `Relaxed`
+    /// suffices.
     xs: Vec<AtomicU64>,
+    /// Gradient terms of each net, by net index: written by the evaluate
+    /// phase, read by the gathers of both endpoints' shards.
+    net_terms: Vec<NetTerms>,
     /// Objective gradient by slot.
     gradient: Vec<f64>,
     /// Momentum velocity by slot.
@@ -331,6 +354,8 @@ impl GlobalPlaceScratch {
         // adaptive sort runs near O(n) on almost-sorted data.
         self.xs.clear();
         self.xs.resize_with(n, || AtomicU64::new(0));
+        self.net_terms.clear();
+        self.net_terms.resize_with(net_count, NetTerms::default);
         self.gradient.clear();
         self.gradient.resize(n, 0.0);
         self.velocity.clear();
@@ -342,6 +367,27 @@ impl GlobalPlaceScratch {
         self.obj_spread.clear();
         self.obj_spread.resize(shard_count, 0.0);
     }
+}
+
+/// One net's gradient terms for the current iteration, as `f64` bits.
+/// Atomic for the same reason as the positions: the barrier after the
+/// evaluate phase orders every write before the gathers read, so `Relaxed`
+/// suffices. A disabled or inactive term holds 0.0, which the gather may
+/// add without changing a bit (its sum starts at +0.0, so it is never
+/// −0.0). Aligned so one net's terms share a cache line.
+#[derive(Debug, Default)]
+#[repr(align(32))]
+struct NetTerms {
+    /// Wirelength derivative with respect to the sink's x; the driver's is
+    /// its negation.
+    wirelength: AtomicU64,
+    /// Timing derivative with respect to the driver's x.
+    timing_start: AtomicU64,
+    /// Timing derivative with respect to the sink's x.
+    timing_end: AtomicU64,
+    /// Max-wirelength derivative with respect to the sink's x; the
+    /// driver's is its negation.
+    excess: AtomicU64,
 }
 
 /// [`global_place_cancellable`] with caller-provided working memory, for
@@ -391,6 +437,7 @@ pub fn global_place_with_scratch(
         net_dj: &scratch.net_dj,
         net_sj: &scratch.net_sj,
         net_phase: &scratch.net_phase,
+        net_terms: &scratch.net_terms,
         inc_offsets: &scratch.inc_offsets,
         inc: &scratch.inc,
         row_start: &scratch.row_start,
@@ -403,7 +450,9 @@ pub fn global_place_with_scratch(
     };
 
     // Per-worker chunks: a contiguous block of shards, hence a contiguous
-    // slot range, so every mutable buffer splits without locks.
+    // slot range, so every mutable buffer splits without locks, and an
+    // equal range of nets to evaluate.
+    let net_count = design.nets.len();
     let mut chunks = Vec::with_capacity(threads);
     {
         let mut gradient = scratch.gradient.as_mut_slice();
@@ -430,6 +479,7 @@ pub fn global_place_with_scratch(
                 s0,
                 s1,
                 j0,
+                nets: t * net_count / threads..(t + 1) * net_count / threads,
                 gradient: g,
                 velocity: v,
                 sorted: so,
@@ -478,6 +528,7 @@ struct SharedState<'a> {
     net_dj: &'a [u32],
     net_sj: &'a [u32],
     net_phase: &'a [u32],
+    net_terms: &'a [NetTerms],
     inc_offsets: &'a [u32],
     inc: &'a [u32],
     row_start: &'a [u32],
@@ -499,6 +550,8 @@ struct ShardChunk<'a> {
     s1: usize,
     /// First owned slot; chunk slices index from here.
     j0: usize,
+    /// Nets this worker evaluates.
+    nets: Range<usize>,
     gradient: &'a mut [f64],
     velocity: &'a mut [f64],
     sorted: &'a mut [u32],
@@ -508,14 +561,25 @@ struct ShardChunk<'a> {
 
 #[inline]
 fn load_x(xs: &[AtomicU64], j: usize) -> f64 {
-    f64::from_bits(xs[j].load(Ordering::Relaxed))
+    load_f64(&xs[j])
+}
+
+#[inline]
+fn load_f64(bits: &AtomicU64) -> f64 {
+    f64::from_bits(bits.load(Ordering::Relaxed))
+}
+
+#[inline]
+fn store_f64(bits: &AtomicU64, value: f64) {
+    bits.store(value.to_bits(), Ordering::Relaxed);
 }
 
 /// The per-worker iteration loop; with one worker this runs inline on the
 /// caller's thread (the barrier is then a no-op), so serial and parallel
 /// runs execute literally the same code.
 fn shard_worker(leader: bool, shared: &SharedState<'_>, mut chunk: ShardChunk<'_>) {
-    for iteration in 0..shared.config.iterations {
+    let iterations = shared.config.iterations;
+    for iteration in 0..iterations {
         if leader {
             if shared.cancel.is_cancelled() {
                 shared.stop.store(true, Ordering::Relaxed);
@@ -525,28 +589,39 @@ fn shard_worker(leader: bool, shared: &SharedState<'_>, mut chunk: ShardChunk<'_
         }
         // This barrier both publishes the leader's stop decision and is
         // the halo exchange: it orders the previous iteration's position
-        // writes before this iteration's gather reads.
+        // writes before this iteration's evaluate reads.
         shared.barrier.wait();
         if shared.stop.load(Ordering::Relaxed) {
             break;
         }
 
+        let last = iteration + 1 == iterations;
+        evaluate_nets(shared, chunk.nets.clone());
+        if last {
+            // Positions are frozen here, as the objective's halo reads need.
+            for s in chunk.s0..chunk.s1 {
+                chunk.obj_net[s - chunk.s0] = net_objective(shared, s);
+            }
+        }
+
+        // Every net's terms must be final before any gather reads them.
+        // Nothing below reads another worker's positions, so the update
+        // needs no barrier of its own.
+        shared.barrier.wait();
+
         // Ramp the spreading force: early iterations let cells cluster near
         // their wirelength optimum, late iterations push them apart so the
         // hand-off to Tetris legalization displaces cells as little as
         // possible.
-        let progress = iteration as f64 / shared.config.iterations.max(1) as f64;
+        let progress = iteration as f64 / iterations.max(1) as f64;
         let spreading_weight = shared.config.spreading_weight * (0.2 + 3.0 * progress);
         for s in chunk.s0..chunk.s1 {
-            let net_obj = gather_net_terms(shared, &mut chunk, s);
+            gather_net_terms(shared, &mut chunk, s);
             let spread_obj = spread_row_terms(shared, &mut chunk, s, spreading_weight);
-            chunk.obj_net[s - chunk.s0] = net_obj;
-            chunk.obj_spread[s - chunk.s0] = spread_obj;
+            if last {
+                chunk.obj_spread[s - chunk.s0] = spread_obj;
+            }
         }
-
-        // All gradients must be final before anyone moves a cell: the
-        // gather above reads halo positions.
-        shared.barrier.wait();
 
         // Momentum update with a learning rate that decays over the run so
         // late iterations refine rather than oscillate.
@@ -555,99 +630,128 @@ fn shard_worker(leader: bool, shared: &SharedState<'_>, mut chunk: ShardChunk<'_
             chunk.velocity[i] =
                 MOMENTUM * chunk.velocity[i] - rate * chunk.gradient[i].clamp(-50.0, 50.0);
             let x = load_x(shared.xs, chunk.j0 + i);
-            shared.xs[chunk.j0 + i]
-                .store((x + chunk.velocity[i]).max(0.0).to_bits(), Ordering::Relaxed);
+            store_f64(&shared.xs[chunk.j0 + i], (x + chunk.velocity[i]).max(0.0));
         }
     }
 }
 
+/// Centre x of net `k`'s driver and of its sink.
+#[inline]
+fn net_centers(shared: &SharedState<'_>, k: usize) -> (f64, f64) {
+    let dj = shared.net_dj[k] as usize;
+    let sj = shared.net_sj[k] as usize;
+    (load_x(shared.xs, dj) + shared.width[dj] / 2.0, load_x(shared.xs, sj) + shared.width[sj] / 2.0)
+}
+
+/// Evaluate phase of one worker: the gradient terms of each net in `nets`,
+/// computed once from the positions frozen for the phase.
+fn evaluate_nets(shared: &SharedState<'_>, nets: Range<usize>) {
+    let cfg = shared.config;
+    let smoothing_sq = cfg.smoothing_um * cfg.smoothing_um;
+    // Normalize by the layer width so the timing term stays a tie-breaker
+    // relative to the O(1) wirelength gradient instead of overwhelming it
+    // on wide designs (the quadratic grows as Ŵ²).
+    let timing_scale = cfg.timing_weight / shared.layer_width;
+    for k in nets {
+        let (driver_center, sink_center) = net_centers(shared, k);
+        let dx = sink_center - driver_center;
+        let smooth = (dx * dx + smoothing_sq).sqrt();
+
+        let (timing_start, timing_end) = if cfg.timing_weight > 0.0 {
+            let (start, end) = phase_timing_cost_grads(
+                shared.net_phase[k] as usize,
+                driver_center,
+                sink_center,
+                shared.layer_width,
+                cfg.alpha,
+            );
+            (timing_scale * start, timing_scale * end)
+        } else {
+            (0.0, 0.0)
+        };
+
+        let excess = dx.abs() + shared.row_pitch - shared.max_wirelength;
+        let excess_grad = if cfg.max_wirelength_weight > 0.0 && excess > 0.0 {
+            let d_len = if dx >= 0.0 { 1.0 } else { -1.0 };
+            2.0 * cfg.max_wirelength_weight * excess * d_len
+        } else {
+            0.0
+        };
+
+        let terms = &shared.net_terms[k];
+        store_f64(&terms.wirelength, dx / smooth);
+        store_f64(&terms.timing_start, timing_start);
+        store_f64(&terms.timing_end, timing_end);
+        store_f64(&terms.excess, excess_grad);
+    }
+}
+
 /// Gather phase of one shard: writes the net-term gradient of every owned
-/// slot and returns the shard's objective partial sum (each net's objective
-/// is attributed to its driver so it is counted exactly once).
+/// slot from the terms the evaluate phase left.
 ///
 /// Per slot, incident nets are visited in net order and each contributes
 /// its wirelength, timing and max-wirelength terms in that order — the
 /// exact addition sequence the serial net-order scatter produces, which is
 /// what makes the sharded result bit-identical to the reference.
-fn gather_net_terms(shared: &SharedState<'_>, chunk: &mut ShardChunk<'_>, s: usize) -> f64 {
-    let cfg = shared.config;
+fn gather_net_terms(shared: &SharedState<'_>, chunk: &mut ShardChunk<'_>, s: usize) {
     let j_first = shared.row_start[shared.shard_rows[s] as usize] as usize;
     let j_last = shared.row_start[shared.shard_rows[s + 1] as usize] as usize;
-    let mut objective = 0.0;
     for j in j_first..j_last {
         let mut acc = 0.0f64;
         let k_first = shared.inc_offsets[j] as usize;
         let k_last = shared.inc_offsets[j + 1] as usize;
         for &k in &shared.inc[k_first..k_last] {
             let k = k as usize;
-            let dj = shared.net_dj[k] as usize;
-            let sj = shared.net_sj[k] as usize;
-            let driver_center = load_x(shared.xs, dj) + shared.width[dj] / 2.0;
-            let sink_center = load_x(shared.xs, sj) + shared.width[sj] / 2.0;
-            let dx = sink_center - driver_center;
-            let smooth = (dx * dx + cfg.smoothing_um * cfg.smoothing_um).sqrt();
-            // d smooth / d sink.x = dx / smooth ; driver gets the opposite sign.
-            let wl_grad = dx / smooth;
-            let is_driver = j == dj;
-            if is_driver {
-                objective += smooth;
-                acc -= wl_grad;
+            let terms = &shared.net_terms[k];
+            let wirelength = load_f64(&terms.wirelength);
+            let excess = load_f64(&terms.excess);
+            if j == shared.net_dj[k] as usize {
+                acc = acc - wirelength + load_f64(&terms.timing_start) - excess;
             } else {
-                acc += wl_grad;
-            }
-
-            if cfg.timing_weight > 0.0 {
-                let phase = shared.net_phase[k] as usize;
-                // Normalize by the layer width so the timing term stays a
-                // tie-breaker relative to the O(1) wirelength gradient
-                // instead of overwhelming it on wide designs (the quadratic
-                // grows as Ŵ²).
-                let scale = cfg.timing_weight / shared.layer_width;
-                if is_driver {
-                    objective += scale
-                        * phase_timing_cost(
-                            phase,
-                            driver_center,
-                            sink_center,
-                            shared.layer_width,
-                            cfg.alpha,
-                        );
-                    acc += scale
-                        * phase_timing_cost_grad_start(
-                            phase,
-                            driver_center,
-                            sink_center,
-                            shared.layer_width,
-                            cfg.alpha,
-                        );
-                } else {
-                    acc += scale
-                        * phase_timing_cost_grad_end(
-                            phase,
-                            driver_center,
-                            sink_center,
-                            shared.layer_width,
-                            cfg.alpha,
-                        );
-                }
-            }
-
-            if cfg.max_wirelength_weight > 0.0 {
-                let length = dx.abs() + shared.row_pitch;
-                let excess = length - shared.max_wirelength;
-                if excess > 0.0 {
-                    let d_len = if dx >= 0.0 { 1.0 } else { -1.0 };
-                    let g = 2.0 * cfg.max_wirelength_weight * excess * d_len;
-                    if is_driver {
-                        objective += cfg.max_wirelength_weight * excess * excess;
-                        acc -= g;
-                    } else {
-                        acc += g;
-                    }
-                }
+                acc = acc + wirelength + load_f64(&terms.timing_end) + excess;
             }
         }
         chunk.gradient[j - chunk.j0] = acc;
+    }
+}
+
+/// The net-term objective of one shard, each net attributed to its driver
+/// so it is counted exactly once, summed in the order the gather visits
+/// the nets. Reads halo positions, so it runs in the evaluate phase.
+fn net_objective(shared: &SharedState<'_>, s: usize) -> f64 {
+    let cfg = shared.config;
+    let timing_scale = cfg.timing_weight / shared.layer_width;
+    let j_first = shared.row_start[shared.shard_rows[s] as usize] as usize;
+    let j_last = shared.row_start[shared.shard_rows[s + 1] as usize] as usize;
+    let mut objective = 0.0;
+    for j in j_first..j_last {
+        let k_first = shared.inc_offsets[j] as usize;
+        let k_last = shared.inc_offsets[j + 1] as usize;
+        for &k in &shared.inc[k_first..k_last] {
+            let k = k as usize;
+            if j != shared.net_dj[k] as usize {
+                continue;
+            }
+            let (driver_center, sink_center) = net_centers(shared, k);
+            let dx = sink_center - driver_center;
+            objective += (dx * dx + cfg.smoothing_um * cfg.smoothing_um).sqrt();
+            if cfg.timing_weight > 0.0 {
+                objective += timing_scale
+                    * phase_timing_cost(
+                        shared.net_phase[k] as usize,
+                        driver_center,
+                        sink_center,
+                        shared.layer_width,
+                        cfg.alpha,
+                    );
+            }
+            if cfg.max_wirelength_weight > 0.0 {
+                let excess = dx.abs() + shared.row_pitch - shared.max_wirelength;
+                if excess > 0.0 {
+                    objective += cfg.max_wirelength_weight * excess * excess;
+                }
+            }
+        }
     }
     objective
 }
@@ -959,6 +1063,10 @@ mod tests {
         let report =
             global_place_cancellable(&mut design, &GlobalPlacementConfig::default(), &token);
         assert_eq!(report.iterations, 0, "no gradient iteration may run after cancellation");
+        assert_eq!(
+            report.final_objective, 0.0,
+            "the objective is evaluated on the final iteration"
+        );
     }
 
     #[test]
@@ -995,6 +1103,15 @@ mod tests {
             assert_eq!(reference.rows, sharded.rows, "row order diverged at {threads} threads");
             assert_eq!(report.hpwl_after.to_bits(), reference_report.hpwl_after.to_bits());
             assert_eq!(report.iterations, reference_report.iterations);
+            // Summed per shard rather than in net order, so equal up to
+            // rounding.
+            let objective_error = (report.final_objective - reference_report.final_objective).abs();
+            assert!(
+                objective_error <= 1e-12 * reference_report.final_objective.abs(),
+                "final objective {} vs the reference's {} at {threads} threads",
+                report.final_objective,
+                reference_report.final_objective
+            );
         }
     }
 

@@ -16,15 +16,15 @@ use crate::report::CostForecast;
 /// Placed-cell counts of the calibration anchors (`BENCH_scale.json`).
 const ANCHOR_CELLS: [f64; 3] = [8_849.0, 106_606.0, 1_065_594.0];
 /// Placement seconds at the anchors.
-const ANCHOR_PLACE_S: [f64; 3] = [0.164_821_504, 0.880_697_054, 4.597_601_989];
+const ANCHOR_PLACE_S: [f64; 3] = [0.055_155_424, 0.244_857_606, 1.677_203_484];
 /// Routing seconds at the anchors.
-const ANCHOR_ROUTE_S: [f64; 3] = [0.015_159_785, 0.279_831_527, 3.603_027_13];
+const ANCHOR_ROUTE_S: [f64; 3] = [0.012_290_568, 0.170_506_071, 2.570_677_932];
 /// GDS streaming seconds at the anchors.
-const ANCHOR_GDS_S: [f64; 3] = [0.010_299_342, 0.234_590_926, 2.777_187_29];
+const ANCHOR_GDS_S: [f64; 3] = [0.006_415_947, 0.180_777_615, 1.759_013_488];
 /// GDS stream bytes at the anchors.
 const ANCHOR_GDS_BYTES: [f64; 3] = [3_836_822.0, 78_309_308.0, 985_762_692.0];
 /// Peak resident set size (KiB) at the anchors.
-const ANCHOR_RSS_KB: [f64; 3] = [11_404.0, 116_412.0, 1_187_772.0];
+const ANCHOR_RSS_KB: [f64; 3] = [11_792.0, 117_256.0, 1_188_760.0];
 
 /// Synthesis wall-clock as a fraction of predicted placement wall-clock.
 const SYNTH_PLACE_RATIO: f64 = 0.5;

@@ -82,6 +82,33 @@ pub fn phase_timing_cost_grad_end(
     alpha * d.abs().powf(alpha - 1.0) * dd_dend
 }
 
+/// Both derivatives of [`phase_timing_cost`] from one distance:
+/// `(∂T/∂x_start, ∂T/∂x_end)`, bit-identical to
+/// [`phase_timing_cost_grad_start`] and [`phase_timing_cost_grad_end`].
+///
+/// `|d|^(α−1)` is computed once, and at the paper's α = 2 it is `|d|`
+/// itself: `powf(x, 1.0)` is exact, so skipping it changes no bit. Other
+/// exponents still go through `powf`.
+#[inline]
+pub fn phase_timing_cost_grads(
+    phase: usize,
+    x_start: f64,
+    x_end: f64,
+    layer_width: f64,
+    alpha: f64,
+) -> (f64, f64) {
+    let d = signed_phase_distance(phase, x_start, x_end, layer_width);
+    let exponent = alpha - 1.0;
+    let magnitude = if exponent == 1.0 { d.abs() } else { d.abs().powf(exponent) };
+    let slope = alpha * magnitude;
+    match phase % 4 {
+        0 => (-slope, slope),
+        1 => (slope, slope),
+        2 => (slope, -slope),
+        _ => (-slope, -slope),
+    }
+}
+
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
@@ -131,6 +158,54 @@ mod tests {
                     (g_end - num_end).abs() < 1e-2,
                     "phase {phase} end grad {g_end} vs {num_end}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn combined_gradients_are_bit_identical_to_the_powf_formulas() {
+        // A seeded sweep of distances: fixed edge cases, then random bit
+        // patterns (every exponent) and random magnitudes up to 10^6.
+        let mut state = 0x5eed_u64;
+        let mut next = || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let mut sweep =
+            vec![0.0, -0.0, f64::MIN_POSITIVE / 3.0, -5e-324, 1e-300, -1e-300, 1e6, -1e6];
+        while sweep.len() < 4_000 {
+            let bits = next();
+            let d = f64::from_bits(bits);
+            if d.is_finite() {
+                sweep.push(d);
+            }
+            let unit = (bits >> 11) as f64 / (1u64 << 53) as f64;
+            sweep.push((unit - 0.5) * 2e6);
+        }
+
+        let w = 1_000.0;
+        for &d in &sweep {
+            // Phase 0 with x_start = 0 puts `d` itself in the exponent.
+            let alpha = 2.0;
+            let (start, end) = phase_timing_cost_grads(0, 0.0, d, w, alpha);
+            let expected = |sign: f64| alpha * d.abs().powf(alpha - 1.0) * sign;
+            assert_eq!(start.to_bits(), expected(-1.0).to_bits(), "start at d = {d:e}");
+            assert_eq!(end.to_bits(), expected(1.0).to_bits(), "end at d = {d:e}");
+
+            // Every phase, at α = 2 and on the `powf` path, against the
+            // one-derivative functions.
+            for phase in 0..4 {
+                for alpha in [2.0, 1.5] {
+                    let (x_start, x_end) = (d.abs().min(w), w / 3.0);
+                    let (start, end) = phase_timing_cost_grads(phase, x_start, x_end, w, alpha);
+                    let start_ref = phase_timing_cost_grad_start(phase, x_start, x_end, w, alpha);
+                    let end_ref = phase_timing_cost_grad_end(phase, x_start, x_end, w, alpha);
+                    assert_eq!(start.to_bits(), start_ref.to_bits(), "phase {phase}, α {alpha}");
+                    assert_eq!(end.to_bits(), end_ref.to_bits(), "phase {phase}, α {alpha}");
+                }
             }
         }
     }

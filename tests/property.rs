@@ -240,7 +240,9 @@ proptest! {
 
     /// Sharded global placement is bit-identical to the single-threaded
     /// reference implementation at every thread count (including the
-    /// auto-detect `0`) on arbitrary random designs.
+    /// auto-detect `0`) on arbitrary random designs: at the paper's α = 2
+    /// (no `powf`), at α = 1.5 (the `powf` path) and with the timing and
+    /// max-wirelength terms off.
     #[test]
     fn sharded_global_placement_matches_the_reference(config in dag_config()) {
         let netlist = random_dag(&config);
@@ -249,24 +251,33 @@ proptest! {
         let synthesized = Synthesizer::new(library.clone()).run(&netlist).expect("ok");
         let base = PlacedDesign::from_synthesized(&synthesized, &library);
 
-        let mut oracle = base.clone();
-        let oracle_report = global_place_reference(
-            &mut oracle,
-            &GlobalPlacementConfig { iterations: 40, ..Default::default() },
-        );
-        let oracle_bits: Vec<u64> = oracle.cells.iter().map(|c| c.x.to_bits()).collect();
+        let configs = [
+            GlobalPlacementConfig { iterations: 40, ..Default::default() },
+            GlobalPlacementConfig { iterations: 40, alpha: 1.5, ..Default::default() },
+            GlobalPlacementConfig { iterations: 40, ..GlobalPlacementConfig::wirelength_only() },
+        ];
+        for placement in configs {
+            let mut oracle = base.clone();
+            let oracle_report = global_place_reference(&mut oracle, &placement);
+            let oracle_bits: Vec<u64> = oracle.cells.iter().map(|c| c.x.to_bits()).collect();
 
-        for threads in [1usize, 2, 4, 0] {
-            let mut sharded = base.clone();
-            let report = global_place(
-                &mut sharded,
-                &GlobalPlacementConfig { iterations: 40, threads, ..Default::default() },
-            );
-            let sharded_bits: Vec<u64> =
-                sharded.cells.iter().map(|c| c.x.to_bits()).collect();
-            prop_assert_eq!(&sharded_bits, &oracle_bits, "threads = {}", threads);
-            prop_assert_eq!(report.iterations, oracle_report.iterations);
-            prop_assert_eq!(report.hpwl_after.to_bits(), oracle_report.hpwl_after.to_bits());
+            for threads in [1usize, 2, 4, 0] {
+                let mut sharded = base.clone();
+                let report =
+                    global_place(&mut sharded, &GlobalPlacementConfig { threads, ..placement });
+                let sharded_bits: Vec<u64> =
+                    sharded.cells.iter().map(|c| c.x.to_bits()).collect();
+                prop_assert_eq!(
+                    &sharded_bits,
+                    &oracle_bits,
+                    "threads = {}, alpha = {}, timing weight = {}",
+                    threads,
+                    placement.alpha,
+                    placement.timing_weight
+                );
+                prop_assert_eq!(report.iterations, oracle_report.iterations);
+                prop_assert_eq!(report.hpwl_after.to_bits(), oracle_report.hpwl_after.to_bits());
+            }
         }
     }
 }
