@@ -1,12 +1,14 @@
-//! Million-cell scale trajectory: place + route + streaming GDS wall-clock
-//! and peak RSS at three placed-cell decades (~10^4, ~10^5, ~10^6 cells).
+//! Million-cell scale trajectory: synthesis + place + route + streaming GDS
+//! wall-clock and peak RSS at three placed-cell decades (~10^4, ~10^5, ~10^6
+//! cells).
 //!
-//! Each row runs one `large::tiled_multiplier` design through the full
-//! back-end once — paper-default placement (sharded global placer on the
-//! auto thread count), channel routing, and GDS emission through the
-//! streaming writer into a byte-counting sink (no in-memory byte image, no
-//! multi-hundred-MB artifact on disk). Sizes run smallest-first because the
-//! per-row memory number is the monotone `VmHWM` high-water mark.
+//! Each row runs one `large::tiled_multiplier` design through synthesis and
+//! the back-end once — synthesis, paper-default placement (sharded global
+//! placer on the auto thread count), channel routing, and GDS emission
+//! through the streaming writer into a byte-counting sink (no in-memory
+//! byte image, no multi-hundred-MB artifact on disk). Sizes run
+//! smallest-first because the per-row memory number is the monotone `VmHWM`
+//! high-water mark.
 //!
 //! This bench deliberately does not use the criterion sampling harness: a
 //! scaling claim needs placed-cell counts, stage splits, output size and
@@ -32,6 +34,7 @@ use aqfp_layout::LayoutGenerator;
 use aqfp_netlist::generators::large;
 use aqfp_place::{PlacementEngine, PlacerKind};
 use aqfp_route::Router;
+use aqfp_synth::truth::MappingTable;
 use aqfp_synth::Synthesizer;
 use bench::scale::{compare_and_emit, peak_rss_kb, ScaleRow};
 
@@ -57,13 +60,19 @@ impl Write for CountingSink {
     }
 }
 
-/// Runs one grid size through synth (untimed setup) + place + route +
-/// streamed GDS, each stage timed once.
+/// Runs one grid size through synth + place + route + streamed GDS, each
+/// stage timed once. Generating the netlist is untimed setup, and so is the
+/// process-wide majority mapping table, which synthesis builds once per
+/// process rather than per design.
 fn measure(grid: usize, label: &str) -> ScaleRow {
     let technology = Technology::mit_ll_sqf5ee();
     let netlist = large::tiled_multiplier(grid);
+    MappingTable::global();
+
+    let start = Instant::now();
     let synthesized =
         Synthesizer::new(technology.clone()).run(&netlist).expect("generated designs synthesize");
+    let synth_s = start.elapsed().as_secs_f64();
 
     let start = Instant::now();
     let placed =
@@ -87,6 +96,7 @@ fn measure(grid: usize, label: &str) -> ScaleRow {
         grid,
         placed_cells: placed.design.cell_count(),
         nets: placed.design.nets.len(),
+        synth_s,
         place_s,
         route_s,
         gds_s,
@@ -121,12 +131,13 @@ fn main() {
         }
         let row = measure(grid, label);
         println!(
-            "{:<4} grid {:>2}: {:>9} cells / {:>9} nets  place {:>7.2}s  route {:>7.2}s  \
-             gds {:>6.2}s  ({:>6.1} MB streamed, rss {} MB)",
+            "{:<4} grid {:>2}: {:>9} cells / {:>9} nets  synth {:>7.2}s  place {:>7.2}s  \
+             route {:>7.2}s  gds {:>6.2}s  ({:>6.1} MB streamed, rss {} MB)",
             row.label,
             row.grid,
             row.placed_cells,
             row.nets,
+            row.synth_s,
             row.place_s,
             row.route_s,
             row.gds_s,

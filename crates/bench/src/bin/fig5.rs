@@ -12,7 +12,7 @@
 //! stage reports its wall-clock share as it completes.
 
 use aqfp_netlist::generators::{benchmark_circuit, Benchmark};
-use superflow::{Flow, FlowConfig, FlowObserver, FlowStage, RepairScope};
+use superflow::{FlowConfig, FlowObserver, FlowSession, FlowStage, RepairScope};
 
 /// Prints one line per completed stage and per DRC-repair iteration.
 struct Progress;
@@ -35,32 +35,29 @@ impl FlowObserver for Progress {
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let benchmark = if quick { Benchmark::Apc32 } else { Benchmark::Apc128 };
-    let flow = Flow::with_config(FlowConfig::paper_default());
 
     println!("Fig. 5: staged flow for AQFP circuit {benchmark}");
-    let mut session = flow.session().expect("built-in technology resolves");
+    let mut session =
+        FlowSession::new(FlowConfig::paper_default()).expect("built-in technology resolves");
     session.add_observer(Box::new(Progress));
-    let synthesized =
-        session.synthesize(&benchmark_circuit(benchmark)).expect("benchmark circuits are valid");
-    let placed = session.place(synthesized).expect("same-technology placement");
-    let routed = session.route(placed).expect("same-technology routing");
-    let checked = session.check(routed).expect("same-technology check");
-    let report = session.finish(checked);
+    let checked =
+        session.run(&benchmark_circuit(benchmark)).expect("benchmark circuits run the flow");
 
-    let bytes = report.layout.to_gds_bytes();
-    let path = format!("{}.gds", report.design_name);
+    let layout = &checked.layout;
+    let bytes = layout.to_gds_bytes();
+    let path = format!("{benchmark}.gds");
     std::fs::write(&path, &bytes).expect("write GDS file");
-    println!("  cells placed : {}", report.layout.cell_instances);
-    println!("  wire paths   : {}", report.layout.wire_paths);
-    println!("  chip size    : {:.0} x {:.0} um", report.layout.width_um, report.layout.height_um);
+    println!("  cells placed : {}", layout.cell_instances);
+    println!("  wire paths   : {}", layout.wire_paths);
+    println!("  chip size    : {:.0} x {:.0} um", layout.width_um, layout.height_um);
     println!(
         "  DRC          : {}",
-        if report.drc.is_clean() {
+        if checked.drc.is_clean() {
             "clean".into()
         } else {
-            format!("{} findings", report.drc.violations.len())
+            format!("{} findings", checked.drc.violations.len())
         }
     );
     println!("  GDS written  : {path} ({} bytes)", bytes.len());
-    println!("\n{}", report.summary());
+    println!("\n{}; {:.1}s", checked.summary(), session.timings().total_s());
 }

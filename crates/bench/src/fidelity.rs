@@ -411,8 +411,6 @@ fn print_changes(path: &str, committed: &Value, fresh: &Value) -> usize {
 mod tests {
     use std::sync::OnceLock;
 
-    use superflow::Flow;
-
     use super::*;
 
     /// adder8 and apc32, run once for every test that reads them.
@@ -508,18 +506,19 @@ mod tests {
     #[test]
     fn checked_columns_are_the_design_the_flow_writes() {
         let row = &quick_rows()[0];
-        let report = Flow::with_config(FlowConfig::paper_default())
-            .run_benchmark(Benchmark::Adder8)
+        let written = FlowSession::new(FlowConfig::paper_default())
+            .unwrap()
+            .run(&benchmark_circuit(Benchmark::Adder8))
             .unwrap();
         let checked = &row.checked;
         assert!(checked.routed.jjs.ours >= row.routed.jjs.ours);
-        assert_eq!(checked.routed.jjs.ours, report.jj_after_routing() as f64);
+        assert_eq!(checked.routed.jjs.ours, written.routed.routing.jj_count as f64);
         assert_eq!(
             checked.residual_violations.values().sum::<usize>(),
-            report.drc.violations.len()
+            written.drc.violations.len()
         );
-        assert_eq!(checked.repair_iterations, report.drc_iterations);
-        assert_eq!(checked.buffer_lines, report.placement.buffer_lines);
+        assert_eq!(checked.repair_iterations, written.drc_iterations);
+        assert_eq!(checked.buffer_lines, written.routed.placed.placement.buffer_lines);
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //!
 //! Unlike the [`crate::baseline`] timing baselines, a scale row carries the
 //! quantities that make a scaling claim checkable — placed cell count,
-//! per-stage wall-clock, streamed GDS size and peak RSS — so
-//! `BENCH_scale.json` records the whole cells × wall-clock × memory
-//! trajectory, not just durations. The compare step is report-only: it
+//! per-stage wall-clock from synthesis to GDS, streamed GDS size and peak
+//! RSS — so `BENCH_scale.json` records the whole cells × wall-clock ×
+//! memory trajectory, not just durations. The compare step is report-only: it
 //! prints per-row ratios against the committed file and never fails, and a
 //! partial run (size cap or name filter active) never overwrites the
 //! committed full trajectory.
@@ -23,6 +23,8 @@ pub struct ScaleRow {
     pub placed_cells: usize,
     /// Two-pin nets in the placed design.
     pub nets: usize,
+    /// Synthesis wall-clock (majority conversion, splitters, balancing).
+    pub synth_s: f64,
     /// Placement wall-clock (global + legalize + detailed + buffer rows).
     pub place_s: f64,
     /// Routing wall-clock.
@@ -38,9 +40,9 @@ pub struct ScaleRow {
 }
 
 impl ScaleRow {
-    /// Total place + route + GDS wall-clock.
+    /// Total synthesis + place + route + GDS wall-clock.
     pub fn total_s(&self) -> f64 {
-        self.place_s + self.route_s + self.gds_s
+        self.synth_s + self.place_s + self.route_s + self.gds_s
     }
 }
 
@@ -122,6 +124,7 @@ mod tests {
                 grid: 9,
                 placed_cells: 11_000,
                 nets: 12_000,
+                synth_s: 0.125,
                 place_s: 0.5,
                 route_s: 1.0,
                 gds_s: 0.25,
@@ -133,6 +136,6 @@ mod tests {
         let back: ScaleBaseline = serde_json::from_str(&json).expect("parses");
         assert_eq!(back.rows.len(), 1);
         assert_eq!(back.rows[0].label, "1e4");
-        assert!((back.rows[0].total_s() - 1.75).abs() < 1e-12);
+        assert!((back.rows[0].total_s() - 1.875).abs() < 1e-12);
     }
 }

@@ -107,6 +107,7 @@ use std::sync::{Arc, Mutex, Once};
 use std::time::{Duration, Instant};
 
 use aqfp_cells::{CancelToken, Technology};
+use aqfp_layout::Layout;
 use aqfp_netlist::Netlist;
 use aqfp_place::ThreadBudget;
 use serde::{Deserialize, Serialize};
@@ -114,8 +115,7 @@ use serde::{Deserialize, Serialize};
 use crate::config::FlowConfig;
 use crate::error::FlowError;
 use crate::input::{design_name, load_design};
-use crate::report::{FlowReport, StageTimings};
-use crate::session::{Artifact, FlowSession, FlowStage};
+use crate::session::{Artifact, Checked, FlowSession, FlowStage, StageTimings};
 
 /// One design in a batch: a display name and the input it loads from (a
 /// benchmark name or a netlist file path — see [`crate::input`]).
@@ -838,13 +838,14 @@ impl BatchRunner {
             })?;
             self.seal(&session, &job.name, attempt, journal.as_deref(), &mut artifact, None)?;
         }
-        let Artifact::Checked(checked) = artifact else {
+        let Artifact::Checked(Checked { routed, layout, drc, .. }) = artifact else {
             unreachable!("the stage loop ends at the check stage")
         };
-        session.set_cancel_token(CancelToken::none());
-        let report = session.finish(checked);
-        self.write_gds(&job.name, &report)?;
-        Ok(AttemptSuccess { resumed_from, timings: report.stage_timings })
+        // Only the layout is left to write: free the design, its routing and
+        // the DRC report before the GDS byte image is built.
+        drop((routed, drc));
+        self.write_gds(&job.name, &layout)?;
+        Ok(AttemptSuccess { resumed_from, timings: session.timings() })
     }
 
     /// The cancellation token a stage runs under: an injected zero
@@ -971,10 +972,10 @@ impl BatchRunner {
 
     /// Writes the final GDS to the output directory (atomically), when one
     /// is configured.
-    fn write_gds(&self, design: &str, report: &FlowReport) -> Result<(), StageFailure> {
+    fn write_gds(&self, design: &str, layout: &Layout) -> Result<(), StageFailure> {
         let Some(dir) = &self.config.output_dir else { return Ok(()) };
         let path = dir.join(format!("{design}.gds"));
-        write_atomic(&path, &report.layout.to_gds_bytes())
+        write_atomic(&path, &layout.to_gds_bytes())
             .map_err(|e| StageFailure::unattributed(error_chain(&e)))
     }
 
@@ -1006,6 +1007,9 @@ impl BatchRunner {
             };
             let artifact = Artifact::from_json(stage, &text).map_err(located)?;
             session.ensure_same_technology(artifact.tech_fingerprint()).map_err(located)?;
+            if let Some(design) = artifact.design() {
+                session.ensure_technology_widths(design).map_err(located)?;
+            }
             return Ok(Some(artifact));
         }
         Ok(None)

@@ -2,9 +2,9 @@
 //!
 //! Runs the RTL-to-GDS flow on a structural-Verilog or BLIF file, or on one
 //! of the built-in benchmark circuits, and writes the resulting GDSII (and
-//! optionally an SVG rendering, a JSON report, or a resumable stage
-//! checkpoint). The subcommands run many designs at once (`batch`), run the
-//! static checks on their own (`lint`, `predict`, `verify`), emit large
+//! optionally an SVG rendering and the resumable JSON checkpoint of the
+//! last stage run). The subcommands run many designs at once (`batch`), run
+//! the static checks on their own (`lint`, `predict`, `verify`), emit large
 //! generated designs (`generate`) and inspect the technology (PDK)
 //! descriptions the flow can target (`tech`).
 //!
@@ -25,10 +25,10 @@
 //!   --threads <n>           worker threads for parallel stages; 0 = all
 //!                           cores                             [0]
 //!   --stop-after <stage>    stop after synthesis | placement | routing |
-//!                           check and (with --report) write that stage's
-//!                           resumable JSON checkpoint instead of a GDS
-//!   --report <file.json>    write the full flow report — or, with
-//!                           --stop-after, the stage checkpoint — as JSON
+//!                           check; no GDS or SVG is written
+//!   --report <file.json>    write the resumable JSON checkpoint of the last
+//!                           stage run (check, or the --stop-after stage),
+//!                           which `superflow verify` reads
 //!   --output <file.gds>     GDSII output path                 [<design>.gds]
 //!   --svg <file.svg>        also write an SVG rendering
 //!   --fast                  use the reduced-effort placement configuration
@@ -104,7 +104,7 @@
 //!   of the GDS byte stream against the routed netlist. Each artifact is
 //!   either a `.gds` layout (the flow is re-run on the matching input and
 //!   the committed bytes are checked against the re-derived design) or a
-//!   `.json` stage checkpoint written by `--stop-after`/`--journal` (the
+//!   `.json` stage checkpoint written by `--report`/`--journal` (the
 //!   verifiers applicable to that stage run directly on it).
 //!
 //!   --tech <name|file>      technology to verify under, as above
@@ -167,9 +167,9 @@ use serde::Serialize;
 use superflow::lint::RuleInfo;
 use superflow::verify::{mutate, Defect};
 use superflow::{
-    error_chain, Artifact, BatchConfig, BatchJob, BatchRunner, Checked, Fault, FaultPlan, Flow,
-    FlowConfig, FlowObserver, FlowReport, FlowSession, FlowStage, LintConfig, LintReport,
-    PredictReport, RepairScope, TechSpec, VerifyConfig, VerifyReport,
+    error_chain, Artifact, BatchConfig, BatchJob, BatchRunner, Checked, Fault, FaultPlan,
+    FlowConfig, FlowObserver, FlowSession, FlowStage, LintConfig, LintReport, PredictReport,
+    RepairScope, StageTimings, TechSpec, VerifyConfig, VerifyReport,
 };
 
 /// Exit code for usage errors (bad flags, malformed specs).
@@ -182,13 +182,13 @@ const EXIT_PARTIAL_FAILURE: u8 = 3;
 // The option table
 // ---------------------------------------------------------------------------
 
-/// The subcommand a command line selects. `Flow` is the bare
+/// The subcommand a command line selects. `Run` is the bare
 /// `superflow <input>` form; `Tech` is `tech` without a known action, which
 /// only parses as `--help` or a usage error.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 enum Command {
     #[default]
-    Flow,
+    Run,
     Batch,
     Lint,
     Predict,
@@ -216,7 +216,7 @@ impl Command {
                 Some("dump") => return (Command::TechDump, &args[2..]),
                 _ => Command::Tech,
             },
-            _ => return (Command::Flow, args),
+            _ => return (Command::Run, args),
         };
         (command, &args[1..])
     }
@@ -224,7 +224,7 @@ impl Command {
     /// The subcommand's name in messages.
     fn name(self) -> &'static str {
         match self {
-            Command::Flow => "flow",
+            Command::Run => "flow",
             Command::Batch => "batch",
             Command::Lint => "lint",
             Command::Predict => "predict",
@@ -242,7 +242,7 @@ impl Command {
     fn flags(self) -> &'static [Flag] {
         use Flag::*;
         match self {
-            Command::Flow => &[
+            Command::Run => &[
                 Placer,
                 Tech,
                 Threads,
@@ -500,7 +500,7 @@ impl Options {
     fn check_inputs(&mut self) -> Result<(), String> {
         let name = self.command.name();
         match self.command {
-            Command::Flow => {
+            Command::Run => {
                 self.single("an input")?;
                 if self.stop_after.is_some() && (self.output.is_some() || self.svg.is_some()) {
                     return Err("--output/--svg write final layout artifacts, which --stop-after \
@@ -634,7 +634,7 @@ fn number<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
 
 fn usage() -> &'static str {
     "usage: superflow [--placer superflow|gordian|taas] [--tech name|file.toml] [--threads n] \
-     [--stop-after synthesis|placement|routing|check] [--report out.json] \
+     [--stop-after synthesis|placement|routing|check] [--report checkpoint.json] \
      [--output out.gds] [--svg out.svg] [--fast] [--verify] \
      [--fanout-threshold n] [--quiet] \
      <input.v|input.sv|input.blif|benchmark>\n\
@@ -684,7 +684,7 @@ fn main() -> ExitCode {
         }
     };
     match options.command {
-        Command::Flow => run_flow(&options),
+        Command::Run => run_flow(&options),
         Command::Batch => run_batch(&options),
         Command::Lint | Command::Predict | Command::Verify => run_checks(&options),
         Command::Generate => run_generate(&options),
@@ -731,19 +731,12 @@ impl FlowObserver for StageLog {
     }
 }
 
-/// What a CLI invocation produced.
-enum Outcome {
-    /// The whole pipeline ran.
-    Complete(Box<FlowReport>),
-    /// `--stop-after` ended the run early; the checkpoint JSON is only
-    /// rendered when `--report` asks for it.
-    Stopped { stage: FlowStage, summary: String, checkpoint: Option<String> },
-}
-
-fn run(options: &Options) -> Result<Outcome, String> {
+/// Runs the flow on the one input through `--stop-after` (the check stage
+/// by default), printing stage progress unless `--quiet`, and returns the
+/// last stage's artifact with the session's stage timings.
+fn run(options: &Options) -> Result<(Artifact, StageTimings), String> {
     let netlist = load_netlist(&options.inputs[0])?;
-    let flow = Flow::with_config(options.flow_config());
-    let mut session = flow.session().map_err(|e| error_chain(&e))?;
+    let mut session = FlowSession::new(options.flow_config()).map_err(|e| error_chain(&e))?;
     if !options.quiet {
         println!(
             "[{:<9}] technology {} ({})",
@@ -754,38 +747,16 @@ fn run(options: &Options) -> Result<Outcome, String> {
         session.add_observer(Box::new(StageLog));
     }
     let last = options.stop_after.unwrap_or(FlowStage::Check);
-    match run_through(&mut session, &netlist, last)? {
-        Artifact::Checked(checked) if options.stop_after.is_none() => {
-            Ok(Outcome::Complete(Box::new(session.finish(checked))))
-        }
-        artifact => Ok(Outcome::Stopped {
-            stage: artifact.stage(),
-            summary: stop_summary(&artifact),
-            checkpoint: match options.report {
-                Some(_) => Some(artifact.to_json().map_err(|e| error_chain(&e))?),
-                None => None,
-            },
-        }),
-    }
-}
-
-/// Runs `session` on `netlist` from synthesis through stage `last`.
-fn run_through(
-    session: &mut FlowSession,
-    netlist: &Netlist,
-    last: FlowStage,
-) -> Result<Artifact, String> {
     let mut artifact =
-        Artifact::Synthesized(session.synthesize(netlist).map_err(|e| error_chain(&e))?);
+        Artifact::Synthesized(session.synthesize(&netlist).map_err(|e| error_chain(&e))?);
     while artifact.stage() != last {
         artifact = session.advance(artifact).map_err(|e| error_chain(&e))?;
     }
-    Ok(artifact)
+    Ok((artifact, session.timings()))
 }
 
-/// The one-line summary `--stop-after` prints for the artifact it stopped
-/// at.
-fn stop_summary(artifact: &Artifact) -> String {
+/// The one-line summary of the artifact a run ends at.
+fn summary(artifact: &Artifact) -> String {
     let name = artifact.design_name();
     match artifact {
         Artifact::Synthesized(synthesized) => {
@@ -807,99 +778,91 @@ fn stop_summary(artifact: &Artifact) -> String {
             routed.routing.stats.total_wirelength_um,
             routed.routing.stats.total_vias
         ),
-        Artifact::Checked(checked) => format!(
-            "{name}: DRC {} after {} repair iteration(s)",
-            if checked.drc.is_clean() {
-                "clean".to_owned()
-            } else {
-                format!("{} violations", checked.drc.violations.len())
-            },
-            checked.drc_iterations
-        ),
+        Artifact::Checked(checked) => checked.summary(),
     }
 }
 
 fn run_flow(options: &Options) -> ExitCode {
-    let report = match run(options) {
-        Ok(Outcome::Complete(report)) => report,
-        Ok(Outcome::Stopped { stage, summary, checkpoint }) => {
-            println!("{summary}");
-            match (&options.report, checkpoint) {
-                (Some(path), Some(json)) => {
-                    if let Err(e) = std::fs::write(path, json) {
-                        eprintln!("error: cannot write `{path}`: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                    println!("stopped after {stage}; checkpoint written to {path}");
-                }
-                _ => println!("stopped after {stage} (pass --report to keep a checkpoint)"),
-            }
-            return ExitCode::SUCCESS;
-        }
+    match run(options).and_then(|(artifact, timings)| write_outputs(options, &artifact, timings)) {
+        Ok(()) => ExitCode::SUCCESS,
         Err(message) => {
             eprintln!("error: {message}");
-            return ExitCode::FAILURE;
+            ExitCode::FAILURE
         }
+    }
+}
+
+/// Prints the summary of the artifact a run ended at and writes what the
+/// flags ask for: its stage checkpoint with `--report`, and the GDS (plus
+/// the `--svg` rendering) unless `--stop-after` ended the run early.
+fn write_outputs(
+    options: &Options,
+    artifact: &Artifact,
+    timings: StageTimings,
+) -> Result<(), String> {
+    println!("{}; {:.1}s", summary(artifact), timings.total_s());
+    let write = |path: &str, bytes: &[u8]| {
+        std::fs::write(path, bytes).map_err(|e| format!("cannot write `{path}`: {e}"))
     };
-
     if let Some(path) = &options.report {
-        let json = match serde_json::to_string_pretty(&*report) {
-            Ok(json) => json,
-            Err(e) => {
-                eprintln!("error: cannot serialize report: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if let Err(e) = std::fs::write(path, json) {
-            eprintln!("error: cannot write `{path}`: {e}");
-            return ExitCode::FAILURE;
+        write(path, artifact.to_json().map_err(|e| error_chain(&e))?.as_bytes())?;
+    }
+    let mut gds_path = None;
+    if let (None, Artifact::Checked(checked)) = (options.stop_after, artifact) {
+        let path =
+            options.output.clone().unwrap_or_else(|| format!("{}.gds", artifact.design_name()));
+        // Stream record by record through a BufWriter instead of
+        // materializing the byte image — at a million cells the image alone
+        // is tens of MB.
+        std::fs::File::create(&path)
+            .and_then(|file| {
+                let mut out = std::io::BufWriter::new(file);
+                checked.layout.gds.write_to(&mut out)?;
+                std::io::Write::flush(&mut out)
+            })
+            .map_err(|e| format!("cannot write `{path}`: {e}"))?;
+        if let Some(svg_path) = &options.svg {
+            let routed = &checked.routed;
+            write(
+                svg_path,
+                render_svg(routed.design(), &routed.routing, &SvgOptions::default()).as_bytes(),
+            )?;
         }
+        gds_path = Some(path);
     }
-
-    let gds_path = options.output.clone().unwrap_or_else(|| format!("{}.gds", report.design_name));
-    // Stream record by record through a BufWriter instead of materializing
-    // the byte image — at a million cells the image alone is tens of MB.
-    if let Err(e) = std::fs::File::create(&gds_path).and_then(|file| {
-        let mut out = std::io::BufWriter::new(file);
-        report.layout.gds.write_to(&mut out)?;
-        std::io::Write::flush(&mut out)
-    }) {
-        eprintln!("error: cannot write `{gds_path}`: {e}");
-        return ExitCode::FAILURE;
+    if options.quiet {
+        return Ok(());
     }
-    if let Some(svg_path) = &options.svg {
-        let svg = render_svg(&report.placement.design, &report.routing, &SvgOptions::default());
-        if let Err(e) = std::fs::write(svg_path, svg) {
-            eprintln!("error: cannot write `{svg_path}`: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-
-    println!("{}", report.summary());
-    if !options.quiet {
+    if let Artifact::Checked(checked) = artifact {
         let energy = EnergyModel::default();
-        let timings = report.stage_timings;
-        println!("placer            : {}", report.placement.placer);
-        println!("clock phases      : {}", report.synthesis_stats.delay);
-        println!("JJs after routing : {}", report.jj_after_routing());
+        let jjs = checked.routed.routing.jj_count;
+        println!("placer            : {}", checked.routed.placed.placement.placer);
+        println!("clock phases      : {}", checked.routed.placed.synthesized.stats().delay);
+        println!("JJs after routing : {jjs}");
         println!(
             "energy estimate   : {:.1} aJ/cycle ({:.2} nW at 5 GHz)",
-            report.cycle_energy_aj(&energy),
-            report.average_power_nw(&energy, aqfp_cells::FourPhaseClock::PAPER_DEFAULT),
+            energy.cycle_energy_aj(jjs),
+            energy.average_power_nw(jjs, aqfp_cells::FourPhaseClock::PAPER_DEFAULT),
         );
-        println!(
-            "stage timings     : synth {:.2}s / place {:.2}s / route {:.2}s / check {:.2}s",
-            timings.synthesis_s, timings.placement_s, timings.routing_s, timings.check_s,
-        );
-        if let Some(path) = &options.report {
-            println!("report written to : {path}");
+    }
+    println!(
+        "stage timings     : synth {:.2}s / place {:.2}s / route {:.2}s / check {:.2}s",
+        timings.synthesis_s, timings.placement_s, timings.routing_s, timings.check_s,
+    );
+    match (&options.report, options.stop_after) {
+        (Some(path), _) => println!("report written to : {path}"),
+        (None, Some(stage)) => {
+            println!("stopped after {stage}; pass --report to keep its checkpoint")
         }
-        println!("GDS written to    : {gds_path}");
+        (None, None) => {}
+    }
+    if let Some(path) = gds_path {
+        println!("GDS written to    : {path}");
         if let Some(svg_path) = &options.svg {
             println!("SVG written to    : {svg_path}");
         }
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -1129,9 +1092,8 @@ fn verify_gds_input(
             .ok_or_else(|| format!("cannot infer a design name from `{input}`"))?,
     };
     let netlist = load_netlist(&spec)?;
-    let flow = Flow::with_config(config.clone());
-    let mut session = flow.session().map_err(|e| error_chain(&e))?;
-    let mut artifact = run_through(&mut session, &netlist, FlowStage::Check)?;
+    let mut session = FlowSession::new(config.clone()).map_err(|e| error_chain(&e))?;
+    let mut artifact = Artifact::Checked(session.run(&netlist).map_err(|e| error_chain(&e))?);
     if let Some(defect) = options.inject {
         let note = inject_defect(defect, &mut artifact, input)?;
         eprintln!("note: injected {} defect into `{input}`: {note}", defect.name());
@@ -1161,8 +1123,7 @@ fn verify_checkpoint_input(
     config: &FlowConfig,
 ) -> Result<VerifyReport, String> {
     let text = std::fs::read_to_string(input).map_err(|e| format!("cannot read `{input}`: {e}"))?;
-    let flow = Flow::with_config(config.clone());
-    let session = flow.session().map_err(|e| error_chain(&e))?;
+    let session = FlowSession::new(config.clone()).map_err(|e| error_chain(&e))?;
     let mut artifact = FlowStage::ALL
         .into_iter()
         .rev()
@@ -1170,7 +1131,7 @@ fn verify_checkpoint_input(
         .ok_or_else(|| {
             format!(
                 "`{input}` is not a stage checkpoint this version can read (expected the JSON \
-                 written by --stop-after/--journal for the synthesis, placement, routing or \
+                 written by --report/--journal for the synthesis, placement, routing or \
                  check stage)"
             )
         })?;
@@ -1386,7 +1347,7 @@ mod tests {
             "adder8",
         ])
         .expect("parses");
-        assert_eq!(options.command, Command::Flow);
+        assert_eq!(options.command, Command::Run);
         assert_eq!(options.placer, Some(PlacerKind::Taas));
         assert_eq!(options.tech.as_deref(), Some("aist-stp2"));
         assert_eq!(options.threads, Some(3));
@@ -1458,10 +1419,10 @@ mod tests {
     #[test]
     fn benchmark_names_resolve_without_touching_the_filesystem() {
         let options = cli(&["--fast", "--quiet", "adder8"]).expect("parses");
-        match run(&options).expect("flow runs") {
-            Outcome::Complete(report) => assert_eq!(report.design_name, "adder8"),
-            Outcome::Stopped { .. } => panic!("no --stop-after given"),
-        }
+        let (artifact, timings) = run(&options).expect("flow runs");
+        assert_eq!(artifact.stage(), FlowStage::Check, "no --stop-after given");
+        assert_eq!(artifact.design_name(), "adder8");
+        assert!(timings.total_s() > 0.0);
     }
 
     #[test]
@@ -1476,15 +1437,11 @@ mod tests {
             "adder8",
         ])
         .expect("parses");
-        match run(&options).expect("flow runs") {
-            Outcome::Stopped { stage, checkpoint, .. } => {
-                assert_eq!(stage, FlowStage::Placement);
-                let json = checkpoint.expect("--report requests a checkpoint");
-                let placed = superflow::Placed::from_json(&json).expect("checkpoint parses");
-                assert_eq!(placed.synthesized.design_name, "adder8");
-            }
-            Outcome::Complete(_) => panic!("--stop-after placement must stop early"),
-        }
+        let (artifact, _) = run(&options).expect("flow runs");
+        assert_eq!(artifact.stage(), FlowStage::Placement, "--stop-after placement stops early");
+        let json = artifact.to_json().expect("checkpoint serializes");
+        let placed = superflow::Placed::from_json(&json).expect("checkpoint parses");
+        assert_eq!(placed.synthesized.design_name, "adder8");
     }
 
     #[test]
@@ -1622,25 +1579,19 @@ mod tests {
         assert_ne!(edited, dumped);
         std::fs::write(&path, &edited).expect("writes");
 
-        let options = cli(&["--fast", "--quiet", "--tech", path.to_str().unwrap(), "adder8"])
-            .expect("parses");
-        match run(&options).expect("flow runs on the edited technology") {
-            Outcome::Complete(report) => {
-                assert_eq!(report.design_name, "adder8");
-                // The tighter W_max forces at least as many buffer lines as
-                // the stock process.
-                let stock =
-                    run(&cli(&["--fast", "--quiet", "adder8"]).unwrap()).expect("stock flow runs");
-                let Outcome::Complete(stock) = stock else { panic!("no --stop-after") };
-                assert!(
-                    report.placement.buffer_lines >= stock.placement.buffer_lines,
-                    "tighter W_max cannot need fewer buffer lines ({} < {})",
-                    report.placement.buffer_lines,
-                    stock.placement.buffer_lines
-                );
+        let buffer_lines = |list: &[&str]| match run(&cli(list).unwrap()).expect("flow runs") {
+            (Artifact::Checked(checked), _) => {
+                assert_eq!(checked.routed.placed.synthesized.design_name, "adder8");
+                checked.routed.placed.placement.buffer_lines
             }
-            Outcome::Stopped { .. } => panic!("no --stop-after given"),
-        }
+            (artifact, _) => panic!("no --stop-after given, stopped at {}", artifact.stage()),
+        };
+        let tight =
+            buffer_lines(&["--fast", "--quiet", "--tech", path.to_str().unwrap(), "adder8"]);
+        // The tighter W_max forces at least as many buffer lines as the
+        // stock process.
+        let stock = buffer_lines(&["--fast", "--quiet", "adder8"]);
+        assert!(tight >= stock, "tighter W_max cannot need fewer buffer lines ({tight} < {stock})");
     }
 }
 
@@ -1855,10 +1806,10 @@ mod verify_cli_tests {
         let dir = std::env::temp_dir().join(dir);
         std::fs::create_dir_all(&dir).expect("temp dir");
         let path = dir.join("adder8.gds");
-        let flow = Flow::with_config(FlowConfig::fast().with_placer(placer));
-        let report =
-            flow.run_benchmark(aqfp_netlist::generators::Benchmark::Adder8).expect("flow runs");
-        std::fs::write(&path, report.layout.to_gds_bytes()).expect("writes");
+        let mut session =
+            FlowSession::new(FlowConfig::fast().with_placer(placer)).expect("session opens");
+        let checked = session.run(&load_netlist("adder8").expect("resolves")).expect("flow runs");
+        std::fs::write(&path, checked.layout.to_gds_bytes()).expect("writes");
         path.to_str().expect("utf-8 path").to_owned()
     }
 
@@ -2000,11 +1951,9 @@ mod verify_cli_tests {
             "adder8",
         ])
         .expect("parses");
-        let Outcome::Stopped { checkpoint: Some(json), .. } = run(&options).expect("flow runs")
-        else {
-            panic!("--stop-after placement must yield a checkpoint")
-        };
-        std::fs::write(&path, json).expect("writes");
+        let (artifact, _) = run(&options).expect("flow runs");
+        assert_eq!(artifact.stage(), FlowStage::Placement);
+        std::fs::write(&path, artifact.to_json().expect("serializes")).expect("writes");
         let path = path.to_str().expect("utf-8 path");
 
         let report = verify(&["verify", "--fast", "--against", "adder8", path]);

@@ -1,4 +1,4 @@
-//! Flow-level configuration.
+//! The configuration of the flow and its stages.
 
 use std::sync::Arc;
 

@@ -1,4 +1,4 @@
-//! Flow-level error type.
+//! The error type every flow stage returns.
 
 use aqfp_lint::LintReport;
 use aqfp_netlist::parsers::ParseNetlistError;

@@ -11,35 +11,38 @@
 //! # Quick start
 //!
 //! ```
-//! use aqfp_netlist::generators::Benchmark;
-//! use superflow::{Flow, FlowConfig};
+//! use aqfp_netlist::generators::{benchmark_circuit, Benchmark};
+//! use superflow::{FlowConfig, FlowSession};
 //!
-//! let flow = Flow::with_config(FlowConfig::fast());
-//! let report = flow.run_benchmark(Benchmark::Adder8)?;
+//! let mut session = FlowSession::new(FlowConfig::fast())?;
+//! let checked = session.run(&benchmark_circuit(Benchmark::Adder8))?;
+//! let placement = &checked.routed.placed.placement;
 //! println!(
-//!     "{}: {} JJs, HPWL {:.0} µm, WNS {}, DRC clean: {}",
-//!     report.design_name,
-//!     report.synthesis_stats.jj_count,
-//!     report.placement.hpwl_um,
-//!     report.placement.wns_display(),
-//!     report.drc.is_clean(),
+//!     "{} JJs, HPWL {:.0} µm, WNS {}, DRC clean: {}",
+//!     checked.routed.placed.synthesized.stats().jj_count,
+//!     placement.hpwl_um,
+//!     placement.wns_display(),
+//!     checked.drc.is_clean(),
 //! );
-//! let gds_bytes = report.layout.to_gds_bytes();
+//! println!("{}; {:.1}s", checked.summary(), session.timings().total_s());
+//! let gds_bytes = checked.layout.to_gds_bytes();
 //! assert!(!gds_bytes.is_empty());
 //! # Ok::<(), superflow::FlowError>(())
 //! ```
 //!
 //! # Staged sessions
 //!
-//! [`Flow::run`] is a thin wrapper over the staged [`FlowSession`] API:
+//! [`FlowSession::run`] is one call through the staged [`FlowSession`] API:
 //! each stage returns a typed, inspectable artifact
 //! ([`Synthesized`] → [`Placed`] → [`Routed`] → [`Checked`]) that
 //! serializes to a resumable JSON checkpoint; drivers that loop over the
-//! stages hold one [`Artifact`] and call [`FlowSession::advance`]. Observers
-//! ([`FlowObserver`]) watch stage boundaries and DRC-repair iterations, and
-//! per-stage wall-clock timings land in [`FlowReport::stage_timings`]. The
-//! DRC-repair loop is incremental: only the channels whose cells actually
-//! moved are rerouted (see [`session`]).
+//! stages hold one [`Artifact`] and call [`FlowSession::advance`]. The
+//! [`Checked`] artifact is the flow's result, and its checkpoint is the
+//! report `superflow --report` writes. Observers ([`FlowObserver`]) watch
+//! stage boundaries and DRC-repair iterations, and
+//! [`FlowSession::timings`] accumulates per-stage wall-clock time from the
+//! moment the session opens. The DRC-repair loop is incremental: only the
+//! channels whose cells actually moved are rerouted (see [`session`]).
 //!
 //! # Batch runs
 //!
@@ -112,9 +115,7 @@
 pub mod batch;
 pub mod config;
 pub mod error;
-pub mod flow;
 pub mod input;
-pub mod report;
 pub mod session;
 
 pub use batch::{
@@ -123,12 +124,10 @@ pub use batch::{
 };
 pub use config::{FlowConfig, TechSpec};
 pub use error::FlowError;
-pub use flow::Flow;
 pub use input::{load_design, load_netlist};
-pub use report::{FlowReport, StageTimings};
 pub use session::{
     lint_design, Artifact, Checked, FlowObserver, FlowSession, FlowStage, Placed, RepairScope,
-    Routed, Synthesized,
+    Routed, StageTimings, Synthesized,
 };
 
 // Re-export the stage crates so downstream users can depend on `superflow`

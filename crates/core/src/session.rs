@@ -1,15 +1,18 @@
 //! The staged flow driver: one session, four inspectable stages.
 //!
-//! [`FlowSession`] decomposes the push-button [`Flow`](crate::Flow) pipeline
-//! (Fig. 3 of the paper) into explicit, resumable stages:
+//! [`FlowSession`] runs the RTL-to-GDS pipeline of Fig. 3 of the paper as
+//! explicit, resumable stages:
 //!
 //! ```text
 //! synthesize() → Synthesized
 //!     place()  → Placed
 //!     route()  → Routed
 //!     check()  → Checked       (DRC + incremental violation repair)
-//!     finish() → FlowReport
 //! ```
+//!
+//! [`FlowSession::run`] is the push-button call through all four; the
+//! [`Checked`] artifact it returns is the flow's one result, and its
+//! checkpoint is what `superflow --report` writes.
 //!
 //! Each stage returns a typed artifact that is **inspectable** (public
 //! fields), **serializable** (`to_json`/`from_json` checkpoints) and
@@ -18,8 +21,9 @@
 //! final GDS. Every artifact embeds the fingerprint of the technology it
 //! was produced under, and the stage methods refuse (with
 //! [`FlowError::TechnologyMismatch`]) to resume an artifact into a session
-//! targeting a different technology — a checkpoint can never silently mix
-//! process data. Stage options may be edited between stages through
+//! targeting a different technology, and (with [`FlowError::Checkpoint`])
+//! a placed design whose cells are not as wide as the technology's — a
+//! checkpoint can never silently mix process data. Stage options may be edited between stages through
 //! [`FlowSession::config_mut`].
 //!
 //! The session shares one [`Technology`] across all stages via `Arc`
@@ -50,8 +54,8 @@
 //!
 //! let routed = session.route(placed)?;
 //! let checked = session.check(routed)?;
-//! let report = session.finish(checked);
-//! assert!(report.stage_timings.total_s() > 0.0);
+//! println!("{}", checked.summary());
+//! assert!(session.timings().total_s() > 0.0);
 //! # let _ = checkpoint;
 //! # Ok::<(), superflow::FlowError>(())
 //! ```
@@ -100,7 +104,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::config::FlowConfig;
 use crate::error::FlowError;
-use crate::report::{FlowReport, StageTimings};
 
 /// The stages of the RTL-to-GDS pipeline, in execution order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -166,6 +169,52 @@ pub fn lint_design(
 impl fmt::Display for FlowStage {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())
+    }
+}
+
+/// Wall-clock seconds spent in each stage, accumulated by a session
+/// ([`FlowSession::timings`]) and recorded per design in a batch report.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+pub struct StageTimings {
+    /// Seconds spent in logic synthesis.
+    pub synthesis_s: f64,
+    /// Seconds spent in placement (including buffer rows).
+    pub placement_s: f64,
+    /// Seconds spent in the initial routing.
+    pub routing_s: f64,
+    /// Seconds spent in layout generation, DRC and the repair loop
+    /// (including incremental reroutes).
+    pub check_s: f64,
+}
+
+impl StageTimings {
+    /// Adds `seconds` to the accumulator of `stage`.
+    pub fn record(&mut self, stage: FlowStage, seconds: f64) {
+        *self.slot(stage) += seconds;
+    }
+
+    /// Seconds accumulated for `stage`.
+    pub fn get(&self, stage: FlowStage) -> f64 {
+        match stage {
+            FlowStage::Synthesis => self.synthesis_s,
+            FlowStage::Placement => self.placement_s,
+            FlowStage::Routing => self.routing_s,
+            FlowStage::Check => self.check_s,
+        }
+    }
+
+    /// Total seconds across all stages.
+    pub fn total_s(&self) -> f64 {
+        self.synthesis_s + self.placement_s + self.routing_s + self.check_s
+    }
+
+    fn slot(&mut self, stage: FlowStage) -> &mut f64 {
+        match stage {
+            FlowStage::Synthesis => &mut self.synthesis_s,
+            FlowStage::Placement => &mut self.placement_s,
+            FlowStage::Routing => &mut self.routing_s,
+            FlowStage::Check => &mut self.check_s,
+        }
     }
 }
 
@@ -481,6 +530,35 @@ impl Checked {
         validate_routed(&artifact.routed, "check")?;
         Ok(artifact)
     }
+
+    /// A one-line summary of the run: the synthesis statistics (Table II),
+    /// placement quality (Table III), routing (Table IV) and the DRC
+    /// outcome.
+    pub fn summary(&self) -> String {
+        let Routed { placed, routing, .. } = &self.routed;
+        let stats = placed.synthesized.stats();
+        let placement = &placed.placement;
+        format!(
+            "{name}: {jjs} JJs / {nets} nets / {delay} phases after synthesis; \
+             HPWL {hpwl:.0} µm, {buffers} buffer lines, WNS {wns}; \
+             routed {routed} nets, {wl:.0} µm, {vias} vias; DRC {drc}",
+            name = placed.synthesized.design_name,
+            jjs = stats.jj_count,
+            nets = stats.net_count,
+            delay = stats.delay,
+            hpwl = placement.hpwl_um,
+            buffers = placement.buffer_lines,
+            wns = placement.wns_display(),
+            routed = routing.stats.nets_routed,
+            wl = routing.stats.total_wirelength_um,
+            vias = routing.stats.total_vias,
+            drc = if self.drc.is_clean() {
+                "clean".to_owned()
+            } else {
+                format!("{} violations", self.drc.violations.len())
+            },
+        )
+    }
 }
 
 /// The artifact of any one stage: what a driver holds when it walks the
@@ -528,6 +606,16 @@ impl Artifact {
         &self.synthesized().design_name
     }
 
+    /// The placed design every artifact from placement on carries.
+    pub(crate) fn design(&self) -> Option<&PlacedDesign> {
+        match self {
+            Artifact::Synthesized(_) => None,
+            Artifact::Placed(placed) => Some(placed.design()),
+            Artifact::Routed(routed) => Some(routed.design()),
+            Artifact::Checked(checked) => Some(checked.routed.design()),
+        }
+    }
+
     /// Fingerprint of the technology the artifact was produced under.
     pub fn tech_fingerprint(&self) -> &str {
         &self.synthesized().tech_fingerprint
@@ -569,8 +657,7 @@ impl Artifact {
 /// timings.
 ///
 /// See the [module documentation](self) for the stage sequence and a full
-/// example; [`Flow`](crate::Flow) wraps a session into the original
-/// push-button API.
+/// example; [`FlowSession::run`] drives all four stages in one call.
 pub struct FlowSession {
     technology: Arc<Technology>,
     /// Cached [`Technology::fingerprint`], stamped into every artifact.
@@ -614,9 +701,9 @@ impl FlowSession {
         Ok(Self::with_technology(config, technology))
     }
 
-    /// Creates a session around an existing shared technology (so several
-    /// sessions — or a [`Flow`](crate::Flow) and its sessions — reuse one
-    /// allocation).
+    /// Creates a session around an existing shared technology, so several
+    /// sessions reuse one allocation. Unlike [`FlowSession::new`] it runs no
+    /// setup lint.
     pub fn with_technology(config: FlowConfig, technology: Arc<Technology>) -> Self {
         let fingerprint = technology.fingerprint();
         Self {
@@ -699,12 +786,33 @@ impl FlowSession {
         }
     }
 
+    /// Fails with [`FlowError::Checkpoint`] when a cell of `design` is not
+    /// as wide as its kind is in this session's technology. The flow gives
+    /// every cell its kind's width, so only an edited artifact differs, and
+    /// one cell widened far enough would size the routing grid by itself —
+    /// it widens the span [`PlacedDesign::validate_consistent`] bounds
+    /// right edges by.
+    pub(crate) fn ensure_technology_widths(&self, design: &PlacedDesign) -> Result<(), FlowError> {
+        for (index, cell) in design.cells.iter().enumerate() {
+            let width = self.technology.cell(cell.kind).width;
+            if cell.width != width {
+                return Err(FlowError::Checkpoint(format!(
+                    "cell {index} ({}) is {:e} µm wide, but {} cells are {width} µm wide in `{}`",
+                    cell.name, cell.width, cell.kind, self.technology.name
+                )));
+            }
+        }
+        Ok(())
+    }
+
     /// Registers an observer for stage and DRC-repair events.
     pub fn add_observer(&mut self, observer: Box<dyn FlowObserver>) {
         self.observers.push(observer);
     }
 
-    /// Per-stage wall-clock timings accumulated so far in this session.
+    /// Per-stage wall-clock timings of every stage this session has run
+    /// since it opened. A session that resumed a checkpoint times only the
+    /// stages it ran itself.
     pub fn timings(&self) -> StageTimings {
         self.timings
     }
@@ -898,9 +1006,12 @@ impl FlowSession {
     /// # Errors
     ///
     /// Returns [`FlowError::TechnologyMismatch`] when `placed` was produced
-    /// (or checkpointed) under a different technology.
+    /// (or checkpointed) under a different technology, and
+    /// [`FlowError::Checkpoint`] when a cell is not as wide as its kind is in
+    /// this session's technology.
     pub fn route(&mut self, placed: Placed) -> Result<Routed, FlowError> {
         self.ensure_same_technology(placed.tech_fingerprint())?;
+        self.ensure_technology_widths(placed.design())?;
         self.ensure_not_cancelled(FlowStage::Routing)?;
         self.stage_started(FlowStage::Routing);
         let start = Instant::now();
@@ -945,9 +1056,12 @@ impl FlowSession {
     /// # Errors
     ///
     /// Returns [`FlowError::TechnologyMismatch`] when `routed` was produced
-    /// (or checkpointed) under a different technology.
+    /// (or checkpointed) under a different technology, and
+    /// [`FlowError::Checkpoint`] when a cell is not as wide as its kind is in
+    /// this session's technology.
     pub fn check(&mut self, routed: Routed) -> Result<Checked, FlowError> {
         self.ensure_same_technology(routed.tech_fingerprint())?;
+        self.ensure_technology_widths(routed.design())?;
         self.ensure_not_cancelled(FlowStage::Check)?;
         self.stage_started(FlowStage::Check);
         let start = Instant::now();
@@ -1090,30 +1204,24 @@ impl FlowSession {
         })
     }
 
-    /// Assembles the final [`FlowReport`] from the check-stage artifact,
-    /// folding in the per-stage timings this session collected. The timing
-    /// accumulators reset afterwards, so a session reused for another run
-    /// starts timing from zero.
+    /// Runs the complete flow on a gate-level netlist: synthesize → place →
+    /// route → check, the push-button pipeline of Fig. 3. The returned
+    /// [`Checked`] artifact carries the layout, the DRC report and every
+    /// earlier stage's result; its checkpoint ([`Checked::to_json`]) is the
+    /// flow's report.
     ///
-    /// When a session resumes from a deserialized checkpoint, the timings
-    /// cover only the stages this session actually executed.
-    pub fn finish(&mut self, checked: Checked) -> FlowReport {
-        let Checked { routed, layout, drc, drc_iterations } = checked;
-        let Routed { placed, routing, .. } = routed;
-        let Placed { synthesized, placement } = placed;
-        let stage_timings = std::mem::take(&mut self.timings);
-        FlowReport {
-            design_name: synthesized.design_name,
-            synthesis_stats: synthesized.synthesis.stats.clone(),
-            synthesis: synthesized.synthesis,
-            placement,
-            routing,
-            drc,
-            drc_iterations,
-            layout,
-            stage_timings,
-            runtime_s: stage_timings.total_s(),
-        }
+    /// # Errors
+    ///
+    /// Returns the error of the first stage that fails: [`FlowError::Lint`]
+    /// or [`FlowError::InvalidNetlist`] for a rejected input,
+    /// [`FlowError::Synthesis`] if synthesis rejects it, and
+    /// [`FlowError::Verify`], [`FlowError::Cancelled`] or
+    /// [`FlowError::DeadlineExceeded`] from any stage.
+    pub fn run(&mut self, netlist: &Netlist) -> Result<Checked, FlowError> {
+        let synthesized = self.synthesize(netlist)?;
+        let placed = self.place(synthesized)?;
+        let routed = self.route(placed)?;
+        self.check(routed)
     }
 }
 
@@ -1121,7 +1229,13 @@ impl FlowSession {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use crate::config::TechSpec;
     use aqfp_netlist::generators::{benchmark_circuit, Benchmark};
+    use aqfp_place::PlacerKind;
+
+    fn fast_session() -> FlowSession {
+        FlowSession::new(FlowConfig::fast()).expect("session opens")
+    }
 
     /// Records every observer event as a string, for order assertions.
     #[derive(Default)]
@@ -1174,10 +1288,9 @@ mod tests {
         let routed = session.route(placed).expect("routing succeeds");
         assert!(!routed.is_dirty());
         let checked = session.check(routed).expect("check succeeds");
-        let report = session.finish(checked);
-        assert_eq!(report.design_name, "adder8");
-        assert!(report.stage_timings.total_s() > 0.0);
-        assert!((report.runtime_s - report.stage_timings.total_s()).abs() < 1e-12);
+        assert_eq!(checked.routed.placed.synthesized.design_name, "adder8");
+        let timings = session.timings();
+        assert!(FlowStage::ALL.into_iter().all(|stage| timings.get(stage) > 0.0), "{timings:?}");
 
         let events = recorder.borrow().events.clone();
         let stage_events: Vec<&String> = events.iter().filter(|e| !e.starts_with("drc:")).collect();
@@ -1215,27 +1328,117 @@ mod tests {
         assert_eq!(session.advance(artifact).expect("no stage runs"), last);
 
         let Artifact::Checked(checked) = last else { panic!("ends at the check stage") };
-        let typed = crate::Flow::with_config(FlowConfig::fast()).run(&netlist).expect("flow runs");
-        assert_eq!(session.finish(checked).layout.to_gds_bytes(), typed.layout.to_gds_bytes());
+        let typed = fast_session().run(&netlist).expect("flow runs");
+        assert_eq!(checked.layout.to_gds_bytes(), typed.layout.to_gds_bytes());
     }
 
     #[test]
     fn session_report_matches_the_push_button_flow() {
         let netlist = benchmark_circuit(Benchmark::Adder8);
-        let push_button =
-            crate::Flow::with_config(FlowConfig::fast()).run(&netlist).expect("flow runs");
+        let mut push_button = fast_session();
+        let checked = push_button.run(&netlist).expect("flow runs");
 
-        let mut session = FlowSession::new(FlowConfig::fast()).expect("session opens");
+        let mut session = fast_session();
         let synthesized = session.synthesize(&netlist).expect("synthesis succeeds");
         let placed = session.place(synthesized).expect("placement succeeds");
         let routed = session.route(placed).expect("routing succeeds");
-        let checked = session.check(routed).expect("check succeeds");
-        let staged = session.finish(checked);
+        let staged = session.check(routed).expect("check succeeds");
 
-        assert_eq!(push_button.layout.to_gds_bytes(), staged.layout.to_gds_bytes());
-        assert_eq!(push_button.routing, staged.routing);
-        assert_eq!(push_button.drc, staged.drc);
-        assert_eq!(push_button.drc_iterations, staged.drc_iterations);
+        assert_eq!(checked.layout.to_gds_bytes(), staged.layout.to_gds_bytes());
+        assert_eq!(checked.routed.routing, staged.routed.routing);
+        assert_eq!(checked.drc, staged.drc);
+        assert_eq!(checked.drc_iterations, staged.drc_iterations);
+        // `run` times all four stages, like the staged calls.
+        let timings = push_button.timings();
+        assert!(FlowStage::ALL.into_iter().all(|stage| timings.get(stage) > 0.0), "{timings:?}");
+    }
+
+    #[test]
+    fn adder8_runs_end_to_end() {
+        let checked = fast_session().run(&benchmark_circuit(Benchmark::Adder8)).expect("flow runs");
+        let Routed { placed, routing, .. } = &checked.routed;
+        assert_eq!(placed.synthesized.design_name, "adder8");
+        assert!(placed.synthesized.stats().jj_count > 0);
+        assert!(placed.placement.hpwl_um > 0.0);
+        assert!(routing.stats.nets_routed > 0);
+        assert_eq!(routing.stats.failed_nets, 0);
+        assert!(checked.layout.cell_instances > 0);
+        // Geometric rules must be clean after the automatic repair loop.
+        // Residual max-wirelength findings can remain when the inserted
+        // buffer rows run out of horizontal capacity; they are reported, not
+        // hidden.
+        for kind in [
+            DrcViolationKind::CellSpacing,
+            DrcViolationKind::ZigzagSpacing,
+            DrcViolationKind::Unrouted,
+            DrcViolationKind::MetalDensity,
+        ] {
+            assert_eq!(checked.drc.count(kind), 0, "unexpected {kind:?} violations");
+        }
+        assert!(checked.summary().starts_with("adder8: "));
+        assert!(routing.jj_count >= placed.synthesized.stats().jj_count);
+    }
+
+    /// The netlist the Verilog front end reads from `source`, run through
+    /// a fast session.
+    fn run_verilog(source: &str) -> Result<Checked, FlowError> {
+        fast_session().run(&aqfp_netlist::parsers::parse_verilog(source)?)
+    }
+
+    #[test]
+    fn verilog_entry_point_works() {
+        let source = r#"
+            module majority_vote(a, b, c, y);
+              input a, b, c;
+              output y;
+              wire ab, bc, ca, t;
+              and g1(ab, a, b);
+              and g2(bc, b, c);
+              and g3(ca, c, a);
+              or g4(t, ab, bc);
+              or g5(y, t, ca);
+            endmodule
+        "#;
+        let checked = run_verilog(source).expect("flow succeeds");
+        assert_eq!(checked.routed.placed.synthesized.design_name, "majority_vote");
+        assert!(checked.drc.is_clean(), "violations: {:?}", checked.drc.violations);
+        assert!(checked.layout.to_gds_bytes().len() > 100);
+    }
+
+    #[test]
+    fn blif_entry_point_works() {
+        let source = ".model tiny\n.inputs a b\n.outputs y\n.gate AND2 a=a b=b O=y\n.end\n";
+        let netlist = aqfp_netlist::parsers::parse_blif(source).expect("parses");
+        let checked = fast_session().run(&netlist).expect("flow succeeds");
+        assert_eq!(checked.routed.placed.synthesized.design_name, "tiny");
+        assert!(checked.routed.routing.stats.nets_routed > 0);
+    }
+
+    #[test]
+    fn invalid_verilog_is_rejected() {
+        let err = run_verilog("module m(a); input a; flipflop f(a); endmodule");
+        assert!(matches!(err, Err(FlowError::Parse(_))));
+    }
+
+    #[test]
+    fn baseline_placers_run_through_the_same_flow() {
+        for placer in [PlacerKind::GordianBased, PlacerKind::Taas] {
+            let mut session =
+                FlowSession::new(FlowConfig::fast().with_placer(placer)).expect("session opens");
+            let checked = session.run(&benchmark_circuit(Benchmark::Adder8)).expect("flow runs");
+            let placement = &checked.routed.placed.placement;
+            assert_eq!(placement.placer, placer);
+            assert!(placement.hpwl_um > 0.0);
+        }
+    }
+
+    #[test]
+    fn unresolvable_tech_specs_error_at_run_time_not_construction() {
+        // The spec is data until a session opens: building the config is
+        // infallible, opening the session resolves (and fails on) the file.
+        let config = FlowConfig::fast().with_tech(TechSpec::file("/no/such/tech.toml"));
+        let err = FlowSession::new(config).expect_err("missing tech file");
+        assert!(matches!(err, FlowError::Technology(_)), "{err}");
     }
 
     #[test]
@@ -1312,6 +1515,21 @@ mod tests {
             }
             other => panic!("expected FlowError::Verify, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn stages_refuse_cells_wider_than_their_kind() {
+        let mut session = fast_session();
+        let synthesized = session.synthesize(&benchmark_circuit(Benchmark::Adder8)).expect("ok");
+        let mut placed = session.place(synthesized).expect("placement succeeds");
+        let mut routed = session.route(placed.clone()).expect("routing succeeds");
+        // A widened cell widens the span that bounds right edges with it,
+        // so only the technology's cell widths catch it.
+        placed.placement.design.cells[0].width = 1e15;
+        routed.placed.placement.design.cells[0].width = 1e15;
+        assert!(placed.design().validate_consistent().is_ok());
+        assert!(matches!(session.route(placed), Err(FlowError::Checkpoint(_))));
+        assert!(matches!(session.check(routed), Err(FlowError::Checkpoint(_))));
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Stage checkpoints written by the `superflow` binary, checked across
 //! processes: every `--stop-after` checkpoint verifies clean against its
-//! input, and separate processes write the same bytes for the same input.
+//! input, a complete run's `--report` is the check-stage checkpoint, and
+//! separate processes write the same bytes for the same input.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -42,6 +43,28 @@ fn every_stop_after_checkpoint_verifies_clean_against_its_input() {
         let report = superflow(&["verify", "--fast", "--against", "adder8", path]);
         assert_eq!(report, format!("adder8: clean ({checks}), no findings\n"), "{stage}");
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `text` without its wall-clock `"runtime_s"` lines, the only part of a
+/// checkpoint that differs between runs.
+fn without_runtimes(text: &str) -> String {
+    text.lines().filter(|line| !line.contains("\"runtime_s\"")).collect::<Vec<_>>().join("\n")
+}
+
+#[test]
+fn a_complete_runs_report_is_the_check_checkpoint() {
+    let dir = temp_dir("report");
+    let path = |file: &str| dir.join(file).to_str().expect("utf-8 path").to_owned();
+    let (full, gds, check) = (path("full.json"), path("full.gds"), path("check.json"));
+    superflow(&["--fast", "--quiet", "--report", &full, "--output", &gds, "adder8"]);
+    superflow(&["--fast", "--quiet", "--stop-after", "check", "--report", &check, "adder8"]);
+
+    let full = std::fs::read_to_string(&full).expect("report written");
+    let check = std::fs::read_to_string(&check).expect("checkpoint written");
+    assert!(without_runtimes(&full) == without_runtimes(&check), "the reports differ");
+    let checked = superflow::Checked::from_json(&full).expect("the report is a check checkpoint");
+    assert_eq!(checked.layout.to_gds_bytes(), std::fs::read(&gds).expect("GDS written"));
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -75,7 +75,7 @@ fn help_prints_usage_and_exits_zero_on_every_subcommand() {
 
 #[test]
 fn oversized_generated_designs_exit_with_typed_errors() {
-    // Flow input: a typed input error (exit 1) naming the limit.
+    // The flow's input: a typed input error (exit 1) naming the limit.
     for args in [
         &["--fast", "--quiet", "gen:random_dag:100000000000"][..],
         &["--fast", "--quiet", "--stop-after", "synthesis", "gen:apc_array:18446744073709551615"],

@@ -1,4 +1,4 @@
-//! Flow-configuration sanity rules (`AQFP-E201`, `AQFP-W202`).
+//! Sanity rules for the flow configuration (`AQFP-E201`, `AQFP-W202`).
 
 use crate::context::LintContext;
 use crate::diagnostics::Severity;

@@ -480,7 +480,7 @@ mod tests {
         assert_eq!(required_buffer_lines(&design), 0);
     }
 
-    /// Flow checkpoints serialized before `skipped_nets` existed must keep
+    /// Checkpoints serialized before `skipped_nets` existed must keep
     /// parsing, with the count falling back to 0.
     #[test]
     fn report_deserialization_defaults_missing_skipped_nets() {

@@ -118,11 +118,15 @@ pub struct PlacedDesign {
 
 impl PlacedDesign {
     /// Checks the cross-references that every engine indexes by without
-    /// bounds checks: net driver/sink indices, row membership and the cell →
-    /// row back-pointers. A deserialized design that parses as JSON but
-    /// violates these invariants would otherwise panic (or silently corrupt
-    /// results) deep inside placement, routing or timing — checkpoint
-    /// loaders call this instead and turn the message into a typed error.
+    /// bounds checks — net driver/sink indices, row membership and the cell
+    /// → row back-pointers — and the range of every cell's geometry: `x ≥
+    /// 0`, a positive width, and a right edge no further out than all cells
+    /// packed side by side (the summed `width + min_spacing`). A
+    /// deserialized design that parses as JSON but violates these
+    /// invariants would otherwise panic, hang or size a routing grid by a
+    /// corrupt coordinate deep inside placement, routing or timing —
+    /// checkpoint loaders call this instead and turn the message into a
+    /// typed error.
     pub fn validate_consistent(&self) -> Result<(), String> {
         let cells = self.cells.len();
         for (index, net) in self.nets.iter().enumerate() {
@@ -158,9 +162,25 @@ impl PlacedDesign {
         if !(self.row_pitch.is_finite() && self.row_pitch > 0.0) {
             return Err(format!("row pitch {} is not a positive finite number", self.row_pitch));
         }
+        let packed_width: f64 =
+            self.cells.iter().map(|cell| cell.width + self.rules.min_spacing).sum();
         for (index, cell) in self.cells.iter().enumerate() {
             if !(cell.x.is_finite() && cell.width.is_finite()) {
                 return Err(format!("cell {index} has a non-finite coordinate or width"));
+            }
+            if cell.x < 0.0 || cell.width <= 0.0 {
+                return Err(format!(
+                    "cell {index} has x {} µm and width {} µm; x must be non-negative and the \
+                     width positive",
+                    cell.x, cell.width
+                ));
+            }
+            if cell.right() > packed_width {
+                return Err(format!(
+                    "cell {index} ends at x {:e} µm, past the {packed_width} µm all cells span \
+                     packed side by side",
+                    cell.right()
+                ));
             }
         }
         Ok(())
@@ -472,6 +492,35 @@ mod tests {
         let net = design.nets[0];
         design.cells[net.driver].x = 100_000.0;
         assert!(!design.max_wirelength_violations().is_empty());
+    }
+
+    #[test]
+    fn cell_geometry_must_lie_inside_the_packed_span() {
+        let design = small_design();
+        assert_eq!(design.validate_consistent(), Ok(()));
+        let packed: f64 =
+            design.cells.iter().map(|cell| cell.width + design.rules.min_spacing).sum();
+        let width = design.cells[0].width;
+        // A cell may end exactly at the packed span, but not past it.
+        for (x, width, valid) in [
+            (packed - width, width, true),
+            (packed, width, false),
+            (-1.0, width, false),
+            (0.0, 0.0, false),
+            (0.0, -1e9, false),
+            (f64::INFINITY, width, false),
+        ] {
+            let mut edited = design.clone();
+            edited.cells[0].x = x;
+            edited.cells[0].width = width;
+            match edited.validate_consistent() {
+                Ok(()) => assert!(valid, "x {x}, width {width} must be rejected"),
+                Err(error) => {
+                    assert!(!valid, "x {x}, width {width}: {error}");
+                    assert!(error.starts_with("cell 0 "), "{error}");
+                }
+            }
+        }
     }
 
     #[test]

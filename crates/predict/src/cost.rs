@@ -1,33 +1,32 @@
 //! Stage cost model calibrated against the committed scaling benchmark.
 //!
-//! `BENCH_scale.json` records wall-clock (at the thread count its
-//! `host_threads` field names), GDS size and peak RSS for three generated
-//! designs (~1e4, ~1e5 and ~1e6 placed cells). Each
-//! metric is modelled as a piecewise power law through those anchors: within
-//! a segment the prediction interpolates linearly in log-log space, outside
-//! the anchor range it extrapolates with the nearest segment's exponent.
-//! Synthesis and DRC have no committed anchors; they are predicted as fixed
-//! fractions of placement and routing respectively (documented in the
-//! README's calibration notes) — rough, but the batch scheduler's 8× budget
-//! slack absorbs the error.
+//! `BENCH_scale.json` records synthesis, placement, routing and GDS
+//! wall-clock (at the thread count its `host_threads` field names), GDS size
+//! and peak RSS for three generated designs (~1e4, ~1e5 and ~1e6 placed
+//! cells). Each metric is modelled as a piecewise power law through those
+//! anchors: within a segment the prediction interpolates linearly in
+//! log-log space, outside the anchor range it extrapolates with the nearest
+//! segment's exponent. DRC has no committed anchor; the check stage is
+//! predicted as a fixed fraction of routing plus GDS emission — rough, but
+//! the batch scheduler's 8× budget slack absorbs the error.
 
 use crate::report::CostForecast;
 
 /// Placed-cell counts of the calibration anchors (`BENCH_scale.json`).
 const ANCHOR_CELLS: [f64; 3] = [8_849.0, 106_606.0, 1_065_594.0];
+/// Synthesis seconds at the anchors.
+const ANCHOR_SYNTH_S: [f64; 3] = [0.002_185_352, 0.014_043_666, 0.067_819_85];
 /// Placement seconds at the anchors.
-const ANCHOR_PLACE_S: [f64; 3] = [0.055_155_424, 0.244_857_606, 1.677_203_484];
+const ANCHOR_PLACE_S: [f64; 3] = [0.053_495_504, 0.260_388_954, 1.632_368_611];
 /// Routing seconds at the anchors.
-const ANCHOR_ROUTE_S: [f64; 3] = [0.012_290_568, 0.170_506_071, 2.570_677_932];
+const ANCHOR_ROUTE_S: [f64; 3] = [0.022_412_758, 0.275_347_375, 3.425_228_449];
 /// GDS streaming seconds at the anchors.
-const ANCHOR_GDS_S: [f64; 3] = [0.006_415_947, 0.180_777_615, 1.759_013_488];
+const ANCHOR_GDS_S: [f64; 3] = [0.007_694_271, 0.135_007_688, 2.289_392_217];
 /// GDS stream bytes at the anchors.
 const ANCHOR_GDS_BYTES: [f64; 3] = [3_836_822.0, 78_309_308.0, 985_762_692.0];
 /// Peak resident set size (KiB) at the anchors.
-const ANCHOR_RSS_KB: [f64; 3] = [11_792.0, 117_256.0, 1_188_760.0];
+const ANCHOR_RSS_KB: [f64; 3] = [11_920.0, 115_792.0, 1_189_168.0];
 
-/// Synthesis wall-clock as a fraction of predicted placement wall-clock.
-const SYNTH_PLACE_RATIO: f64 = 0.5;
 /// DRC/repair wall-clock as a fraction of predicted routing wall-clock.
 const CHECK_ROUTE_RATIO: f64 = 0.25;
 
@@ -52,7 +51,7 @@ pub(crate) fn forecast(cells: usize) -> CostForecast {
     let routing_s = power_law(cells, &ANCHOR_ROUTE_S);
     let gds_s = power_law(cells, &ANCHOR_GDS_S);
     CostForecast {
-        synthesis_s: placement_s * SYNTH_PLACE_RATIO,
+        synthesis_s: power_law(cells, &ANCHOR_SYNTH_S),
         placement_s,
         routing_s,
         // GDS streaming happens inside the check/export stage budget.
@@ -75,6 +74,7 @@ mod tests {
     #[derive(serde::Deserialize)]
     struct ScaleRow {
         placed_cells: f64,
+        synth_s: f64,
         place_s: f64,
         route_s: f64,
         gds_s: f64,
@@ -91,6 +91,7 @@ mod tests {
         assert_eq!(file.rows.len(), 3);
         for (i, row) in file.rows.iter().enumerate() {
             assert_eq!(row.placed_cells, ANCHOR_CELLS[i], "cells anchor {i}");
+            assert!((row.synth_s - ANCHOR_SYNTH_S[i]).abs() < 1e-9, "synth anchor {i}");
             assert!((row.place_s - ANCHOR_PLACE_S[i]).abs() < 1e-9, "place anchor {i}");
             assert!((row.route_s - ANCHOR_ROUTE_S[i]).abs() < 1e-9, "route anchor {i}");
             assert!((row.gds_s - ANCHOR_GDS_S[i]).abs() < 1e-9, "gds anchor {i}");
@@ -103,6 +104,7 @@ mod tests {
     fn predictions_reproduce_the_anchors() {
         for i in 0..3 {
             let forecast = forecast(ANCHOR_CELLS[i] as usize);
+            assert!((forecast.synthesis_s - ANCHOR_SYNTH_S[i]).abs() / ANCHOR_SYNTH_S[i] < 1e-6);
             assert!((forecast.placement_s - ANCHOR_PLACE_S[i]).abs() / ANCHOR_PLACE_S[i] < 1e-6);
             assert!((forecast.routing_s - ANCHOR_ROUTE_S[i]).abs() / ANCHOR_ROUTE_S[i] < 1e-6);
             assert!((forecast.gds_bytes - ANCHOR_GDS_BYTES[i]).abs() / ANCHOR_GDS_BYTES[i] < 1e-6);

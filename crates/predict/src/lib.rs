@@ -17,9 +17,10 @@
 //! 3. **Channel congestion** — a RUDY-style demand map over a virtual row
 //!    placement, compared against the router's initial and fully-expanded
 //!    track capacity ([`CongestionForecast`]).
-//! 4. **Stage costs** — predicted place/route/GDS wall-clock, stream size
-//!    and peak RSS from a power-law model calibrated against the committed
-//!    `BENCH_scale.json` trajectory ([`CostForecast`]).
+//! 4. **Stage costs** — predicted synthesis/place/route/GDS wall-clock,
+//!    stream size and peak RSS from a power-law model calibrated against
+//!    the committed `BENCH_scale.json` trajectory ([`CostForecast`]); the
+//!    check stage is a fixed fraction of routing plus GDS.
 //!
 //! Every `min` field is a *sound lower bound*: majority conversion can only
 //! absorb single-fan-out cones, so the analysis's surviving set places at
@@ -71,7 +72,7 @@ pub use rules::catalog;
 /// own `FlowConfig` (the same pattern `aqfp_lint::FlowSettings` uses).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PredictOptions {
-    /// Flow settings (splitter arity, thread count, DRC budget).
+    /// The flow's settings (splitter arity, thread count, DRC budget).
     pub settings: FlowSettings,
     /// Severity policy for the predictive rules.
     pub lint: LintConfig,

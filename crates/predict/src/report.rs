@@ -11,7 +11,7 @@
 
 use std::fmt::Write as _;
 
-use aqfp_lint::{Diagnostic, LintReport};
+use aqfp_lint::Diagnostic;
 use serde::{Deserialize, Serialize};
 
 /// A `[min, max]` interval around a best estimate for an integer quantity.
@@ -200,15 +200,6 @@ impl PredictReport {
         self.diagnostics.iter().any(|d| d.rule == rule)
     }
 
-    /// Converts the prediction findings into a [`LintReport`] so they can be
-    /// merged with plain lint output.
-    pub fn to_lint_report(&self) -> LintReport {
-        let mut report =
-            LintReport { design: self.design.clone(), diagnostics: self.diagnostics.clone() };
-        report.normalize();
-        report
-    }
-
     /// Renders the report as human-readable text: a bounds table followed by
     /// one line per finding and a summary line.
     pub fn render(&self) -> String {
@@ -384,13 +375,5 @@ mod tests {
         let report =
             PredictReport { design: "cyclic".into(), bounds: None, diagnostics: Vec::new() };
         assert!(report.render().contains("not analysable"));
-    }
-
-    #[test]
-    fn lint_report_conversion_keeps_findings() {
-        let lint = sample_report().to_lint_report();
-        assert_eq!(lint.design, "sample");
-        assert!(lint.mentions("AQFP-P002"));
-        assert!(!lint.has_errors());
     }
 }

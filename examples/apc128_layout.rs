@@ -16,22 +16,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let quick = std::env::args().any(|a| a == "--quick");
     let benchmark = if quick { Benchmark::Apc32 } else { Benchmark::Apc128 };
 
-    let flow = Flow::with_config(FlowConfig::paper_default());
+    let mut session = FlowSession::new(FlowConfig::paper_default())?;
     println!("running the full RTL-to-GDS flow on {benchmark}...");
-    let report = flow.run_benchmark(benchmark)?;
+    let checked = session.run(&benchmark_circuit(benchmark))?;
 
-    println!("{}", report.summary());
+    println!("{}; {:.1}s", checked.summary(), session.timings().total_s());
+    let layout = &checked.layout;
     println!("layout statistics:");
-    println!("  cell instances : {}", report.layout.cell_instances);
-    println!("  wire paths     : {}", report.layout.wire_paths);
-    println!(
-        "  chip size      : {:.0} x {:.0} um",
-        report.layout.width_um, report.layout.height_um
-    );
-    println!("  DRC iterations : {}", report.drc_iterations);
+    println!("  cell instances : {}", layout.cell_instances);
+    println!("  wire paths     : {}", layout.wire_paths);
+    println!("  chip size      : {:.0} x {:.0} um", layout.width_um, layout.height_um);
+    println!("  DRC iterations : {}", checked.drc_iterations);
 
-    let path = format!("{}.gds", report.design_name);
-    std::fs::write(&path, report.layout.to_gds_bytes())?;
+    let path = format!("{benchmark}.gds");
+    std::fs::write(&path, layout.to_gds_bytes())?;
     println!("wrote {path} — open it in any GDSII viewer (e.g. KLayout) to see the Fig. 5 layout");
     Ok(())
 }

@@ -19,13 +19,14 @@
 use superflow_suite::prelude::*;
 
 fn run_with(label: &str, tech: TechSpec) -> Result<(), Box<dyn std::error::Error>> {
-    let config = FlowConfig::fast().with_tech(tech);
-    let report = Flow::with_config(config).run_benchmark(Benchmark::Adder8)?;
+    let mut session = FlowSession::new(FlowConfig::fast().with_tech(tech))?;
+    let checked = session.run(&benchmark_circuit(Benchmark::Adder8))?;
+    let placement = &checked.routed.placed.placement;
     println!(
         "{label:<28} HPWL {:>9.0} um, buffer lines {:>3}, WNS {:>6}",
-        report.placement.hpwl_um,
-        report.placement.buffer_lines,
-        report.placement.wns_display(),
+        placement.hpwl_um,
+        placement.buffer_lines,
+        placement.wns_display(),
     );
     Ok(())
 }

@@ -3,7 +3,7 @@
 //! layout.
 //!
 //! The staged [`FlowSession`] API runs the same pipeline as the push-button
-//! `Flow::run_verilog`, but hands back a typed artifact after every stage —
+//! `FlowSession::run`, but hands back a typed artifact after every stage —
 //! synthesis, placement, routing, DRC — so each one can be inspected (or
 //! serialized as a resumable JSON checkpoint) before the next stage runs.
 //!
@@ -79,18 +79,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         checked.drc_iterations,
     );
 
-    // 6. Finish: fold everything, plus the per-stage timings the session
-    //    collected, into the final report and write the GDSII layout.
-    let report = session.finish(checked);
-    let gds = report.layout.to_gds_bytes();
+    // 6. Write the GDSII layout and the per-stage timings the session
+    //    collected.
+    let gds = checked.layout.to_gds_bytes();
     std::fs::write("full_adder.gds", &gds)?;
     println!("  GDS           : full_adder.gds ({} bytes)", gds.len());
+    let timings = session.timings();
     println!(
         "  stage times   : synth {:.2}s / place {:.2}s / route {:.2}s / check {:.2}s",
-        report.stage_timings.synthesis_s,
-        report.stage_timings.placement_s,
-        report.stage_timings.routing_s,
-        report.stage_timings.check_s,
+        timings.synthesis_s, timings.placement_s, timings.routing_s, timings.check_s,
     );
     Ok(())
 }

@@ -24,9 +24,8 @@ pub mod prelude {
     pub use aqfp_timing::TimingAnalyzer;
     pub use superflow::{
         error_chain, Artifact, BatchConfig, BatchJob, BatchReport, BatchRunner, Checked,
-        DesignReport, DesignStatus, Fault, FaultKind, FaultPlan, Flow, FlowConfig, FlowError,
-        FlowObserver, FlowReport, FlowSession, FlowStage, LintConfig, LintReport, Placed,
-        RepairScope, Routed, StageTimings, Synthesized, TechSpec, VerifyConfig, VerifyReport,
-        LINT_STAGE, VERIFY_STAGE,
+        DesignReport, DesignStatus, Fault, FaultKind, FaultPlan, FlowConfig, FlowError,
+        FlowObserver, FlowSession, FlowStage, LintConfig, LintReport, Placed, RepairScope, Routed,
+        StageTimings, Synthesized, TechSpec, VerifyConfig, VerifyReport, LINT_STAGE, VERIFY_STAGE,
     };
 }

@@ -265,6 +265,36 @@ fn a_foreign_synthesis_checkpoint_fails_at_its_own_stage() {
 }
 
 #[test]
+fn a_journal_checkpoint_with_a_widened_cell_fails_at_its_stage() {
+    let journal = temp_dir("widened_cell");
+    let jobs = [BatchJob::from_input("adder8")];
+
+    // The journal holds only a placement checkpoint whose first cell is
+    // 1e15 µm wide; resumed, it would size the routing grid by that width.
+    let mut session = FlowSession::new(FlowConfig::fast()).expect("session opens");
+    let synthesized =
+        session.synthesize(&benchmark_circuit(Benchmark::Adder8)).expect("synthesis succeeds");
+    let mut placed = session.place(synthesized).expect("placement succeeds");
+    placed.placement.design.cells[0].width = 1e15;
+    let checkpoint = journal.join("adder8").join("placement.json");
+    std::fs::create_dir_all(journal.join("adder8")).expect("journal dir");
+    std::fs::write(&checkpoint, placed.to_json().expect("serializes")).expect("writes");
+
+    let config = fast_batch().with_retry_degraded(false).with_journal_dir(&journal);
+    let report = BatchRunner::new(config).run(&jobs).expect("batch runs");
+    match &status_of(&report, "adder8").status {
+        DesignStatus::Failed { error, stage, .. } => {
+            assert_eq!(stage.as_deref(), Some("placement"), "{error}");
+            assert!(error.contains(&checkpoint.display().to_string()), "{error}");
+            assert!(error.contains("µm wide"), "{error}");
+        }
+        other => panic!("a widened cell should fail the design, got {other:?}"),
+    }
+
+    let _ = std::fs::remove_dir_all(&journal);
+}
+
+#[test]
 fn bad_inputs_fail_outside_any_stage() {
     let config = fast_batch().with_retry_degraded(false);
     let jobs = [BatchJob::from_input("no_such_design.v"), BatchJob::from_input("adder8")];

@@ -6,12 +6,16 @@ use superflow_suite::prelude::*;
 
 use aqfp_layout::gds::{parse_records, RecordTag};
 
+/// The GDS stream of `benchmark` after the fast flow.
+fn gds_bytes(benchmark: Benchmark) -> Vec<u8> {
+    let mut session = FlowSession::new(FlowConfig::fast()).expect("session opens");
+    let checked = session.run(&benchmark_circuit(benchmark)).expect("flow succeeds");
+    checked.layout.to_gds_bytes()
+}
+
 #[test]
 fn flow_layout_stream_is_structurally_valid() {
-    let flow = Flow::with_config(superflow::FlowConfig::fast());
-    let report = flow.run_benchmark(Benchmark::Adder8).expect("flow succeeds");
-    let bytes = report.layout.to_gds_bytes();
-    let records = parse_records(&bytes).expect("valid stream");
+    let records = parse_records(&gds_bytes(Benchmark::Adder8)).expect("valid stream");
 
     // Stream framing.
     assert_eq!(records.first().and_then(|r| r.tag), Some(RecordTag::Header));
@@ -49,9 +53,7 @@ fn flow_layout_stream_is_structurally_valid() {
 
 #[test]
 fn every_record_length_is_even_and_word_aligned() {
-    let flow = Flow::with_config(superflow::FlowConfig::fast());
-    let report = flow.run_benchmark(Benchmark::C432).expect("flow succeeds");
-    let bytes = report.layout.to_gds_bytes();
+    let bytes = gds_bytes(Benchmark::C432);
     assert_eq!(bytes.len() % 2, 0);
     let records = parse_records(&bytes).expect("valid stream");
     for record in records {

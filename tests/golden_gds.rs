@@ -16,8 +16,9 @@ fn golden_bytes(name: &str) -> Vec<u8> {
 }
 
 fn assert_matches_golden(config: FlowConfig, benchmark: Benchmark, golden: &str) {
-    let report = Flow::with_config(config).run_benchmark(benchmark).expect("flow succeeds");
-    let produced = report.layout.to_gds_bytes();
+    let mut session = FlowSession::new(config).expect("session opens");
+    let checked = session.run(&benchmark_circuit(benchmark)).expect("flow succeeds");
+    let produced = checked.layout.to_gds_bytes();
     let expected = golden_bytes(golden);
     assert_eq!(
         produced.len(),
@@ -33,14 +34,14 @@ fn assert_matches_golden(config: FlowConfig, benchmark: Benchmark, golden: &str)
     // record by record from the final (post-repair) placement and routing.
     let mut streamed = Vec::new();
     let summary = LayoutGenerator::new(Technology::mit_ll_sqf5ee())
-        .stream_layout(&report.placement.design, &report.routing, &mut streamed)
+        .stream_layout(checked.routed.design(), &checked.routed.routing, &mut streamed)
         .expect("writing to a Vec cannot fail");
     assert!(
         streamed == expected,
         "{golden}: streamed GDS bytes diverged from the committed golden"
     );
-    assert_eq!(summary.cell_instances, report.layout.cell_instances);
-    assert_eq!(summary.wire_paths, report.layout.wire_paths);
+    assert_eq!(summary.cell_instances, checked.layout.cell_instances);
+    assert_eq!(summary.wire_paths, checked.layout.wire_paths);
 }
 
 #[test]

@@ -13,7 +13,7 @@ use aqfp_cells::CellKind;
 use aqfp_netlist::generators::{random_dag, Benchmark, LargeFamily, RandomDagConfig};
 use aqfp_netlist::Netlist;
 use aqfp_synth::{SynthesizedNetlist, Synthesizer};
-use superflow::{Flow, FlowConfig, PredictReport};
+use superflow::{FlowConfig, FlowSession, PredictReport};
 
 /// Predicts a netlist under the paper-default flow configuration.
 fn predict_default(netlist: &Netlist) -> PredictReport {
@@ -145,10 +145,9 @@ fn full_flow_respects_predicted_lower_bounds() {
         let report = predict_default(&netlist);
         let bounds = report.bounds.as_ref().expect("generated design has bounds");
 
-        let flow = Flow::with_config(FlowConfig::fast());
-        let finished = flow.run(&netlist).expect("flow runs");
-        let synthesis = &finished.synthesis;
-        let actual = measure(synthesis);
+        let mut session = FlowSession::new(FlowConfig::fast()).expect("session opens");
+        let finished = session.run(&netlist).expect("flow runs");
+        let actual = measure(&finished.routed.placed.synthesized.synthesis);
 
         assert!(bounds.structure.cells.min <= actual.total_cells, "{spec}");
         assert!(bounds.structure.buffers.min <= actual.balancing_buffers, "{spec}");
@@ -157,10 +156,10 @@ fn full_flow_respects_predicted_lower_bounds() {
         // Each routed net lives in exactly one channel, so the predicted
         // net floor also bounds what the router actually carried.
         assert!(
-            bounds.congestion.min_nets <= finished.routing.stats.nets_routed,
+            bounds.congestion.min_nets <= finished.routed.routing.stats.nets_routed,
             "{spec}: net floor {} vs {} routed",
             bounds.congestion.min_nets,
-            finished.routing.stats.nets_routed
+            finished.routed.routing.stats.nets_routed
         );
     }
 }

@@ -26,54 +26,46 @@ fn every_stage_checkpoint_resumes_to_identical_gds() {
     let placed_json = placed.to_json().expect("serialize placed");
     let routed = session.route(placed).expect("routing succeeds");
     let routed_json = routed.to_json().expect("serialize routed");
-    let checked = session.check(routed).expect("check succeeds");
-    let checked_json = checked.to_json().expect("serialize checked");
-    let reference = session.finish(checked);
+    let reference = session.check(routed).expect("check succeeds");
+    let checked_json = reference.to_json().expect("serialize checked");
     let reference_gds = reference.layout.to_gds_bytes();
 
-    // Resume from the synthesis checkpoint: place → route → check → finish.
+    // Resume from the synthesis checkpoint: place → route → check.
     {
         let mut resumed = FlowSession::new(fast_config()).expect("session opens");
         let synthesized = Synthesized::from_json(&synth_json).expect("checkpoint parses");
         let placed = resumed.place(synthesized).expect("same-technology resume");
         let routed = resumed.route(placed).expect("same-technology resume");
         let checked = resumed.check(routed).expect("same-technology resume");
-        let report = resumed.finish(checked);
-        assert_eq!(report.layout.to_gds_bytes(), reference_gds, "resume from synthesis");
+        assert_eq!(checked.layout.to_gds_bytes(), reference_gds, "resume from synthesis");
         // A resumed session only times the stages it actually ran.
-        assert_eq!(report.stage_timings.synthesis_s, 0.0);
-        assert!(report.stage_timings.placement_s >= 0.0);
+        assert_eq!(resumed.timings().synthesis_s, 0.0);
+        assert!(resumed.timings().placement_s > 0.0);
     }
 
-    // Resume from the placement checkpoint: route → check → finish.
+    // Resume from the placement checkpoint: route → check.
     {
         let mut resumed = FlowSession::new(fast_config()).expect("session opens");
         let placed = Placed::from_json(&placed_json).expect("checkpoint parses");
         let routed = resumed.route(placed).expect("same-technology resume");
         let checked = resumed.check(routed).expect("same-technology resume");
-        let report = resumed.finish(checked);
-        assert_eq!(report.layout.to_gds_bytes(), reference_gds, "resume from placement");
+        assert_eq!(checked.layout.to_gds_bytes(), reference_gds, "resume from placement");
     }
 
-    // Resume from the routing checkpoint: check → finish.
+    // Resume from the routing checkpoint: check.
     {
         let mut resumed = FlowSession::new(fast_config()).expect("session opens");
         let routed = Routed::from_json(&routed_json).expect("checkpoint parses");
         let checked = resumed.check(routed).expect("same-technology resume");
-        let report = resumed.finish(checked);
-        assert_eq!(report.layout.to_gds_bytes(), reference_gds, "resume from routing");
+        assert_eq!(checked.layout.to_gds_bytes(), reference_gds, "resume from routing");
     }
 
-    // Resume from the check checkpoint: finish only.
-    {
-        let mut resumed = FlowSession::new(fast_config()).expect("session opens");
-        let checked = Checked::from_json(&checked_json).expect("checkpoint parses");
-        let report = resumed.finish(checked);
-        assert_eq!(report.layout.to_gds_bytes(), reference_gds, "resume from check");
-        assert_eq!(report.drc_iterations, reference.drc_iterations);
-        assert_eq!(report.drc, reference.drc);
-        assert_eq!(report.jj_after_routing(), reference.jj_after_routing());
-    }
+    // The check checkpoint reads back as the final result.
+    let checked = Checked::from_json(&checked_json).expect("checkpoint parses");
+    assert_eq!(checked.layout.to_gds_bytes(), reference_gds, "resume from check");
+    assert_eq!(checked.drc_iterations, reference.drc_iterations);
+    assert_eq!(checked.drc, reference.drc);
+    assert_eq!(checked.routed.routing.jj_count, reference.routed.routing.jj_count);
 }
 
 #[test]
@@ -104,17 +96,67 @@ fn artifact_checkpoints_are_the_typed_checkpoints_byte_for_byte() {
     }
 }
 
+/// `json` with the first placed cell's `field` set to `value`, the way a
+/// hand edit of the checkpoint would leave it.
+fn edit_first_cell(json: &str, field: &str, value: &str) -> String {
+    let cells = json.find("\"cells\": [").expect("the checkpoint holds a placed design");
+    let key = format!("\"{field}\": ");
+    let start = cells + json[cells..].find(&key).expect("cells carry the field") + key.len();
+    let end = start + json[start..].find([',', '\n']).expect("the value ends");
+    format!("{}{value}{}", &json[..start], &json[end..])
+}
+
+/// A checkpoint whose cell geometry parses but lies out of range is a
+/// checkpoint error at load time. Resumed, these three would abort the
+/// process on a routing-grid allocation, panic in DRC, and hang the check
+/// stage.
+#[test]
+fn out_of_range_cell_geometry_fails_to_load() {
+    let mut session = FlowSession::new(fast_config()).expect("session opens");
+    let synthesized =
+        session.synthesize(&benchmark_circuit(Benchmark::Adder8)).expect("synthesis succeeds");
+    let placed = session.place(synthesized).expect("placement succeeds");
+    let placed_json = placed.to_json().expect("serializes");
+    let routed_json = session.route(placed).expect("routing succeeds").to_json().expect("ok");
+
+    let loads = [
+        (
+            "x = 1e15 placement",
+            Placed::from_json(&edit_first_cell(&placed_json, "x", "1e15")).err(),
+        ),
+        (
+            "x = 1e308 routing",
+            Routed::from_json(&edit_first_cell(&routed_json, "x", "1e308")).err(),
+        ),
+        (
+            "width = -1e9 routing",
+            Routed::from_json(&edit_first_cell(&routed_json, "width", "-1e9")).err(),
+        ),
+    ];
+    for (corruption, error) in loads {
+        match error {
+            Some(FlowError::Checkpoint(message)) => {
+                assert!(message.contains("cell 0 "), "{corruption}: {message}")
+            }
+            other => panic!("{corruption}: expected a checkpoint error, got {other:?}"),
+        }
+    }
+    Routed::from_json(&routed_json).expect("the intact checkpoint loads");
+}
+
+/// The flow's report is its check-stage checkpoint: a complete run
+/// serializes to JSON and reads back as the same result.
 #[test]
 fn flow_reports_round_trip_through_json() {
-    let report =
-        Flow::with_config(fast_config()).run_benchmark(Benchmark::Adder8).expect("flow succeeds");
-    let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    let parsed: FlowReport = serde_json::from_str(&json).expect("report parses");
-    assert_eq!(parsed.design_name, report.design_name);
-    assert_eq!(parsed.layout.to_gds_bytes(), report.layout.to_gds_bytes());
-    assert_eq!(parsed.routing, report.routing);
-    assert_eq!(parsed.drc, report.drc);
-    assert_eq!(parsed.stage_timings, report.stage_timings);
+    let checked = FlowSession::new(fast_config())
+        .expect("session opens")
+        .run(&benchmark_circuit(Benchmark::Adder8))
+        .expect("flow succeeds");
+    let json = checked.to_json().expect("report serializes");
+    let parsed = Checked::from_json(&json).expect("report parses");
+    assert_eq!(parsed, checked);
+    assert_eq!(parsed.layout.to_gds_bytes(), checked.layout.to_gds_bytes());
+    assert_eq!(parsed.to_json().expect("report serializes"), json);
 }
 
 /// Captures the reroute scope of each DRC-repair iteration: `None` for a

@@ -4,6 +4,12 @@
 
 use superflow_suite::prelude::*;
 
+/// Runs the whole flow on adder8 under `config`.
+fn run_adder8(config: FlowConfig) -> Checked {
+    let mut session = FlowSession::new(config).expect("session opens");
+    session.run(&benchmark_circuit(Benchmark::Adder8)).expect("flow runs")
+}
+
 fn temp_path(file: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join("superflow_technology_api");
     std::fs::create_dir_all(&dir).expect("temp dir");
@@ -18,31 +24,29 @@ fn dumped_technology_files_reproduce_builtin_gds_and_timing() {
     for technology in [Technology::mit_ll_sqf5ee(), Technology::aist_stp2()] {
         let name = technology.name.clone();
         let builtin_config = FlowConfig::fast().with_tech(TechSpec::builtin(name.clone()));
-        let builtin = Flow::with_config(builtin_config)
-            .run_benchmark(Benchmark::Adder8)
-            .expect("builtin flow runs");
+        let builtin = run_adder8(builtin_config);
 
         let path = temp_path(&format!("{name}.toml"));
         std::fs::write(&path, technology.to_toml().expect("dumps")).expect("writes");
         let file_config =
             FlowConfig::fast().with_tech(TechSpec::file(path.to_str().expect("utf-8")));
-        let from_file = Flow::with_config(file_config)
-            .run_benchmark(Benchmark::Adder8)
-            .expect("file-driven flow runs");
+        let from_file = run_adder8(file_config);
 
         assert_eq!(
             builtin.layout.to_gds_bytes(),
             from_file.layout.to_gds_bytes(),
             "{name}: GDS bytes must match the registry entry"
         );
+        let (builtin_timing, file_timing) =
+            (&builtin.routed.placed.placement.timing, &from_file.routed.placed.placement.timing);
         assert_eq!(
-            builtin.placement.timing.wns_ps.to_bits(),
-            from_file.placement.timing.wns_ps.to_bits(),
+            builtin_timing.wns_ps.to_bits(),
+            file_timing.wns_ps.to_bits(),
             "{name}: WNS must match bit for bit"
         );
-        assert_eq!(builtin.placement.timing, from_file.placement.timing, "{name}: timing report");
+        assert_eq!(builtin_timing, file_timing, "{name}: timing report");
         assert_eq!(builtin.drc, from_file.drc, "{name}: DRC report");
-        assert_eq!(builtin.routing, from_file.routing, "{name}: routing result");
+        assert_eq!(builtin.routed.routing, from_file.routed.routing, "{name}: routing result");
     }
 }
 
@@ -59,20 +63,16 @@ fn edited_dump_changes_the_flow_like_a_new_process() {
     let path = temp_path("tight.toml");
     std::fs::write(&path, &edited).expect("writes");
 
-    let stock = Flow::with_config(FlowConfig::fast())
-        .run_benchmark(Benchmark::Adder8)
-        .expect("stock flow runs");
-    let tight = Flow::with_config(
-        FlowConfig::fast().with_tech(TechSpec::file(path.to_str().expect("utf-8"))),
-    )
-    .run_benchmark(Benchmark::Adder8)
-    .expect("edited flow runs");
+    let stock = run_adder8(FlowConfig::fast());
+    let tight =
+        run_adder8(FlowConfig::fast().with_tech(TechSpec::file(path.to_str().expect("utf-8"))));
 
+    let buffer_lines = |checked: &Checked| checked.routed.placed.placement.buffer_lines;
     assert!(
-        tight.placement.buffer_lines >= stock.placement.buffer_lines,
+        buffer_lines(&tight) >= buffer_lines(&stock),
         "a tighter W_max cannot need fewer buffer lines ({} < {})",
-        tight.placement.buffer_lines,
-        stock.placement.buffer_lines
+        buffer_lines(&tight),
+        buffer_lines(&stock)
     );
     assert_ne!(
         tight.layout.to_gds_bytes(),
@@ -126,10 +126,9 @@ fn inline_technology_survives_config_serde_and_drives_the_flow() {
     let config = FlowConfig::fast().with_technology(technology);
     let json = serde_json::to_string(&config).expect("config serializes");
     let parsed: FlowConfig = serde_json::from_str(&json).expect("config parses");
-    let report = Flow::with_config(parsed).run_benchmark(Benchmark::Adder8).expect("flow runs");
+    let report = run_adder8(parsed);
 
     // Identical data under a different name ⇒ identical physical result.
-    let stock =
-        Flow::with_config(FlowConfig::fast()).run_benchmark(Benchmark::Adder8).expect("runs");
+    let stock = run_adder8(FlowConfig::fast());
     assert_eq!(report.layout.to_gds_bytes(), stock.layout.to_gds_bytes());
 }
