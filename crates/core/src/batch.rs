@@ -34,8 +34,11 @@
 //!   budget) before it is classified `Failed`; a design rescued this way is
 //!   classified [`DesignStatus::Degraded`].
 //! - **Crash-safe resume.** With a journal directory configured, every
-//!   completed stage checkpoints its artifact JSON atomically
-//!   (write-to-temp, then rename) under `<journal>/<design>/<stage>.json`.
+//!   completed stage checkpoints its artifact JSON atomically under
+//!   `<journal>/<design>/<stage>.json` ([`Artifact::write_checkpoint`]:
+//!   streamed to `<stage>.tmp`, then renamed; removed if the write fails).
+//!   Resume loads the newest one through [`FlowSession::load_checkpoint`],
+//!   the loader `superflow verify` uses too.
 //!   A killed batch re-run over the same journal resumes each design from
 //!   its newest intact checkpoint, and the flow's determinism makes the
 //!   resumed GDS byte-identical to an uninterrupted run. A checkpoint that
@@ -50,7 +53,7 @@
 //! checkpoint, or lint and synthesize the netlist; then, for each
 //! remaining stage, [`FlowSession::advance`] inside the fault boundary,
 //! the injected-corruption check through [`FlowSession::verify_artifact`],
-//! and the checkpoint write ([`Artifact::to_json`]).
+//! and the checkpoint write ([`Artifact::write_checkpoint`]).
 //!
 //! # Fault model
 //!
@@ -115,7 +118,7 @@ use serde::{Deserialize, Serialize};
 use crate::config::FlowConfig;
 use crate::error::FlowError;
 use crate::input::{design_name, load_design};
-use crate::session::{Artifact, Checked, FlowSession, FlowStage, StageTimings};
+use crate::session::{write_atomic, Artifact, Checked, FlowSession, FlowStage, StageTimings};
 
 /// One design in a batch: a display name and the input it loads from (a
 /// benchmark name or a netlist file path — see [`crate::input`]).
@@ -600,19 +603,6 @@ fn checkpoint_file(stage: FlowStage) -> String {
     format!("{}.json", stage.name())
 }
 
-/// Writes `text` to `path` atomically: to a temporary sibling first, then
-/// renamed into place, so a crash mid-write can never leave a half-written
-/// checkpoint under the final name.
-fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), FlowError> {
-    let tmp = path.with_extension("tmp");
-    let io = |e: std::io::Error| FlowError::Io {
-        path: path.display().to_string(),
-        message: e.to_string(),
-    };
-    std::fs::write(&tmp, bytes).map_err(io)?;
-    std::fs::rename(&tmp, path).map_err(io)
-}
-
 /// Executes [`BatchConfig`] over a slice of [`BatchJob`]s; see the
 /// [module docs](self) for the fault boundary it maintains around each
 /// design.
@@ -956,16 +946,23 @@ impl BatchRunner {
         let Some(dir) = journal else { return Ok(()) };
         let stage = artifact.stage();
         let attribute = |error: FlowError| StageFailure::at(stage, error_chain(&error));
-        let json = artifact.to_json().map_err(attribute)?;
         let path = dir.join(checkpoint_file(stage));
-        write_atomic(&path, json.as_bytes()).map_err(attribute)?;
+        artifact.write_checkpoint(&path).map_err(attribute)?;
         if attempt == 1 && self.config.faults.matches(design, stage, FaultKind::TruncateCheckpoint)
         {
             // Simulate a torn write (the atomic rename protocol prevents
             // real ones): the *next* run over this journal must detect the
             // damage instead of resuming garbage.
-            let half = json.len() / 2;
-            write_atomic(&path, &json.as_bytes()[..half]).map_err(attribute)?;
+            let halve = || {
+                let file = std::fs::OpenOptions::new().write(true).open(&path)?;
+                file.set_len(file.metadata()?.len() / 2)
+            };
+            halve().map_err(|e| {
+                attribute(FlowError::Io {
+                    path: path.display().to_string(),
+                    message: e.to_string(),
+                })
+            })?;
         }
         Ok(())
     }
@@ -975,8 +972,13 @@ impl BatchRunner {
     fn write_gds(&self, design: &str, layout: &Layout) -> Result<(), StageFailure> {
         let Some(dir) = &self.config.output_dir else { return Ok(()) };
         let path = dir.join(format!("{design}.gds"));
-        write_atomic(&path, &layout.to_gds_bytes())
-            .map_err(|e| StageFailure::unattributed(error_chain(&e)))
+        write_atomic(&path, |out| {
+            layout.gds.write_to(out).map_err(|e| FlowError::Io {
+                path: path.display().to_string(),
+                message: e.to_string(),
+            })
+        })
+        .map_err(|e| StageFailure::unattributed(error_chain(&e)))
     }
 
     /// Finds the newest intact checkpoint in a design's journal. A
@@ -1005,10 +1007,12 @@ impl BatchRunner {
             let located = |e: FlowError| {
                 StageFailure::at(stage, format!("`{}`: {}", path.display(), error_chain(&e)))
             };
-            let artifact = Artifact::from_json(stage, &text).map_err(located)?;
-            session.ensure_same_technology(artifact.tech_fingerprint()).map_err(located)?;
-            if let Some(design) = artifact.design() {
-                session.ensure_technology_widths(design).map_err(located)?;
+            let artifact = session.load_checkpoint(&text).map_err(located)?;
+            if artifact.stage() != stage {
+                return Err(StageFailure::at(
+                    stage,
+                    format!("`{}` holds the {} checkpoint", path.display(), artifact.stage()),
+                ));
             }
             return Ok(Some(artifact));
         }
@@ -1221,6 +1225,37 @@ mod tests {
         assert_eq!(first.predicted_stage_s.map(|t| t.total_s()), Some(0.75));
         assert_eq!(first.actual_stage_s.map(|t| t.placement_s), Some(0.6));
         assert!(BatchReport::from_json("{\"designs\": [").is_err());
+    }
+
+    /// A checkpoint that fails to serialize partway through (a non-finite
+    /// number) fails its stage and leaves neither `<stage>.json` nor the
+    /// `<stage>.tmp` it was streamed into.
+    #[test]
+    fn a_failed_checkpoint_write_leaves_no_file_behind() {
+        let mut session = FlowSession::new(FlowConfig::fast()).expect("session opens");
+        let netlist = aqfp_netlist::generators::benchmark_circuit(
+            aqfp_netlist::generators::Benchmark::Adder8,
+        );
+        let mut placed = session
+            .synthesize(&netlist)
+            .and_then(|synthesized| session.place(synthesized))
+            .expect("adder8 places");
+        placed.placement.hpwl_um = f64::NAN;
+        let artifact = Artifact::Placed(placed);
+        assert!(matches!(artifact.to_json(), Err(FlowError::Checkpoint(_))));
+
+        let dir = std::env::temp_dir().join(format!("superflow_nan_ckpt_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let runner = BatchRunner::new(BatchConfig::new(FlowConfig::fast()));
+        let failure =
+            runner.write_checkpoint(Some(&dir), "adder8", 1, &artifact).expect_err("NaN refused");
+        assert_eq!(failure.stage.as_deref(), Some("placement"));
+        assert!(failure.error.contains("non-finite"), "{}", failure.error);
+        let path = dir.join("placement.json");
+        assert!(failure.error.contains(&format!("`{}`", path.display())), "{}", failure.error);
+        assert!(!path.exists(), "no checkpoint under the final name");
+        assert!(!dir.join("placement.tmp").exists(), "the temporary file is removed");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -156,6 +156,7 @@
 
 #![warn(clippy::unwrap_used)]
 
+use std::path::Path;
 use std::process::ExitCode;
 
 use aqfp_cells::{EnergyModel, Technology, TechnologyRegistry};
@@ -165,11 +166,12 @@ use aqfp_netlist::Netlist;
 use aqfp_place::PlacerKind;
 use serde::Serialize;
 use superflow::lint::RuleInfo;
+use superflow::session::write_atomic;
 use superflow::verify::{mutate, Defect};
 use superflow::{
     error_chain, Artifact, BatchConfig, BatchJob, BatchRunner, Checked, Fault, FaultPlan,
-    FlowConfig, FlowObserver, FlowSession, FlowStage, LintConfig, LintReport, PredictReport,
-    RepairScope, StageTimings, TechSpec, VerifyConfig, VerifyReport,
+    FlowConfig, FlowError, FlowObserver, FlowSession, FlowStage, LintConfig, LintReport,
+    PredictReport, RepairScope, StageTimings, TechSpec, VerifyConfig, VerifyReport,
 };
 
 /// Exit code for usage errors (bad flags, malformed specs).
@@ -805,22 +807,22 @@ fn write_outputs(
         std::fs::write(path, bytes).map_err(|e| format!("cannot write `{path}`: {e}"))
     };
     if let Some(path) = &options.report {
-        write(path, artifact.to_json().map_err(|e| error_chain(&e))?.as_bytes())?;
+        artifact.write_checkpoint(Path::new(path)).map_err(|e| error_chain(&e))?;
     }
     let mut gds_path = None;
     if let (None, Artifact::Checked(checked)) = (options.stop_after, artifact) {
         let path =
             options.output.clone().unwrap_or_else(|| format!("{}.gds", artifact.design_name()));
-        // Stream record by record through a BufWriter instead of
-        // materializing the byte image — at a million cells the image alone
-        // is tens of MB.
-        std::fs::File::create(&path)
-            .and_then(|file| {
-                let mut out = std::io::BufWriter::new(file);
-                checked.layout.gds.write_to(&mut out)?;
-                std::io::Write::flush(&mut out)
-            })
-            .map_err(|e| format!("cannot write `{path}`: {e}"))?;
+        // Stream record by record instead of materializing the byte image —
+        // at a million cells the image alone is tens of MB.
+        write_atomic(Path::new(&path), |out| {
+            checked
+                .layout
+                .gds
+                .write_to(out)
+                .map_err(|e| FlowError::Io { path: path.clone(), message: e.to_string() })
+        })
+        .map_err(|e| error_chain(&e))?;
         if let Some(svg_path) = &options.svg {
             let routed = &checked.routed;
             write(
@@ -1114,7 +1116,8 @@ fn verify_gds_input(
     Ok(report)
 }
 
-/// Verifies a `.json` stage checkpoint with the verifiers of its stage
+/// Verifies a `.json` stage checkpoint, loaded as a batch resume loads it
+/// ([`FlowSession::load_checkpoint`]), with the verifiers of its stage
 /// (phase legality from placement on, LVS-lite for checked artifacts, which
 /// embed their layout), plus LEC whenever the original input resolves.
 fn verify_checkpoint_input(
@@ -1124,27 +1127,10 @@ fn verify_checkpoint_input(
 ) -> Result<VerifyReport, String> {
     let text = std::fs::read_to_string(input).map_err(|e| format!("cannot read `{input}`: {e}"))?;
     let session = FlowSession::new(config.clone()).map_err(|e| error_chain(&e))?;
-    let mut artifact = FlowStage::ALL
-        .into_iter()
-        .rev()
-        .find_map(|stage| Artifact::from_json(stage, &text).ok())
-        .ok_or_else(|| {
-            format!(
-                "`{input}` is not a stage checkpoint this version can read (expected the JSON \
-                 written by --report/--journal for the synthesis, placement, routing or \
-                 check stage)"
-            )
-        })?;
-    // Comparing an artifact against another technology's rules would
-    // produce nonsense findings, not a useful report.
-    if artifact.tech_fingerprint() != session.tech_fingerprint() {
-        return Err(format!(
-            "technology mismatch: the session targets `{}`, but `{input}` was produced under \
-             `{}`; pass the matching --tech",
-            session.tech_fingerprint(),
-            artifact.tech_fingerprint()
-        ));
-    }
+    // The batch's resume loader: comparing an artifact against another
+    // technology's rules or cell widths would produce nonsense findings,
+    // not a useful report.
+    let mut artifact = session.load_checkpoint(&text).map_err(|e| error_chain(&e))?;
     if let Some(defect) = options.inject {
         let note = inject_defect(defect, &mut artifact, input)?;
         eprintln!("note: injected {} defect into `{input}`: {note}", defect.name());

@@ -68,7 +68,10 @@
 //! runs the next stage through its typed method, [`Artifact::to_json`] and
 //! [`Artifact::from_json`] write and read the typed checkpoint bytes, and
 //! [`FlowSession::verify_artifact`] runs the verifiers of the artifact's
-//! stage, then LEC when given the input netlist.
+//! stage, then LEC when given the input netlist. Files go through
+//! [`Artifact::write_checkpoint`], which streams the same bytes into a
+//! file, and [`FlowSession::load_checkpoint`], which reads one back for
+//! the session's technology.
 //!
 //! ```
 //! use superflow::{Artifact, FlowConfig, FlowSession, FlowStage};
@@ -87,6 +90,9 @@
 
 use std::collections::BTreeSet;
 use std::fmt;
+use std::fs::File;
+use std::io::{BufWriter, Write};
+use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -269,9 +275,55 @@ pub trait FlowObserver {
 
 /// Serializes a stage artifact to its JSON checkpoint; `what` names the
 /// artifact in the error context.
-fn checkpoint_to_json<T: Serialize>(artifact: &T, what: &str) -> Result<String, FlowError> {
+fn checkpoint_to_json<T: Serialize + ?Sized>(
+    artifact: &T,
+    what: &str,
+) -> Result<String, FlowError> {
     serde_json::to_string_pretty(artifact)
         .map_err(|e| FlowError::Checkpoint(format!("cannot serialize {what} artifact: {e}")))
+}
+
+/// Writes `path` atomically: `fill` streams into a buffered temporary
+/// sibling (`<path>.tmp`), which is renamed onto `path` once complete and
+/// removed when anything fails, so neither a crash nor an error leaves a
+/// partial file under the final name.
+///
+/// # Errors
+///
+/// Returns what `fill` returns, and [`FlowError::Io`] naming `path` if the
+/// file cannot be created, flushed or renamed.
+pub fn write_atomic(
+    path: &Path,
+    fill: impl FnOnce(&mut BufWriter<File>) -> Result<(), FlowError>,
+) -> Result<(), FlowError> {
+    let tmp = path.with_extension("tmp");
+    let io = |e: std::io::Error| FlowError::Io {
+        path: path.display().to_string(),
+        message: e.to_string(),
+    };
+    let written = File::create(&tmp).map_err(io).and_then(|file| {
+        let mut out = BufWriter::with_capacity(1 << 16, file);
+        fill(&mut out)?;
+        out.flush().map_err(io)
+    });
+    let result = written.and_then(|()| std::fs::rename(&tmp, path).map_err(io));
+    if result.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    result
+}
+
+/// The stage whose checkpoint `text` is, read from its first key: each
+/// stage's artifact opens with a field of its own.
+fn checkpoint_stage(text: &str) -> Option<FlowStage> {
+    let rest = text.trim_start().strip_prefix('{')?.trim_start().strip_prefix('"')?;
+    Some(match &rest[..rest.find('"')?] {
+        "design_name" => FlowStage::Synthesis,
+        "synthesized" => FlowStage::Placement,
+        "placed" => FlowStage::Routing,
+        "routed" => FlowStage::Check,
+        _ => return None,
+    })
 }
 
 /// Restores a stage artifact from its JSON checkpoint; `what` names the
@@ -621,18 +673,41 @@ impl Artifact {
         &self.synthesized().tech_fingerprint
     }
 
+    /// The stage artifact a checkpoint serializes.
+    fn serializable(&self) -> &dyn Serialize {
+        match self {
+            Artifact::Synthesized(synthesized) => synthesized,
+            Artifact::Placed(placed) => placed,
+            Artifact::Routed(routed) => routed,
+            Artifact::Checked(checked) => checked,
+        }
+    }
+
     /// Serializes the artifact to its stage's JSON checkpoint.
     ///
     /// # Errors
     ///
     /// Returns [`FlowError::Checkpoint`] if serialization fails.
     pub fn to_json(&self) -> Result<String, FlowError> {
-        match self {
-            Artifact::Synthesized(synthesized) => synthesized.to_json(),
-            Artifact::Placed(placed) => placed.to_json(),
-            Artifact::Routed(routed) => routed.to_json(),
-            Artifact::Checked(checked) => checked.to_json(),
-        }
+        checkpoint_to_json(self.serializable(), self.stage().name())
+    }
+
+    /// Writes the artifact's checkpoint — the bytes [`Artifact::to_json`]
+    /// returns — to `path` through [`write_atomic`]. The document is never
+    /// held in memory, and `path` never holds a partial checkpoint.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FlowError::Checkpoint`], naming `path`, if serialization
+    /// or a write fails (a non-finite number, a full disk), and
+    /// [`FlowError::Io`] if the file cannot be created, flushed or renamed.
+    pub fn write_checkpoint(&self, path: &Path) -> Result<(), FlowError> {
+        write_atomic(path, |out| {
+            serde_json::to_writer_pretty(out, self.serializable()).map_err(|e| {
+                let (what, path) = (self.stage(), path.display());
+                FlowError::Checkpoint(format!("cannot serialize {what} artifact to `{path}`: {e}"))
+            })
+        })
     }
 
     /// Restores the artifact of `stage` from its JSON checkpoint.
@@ -771,6 +846,35 @@ impl FlowSession {
     /// every artifact this session produces.
     pub fn tech_fingerprint(&self) -> &str {
         &self.fingerprint
+    }
+
+    /// Loads a stage checkpoint (`--report`/journal JSON) for this session:
+    /// the stage is read from the checkpoint's first key, the text is
+    /// parsed once as that stage's artifact, and the artifact must belong
+    /// to this session's technology — its fingerprint, and the width of
+    /// every placed cell. Batch resume and `superflow verify` both load
+    /// checkpoints through here.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FlowError::Checkpoint`] for text that is not a stage
+    /// checkpoint or fails to load, [`FlowError::TechnologyMismatch`] for
+    /// another technology's artifact, and [`FlowError::Checkpoint`] naming
+    /// the cell whose width is not its kind's width here.
+    pub fn load_checkpoint(&self, text: &str) -> Result<Artifact, FlowError> {
+        let stage = checkpoint_stage(text).ok_or_else(|| {
+            FlowError::Checkpoint(
+                "not a stage checkpoint: its first key is none of `design_name`, \
+                 `synthesized`, `placed` or `routed`"
+                    .to_owned(),
+            )
+        })?;
+        let artifact = Artifact::from_json(stage, text)?;
+        self.ensure_same_technology(artifact.tech_fingerprint())?;
+        if let Some(design) = artifact.design() {
+            self.ensure_technology_widths(design)?;
+        }
+        Ok(artifact)
     }
 
     /// Fails with [`FlowError::TechnologyMismatch`] when an artifact from a

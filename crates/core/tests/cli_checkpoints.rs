@@ -83,3 +83,37 @@ fn separate_processes_write_identical_synthesis_checkpoints() {
     assert!(checkpoints.windows(2).all(|pair| pair[0] == pair[1]), "checkpoints differ");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// `json` with the first placed cell's `field` set to `value`, the way a
+/// hand edit of the checkpoint would leave it.
+fn edit_first_cell(json: &str, field: &str, value: &str) -> String {
+    let cells = json.find("\"cells\": [").expect("the checkpoint holds a placed design");
+    let key = format!("\"{field}\": ");
+    let start = cells + json[cells..].find(&key).expect("cells carry the field") + key.len();
+    let end = start + json[start..].find([',', '\n']).expect("the value ends");
+    format!("{}{value}{}", &json[..start], &json[end..])
+}
+
+/// `verify` loads a checkpoint the way batch resume does: a placed cell
+/// whose width is not its kind's width in the technology, or is out of
+/// range, fails the load with exit 1 and an error that names the cell.
+#[test]
+fn verify_refuses_a_checkpoint_with_an_edited_cell_width_and_says_why() {
+    let dir = temp_dir("widths");
+    let placed = dir.join("placed.json");
+    let placed = placed.to_str().expect("utf-8 path");
+    superflow(&["--fast", "--quiet", "--stop-after", "placement", "--report", placed, "adder8"]);
+    let json = std::fs::read_to_string(placed).expect("checkpoint written");
+    for width in ["1e15", "-1e9"] {
+        let path = dir.join(format!("width{width}.json"));
+        std::fs::write(&path, edit_first_cell(&json, "width", width)).expect("writes");
+        let output = Command::new(env!("CARGO_BIN_EXE_superflow"))
+            .args(["verify", "--fast", "--against", "adder8", path.to_str().expect("utf-8 path")])
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "width {width}: {stderr}");
+        assert!(stderr.contains("cell 0 "), "width {width}: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

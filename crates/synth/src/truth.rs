@@ -8,7 +8,6 @@
 //! two levels of majority gates over (possibly inverted) inputs and
 //! constants, the cheapest majority-based implementation.
 
-use std::collections::{BTreeMap, HashMap};
 use std::sync::OnceLock;
 
 /// A 3-input boolean function encoded as an 8-bit truth table.
@@ -199,7 +198,46 @@ impl MajExpr {
 /// majority gates at the first level and one at the second level" mapping.
 #[derive(Debug)]
 pub struct MappingTable {
-    best: HashMap<TruthTable3, MajExpr>,
+    /// The recipe of each truth table (`best[tt.0]`), if it has one.
+    best: Vec<Option<MajExpr>>,
+}
+
+/// How a candidate of [`MappingTable::build`] is assembled: a literal, one
+/// majority gate over literals, or one majority gate over three level-≤1
+/// operands (indices into the operand list).
+#[derive(Debug, Clone, Copy)]
+enum Recipe {
+    Leaf(Literal),
+    Maj1([Literal; 3]),
+    Maj2([usize; 3]),
+}
+
+impl Recipe {
+    /// The expression this recipe describes; `operands` resolves the
+    /// indices of [`Recipe::Maj2`].
+    fn expr(self, operands: &[(TruthTable3, usize, Recipe)]) -> MajExpr {
+        let maj = |[f, g, h]: [MajExpr; 3]| MajExpr::Maj(Box::new(f), Box::new(g), Box::new(h));
+        match self {
+            Recipe::Leaf(literal) => MajExpr::Leaf(literal),
+            Recipe::Maj1(literals) => maj(literals.map(MajExpr::Leaf)),
+            Recipe::Maj2(indices) => maj(indices.map(|i| operands[i].2.expr(operands))),
+        }
+    }
+}
+
+/// Keeps `candidate` (truth table, JJ cost, recipe) in `best` when its
+/// truth table has no recipe yet or only a costlier one: among equal costs
+/// the first candidate seen wins.
+fn keep_cheapest(
+    best: &mut [Option<(usize, Recipe)>; 256],
+    candidate: (TruthTable3, usize, Recipe),
+) {
+    let (tt, cost, recipe) = candidate;
+    let slot = &mut best[usize::from(tt.0)];
+    match slot {
+        Some((kept, _)) if *kept <= cost => {}
+        _ => *slot = Some((cost, recipe)),
+    }
 }
 
 impl MappingTable {
@@ -211,7 +249,81 @@ impl MappingTable {
 
     /// Builds the table from scratch (exposed for tests; prefer
     /// [`MappingTable::global`]).
+    ///
+    /// The enumeration runs over (truth table, JJ cost) pairs, so the
+    /// ~110k level-2 candidates cost a few bit operations each; only the
+    /// winning recipe of each truth table becomes a [`MajExpr`].
     pub fn build() -> MappingTable {
+        let mut best = [None; 256];
+
+        // Level 0: bare literals.
+        let leaves: Vec<(TruthTable3, usize, Recipe)> = Literal::ALL
+            .iter()
+            .map(|&lit| (lit.truth_table(), lit.jj_cost(), Recipe::Leaf(lit)))
+            .collect();
+        for &leaf in &leaves {
+            keep_cheapest(&mut best, leaf);
+        }
+
+        // Level 1: single majority gate over literals. The cheapest of each
+        // truth table is also kept apart, to bound the level-2 enumeration.
+        let mut level1 = [None; 256];
+        for x in Literal::ALL {
+            for y in Literal::ALL {
+                for z in Literal::ALL {
+                    let tt = TruthTable3::maj(x.truth_table(), y.truth_table(), z.truth_table());
+                    let cost = 6 + x.jj_cost() + y.jj_cost() + z.jj_cost();
+                    let candidate = (tt, cost, Recipe::Maj1([x, y, z]));
+                    keep_cheapest(&mut best, candidate);
+                    keep_cheapest(&mut level1, candidate);
+                }
+            }
+        }
+        // The level-1 operands are taken in truth-table order: equal-cost
+        // level-2 candidates keep the first one seen, so any other order
+        // would pick a different recipe.
+        let mut operands = leaves;
+        operands.extend(level1.iter().enumerate().filter_map(|(tt, kept)| {
+            kept.map(|(cost, recipe)| (TruthTable3(tt as u8), cost, recipe))
+        }));
+
+        // Level 2: one majority gate over level-≤1 operands.
+        for (i, &(tf, cf, _)) in operands.iter().enumerate() {
+            for (j, &(tg, cg, _)) in operands.iter().enumerate() {
+                for (k, &(th, ch, _)) in operands.iter().enumerate() {
+                    let candidate =
+                        (TruthTable3::maj(tf, tg, th), 6 + cf + cg + ch, Recipe::Maj2([i, j, k]));
+                    keep_cheapest(&mut best, candidate);
+                }
+            }
+        }
+
+        MappingTable {
+            best: best.iter().map(|kept| kept.map(|(_, recipe)| recipe.expr(&operands))).collect(),
+        }
+    }
+
+    /// Looks up the cheapest known majority implementation of `tt`.
+    pub fn lookup(&self, tt: TruthTable3) -> Option<&MajExpr> {
+        self.best[usize::from(tt.0)].as_ref()
+    }
+
+    /// Number of distinct 3-input functions the table can implement.
+    pub fn coverage(&self) -> usize {
+        self.best.iter().flatten().count()
+    }
+}
+
+#[cfg(test)]
+#[allow(clippy::unwrap_used)]
+mod tests {
+    use std::collections::{BTreeMap, HashMap};
+
+    use super::*;
+
+    /// The table as it was first built: boxed expressions for every
+    /// candidate, truth tables and costs recomputed recursively.
+    fn reference_build() -> HashMap<TruthTable3, MajExpr> {
         let mut best: HashMap<TruthTable3, MajExpr> = HashMap::new();
 
         let consider = |expr: MajExpr, best: &mut HashMap<TruthTable3, MajExpr>| {
@@ -273,24 +385,18 @@ impl MappingTable {
             }
         }
 
-        MappingTable { best }
+        best
     }
 
-    /// Looks up the cheapest known majority implementation of `tt`.
-    pub fn lookup(&self, tt: TruthTable3) -> Option<&MajExpr> {
-        self.best.get(&tt)
+    #[test]
+    fn build_picks_the_reference_recipe_for_every_truth_table() {
+        let reference = reference_build();
+        let table = MappingTable::build();
+        for tt in (0..=u8::MAX).map(TruthTable3) {
+            assert_eq!(table.lookup(tt), reference.get(&tt), "recipe for {tt:?}");
+        }
+        assert_eq!(table.coverage(), reference.len());
     }
-
-    /// Number of distinct 3-input functions the table can implement.
-    pub fn coverage(&self) -> usize {
-        self.best.len()
-    }
-}
-
-#[cfg(test)]
-#[allow(clippy::unwrap_used)]
-mod tests {
-    use super::*;
 
     #[test]
     fn truth_table_primitives() {
@@ -356,8 +462,9 @@ mod tests {
     #[test]
     fn mapping_table_recipes_are_consistent() {
         let table = MappingTable::global();
-        for (tt, expr) in table.best.iter() {
-            assert_eq!(expr.truth_table(), *tt, "recipe must realize its key");
+        for tt in (0..=u8::MAX).map(TruthTable3) {
+            let Some(expr) = table.lookup(tt) else { continue };
+            assert_eq!(expr.truth_table(), tt, "recipe must realize its key");
             assert!(expr.depth() <= 2, "recipes are at most two majority levels");
         }
         // Two majority levels cover most but not all 256 functions (3-input

@@ -235,6 +235,33 @@ fn a_journal_from_another_technology_is_rejected() {
     let _ = std::fs::remove_dir_all(&journal);
 }
 
+/// A journal file must hold its own stage's checkpoint: resume reads the
+/// stage from the checkpoint's first key, so a synthesis checkpoint saved
+/// as `placement.json` fails the design at placement instead of resuming.
+#[test]
+fn a_checkpoint_under_another_stages_name_fails_at_that_stage() {
+    let journal = temp_dir("misnamed_checkpoint");
+    let jobs = [BatchJob::from_input("adder8")];
+    let mut session = FlowSession::new(FlowConfig::fast()).expect("session opens");
+    let synthesized =
+        session.synthesize(&benchmark_circuit(Benchmark::Adder8)).expect("synthesis succeeds");
+    let checkpoint = journal.join("adder8").join("placement.json");
+    std::fs::create_dir_all(journal.join("adder8")).expect("journal dir");
+    std::fs::write(&checkpoint, synthesized.to_json().expect("serializes")).expect("writes");
+
+    let config = fast_batch().with_retry_degraded(false).with_journal_dir(&journal);
+    let report = BatchRunner::new(config).run(&jobs).expect("batch runs");
+    match &status_of(&report, "adder8").status {
+        DesignStatus::Failed { error, stage, .. } => {
+            assert_eq!(stage.as_deref(), Some("placement"), "{error}");
+            assert!(error.contains("holds the synthesis checkpoint"), "{error}");
+        }
+        other => panic!("a misnamed checkpoint should fail, got {other:?}"),
+    }
+
+    let _ = std::fs::remove_dir_all(&journal);
+}
+
 #[test]
 fn a_foreign_synthesis_checkpoint_fails_at_its_own_stage() {
     let journal = temp_dir("foreign_synthesis");

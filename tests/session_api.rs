@@ -8,7 +8,13 @@ use std::sync::Arc;
 
 use aqfp_layout::DrcReport;
 use aqfp_route::Router;
+use serde::Serialize;
 use superflow_suite::prelude::*;
+
+/// The tree-first renderer and parser the vendored `serde_json` streamed
+/// its way past, kept as the reference for checkpoint bytes.
+#[path = "../vendor/serde_json/src/reference.rs"]
+mod reference;
 
 fn fast_config() -> FlowConfig {
     FlowConfig::fast()
@@ -94,6 +100,95 @@ fn artifact_checkpoints_are_the_typed_checkpoints_byte_for_byte() {
             assert!(matches!(error, FlowError::Checkpoint(_)), "{other} from {stage}: {error}");
         }
     }
+}
+
+/// Every stage checkpoint of two designs streams the bytes the tree
+/// renderer writes for the artifact's value tree, reads back through the
+/// pull parser as the tree-first parser reads it, and lands in a file
+/// through `write_checkpoint` byte for byte.
+#[test]
+fn stage_checkpoints_match_the_tree_renderer_and_parser() {
+    let dir = std::env::temp_dir().join(format!("superflow_ckpt_oracle_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    for input in ["adder8", "gen:random_dag:300:1"] {
+        let netlist = superflow::load_netlist(input).expect("input resolves");
+        let mut session = FlowSession::new(fast_config()).expect("session opens");
+        let mut artifact =
+            Artifact::Synthesized(session.synthesize(&netlist).expect("synthesizes"));
+        loop {
+            let stage = artifact.stage();
+            let tree = match &artifact {
+                Artifact::Synthesized(a) => a.to_value(),
+                Artifact::Placed(a) => a.to_value(),
+                Artifact::Routed(a) => a.to_value(),
+                Artifact::Checked(a) => a.to_value(),
+            };
+            let json = artifact.to_json().expect("serializes");
+            let rendered = reference::to_string_pretty(&tree).expect("renders");
+            assert!(json == rendered, "{input} {stage}: the checkpoint bytes differ");
+
+            let parsed = Artifact::from_json(stage, &json).expect("parses");
+            let reference_parsed = match stage {
+                FlowStage::Synthesis => reference::from_str(&json).map(Artifact::Synthesized),
+                FlowStage::Placement => reference::from_str(&json).map(Artifact::Placed),
+                FlowStage::Routing => reference::from_str(&json).map(Artifact::Routed),
+                FlowStage::Check => reference::from_str(&json).map(Artifact::Checked),
+            };
+            assert_eq!(Ok(&parsed), reference_parsed.as_ref(), "{input} {stage}");
+            assert_eq!(parsed, artifact, "{input} {stage} round trip");
+
+            let path = dir.join(format!("{stage}.json"));
+            artifact.write_checkpoint(&path).expect("writes");
+            assert!(
+                std::fs::read(&path).expect("reads") == json.as_bytes(),
+                "{input} {stage} file"
+            );
+            assert!(!dir.join(format!("{stage}.tmp")).exists(), "{input} {stage} temporary");
+            if stage == FlowStage::Check {
+                break;
+            }
+            artifact = session.advance(artifact).expect("the next stage runs");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// FNV-1a (64-bit) of `json` without its wall-clock `"runtime_s"` lines.
+fn hash_without_runtimes(json: &str) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for line in json.split('\n').filter(|line| !line.contains("\"runtime_s\"")) {
+        for byte in line.bytes().chain([b'\n']) {
+            hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    hash
+}
+
+/// The bytes of every existing adder8 `--fast` check checkpoint apart
+/// from its `"runtime_s"` line. The oracle test above runs the same
+/// derived code on both sides, so this is what pins the shape the derive
+/// writes for every artifact type, the GDS elements included. A change
+/// to the flow's results moves it, as it moves the golden layouts.
+#[test]
+fn adder8_check_checkpoint_bytes_are_pinned() {
+    let mut session = FlowSession::new(fast_config()).expect("session opens");
+    let checked = session.run(&benchmark_circuit(Benchmark::Adder8)).expect("flow runs");
+    let json = Artifact::Checked(checked).to_json().expect("serializes");
+    assert_eq!(format!("{:016x}", hash_without_runtimes(&json)), "49737824f602ac7f");
+}
+
+/// A non-finite number has no JSON form: every way of writing a
+/// checkpoint returns an error instead of panicking or writing garbage.
+#[test]
+fn non_finite_numbers_fail_every_checkpoint_writer() {
+    let mut session = FlowSession::new(fast_config()).expect("session opens");
+    let synthesized =
+        session.synthesize(&benchmark_circuit(Benchmark::Adder8)).expect("synthesis succeeds");
+    let mut placed = session.place(synthesized).expect("placement succeeds");
+    placed.placement.design.cells[0].x = f64::INFINITY;
+    assert!(serde_json::to_string(&placed).is_err());
+    assert!(serde_json::to_string_pretty(&placed).is_err());
+    assert!(matches!(Artifact::Placed(placed).to_json(), Err(FlowError::Checkpoint(_))));
 }
 
 /// `json` with the first placed cell's `field` set to `value`, the way a
