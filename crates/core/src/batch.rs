@@ -623,9 +623,10 @@ impl BatchRunner {
     }
 
     /// Runs every job to a classification. Designs are pulled off a shared
-    /// work-stealing queue by `workers` threads over one shared resolved
-    /// technology; a design failing (panic, deadline, corrupt checkpoint,
-    /// bad input) never stops the others.
+    /// work-stealing queue by `workers` threads (one worker is the calling
+    /// thread) over one shared resolved technology; a design failing
+    /// (panic, deadline, corrupt checkpoint, bad input) never stops the
+    /// others.
     ///
     /// # Errors
     ///
@@ -668,17 +669,25 @@ impl BatchRunner {
         let cursor = AtomicUsize::new(0);
         let slots: Vec<Mutex<Option<DesignReport>>> =
             jobs.iter().map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let next = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(&index) = order.get(next) else { break };
-                    let report =
-                        self.run_design(&jobs[index], &flow, &technology, predictions[index]);
-                    *slots[index].lock().expect("slot lock") = Some(report);
-                });
-            }
-        });
+        let work = || loop {
+            let next = cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(&index) = order.get(next) else { break };
+            let report = self.run_design(&jobs[index], &flow, &technology, predictions[index]);
+            *slots[index].lock().expect("slot lock") = Some(report);
+        };
+        // One worker drains the queue on the calling thread. A spawned
+        // worker gives its allocator arena back only as its thread exits,
+        // which can be after `scope` returns: a run started right after
+        // would then open a second arena and keep both resident.
+        if workers == 1 {
+            work();
+        } else {
+            std::thread::scope(|scope| {
+                for _ in 0..workers {
+                    scope.spawn(work);
+                }
+            });
+        }
         let designs: Vec<DesignReport> = slots
             .into_iter()
             .map(|slot| slot.into_inner().expect("slot lock").expect("every job slot is filled"))

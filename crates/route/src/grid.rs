@@ -18,15 +18,22 @@
 //! rewritten before it is read), so the per-net search performs no heap
 //! allocation once the channel is set up.
 //!
-//! A search whose goal lies right of and not below its start (every
-//! rightward net of a channel) skips the priority queue: one pass over the
-//! start–goal box fills the reach table with the nodes reachable by
-//! right/up moves, and the path is read back from it. The heap's tie-break
-//! pops that whole box before the goal anyway, so on a box of
-//! `Δcolumn × tracks` nodes the scan does the same visits without the
-//! queue. It returns the path the heap returns (the argument is on the
-//! private `ChannelGrid::monotone_scan`) and hands over to the heap when the
-//! goal needs a detour.
+//! A search without penalty whose goal is not below its start skips the
+//! priority queue when a shortest path heads straight for the goal:
+//!
+//! * a goal right of the start (every rightward net of a channel): one pass
+//!   over the start–goal box fills the reach table with the nodes reachable
+//!   by right/up moves, and the path is read back from it. The heap's
+//!   tie-break pops that whole box before the goal anyway, so on a box of
+//!   `Δcolumn × tracks` nodes the scan does the same visits without the
+//!   queue;
+//! * a goal left of the start or straight above it (leftward and vertical
+//!   nets): a depth-first walk over left/up moves, whose stack pops the
+//!   nodes in the order the heap pops them.
+//!
+//! Both return the path the heap returns (the arguments are on the private
+//! `ChannelGrid::monotone_scan` and `ChannelGrid::leftward_walk`) and hand
+//! over to the heap when the goal needs a detour.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -62,10 +69,10 @@ impl GridPoint {
 }
 
 /// Reusable A* state: cost/parent/visit tables sized to the grid, the open
-/// queue, the monotone scan's reach table and the reconstructed path. One
-/// instance routes any number of nets (and any number of channels) without
-/// allocating, growing only when a larger grid is attached (the reach table:
-/// when a larger start–goal box is scanned).
+/// queue, the leftward walk's stack, the monotone scan's reach table and the
+/// reconstructed path. One instance routes any number of nets (and any
+/// number of channels) without allocating, growing only when a larger grid
+/// is attached (the reach table: when a larger start–goal box is scanned).
 #[derive(Debug, Clone, Default)]
 pub struct SearchScratch {
     generation: u32,
@@ -73,6 +80,8 @@ pub struct SearchScratch {
     best_cost: Vec<u32>,
     parent: Vec<u32>,
     queue: BinaryHeap<Reverse<(i64, GridPoint)>>,
+    /// Node indices the leftward walk has discovered but not yet expanded.
+    stack: Vec<u32>,
     /// Whether each node of the last monotone scan's start–goal box is
     /// reachable by right/up moves, row-major within the box. Every entry a
     /// scan reads was written earlier in the same scan, so it is never
@@ -103,16 +112,19 @@ impl SearchScratch {
     /// Sizes the tables for a grid with `nodes` nodes and starts a new
     /// search generation. Reallocates only when the grid grew.
     fn begin(&mut self, nodes: usize) {
+        self.queue.clear();
+        self.stack.clear();
+        self.path.clear();
+        self.blockers.clear();
         if self.stamp.len() < nodes {
             self.stamp.resize(nodes, 0);
             self.best_cost.resize(nodes, 0);
             self.parent.resize(nodes, 0);
-            // One-off reservations so the queue and path never reallocate
-            // mid-search.
-            let extra = nodes.saturating_sub(self.queue.capacity());
-            self.queue.reserve(extra);
-            let extra = nodes.saturating_sub(self.path.capacity());
-            self.path.reserve(extra);
+            // One-off reservations (the containers are empty here) so the
+            // queue, stack and path never reallocate mid-search.
+            self.queue.reserve(nodes);
+            self.stack.reserve(nodes);
+            self.path.reserve(nodes);
         }
         self.generation = self.generation.wrapping_add(1);
         if self.generation == 0 {
@@ -121,9 +133,6 @@ impl SearchScratch {
             self.stamp.fill(0);
             self.generation = 1;
         }
-        self.queue.clear();
-        self.path.clear();
-        self.blockers.clear();
     }
 
     #[inline]
@@ -131,6 +140,18 @@ impl SearchScratch {
         self.stamp[node] = self.generation;
         self.best_cost[node] = cost;
         self.parent[node] = parent;
+    }
+
+    /// The leftward walk's discovery: a node not yet reached in this search
+    /// records `parent` and goes on the stack; a node already reached keeps
+    /// its first parent.
+    #[inline]
+    fn push(&mut self, node: usize, parent: u32) {
+        if self.stamp[node] != self.generation {
+            self.stamp[node] = self.generation;
+            self.parent[node] = parent;
+            self.stack.push(node as u32);
+        }
     }
 
     #[inline]
@@ -291,7 +312,8 @@ impl ChannelGrid {
     /// endpoints) on success. Performs no heap allocation once the scratch
     /// tables match the grid size.
     ///
-    /// When the goal lies right of and not below the start, a monotone scan
+    /// When the goal is not below the start, a monotone scan (goal to the
+    /// right) or a leftward walk (goal to the left or straight above)
     /// answers instead of the priority queue if it can; the path is the one
     /// the queue would return, so the choice never shows in the result.
     pub fn a_star_into(
@@ -325,7 +347,10 @@ impl ChannelGrid {
         scratch: &mut SearchScratch,
         penalty: Option<u32>,
     ) -> bool {
-        if penalty.is_none() && self.monotone_scan(start, goal, scratch) {
+        if penalty.is_none()
+            && (self.monotone_scan(start, goal, scratch)
+                || self.leftward_walk(start, goal, scratch))
+        {
             return true;
         }
         self.heap_search(start, goal, scratch, penalty)
@@ -362,8 +387,8 @@ impl ChannelGrid {
     /// neighbours first yields the same set), and if the goal is in `R`,
     /// walking back from it — left when allowed, else down — rebuilds the
     /// heap's path. If the goal is not in `R`, any path needs a detour (or
-    /// none exists) and the heap search runs instead, as it does for
-    /// leftward and vertical queries and in penalty mode.
+    /// none exists) and the heap search runs instead, as it does in penalty
+    /// mode.
     fn monotone_scan(
         &self,
         start: GridPoint,
@@ -435,9 +460,77 @@ impl ChannelGrid {
         true
     }
 
+    /// The exact shortcut for a leftward or vertical query: finds the path
+    /// [`ChannelGrid::heap_search`] returns for it without a priority queue.
+    /// Returns `false` when the query is not leftward or vertical or the
+    /// goal needs a detour; the caller then runs the heap search, which
+    /// resets `scratch`.
+    ///
+    /// It applies to queries without penalty whose goal satisfies
+    /// `goal.column <= start.column` and `goal.track >= start.track`. Edge
+    /// costs are 1 and the heuristic is the Manhattan distance. Let `D` be
+    /// the start–goal distance and `R` the set of nodes of the start–goal
+    /// box reachable from the start by left/up moves over free edges.
+    ///
+    /// * A heap entry has `f = D` exactly when its node is in `R` and was
+    ///   reached at cost `Manhattan(start, n)`; every other entry has
+    ///   `f ≥ D + 2`. So while the goal is in `R`, the heap pops only nodes
+    ///   of `R`, lowest `(column, track)` first.
+    /// * When a node `(c, t)` of `R` pops, it is the minimum entry. Its up
+    ///   child `(c, t + 1)` is then smaller than every remaining entry, and
+    ///   its left child `(c − 1, t)` is smaller still. So every push lands
+    ///   on top: the heap acts as a stack that pushes up, then left.
+    /// * Each node of `R` is pushed once, by its first optimal offer, and
+    ///   that offer also sets its parent (a costlier offer through a right
+    ///   or down move may come first; the optimal one overwrites it, and
+    ///   the walk makes no such moves).
+    /// * The walk stops when it pops the goal, as the heap does, so its
+    ///   parent chain is the heap's parent chain.
+    ///
+    /// If the stack empties, the goal needs a detour or cannot be reached,
+    /// and the heap search runs from a fresh `begin`. A vertical query is
+    /// the one-column case of the same walk.
+    fn leftward_walk(
+        &self,
+        start: GridPoint,
+        goal: GridPoint,
+        scratch: &mut SearchScratch,
+    ) -> bool {
+        if goal.column > start.column
+            || goal.track < start.track
+            || !self.contains(start)
+            || !self.contains(goal)
+        {
+            return false;
+        }
+        scratch.begin(self.node_count());
+        let columns = self.columns as usize;
+        let (goal_column, goal_track) = (goal.column as usize, goal.track as usize);
+        let target = self.node_index(goal);
+        scratch.push(self.node_index(start), u32::MAX);
+        while let Some(node) = scratch.stack.pop() {
+            let node = node as usize;
+            if node == target {
+                self.reconstruct(start, goal, scratch, false);
+                return true;
+            }
+            // The guard above keeps every walked node at or below the goal's
+            // track and at or right of its column, so these two tests are
+            // the box's top and left edges.
+            if node / columns != goal_track && self.occupied_vertical[node] == FREE {
+                scratch.push(node + columns, node as u32);
+            }
+            if node % columns != goal_column && self.occupied_horizontal[node - 1] == FREE {
+                scratch.push(node - 1, node as u32);
+            }
+        }
+        false
+    }
+
     /// The best-first A* search proper: a binary heap keyed
     /// `(f, column, track)`. Any query, any mode; [`ChannelGrid::search`]
-    /// calls it for whatever the monotone scan does not answer.
+    /// calls it for whatever the monotone scan and the leftward walk do not
+    /// answer.
     fn heap_search(
         &self,
         start: GridPoint,
@@ -665,20 +758,29 @@ mod tests {
         grid.occupy_path(&first);
 
         // A dirty scratch (used for an unrelated search) must give the same
-        // answers as a fresh one.
+        // answers as a fresh one. This leftward walk reaches its goal with
+        // the up children of track 0 still on its stack.
         let mut dirty = SearchScratch::new();
         assert!(grid.a_star_into(GridPoint::new(15, 0), GridPoint::new(0, 5), &mut dirty));
 
         // The small rightward queries follow a larger one, so a reach table
         // left over from the larger box must not leak into them. The first
         // of them runs along track 5, which the first net blocks, so a
-        // leaked table would turn its detour into a straight run.
+        // leaked table would turn its detour into a straight run. The
+        // leftward and vertical queries come after the large walk: the
+        // first of them climbs column 1, which the first net blocks, so a
+        // stack left over from the walk would hand it a path from another
+        // search.
         for (start, goal) in [
             (GridPoint::new(0, 0), GridPoint::new(15, 5)),
             (GridPoint::new(0, 5), GridPoint::new(3, 5)),
-            (GridPoint::new(3, 0), GridPoint::new(3, 5)),
             (GridPoint::new(5, 1), GridPoint::new(7, 2)),
             (GridPoint::new(12, 3), GridPoint::new(15, 4)),
+            (GridPoint::new(1, 0), GridPoint::new(1, 4)),
+            (GridPoint::new(3, 0), GridPoint::new(3, 5)),
+            (GridPoint::new(12, 0), GridPoint::new(4, 3)),
+            (GridPoint::new(14, 0), GridPoint::new(2, 5)),
+            (GridPoint::new(9, 2), GridPoint::new(9, 4)),
         ] {
             let mut fresh = SearchScratch::new();
             assert!(grid.a_star_into(start, goal, &mut fresh));
@@ -687,30 +789,63 @@ mod tests {
         }
     }
 
+    /// Which search answers a query without penalty.
+    #[derive(Debug, PartialEq)]
+    enum Answer {
+        Scan,
+        Walk,
+        Heap,
+    }
+
     /// Runs [`ChannelGrid::a_star_into`] and the heap search on one query
-    /// and asserts they agree (return value, path, no blockers). Returns
-    /// whether the monotone scan answered the query.
+    /// and asserts they agree (return value, path, no blockers). Every node
+    /// the leftward walk reaches, also in a walk that gives up, must hold
+    /// the parent the heap gave it: its first optimal offer. Returns which
+    /// search answered the query.
     fn assert_matches_heap(
         grid: &ChannelGrid,
         start: GridPoint,
         goal: GridPoint,
         fast: &mut SearchScratch,
         heap: &mut SearchScratch,
-    ) -> bool {
+    ) -> Answer {
         let found = grid.a_star_into(start, goal, fast);
         let reference = grid.heap_search(start, goal, heap, None);
         assert_eq!(found, reference, "{start:?} -> {goal:?}: routability differs");
         assert_eq!(fast.path(), heap.path(), "{start:?} -> {goal:?}: path differs");
         assert!(fast.blockers().is_empty(), "{start:?} -> {goal:?}: blockers without penalty");
-        grid.monotone_scan(start, goal, &mut SearchScratch::new())
+        let mut scratch = SearchScratch::new();
+        if grid.monotone_scan(start, goal, &mut scratch) {
+            return Answer::Scan;
+        }
+        let walked = grid.leftward_walk(start, goal, &mut scratch);
+        for (node, &stamp) in scratch.stamp.iter().enumerate() {
+            // The heap answers `start == goal` without expanding the start.
+            if stamp == scratch.generation && start != goal {
+                assert_eq!(heap.stamp[node], heap.generation, "{start:?} -> {goal:?}: node {node}");
+                assert_eq!(
+                    scratch.parent[node], heap.parent[node],
+                    "{start:?} -> {goal:?}: parent of node {node} differs"
+                );
+            }
+        }
+        if walked {
+            Answer::Walk
+        } else {
+            Answer::Heap
+        }
     }
 
     /// Checks one named query against the heap search and returns the path
-    /// (empty when unroutable) and whether the monotone scan answered it.
-    fn named_case(grid: &ChannelGrid, start: GridPoint, goal: GridPoint) -> (Vec<GridPoint>, bool) {
+    /// (empty when unroutable) and which search answered it.
+    fn named_case(
+        grid: &ChannelGrid,
+        start: GridPoint,
+        goal: GridPoint,
+    ) -> (Vec<GridPoint>, Answer) {
         let (mut fast, mut heap) = (SearchScratch::new(), SearchScratch::new());
-        let scanned = assert_matches_heap(grid, start, goal, &mut fast, &mut heap);
-        (fast.path().to_vec(), scanned)
+        let answer = assert_matches_heap(grid, start, goal, &mut fast, &mut heap);
+        (fast.path().to_vec(), answer)
     }
 
     /// Occupies every edge of the vertical wall between columns `column`
@@ -728,8 +863,8 @@ mod tests {
         grid.occupy_path(&[GridPoint::new(4, 0), GridPoint::new(4, 1), GridPoint::new(4, 2)]);
         wall(&mut grid, 5, &[3, 4, 5]);
         let (start, goal) = (GridPoint::new(1, 1), GridPoint::new(9, 4));
-        let (path, scanned) = named_case(&grid, start, goal);
-        assert!(scanned, "a monotone path exists");
+        let (path, answer) = named_case(&grid, start, goal);
+        assert_eq!(answer, Answer::Scan, "a monotone path exists");
         assert_eq!(path.len() as i64 - 1, start.manhattan(goal));
     }
 
@@ -739,8 +874,8 @@ mod tests {
         // The only gap in the wall is below the start's track.
         wall(&mut grid, 3, &[0]);
         let (start, goal) = (GridPoint::new(1, 1), GridPoint::new(6, 2));
-        let (path, scanned) = named_case(&grid, start, goal);
-        assert!(!scanned, "no monotone path crosses the wall");
+        let (path, answer) = named_case(&grid, start, goal);
+        assert_eq!(answer, Answer::Heap, "no monotone path crosses the wall");
         assert_eq!(path.len() as i64 - 1, start.manhattan(goal) + 2, "one step down and back up");
     }
 
@@ -748,35 +883,38 @@ mod tests {
     fn monotone_scan_agrees_on_unreachable_goals() {
         let mut grid = ChannelGrid::new(8, 4);
         wall(&mut grid, 3, &[]);
-        let (path, scanned) = named_case(&grid, GridPoint::new(1, 0), GridPoint::new(6, 3));
-        assert!(!scanned);
+        let (path, answer) = named_case(&grid, GridPoint::new(1, 0), GridPoint::new(6, 3));
+        assert_eq!(answer, Answer::Heap);
         assert!(path.is_empty(), "a fully blocked column separates start and goal");
     }
 
     #[test]
-    fn leftward_and_vertical_queries_use_the_heap() {
+    fn leftward_walk_answers_leftward_and_vertical_queries() {
         let mut grid = ChannelGrid::new(10, 5);
         grid.occupy_path(&[GridPoint::new(3, 2), GridPoint::new(4, 2), GridPoint::new(5, 2)]);
-        let (path, scanned) = named_case(&grid, GridPoint::new(8, 0), GridPoint::new(2, 4));
-        assert!(!scanned, "leftward");
+        let (path, answer) = named_case(&grid, GridPoint::new(8, 0), GridPoint::new(2, 4));
+        assert_eq!(answer, Answer::Walk, "leftward");
         assert_eq!(path.len(), 11);
+        let (path, answer) = named_case(&grid, GridPoint::new(6, 0), GridPoint::new(6, 4));
+        assert_eq!(answer, Answer::Walk, "vertical (no column change)");
+        assert_eq!(path.len(), 5);
         grid.occupy_path(&[GridPoint::new(6, 1), GridPoint::new(6, 2)]);
-        let (path, scanned) = named_case(&grid, GridPoint::new(6, 0), GridPoint::new(6, 4));
-        assert!(!scanned, "vertical (no column change)");
+        let (path, answer) = named_case(&grid, GridPoint::new(6, 0), GridPoint::new(6, 4));
+        assert_eq!(answer, Answer::Heap, "a blocked vertical needs a detour");
         assert_eq!(path.len(), 7, "the blocked vertical edge costs a two-step detour");
     }
 
     #[test]
     fn monotone_scan_handles_same_track_queries() {
         let mut grid = ChannelGrid::new(10, 3);
-        let (path, scanned) = named_case(&grid, GridPoint::new(2, 1), GridPoint::new(7, 1));
-        assert!(scanned, "a free straight run");
+        let (path, answer) = named_case(&grid, GridPoint::new(2, 1), GridPoint::new(7, 1));
+        assert_eq!(answer, Answer::Scan, "a free straight run");
         assert!(path.iter().all(|point| point.track == 1));
         // Block the run: the box is one track high, so the detour is the
         // heap's.
         grid.occupy_path(&[GridPoint::new(4, 1), GridPoint::new(5, 1)]);
-        let (path, scanned) = named_case(&grid, GridPoint::new(2, 1), GridPoint::new(7, 1));
-        assert!(!scanned);
+        let (path, answer) = named_case(&grid, GridPoint::new(2, 1), GridPoint::new(7, 1));
+        assert_eq!(answer, Answer::Heap);
         assert_eq!(path.len(), 8);
     }
 
@@ -798,7 +936,8 @@ mod tests {
     fn search_matches_heap_search_on_random_grids() {
         let mut rng = SplitMix(0x5EED_0017);
         let (mut fast, mut heap) = (SearchScratch::new(), SearchScratch::new());
-        let (mut scanned, mut fallback) = (0usize, 0usize);
+        let (mut scanned, mut walked) = (0usize, 0usize);
+        let (mut rightward_detours, mut leftward_detours) = (0usize, 0usize);
         for _ in 0..300 {
             let columns = 2 + rng.below(39) as i64;
             let tracks = 2 + rng.below(11) as i64;
@@ -839,16 +978,20 @@ mod tests {
                     start.track = 0;
                     goal.track = tracks - 1;
                 }
-                let rightward = goal.column > start.column && goal.track >= start.track;
-                if assert_matches_heap(&grid, start, goal, &mut fast, &mut heap) {
-                    scanned += 1;
-                } else if rightward && !fast.path().is_empty() {
-                    fallback += 1;
+                match assert_matches_heap(&grid, start, goal, &mut fast, &mut heap) {
+                    Answer::Scan => scanned += 1,
+                    Answer::Walk => walked += 1,
+                    // Unroutable, or a downward query no shortcut takes.
+                    Answer::Heap if fast.path().is_empty() || goal.track < start.track => {}
+                    Answer::Heap if goal.column > start.column => rightward_detours += 1,
+                    Answer::Heap => leftward_detours += 1,
                 }
             }
         }
         assert!(scanned > 500, "only {scanned} queries exercised the scan");
-        assert!(fallback > 100, "only {fallback} queries exercised the detour fallback");
+        assert!(walked > 600, "only {walked} queries exercised the walk");
+        assert!(rightward_detours > 100, "only {rightward_detours} rightward detours");
+        assert!(leftward_detours > 200, "only {leftward_detours} leftward or vertical detours");
     }
 
     #[test]

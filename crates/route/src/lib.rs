@@ -25,25 +25,31 @@
 //!   load, and space expansion appends rows without invalidating existing
 //!   entries.
 //! * **Search arena** — all A* state (cost, parent and visit tables, the
-//!   open queue, the monotone scan's reach table, the result path) lives in
-//!   a reusable [`grid::SearchScratch`] owned per worker. Visit tables are
+//!   open queue, the leftward walk's stack, the monotone scan's reach table,
+//!   the result path) lives in a reusable [`grid::SearchScratch`] owned per
+//!   worker. Visit tables are
 //!   invalidated by bumping a generation counter, so the search itself
 //!   performs no heap allocation after channel setup; routed paths land in
 //!   a pre-reserved per-channel point arena referenced by spans, which
 //!   only grows under heavy rip-up churn.
-//! * **Monotone scan** — with unit edge costs and a Manhattan heuristic,
-//!   every node of a net's start–goal box that is reachable by right/up
-//!   moves has the same `f`, and the heap's `(f, column, track)` key pops
-//!   them lowest column first. A net whose sink lies right of its driver
-//!   therefore popped its whole `Δcolumn × tracks` box before reaching the
-//!   goal (about 4,100 pops each on apc128, against 37 for the other
-//!   nets). Such a search now makes one pass over the box to mark the
-//!   right/up-reachable nodes and walks back from the goal — left when
-//!   that neighbour is reachable over a free edge, else down — which is
+//! * **Monotone scan and leftward walk** — with unit edge costs and a
+//!   Manhattan heuristic, every node of a net's start–goal box that is
+//!   reachable by moves toward the goal has the same `f`, and the heap's
+//!   `(f, column, track)` key pops them lowest column first. A net whose
+//!   sink lies right of its driver therefore popped its whole
+//!   `Δcolumn × tracks` box before reaching the goal (about 4,100 pops each
+//!   on apc128, against 37 for the other nets). Such a search now makes one
+//!   pass over the box to mark the right/up-reachable nodes and walks back
+//!   from the goal — left when that neighbour is reachable over a free
+//!   edge, else down. A net whose sink lies left of or straight above its
+//!   driver (72% of the channel searches on the paper's nine circuits)
+//!   runs a depth-first walk over left/up moves instead: the heap pops
+//!   those nodes in the order a stack that pushes the up child, then the
+//!   left child, pops them, so a `Vec` stands in for it. Both return
 //!   exactly the parent chain the heap builds, so paths, vias and GDS are
-//!   unchanged. The heap still runs when the goal needs a detour, for
-//!   leftward and vertical nets, and in penalty (rip-up) mode; the
-//!   exactness argument is on `ChannelGrid::monotone_scan`.
+//!   unchanged. The heap still runs when the goal needs a detour and in
+//!   penalty (rip-up) mode; the exactness arguments are on
+//!   `ChannelGrid::monotone_scan` and `ChannelGrid::leftward_walk`.
 //! * **Incremental rip-up and expansion** — when a net fails, a penalty-mode
 //!   A* (occupied edges passable at high cost) identifies the minimal set of
 //!   blocking nets; if that set is small, the blockers are ripped up and
