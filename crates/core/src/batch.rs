@@ -105,14 +105,13 @@
 use std::cell::Cell;
 use std::panic::{self, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, Once};
+use std::sync::{Arc, Once};
 use std::time::{Duration, Instant};
 
 use aqfp_cells::{CancelToken, Technology};
 use aqfp_layout::Layout;
 use aqfp_netlist::Netlist;
-use aqfp_place::ThreadBudget;
+use aqfp_place::parallel::{effective_threads, run_in_order, ThreadBudget};
 use serde::{Deserialize, Serialize};
 
 use crate::config::FlowConfig;
@@ -517,9 +516,9 @@ pub fn error_chain(error: &dyn std::error::Error) -> String {
 }
 
 /// The stage label under which pre-flight lint rejections are classified.
-/// Lint is "stage 0": it runs after the netlist is loaded but before any
-/// stage engine, so a rejected design fails in milliseconds instead of
-/// entering synthesis.
+/// Lint is "stage 0": [`FlowSession::synthesize`] runs it before the
+/// synthesizer, so a rejected design fails in milliseconds without running
+/// any stage engine.
 pub const LINT_STAGE: &str = "lint";
 
 /// The stage label under which post-stage verification failures are
@@ -622,11 +621,12 @@ impl BatchRunner {
         &self.config
     }
 
-    /// Runs every job to a classification. Designs are pulled off a shared
-    /// work-stealing queue by `workers` threads (one worker is the calling
-    /// thread) over one shared resolved technology; a design failing
-    /// (panic, deadline, corrupt checkpoint, bad input) never stops the
-    /// others.
+    /// Runs every job to a classification. Each design is one job of
+    /// [`run_in_order`] on `workers` workers (one worker is the calling
+    /// thread), taken longest-predicted-first, over one shared resolved
+    /// technology; the report lists the designs in job order. A design
+    /// failing (panic, deadline, corrupt checkpoint, bad input) never stops
+    /// the others.
     ///
     /// # Errors
     ///
@@ -638,7 +638,7 @@ impl BatchRunner {
     pub fn run(&self, jobs: &[BatchJob]) -> Result<BatchReport, FlowError> {
         let start = Instant::now();
         let technology = self.config.flow.resolve_technology()?;
-        let workers = effective_workers(self.config.workers, jobs.len());
+        let workers = effective_threads(self.config.workers, jobs.len());
         for dir in [&self.config.journal_dir, &self.config.output_dir].into_iter().flatten() {
             std::fs::create_dir_all(dir).map_err(|e| FlowError::Io {
                 path: dir.display().to_string(),
@@ -666,32 +666,12 @@ impl BatchRunner {
         };
         let order = schedule_order(&predictions);
 
-        let cursor = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<DesignReport>>> =
-            jobs.iter().map(|_| Mutex::new(None)).collect();
-        let work = || loop {
-            let next = cursor.fetch_add(1, Ordering::Relaxed);
-            let Some(&index) = order.get(next) else { break };
-            let report = self.run_design(&jobs[index], &flow, &technology, predictions[index]);
-            *slots[index].lock().expect("slot lock") = Some(report);
-        };
-        // One worker drains the queue on the calling thread. A spawned
-        // worker gives its allocator arena back only as its thread exits,
-        // which can be after `scope` returns: a run started right after
-        // would then open a second arena and keep both resident.
-        if workers == 1 {
-            work();
-        } else {
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(work);
-                }
-            });
-        }
-        let designs: Vec<DesignReport> = slots
-            .into_iter()
-            .map(|slot| slot.into_inner().expect("slot lock").expect("every job slot is filled"))
-            .collect();
+        let mut reports = run_in_order(jobs.len(), &mut vec![(); workers], |_, next| {
+            let index = order[next];
+            (index, self.run_design(&jobs[index], &flow, &technology, predictions[index]))
+        });
+        reports.sort_unstable_by_key(|&(index, _)| index);
+        let designs: Vec<DesignReport> = reports.into_iter().map(|(_, design)| design).collect();
         let checkpoint_hits = designs.iter().map(|d| d.checkpoint_hits).sum();
         Ok(BatchReport { designs, workers, wall_s: start.elapsed().as_secs_f64(), checkpoint_hits })
     }
@@ -801,15 +781,6 @@ impl BatchRunner {
                 let design = load_design(&job.input)
                     .map_err(|e| StageFailure::unattributed(error_chain(&e)))?;
                 let netlist = design.netlist;
-                // Stage 0: pre-flight lint. An infeasible design is rejected
-                // here in milliseconds, before any stage engine runs.
-                let lint = session.lint(&netlist);
-                if lint.has_errors() {
-                    return Err(StageFailure {
-                        stage: Some(LINT_STAGE.to_owned()),
-                        error: error_chain(&FlowError::Lint(lint)),
-                    });
-                }
                 let mut synthesized = self.run_stage(
                     &mut session,
                     &job.name,
@@ -895,6 +866,11 @@ impl BatchRunner {
         });
         match result {
             Ok(Ok(artifact)) => Ok(artifact),
+            // Synthesis opens with the pre-flight lint gate: an infeasible
+            // design is rejected there, before any stage engine runs.
+            Ok(Err(error @ FlowError::Lint(_))) => {
+                Err(StageFailure { stage: Some(LINT_STAGE.to_owned()), error: error_chain(&error) })
+            }
             // The stage engine finished; it was the artifact that failed
             // re-verification. Classify at the verify stage so the report
             // (and the retry policy) can tell "the placer crashed" apart
@@ -1107,14 +1083,6 @@ fn schedule_order(predictions: &[Option<StageTimings>]) -> Vec<usize> {
         total(b).partial_cmp(&total(a)).unwrap_or(std::cmp::Ordering::Equal)
     });
     order
-}
-
-/// The worker count a batch actually runs with: the request (or every
-/// available core for `0`), capped at the job count, floor 1.
-fn effective_workers(requested: usize, jobs: usize) -> usize {
-    let auto = std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1);
-    let requested = if requested == 0 { auto } else { requested };
-    requested.clamp(1, jobs.max(1))
 }
 
 #[cfg(test)]
@@ -1373,13 +1341,5 @@ mod tests {
         assert!(chain.contains("failed to parse"), "{chain}");
         assert!(chain.contains("caused by:"), "{chain}");
         assert!(chain.contains("bad token"), "{chain}");
-    }
-
-    #[test]
-    fn worker_counts_are_clamped_to_the_job_count() {
-        assert_eq!(effective_workers(8, 3), 3);
-        assert_eq!(effective_workers(2, 3), 2);
-        assert_eq!(effective_workers(1, 0), 1);
-        assert!(effective_workers(0, 64) >= 1);
     }
 }

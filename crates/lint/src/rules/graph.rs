@@ -375,39 +375,41 @@ impl Rule for ConstantOutput {
         if ctx.has_dangling() {
             return Vec::new();
         }
-        let mut findings = Vec::new();
-        for &po in n.primary_outputs() {
-            // Walk the cone; a patched placeholder disqualifies the cone, a
-            // primary input proves it non-constant.
-            let mut seen = vec![false; n.gate_count()];
-            let mut queue = vec![po];
-            seen[po.index()] = true;
-            let mut has_input = false;
-            let mut has_placeholder = false;
-            while let Some(id) = queue.pop() {
-                let gate = n.gate(id);
-                has_input |= gate.is_primary_input();
-                has_placeholder |= gate.name.starts_with(PLACEHOLDER_PREFIX);
-                for &driver in &gate.fanin {
-                    if !seen[driver.index()] {
-                        seen[driver.index()] = true;
-                        queue.push(driver);
-                    }
+        // A cone holds a primary input or a patched placeholder exactly when
+        // its output is reachable from one along fan-out edges. One forward
+        // sweep from all of them therefore marks every output the rule
+        // spares, in O(gates + edges), loops included.
+        let mut reached = vec![false; n.gate_count()];
+        let mut stack = Vec::new();
+        for (id, gate) in n.iter() {
+            if gate.is_primary_input() || gate.name.starts_with(PLACEHOLDER_PREFIX) {
+                reached[id.index()] = true;
+                stack.push(id);
+            }
+        }
+        while let Some(id) = stack.pop() {
+            for &sink in &ctx.fanouts()[id.index()] {
+                if !reached[sink.index()] {
+                    reached[sink.index()] = true;
+                    stack.push(sink);
                 }
             }
-            if !has_input && !has_placeholder {
+        }
+        n.primary_outputs()
+            .iter()
+            .filter(|po| !reached[po.index()])
+            .map(|&po| {
                 let gate = n.gate(po);
-                findings.push(Finding::on(
+                Finding::on(
                     gate.name.clone(),
                     n.span(po),
                     format!(
                         "output `{}` computes a constant (no primary input in its cone)",
                         gate.name
                     ),
-                ));
-            }
-        }
-        findings
+                )
+            })
+            .collect()
     }
 }
 

@@ -23,9 +23,11 @@
 //!    per-candidate `Vec`, sort or dedup), and an accepted move writes the
 //!    new costs back into the cache.
 //! 3. **Parallel row sweeps** — rows are independent within a half-pass
-//!    (see below), so they are distributed over a `std::thread::scope`
-//!    worker pool ([`DetailedPlacementConfig::threads`]) with one scratch
-//!    arena per worker, and the accepted moves are merged in row order.
+//!    (see below), so each row is one job of the shared ordered pool
+//!    ([`crate::parallel::run_in_order`],
+//!    [`DetailedPlacementConfig::threads`] workers) with one scratch arena
+//!    per worker, kept across half-passes, and the accepted moves are
+//!    merged in row order.
 //!
 //! # Determinism contract
 //!
@@ -39,16 +41,13 @@
 //! auto (`threads: 0`) all produce the same cell coordinates, move counts
 //! and HPWL.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
 use aqfp_cells::CancelToken;
 use serde::{Deserialize, Serialize};
 
 use aqfp_timing::{signed_phase_distance, PlacedNet, TimingAnalyzer, TimingConfig};
 
 use crate::design::{NetIncidence, PlacedDesign};
-use crate::parallel::effective_threads;
+use crate::parallel::{effective_threads, run_in_order};
 
 /// Tuning parameters of the detailed placer.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -349,8 +348,8 @@ impl NetGeometry {
     }
 }
 
-/// Sweeps the given rows, serially or on a worker pool; the returned
-/// outcomes are in `rows` order either way.
+/// Sweeps the given rows on a worker pool with one persistent scratch per
+/// worker; the returned outcomes are in `rows` order.
 #[allow(clippy::too_many_arguments)]
 fn sweep_rows(
     design: &PlacedDesign,
@@ -363,52 +362,13 @@ fn sweep_rows(
     scratch_pool: &mut Vec<SweepScratch>,
 ) -> Vec<RowOutcome> {
     let workers = effective_threads(config.threads, rows.len());
-    while scratch_pool.len() < workers.max(1) {
+    while scratch_pool.len() < workers {
         scratch_pool.push(SweepScratch::new(design.cells.len(), design.nets.len()));
     }
-
-    if workers <= 1 {
-        let scratch = &mut scratch_pool[0];
-        return rows
-            .iter()
-            .map(|&row| {
-                RowSweep::new(design, incidence, geometry, config, layer_width, frozen_x, scratch)
-                    .sweep(&design.rows[row])
-            })
-            .collect();
-    }
-
-    let slots: Vec<Mutex<Option<RowOutcome>>> = rows.iter().map(|_| Mutex::new(None)).collect();
-    let cursor = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for scratch in scratch_pool.iter_mut().take(workers) {
-            let slots = &slots;
-            let cursor = &cursor;
-            scope.spawn(move || loop {
-                let index = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(&row) = rows.get(index) else { break };
-                let outcome = RowSweep::new(
-                    design,
-                    incidence,
-                    geometry,
-                    config,
-                    layer_width,
-                    frozen_x,
-                    scratch,
-                )
-                .sweep(&design.rows[row]);
-                *slots[index].lock().expect("no poisoned row slot") = Some(outcome);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("no poisoned row slot")
-                .expect("every row sweep produces an outcome")
-        })
-        .collect()
+    run_in_order(rows.len(), &mut scratch_pool[..workers], |scratch, index| {
+        RowSweep::new(design, incidence, geometry, config, layer_width, frozen_x, scratch)
+            .sweep(&design.rows[rows[index]])
+    })
 }
 
 /// Override marker for [`RowSweep::x_with`]: no cell carries this index.

@@ -18,7 +18,8 @@
 //!   cost over a flat cell→net incidence structure with parallel,
 //!   deterministic row sweeps (serial and parallel results are
 //!   byte-identical — see the module docs for the contract);
-//! * [`parallel`] — the worker-count policy shared with the channel router;
+//! * [`parallel`] — the worker-count policy and the ordered worker pool
+//!   shared with the channel router and the batch driver;
 //! * [`buffer_rows`] — insertion of buffer rows for connections exceeding
 //!   the maximum wirelength;
 //! * [`baselines`] — the GORDIAN-based placer of [Li et al., DATE'21] and

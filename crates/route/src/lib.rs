@@ -58,9 +58,12 @@
 //!   only failed nets reroute. Auto-sized channels start at the classic
 //!   density lower bound so congested channels do not discover their track
 //!   count one failed round at a time.
-//! * **Parallel channels** — channels share no routing state and run on a
-//!   worker pool ([`RouterConfig::threads`], `0` = all cores); results merge
-//!   in row order, so serial and parallel runs are byte-identical.
+//! * **Parallel channels** — channels share no routing state, so they run
+//!   as the jobs of `aqfp_place::parallel::run_in_order`
+//!   ([`RouterConfig::threads`] workers, `0` = all cores, one search scratch
+//!   each; one worker runs on the calling thread). A channel's outcome does
+//!   not depend on which worker routed it, and outcomes merge in row order,
+//!   so serial and parallel runs are byte-identical.
 //! * **Partial reroute** — [`Router::route_partial`] reroutes only the
 //!   channels named dirty (because DRC repair moved cells in them) and
 //!   reuses every other channel's wires from the previous

@@ -19,16 +19,16 @@
 //!    nets are ripped up, the failed net takes the freed path, and the
 //!    blockers are rerouted.
 //! 3. **Parallel channels** — inter-phase channels share no routing
-//!    resources, so they are distributed over a worker pool
-//!    ([`RouterConfig::threads`]) and merged in row order. Each channel is
+//!    resources, so each channel is one job of the shared ordered pool
+//!    (`aqfp_place::parallel::run_in_order`, [`RouterConfig::threads`]
+//!    workers) and the outcomes come back in row order. Each channel is
 //!    routed by the same sequential procedure regardless of the thread
 //!    count, so serial and parallel runs produce identical results.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use aqfp_cells::{CancelToken, Point, Technology};
-use aqfp_place::parallel::effective_threads;
+use aqfp_place::parallel::{effective_threads, run_in_order};
 use aqfp_place::{DesignEdit, PlacedDesign};
 use serde::{Deserialize, Serialize};
 
@@ -367,7 +367,8 @@ impl Router {
         RoutingResult { wires, stats, channels: channel_reports, jj_count, grid_columns: columns }
     }
 
-    /// Routes every channel job, serially or on a worker pool.
+    /// Routes every channel job on a worker pool with one search scratch
+    /// per worker; the outcomes come back in job order.
     fn route_channels(
         &self,
         jobs: &[ChannelJob],
@@ -377,68 +378,23 @@ impl Router {
         step: f64,
     ) -> Vec<ChannelOutcome> {
         let workers = effective_threads(self.config.threads, jobs.len());
-        let max_expansions = self.config.max_expansions;
-        let cancel = &self.cancel;
-        if workers <= 1 {
-            let mut scratch = SearchScratch::new();
-            return jobs
-                .iter()
-                .map(|job| {
-                    if cancel.is_cancelled() {
-                        return cancelled_outcome(job);
-                    }
-                    route_channel(
-                        job,
-                        columns,
-                        initial_tracks,
-                        auto_tracks,
-                        max_expansions,
-                        step,
-                        &mut scratch,
-                        cancel,
-                    )
-                })
-                .collect();
-        }
-
-        let slots: Vec<Mutex<Option<ChannelOutcome>>> =
-            jobs.iter().map(|_| Mutex::new(None)).collect();
-        let cursor = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    // Each worker owns one scratch arena for its whole run.
-                    let mut scratch = SearchScratch::new();
-                    loop {
-                        let index = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(job) = jobs.get(index) else { break };
-                        let outcome = if cancel.is_cancelled() {
-                            cancelled_outcome(job)
-                        } else {
-                            route_channel(
-                                job,
-                                columns,
-                                initial_tracks,
-                                auto_tracks,
-                                max_expansions,
-                                step,
-                                &mut scratch,
-                                cancel,
-                            )
-                        };
-                        *slots[index].lock().expect("no poisoned channel slot") = Some(outcome);
-                    }
-                });
+        let mut scratches: Vec<_> = (0..workers).map(|_| SearchScratch::new()).collect();
+        run_in_order(jobs.len(), &mut scratches, |scratch, index| {
+            let job = &jobs[index];
+            if self.cancel.is_cancelled() {
+                return cancelled_outcome(job);
             }
-        });
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("no poisoned channel slot")
-                    .expect("every channel job produces an outcome")
-            })
-            .collect()
+            route_channel(
+                job,
+                columns,
+                initial_tracks,
+                auto_tracks,
+                self.config.max_expansions,
+                step,
+                scratch,
+                &self.cancel,
+            )
+        })
     }
 }
 

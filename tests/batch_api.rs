@@ -385,6 +385,19 @@ fn lint_rejected_designs_fail_at_stage_zero_without_a_retry() {
 }
 
 #[test]
+fn reports_list_designs_in_job_order_whatever_the_schedule() {
+    // Prediction schedules the larger adder8 first; the report still lists
+    // the designs in the order they were submitted, at one worker and two.
+    let jobs = [BatchJob::from_input("designs/half_adder.v"), BatchJob::from_input("adder8")];
+    for workers in [1, 2] {
+        let config = fast_batch().with_workers(workers);
+        let report = BatchRunner::new(config).run(&jobs).expect("batch runs");
+        let names: Vec<&str> = report.designs.iter().map(|d| d.name.as_str()).collect();
+        assert_eq!(names, ["half_adder", "adder8"], "{workers} worker(s)");
+    }
+}
+
+#[test]
 fn a_real_batch_records_predicted_and_actual_stage_costs() {
     // With prediction enabled (the default), every design that completes
     // carries both sides of the forecast ledger: the pre-flight prediction

@@ -6,11 +6,15 @@
 //! arbitrary — not just benchmark — circuits.
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
-use aqfp_cells::{LayerMap, Technology};
+use aqfp_cells::{CellKind, LayerMap, Technology};
 use aqfp_layout::DrcViolationKind;
+use aqfp_lint::{FlowSettings, LintConfig};
 use aqfp_netlist::generators::{random_dag, RandomDagConfig};
-use aqfp_netlist::simulate;
+use aqfp_netlist::parsers::{parse_verilog_recovering, PLACEHOLDER_PREFIX};
+use aqfp_netlist::{simulate, Netlist};
 use aqfp_place::buffer_rows::required_buffer_lines;
 use aqfp_place::design::PlacedDesign;
 use aqfp_place::detailed::{detailed_place, DetailedPlacementConfig};
@@ -396,4 +400,151 @@ proptest! {
             tech.timing.wire_delay_ps_per_um.to_bits()
         );
     }
+}
+
+/// The cone sources of each primary output, found the way rule AQFP-W008
+/// used to find them: a walk over that output's whole fan-in cone, which is
+/// O(outputs × cone). Returns `(output, cone has a primary input, cone has a
+/// patched placeholder)`; the rule flags an output with neither. The oracle
+/// for the rule's single forward sweep (these netlists have no dangling
+/// fan-in ids, the case the rule leaves to AQFP-E002).
+fn cone_sources_by_walk(netlist: &Netlist) -> Vec<(String, bool, bool)> {
+    let mut sources = Vec::new();
+    for &po in netlist.primary_outputs() {
+        let mut seen = vec![false; netlist.gate_count()];
+        let mut queue = vec![po];
+        seen[po.index()] = true;
+        let mut has_input = false;
+        let mut has_placeholder = false;
+        while let Some(id) = queue.pop() {
+            let gate = netlist.gate(id);
+            has_input |= gate.is_primary_input();
+            has_placeholder |= gate.name.starts_with(PLACEHOLDER_PREFIX);
+            for &driver in &gate.fanin {
+                if !seen[driver.index()] {
+                    seen[driver.index()] = true;
+                    queue.push(driver);
+                }
+            }
+        }
+        sources.push((netlist.gate(po).name.clone(), has_input, has_placeholder));
+    }
+    sources
+}
+
+/// A random netlist over primary inputs (possibly none) and constant
+/// sources, so some of its outputs are constant. With `loops`, a few
+/// fan-ins point at the same or a later gate, closing combinational loops.
+fn random_netlist_with_constants(seed: u64, loops: bool) -> Netlist {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut netlist = Netlist::new(format!("w008_{seed}"));
+    let mut signals = Vec::new();
+    for i in 0..rng.gen_range(0..4usize) {
+        signals.push(netlist.add_input(format!("pi{i}")));
+    }
+    for i in 0..rng.gen_range(1..4usize) {
+        let kind = if rng.gen_bool(0.5) { CellKind::Constant0 } else { CellKind::Constant1 };
+        signals.push(netlist.add_gate(kind, format!("k{i}"), vec![]));
+    }
+    let first_gate = signals.len();
+    for i in 0..rng.gen_range(1..40usize) {
+        let (kind, arity) =
+            if rng.gen_bool(0.3) { (CellKind::Inverter, 1) } else { (CellKind::And, 2) };
+        let fanin = (0..arity).map(|_| signals[rng.gen_range(0..signals.len())]).collect();
+        signals.push(netlist.add_gate(kind, format!("g{i}"), fanin));
+    }
+    if loops {
+        for _ in 0..rng.gen_range(1..4usize) {
+            let at = rng.gen_range(first_gate..signals.len());
+            let later = signals[rng.gen_range(at..signals.len())];
+            netlist.gate_mut(signals[at]).fanin[0] = later;
+        }
+    }
+    for i in 0..rng.gen_range(1..6usize) {
+        netlist.add_output(format!("y{i}"), signals[rng.gen_range(0..signals.len())]);
+    }
+    netlist
+}
+
+/// Random structural Verilog in which about a quarter of the wires and
+/// outputs have no driver, parsed with recovery so placeholders stand in
+/// for them. Gates read any input or wire, so loops occur too.
+fn random_recovered_netlist(seed: u64) -> Netlist {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let names = |prefix: &str, count: usize| -> Vec<String> {
+        (0..count).map(|i| format!("{prefix}{i}")).collect()
+    };
+    let inputs = names("a", rng.gen_range(1..4usize));
+    let wires = names("w", rng.gen_range(1..12usize));
+    let outputs = names("y", rng.gen_range(1..5usize));
+    let readable: Vec<&String> = inputs.iter().chain(&wires).collect();
+    let mut source = format!(
+        "module r({}, {});\n input {};\n output {};\n wire {};\n",
+        inputs.join(", "),
+        outputs.join(", "),
+        inputs.join(", "),
+        outputs.join(", "),
+        wires.join(", ")
+    );
+    for (i, signal) in wires.iter().chain(&outputs).enumerate() {
+        if rng.gen_bool(0.25) {
+            continue;
+        }
+        let a = readable[rng.gen_range(0..readable.len())];
+        let b = readable[rng.gen_range(0..readable.len())];
+        source += &format!(" and g{i}({signal}, {a}, {b});\n");
+    }
+    source += "endmodule\n";
+    parse_verilog_recovering(&source).expect("only drivers are missing").netlist
+}
+
+/// Rule AQFP-W008's forward sweep flags the same outputs as the per-output
+/// cone walk it replaced: on random DAGs, on netlists with combinational
+/// loops and on recovered parses whose placeholders stand in for missing
+/// drivers.
+#[test]
+fn constant_output_rule_matches_the_per_output_cone_walk() {
+    let technology = Technology::mit_ll_sqf5ee();
+    // Per family: outputs flagged, outputs spared only by a placeholder,
+    // netlists with a loop.
+    let mut seen = [[0usize; 3]; 3];
+    for seed in 0..500u64 {
+        let netlists = [
+            random_netlist_with_constants(seed, false),
+            random_netlist_with_constants(seed, true),
+            random_recovered_netlist(seed),
+        ];
+        for (family, netlist) in netlists.iter().enumerate() {
+            let sources = cone_sources_by_walk(netlist);
+            let mut expected: Vec<&str> = sources
+                .iter()
+                .filter(|(_, input, placeholder)| !input && !placeholder)
+                .map(|(name, _, _)| name.as_str())
+                .collect();
+            let report = aqfp_lint::lint(
+                netlist.name(),
+                netlist,
+                &technology,
+                &FlowSettings::default(),
+                &LintConfig::default(),
+            );
+            let mut flagged: Vec<&str> = report
+                .diagnostics
+                .iter()
+                .filter(|d| d.rule == "AQFP-W008")
+                .map(|d| d.object.as_deref().expect("a W008 finding names its output"))
+                .collect();
+            expected.sort_unstable();
+            flagged.sort_unstable();
+            assert_eq!(flagged, expected, "family {family}, seed {seed}:\n{}", report.render());
+
+            seen[family][0] += flagged.len();
+            seen[family][1] += sources.iter().filter(|(_, input, ph)| !input && *ph).count();
+            seen[family][2] += usize::from(report.mentions("AQFP-E001"));
+        }
+    }
+    let [dags, looped, recovered] = seen;
+    assert!(dags[0] >= 500 && dags[2] == 0, "random DAGs: {dags:?}");
+    assert!(looped[0] >= 500 && looped[2] >= 200, "loops: {looped:?}");
+    assert!(recovered[0] >= 10 && recovered[1] >= 300 && recovered[2] >= 300, "{recovered:?}");
 }
