@@ -37,8 +37,9 @@
 //!   completed stage checkpoints its artifact JSON atomically under
 //!   `<journal>/<design>/<stage>.json` ([`Artifact::write_checkpoint`]:
 //!   streamed to `<stage>.tmp`, then renamed; removed if the write fails).
-//!   Resume loads the newest one through [`FlowSession::load_checkpoint`],
-//!   the loader `superflow verify` uses too.
+//!   Resume loads the newest one straight from its file through
+//!   [`FlowSession::load_checkpoint`], the loader `superflow verify` uses
+//!   too, without ever holding the checkpoint's text.
 //!   A killed batch re-run over the same journal resumes each design from
 //!   its newest intact checkpoint, and the flow's determinism makes the
 //!   resumed GDS byte-identical to an uninterrupted run. A checkpoint that
@@ -103,6 +104,8 @@
 //! ```
 
 use std::cell::Cell;
+use std::fs::File;
+use std::io::BufReader;
 use std::panic::{self, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Once};
@@ -966,11 +969,13 @@ impl BatchRunner {
         .map_err(|e| StageFailure::unattributed(error_chain(&e)))
     }
 
-    /// Finds the newest intact checkpoint in a design's journal. A
-    /// checkpoint that exists but fails to read, parse, validate, or match
-    /// the session's technology fails the attempt at its stage, naming the
-    /// file — resuming a damaged journal silently would defeat the
-    /// byte-identity guarantee.
+    /// Finds the newest intact checkpoint in a design's journal and loads
+    /// it through [`FlowSession::load_checkpoint`], straight from the file:
+    /// the text is never held whole. A missing file means no checkpoint
+    /// of that stage. A checkpoint that exists but fails to read, parse,
+    /// validate, or match the session's technology fails the attempt at its
+    /// stage, naming the file — resuming a damaged journal silently would
+    /// defeat the byte-identity guarantee.
     fn load_resume(
         &self,
         journal: Option<&Path>,
@@ -979,8 +984,8 @@ impl BatchRunner {
         let Some(dir) = journal else { return Ok(None) };
         for stage in FlowStage::ALL.into_iter().rev() {
             let path = dir.join(checkpoint_file(stage));
-            let text = match std::fs::read_to_string(&path) {
-                Ok(text) => text,
+            let file = match File::open(&path) {
+                Ok(file) => file,
                 Err(e) if e.kind() == std::io::ErrorKind::NotFound => continue,
                 Err(e) => {
                     return Err(StageFailure::at(
@@ -992,7 +997,7 @@ impl BatchRunner {
             let located = |e: FlowError| {
                 StageFailure::at(stage, format!("`{}`: {}", path.display(), error_chain(&e)))
             };
-            let artifact = session.load_checkpoint(&text).map_err(located)?;
+            let artifact = session.load_checkpoint(BufReader::new(file)).map_err(located)?;
             if artifact.stage() != stage {
                 return Err(StageFailure::at(
                     stage,

@@ -156,6 +156,8 @@
 
 #![warn(clippy::unwrap_used)]
 
+use std::fs::File;
+use std::io::BufReader;
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -1125,12 +1127,13 @@ fn verify_checkpoint_input(
     options: &Options,
     config: &FlowConfig,
 ) -> Result<VerifyReport, String> {
-    let text = std::fs::read_to_string(input).map_err(|e| format!("cannot read `{input}`: {e}"))?;
+    let file = File::open(input).map_err(|e| format!("cannot read `{input}`: {e}"))?;
     let session = FlowSession::new(config.clone()).map_err(|e| error_chain(&e))?;
     // The batch's resume loader: comparing an artifact against another
     // technology's rules or cell widths would produce nonsense findings,
     // not a useful report.
-    let mut artifact = session.load_checkpoint(&text).map_err(|e| error_chain(&e))?;
+    let mut artifact =
+        session.load_checkpoint(BufReader::new(file)).map_err(|e| error_chain(&e))?;
     if let Some(defect) = options.inject {
         let note = inject_defect(defect, &mut artifact, input)?;
         eprintln!("note: injected {} defect into `{input}`: {note}", defect.name());

@@ -91,7 +91,7 @@
 use std::collections::BTreeSet;
 use std::fmt;
 use std::fs::File;
-use std::io::{BufWriter, Write};
+use std::io::{BufRead, BufWriter, Read, Write};
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
@@ -313,25 +313,40 @@ pub fn write_atomic(
     result
 }
 
-/// The stage whose checkpoint `text` is, read from its first key: each
-/// stage's artifact opens with a field of its own.
-fn checkpoint_stage(text: &str) -> Option<FlowStage> {
-    let rest = text.trim_start().strip_prefix('{')?.trim_start().strip_prefix('"')?;
-    Some(match &rest[..rest.find('"')?] {
-        "design_name" => FlowStage::Synthesis,
-        "synthesized" => FlowStage::Placement,
-        "placed" => FlowStage::Routing,
-        "routed" => FlowStage::Check,
+/// The stage whose checkpoint starts with `head`, read from its first key:
+/// each stage's artifact opens with a field of its own.
+fn checkpoint_stage(head: &[u8]) -> Option<FlowStage> {
+    let rest =
+        head.trim_ascii_start().strip_prefix(b"{")?.trim_ascii_start().strip_prefix(b"\"")?;
+    Some(match &rest[..rest.iter().position(|&byte| byte == b'"')?] {
+        b"design_name" => FlowStage::Synthesis,
+        b"synthesized" => FlowStage::Placement,
+        b"placed" => FlowStage::Routing,
+        b"routed" => FlowStage::Check,
         _ => return None,
     })
 }
 
-/// Restores a stage artifact from its JSON checkpoint; `what` names the
-/// artifact in the error context. Truncated, corrupt or garbage input is a
-/// typed [`FlowError::Checkpoint`], never a panic.
-fn checkpoint_from_json<T: Deserialize>(text: &str, what: &str) -> Result<T, FlowError> {
-    serde_json::from_str(text)
-        .map_err(|e| FlowError::Checkpoint(format!("cannot parse {what} checkpoint: {e}")))
+/// A stage artifact as its checkpoint loads: parsed, then checked on its
+/// own before any engine sees it.
+trait Checkpoint: Deserialize {
+    /// The stage the artifact completes.
+    const STAGE: FlowStage;
+
+    /// The checks a parsed artifact must pass: indices in bounds, counts
+    /// that agree.
+    fn validate(&self) -> Result<(), FlowError>;
+}
+
+/// Reads a stage artifact from the JSON checkpoint text `reader` yields,
+/// holding no more of the text than the parser's window, then validates
+/// it. Truncated, corrupt or garbage input is a typed
+/// [`FlowError::Checkpoint`], never a panic.
+fn read_checkpoint<T: Checkpoint>(reader: impl Read) -> Result<T, FlowError> {
+    let artifact: T = serde_json::from_reader(reader)
+        .map_err(|e| FlowError::Checkpoint(format!("cannot parse {} checkpoint: {e}", T::STAGE)))?;
+    artifact.validate()?;
+    Ok(artifact)
 }
 
 /// Wraps a [`PlacedDesign::validate_consistent`] failure into the
@@ -379,18 +394,25 @@ impl Synthesized {
     /// Returns [`FlowError::Checkpoint`] for malformed (truncated, corrupt
     /// or semantically inconsistent) checkpoints.
     pub fn from_json(text: &str) -> Result<Self, FlowError> {
-        let artifact: Self = checkpoint_from_json(text, "synthesis")?;
-        artifact.synthesis.netlist.validate().map_err(|e| {
+        read_checkpoint(text.as_bytes())
+    }
+}
+
+impl Checkpoint for Synthesized {
+    const STAGE: FlowStage = FlowStage::Synthesis;
+
+    fn validate(&self) -> Result<(), FlowError> {
+        self.synthesis.netlist.validate().map_err(|e| {
             FlowError::Checkpoint(format!("synthesis checkpoint is inconsistent: {e}"))
         })?;
-        if artifact.synthesis.levels.len() != artifact.synthesis.netlist.gate_count() {
+        if self.synthesis.levels.len() != self.synthesis.netlist.gate_count() {
             return Err(FlowError::Checkpoint(format!(
                 "synthesis checkpoint is inconsistent: {} level entries for {} gates",
-                artifact.synthesis.levels.len(),
-                artifact.synthesis.netlist.gate_count()
+                self.synthesis.levels.len(),
+                self.synthesis.netlist.gate_count()
             )));
         }
-        Ok(artifact)
+        Ok(())
     }
 }
 
@@ -431,9 +453,15 @@ impl Placed {
     /// Returns [`FlowError::Checkpoint`] for malformed (truncated, corrupt
     /// or semantically inconsistent) checkpoints.
     pub fn from_json(text: &str) -> Result<Self, FlowError> {
-        let artifact: Self = checkpoint_from_json(text, "placement")?;
-        checkpoint_design_valid(&artifact.placement.design, "placement")?;
-        Ok(artifact)
+        read_checkpoint(text.as_bytes())
+    }
+}
+
+impl Checkpoint for Placed {
+    const STAGE: FlowStage = FlowStage::Placement;
+
+    fn validate(&self) -> Result<(), FlowError> {
+        checkpoint_design_valid(&self.placement.design, "placement")
     }
 }
 
@@ -510,9 +538,15 @@ impl Routed {
     /// Returns [`FlowError::Checkpoint`] for malformed (truncated, corrupt
     /// or semantically inconsistent) checkpoints.
     pub fn from_json(text: &str) -> Result<Self, FlowError> {
-        let artifact: Self = checkpoint_from_json(text, "routing")?;
-        validate_routed(&artifact, "routing")?;
-        Ok(artifact)
+        read_checkpoint(text.as_bytes())
+    }
+}
+
+impl Checkpoint for Routed {
+    const STAGE: FlowStage = FlowStage::Routing;
+
+    fn validate(&self) -> Result<(), FlowError> {
+        validate_routed(self, "routing")
     }
 }
 
@@ -578,9 +612,7 @@ impl Checked {
     /// Returns [`FlowError::Checkpoint`] for malformed (truncated, corrupt
     /// or semantically inconsistent) checkpoints.
     pub fn from_json(text: &str) -> Result<Self, FlowError> {
-        let artifact: Self = checkpoint_from_json(text, "check")?;
-        validate_routed(&artifact.routed, "check")?;
-        Ok(artifact)
+        read_checkpoint(text.as_bytes())
     }
 
     /// A one-line summary of the run: the synthesis statistics (Table II),
@@ -610,6 +642,14 @@ impl Checked {
                 format!("{} violations", self.drc.violations.len())
             },
         )
+    }
+}
+
+impl Checkpoint for Checked {
+    const STAGE: FlowStage = FlowStage::Check;
+
+    fn validate(&self) -> Result<(), FlowError> {
+        validate_routed(&self.routed, "check")
     }
 }
 
@@ -718,11 +758,18 @@ impl Artifact {
     /// or semantically inconsistent) checkpoints, including the checkpoint
     /// of another stage.
     pub fn from_json(stage: FlowStage, text: &str) -> Result<Self, FlowError> {
+        Artifact::read(stage, text.as_bytes())
+    }
+
+    /// Reads the artifact of `stage` from the checkpoint text `reader`
+    /// yields: the loader behind every `from_json` and
+    /// [`FlowSession::load_checkpoint`].
+    fn read(stage: FlowStage, reader: impl Read) -> Result<Self, FlowError> {
         Ok(match stage {
-            FlowStage::Synthesis => Artifact::Synthesized(Synthesized::from_json(text)?),
-            FlowStage::Placement => Artifact::Placed(Placed::from_json(text)?),
-            FlowStage::Routing => Artifact::Routed(Routed::from_json(text)?),
-            FlowStage::Check => Artifact::Checked(Checked::from_json(text)?),
+            FlowStage::Synthesis => Artifact::Synthesized(read_checkpoint(reader)?),
+            FlowStage::Placement => Artifact::Placed(read_checkpoint(reader)?),
+            FlowStage::Routing => Artifact::Routed(read_checkpoint(reader)?),
+            FlowStage::Check => Artifact::Checked(read_checkpoint(reader)?),
         })
     }
 }
@@ -848,28 +895,35 @@ impl FlowSession {
         &self.fingerprint
     }
 
-    /// Loads a stage checkpoint (`--report`/journal JSON) for this session:
-    /// the stage is read from the checkpoint's first key, the text is
-    /// parsed once as that stage's artifact, and the artifact must belong
-    /// to this session's technology — its fingerprint, and the width of
-    /// every placed cell. Batch resume and `superflow verify` both load
-    /// checkpoints through here.
+    /// Loads a stage checkpoint (`--report`/journal JSON) for this session
+    /// from `reader`, a file's `BufReader` or a text's bytes: the stage is
+    /// read from the checkpoint's first key, peeked in the reader's buffer,
+    /// the text is parsed once as that stage's artifact, and the artifact
+    /// must belong to this session's technology — its fingerprint, and the
+    /// width of every placed cell. The text is read through the parser's
+    /// window and never held whole, so loading a checkpoint costs about
+    /// the memory of its artifact. Batch resume and `superflow verify`
+    /// both load checkpoint files through here.
     ///
     /// # Errors
     ///
     /// Returns [`FlowError::Checkpoint`] for text that is not a stage
-    /// checkpoint or fails to load, [`FlowError::TechnologyMismatch`] for
-    /// another technology's artifact, and [`FlowError::Checkpoint`] naming
-    /// the cell whose width is not its kind's width here.
-    pub fn load_checkpoint(&self, text: &str) -> Result<Artifact, FlowError> {
-        let stage = checkpoint_stage(text).ok_or_else(|| {
+    /// checkpoint, fails to read or fails to load,
+    /// [`FlowError::TechnologyMismatch`] for another technology's artifact,
+    /// and [`FlowError::Checkpoint`] naming the cell whose width is not its
+    /// kind's width here.
+    pub fn load_checkpoint(&self, mut reader: impl BufRead) -> Result<Artifact, FlowError> {
+        let head = reader
+            .fill_buf()
+            .map_err(|e| FlowError::Checkpoint(format!("cannot read checkpoint: {e}")))?;
+        let stage = checkpoint_stage(head).ok_or_else(|| {
             FlowError::Checkpoint(
                 "not a stage checkpoint: its first key is none of `design_name`, \
                  `synthesized`, `placed` or `routed`"
                     .to_owned(),
             )
         })?;
-        let artifact = Artifact::from_json(stage, text)?;
+        let artifact = Artifact::read(stage, reader)?;
         self.ensure_same_technology(artifact.tech_fingerprint())?;
         if let Some(design) = artifact.design() {
             self.ensure_technology_widths(design)?;

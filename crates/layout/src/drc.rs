@@ -186,9 +186,11 @@ impl DrcChecker {
     }
 
     fn check_zigzag_spacing(&self, routing: &RoutingResult, report: &mut DrcReport) {
+        // Positions where the wire changes direction (vias); one buffer
+        // serves every wire.
+        let mut turns = Vec::new();
         for wire in &routing.wires {
-            // Positions where the wire changes direction (vias).
-            let mut turns = Vec::new();
+            turns.clear();
             for (i, window) in wire.path.windows(3).enumerate() {
                 let first_horizontal = (window[0].y - window[1].y).abs() < 1e-9;
                 let second_horizontal = (window[1].y - window[2].y).abs() < 1e-9;

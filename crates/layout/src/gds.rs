@@ -220,11 +220,44 @@ impl GdsLibrary {
         Ok(())
     }
 
-    /// Serializes the library to GDSII stream-format bytes.
+    /// Serializes the library to GDSII stream-format bytes, into a buffer
+    /// sized for them up front.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+        let len = self.byte_len();
+        let mut out = Vec::with_capacity(len);
         self.write_to(&mut out).expect("writing to a Vec cannot fail");
+        debug_assert_eq!(out.len(), len, "byte_len counts every record");
         out
+    }
+
+    /// The number of bytes [`write_to`](Self::write_to) writes: the record
+    /// sizes of [`GdsStreamWriter`], summed.
+    fn byte_len(&self) -> usize {
+        // `HEADER`, `BGNLIB`, `LIBNAME`, `UNITS` … `ENDLIB`.
+        let library = 6 + 28 + str_record_len(&self.name) + 20 + 4;
+        let structures = self.structures.iter().map(|structure| {
+            // `BGNSTR`, `STRNAME` … `ENDSTR`.
+            let elements: usize = structure.elements.iter().map(element_len).sum();
+            28 + str_record_len(&structure.name) + elements + 4
+        });
+        library + structures.sum::<usize>()
+    }
+}
+
+/// The bytes of a string record: its header and the even-padded text.
+fn str_record_len(value: &str) -> usize {
+    4 + value.len() + value.len() % 2
+}
+
+/// The bytes [`GdsStreamWriter::element`] writes for `element`: its
+/// opening record, layer/type and width records, the `XY` record (8 bytes
+/// a point, a boundary's first point twice) and `ENDEL`.
+fn element_len(element: &GdsElement) -> usize {
+    match element {
+        GdsElement::Boundary { points, .. } => 4 + 6 + 6 + 4 + 8 * (points.len() + 1) + 4,
+        GdsElement::Path { points, .. } => 4 + 6 + 6 + 8 + 4 + 8 * points.len() + 4,
+        GdsElement::Sref { name, .. } => 4 + str_record_len(name) + 4 + 8 + 4,
+        GdsElement::Text { text, .. } => 4 + 6 + 6 + 4 + 8 + str_record_len(text) + 4,
     }
 }
 

@@ -9,7 +9,7 @@ use std::collections::BTreeSet;
 use std::io::{self, Write};
 use std::sync::Arc;
 
-use aqfp_cells::{Point, Technology};
+use aqfp_cells::{CellKind, Point, Technology};
 use aqfp_place::PlacedDesign;
 use aqfp_route::RoutingResult;
 use serde::{Deserialize, Serialize};
@@ -108,6 +108,10 @@ impl LayoutGenerator {
             gds.add_structure(structure);
         }
         let mut top = GdsStructure::new(top_name(design));
+        // A reference per cell, and a path per straight run of each wire:
+        // one more than its vias.
+        let runs: usize = routing.wires.iter().map(|wire| wire.via_count + 1).sum();
+        top.elements.reserve(design.cells.len() + runs);
         top.elements.extend(self.top_elements(design, routing));
         let LayoutSummary { top_name, cell_instances, wire_paths, width_um, height_um } =
             summary(design, top.elements.iter().filter(|e| is_path(e)).count());
@@ -173,8 +177,11 @@ impl LayoutGenerator {
     ) -> impl Iterator<Item = GdsElement> + 'a {
         let layers = self.technology.layers();
         let width = self.technology.rules().wire_width;
+        // `CellKind::ALL` lists the kinds in declaration order, so a kind's
+        // discriminant indexes its name.
+        let names = CellKind::ALL.map(cells::structure_name);
         let references = design.cells.iter().map(move |cell| GdsElement::Sref {
-            name: cells::structure_name(cell.kind),
+            name: names[cell.kind as usize].clone(),
             origin: Point::new(cell.x, design.row_y(cell.row)),
         });
         let paths = routing.wires.iter().flat_map(|wire| straight_segments(&wire.path)).map(
@@ -184,7 +191,7 @@ impl LayoutGenerator {
                 } else {
                     layers.metal2
                 };
-                GdsElement::Path { layer, width, points: segment }
+                GdsElement::Path { layer, width, points: segment.to_vec() }
             },
         );
         references.chain(paths)
@@ -212,26 +219,23 @@ fn summary(design: &PlacedDesign, wire_paths: usize) -> LayoutSummary {
     }
 }
 
-/// Splits a rectilinear point sequence into maximal straight segments.
-fn straight_segments(path: &[Point]) -> Vec<Vec<Point>> {
-    if path.len() < 2 {
-        return Vec::new();
-    }
-    let mut segments = Vec::new();
-    let mut current = vec![path[0], path[1]];
-    let mut horizontal = (path[0].y - path[1].y).abs() < 1e-9;
-    for window in path.windows(2).skip(1) {
-        let next_horizontal = (window[0].y - window[1].y).abs() < 1e-9;
-        if next_horizontal == horizontal {
-            current.push(window[1]);
-        } else {
-            segments.push(std::mem::take(&mut current));
-            current = vec![window[0], window[1]];
-            horizontal = next_horizontal;
+/// Splits a rectilinear point sequence into maximal straight segments:
+/// runs of the path, each starting at the corner where the last one ends.
+fn straight_segments(path: &[Point]) -> impl Iterator<Item = &[Point]> {
+    let horizontal = |at: usize| (path[at].y - path[at + 1].y).abs() < 1e-9;
+    let mut start = 0;
+    std::iter::from_fn(move || {
+        if start + 1 >= path.len() {
+            return None;
         }
-    }
-    segments.push(current);
-    segments
+        let mut end = start + 1;
+        while end + 1 < path.len() && horizontal(end) == horizontal(start) {
+            end += 1;
+        }
+        let segment = &path[start..=end];
+        start = end;
+        Some(segment)
+    })
 }
 
 #[cfg(test)]
@@ -290,12 +294,10 @@ mod tests {
             Point::new(20.0, 10.0),
             Point::new(30.0, 10.0),
         ];
-        let segments = straight_segments(&path);
-        assert_eq!(segments.len(), 3);
-        assert_eq!(segments[0].len(), 3);
-        assert_eq!(segments[1].len(), 2);
-        assert_eq!(segments[2].len(), 2);
-        assert!(straight_segments(&[Point::new(0.0, 0.0)]).is_empty());
+        let segments: Vec<_> = straight_segments(&path).collect();
+        assert_eq!(segments, [&path[..3], &path[2..4], &path[3..]]);
+        assert!(straight_segments(&[Point::new(0.0, 0.0)]).next().is_none());
+        assert!(straight_segments(&[]).next().is_none());
     }
 
     #[test]

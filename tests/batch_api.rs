@@ -130,6 +130,35 @@ fn corrupt_checkpoints_fail_loudly_and_the_retry_recovers() {
     let _ = std::fs::remove_dir_all(&journal);
 }
 
+/// Resume reads a journal checkpoint straight from its file, and a torn
+/// one fails with the parse error its text gives, byte offset and all,
+/// under the file's name.
+#[test]
+fn a_torn_journal_checkpoint_fails_with_the_parse_error_of_its_text() {
+    let journal = temp_dir("torn_parse_error");
+    let faults = FaultPlan::none().with(Fault::parse("truncate:adder8:check").expect("valid"));
+    let seed =
+        fast_batch().with_retry_degraded(false).with_journal_dir(&journal).with_faults(faults);
+    let jobs = [BatchJob::from_input("adder8")];
+    assert_eq!(BatchRunner::new(seed).run(&jobs).expect("batch runs").succeeded(), 1);
+
+    let path = journal.join("adder8").join("check.json");
+    let text = std::fs::read_to_string(&path).expect("the torn checkpoint reads");
+    let parse_error = Checked::from_json(&text).expect_err("torn in half").to_string();
+
+    let strict = fast_batch().with_retry_degraded(false).with_journal_dir(&journal);
+    let report = BatchRunner::new(strict).run(&jobs).expect("batch runs");
+    match &status_of(&report, "adder8").status {
+        DesignStatus::Failed { error, stage, .. } => {
+            assert_eq!(stage.as_deref(), Some("check"), "{error}");
+            assert_eq!(error, &format!("`{}`: {parse_error}", path.display()));
+        }
+        other => panic!("a torn checkpoint should fail the design, got {other:?}"),
+    }
+
+    let _ = std::fs::remove_dir_all(&journal);
+}
+
 #[test]
 fn a_killed_batch_resumes_to_byte_identical_gds() {
     let scratch = temp_dir("kill_and_resume");

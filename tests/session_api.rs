@@ -3,6 +3,8 @@
 //! that matches a from-scratch reroute byte for byte.
 
 use std::cell::RefCell;
+use std::fs::File;
+use std::io::BufReader;
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -104,8 +106,10 @@ fn artifact_checkpoints_are_the_typed_checkpoints_byte_for_byte() {
 
 /// Every stage checkpoint of two designs streams the bytes the tree
 /// renderer writes for the artifact's value tree, reads back through the
-/// pull parser as the tree-first parser reads it, and lands in a file
-/// through `write_checkpoint` byte for byte.
+/// pull parser as the tree-first parser reads it, lands in a file through
+/// `write_checkpoint` byte for byte, and loads from that file through
+/// `load_checkpoint` (the batch resume and `superflow verify` loader) to
+/// the artifact `from_json` reads from its text.
 #[test]
 fn stage_checkpoints_match_the_tree_renderer_and_parser() {
     let dir = std::env::temp_dir().join(format!("superflow_ckpt_oracle_{}", std::process::id()));
@@ -144,6 +148,9 @@ fn stage_checkpoints_match_the_tree_renderer_and_parser() {
                 "{input} {stage} file"
             );
             assert!(!dir.join(format!("{stage}.tmp")).exists(), "{input} {stage} temporary");
+            let file = BufReader::new(File::open(&path).expect("opens"));
+            let loaded = session.load_checkpoint(file).expect("loads from the file");
+            assert_eq!(loaded, parsed, "{input} {stage} loaded from its file");
             if stage == FlowStage::Check {
                 break;
             }
@@ -151,6 +158,35 @@ fn stage_checkpoints_match_the_tree_renderer_and_parser() {
         }
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A check checkpoint cut off after a key, past the parser's first
+/// window, fails the same way from its file as from its text: the same
+/// error, its byte offset counted from the start of the document.
+#[test]
+fn a_truncated_check_checkpoint_fails_alike_from_its_file_and_its_text() {
+    let mut session = FlowSession::new(fast_config()).expect("session opens");
+    let checked = session.run(&benchmark_circuit(Benchmark::Adder8)).expect("flow runs");
+    let json = checked.to_json().expect("serializes");
+    let cut = json[..json.len() / 2].rfind("\": ").expect("a key before the middle") + 3;
+    assert!(cut > serde_json::WINDOW, "the cut lies past the first window");
+    let text = &json[..cut];
+    let path =
+        std::env::temp_dir().join(format!("superflow_truncated_check_{}.json", std::process::id()));
+    std::fs::write(&path, text).expect("writes");
+
+    let from_text = Checked::from_json(text).expect_err("truncated");
+    let from_file = session
+        .load_checkpoint(BufReader::new(File::open(&path).expect("opens")))
+        .expect_err("truncated");
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(from_file.to_string(), from_text.to_string());
+    let offset = format!("at byte {cut}");
+    assert!(from_file.to_string().contains(&offset), "{from_file} names {offset}");
+    assert_eq!(
+        session.load_checkpoint(text.as_bytes()).expect_err("truncated").to_string(),
+        from_text.to_string()
+    );
 }
 
 /// FNV-1a (64-bit) of `json` without its wall-clock `"runtime_s"` lines.
