@@ -82,6 +82,14 @@
 //! makes the degraded-retry path testable: the retry runs fault-free and
 //! rescues the design.
 //!
+//! An allocation failure is not isolated: Rust aborts the process when an
+//! allocation fails, so the whole batch exits 134 and no `--report` is
+//! written. Every stage checkpoint already journaled survives it (each is
+//! renamed into place only once complete), so rerunning with the same
+//! `--journal` resumes each design from its newest checkpoint. Resuming
+//! decoder from its journal needs about 110,000 kB of `ulimit -v`, and
+//! aborts at 100,000 kB.
+//!
 //! With [`FlowConfig::verify`] enabled, every stage boundary additionally
 //! re-verifies its artifact (LEC, phase-legality, LVS-lite — the
 //! `aqfp-verify` crate); findings classify the design as failed at the

@@ -343,7 +343,19 @@ trait Checkpoint: Deserialize {
 /// it. Truncated, corrupt or garbage input is a typed
 /// [`FlowError::Checkpoint`], never a panic.
 fn read_checkpoint<T: Checkpoint>(reader: impl Read) -> Result<T, FlowError> {
-    let artifact: T = serde_json::from_reader(reader)
+    validated(serde_json::from_reader(reader))
+}
+
+/// Parses a stage artifact from checkpoint text already in memory, then
+/// validates it: [`read_checkpoint`] without copying the text through the
+/// parser's window. Both parse to the same artifact or the same error.
+fn parse_checkpoint<T: Checkpoint>(text: &str) -> Result<T, FlowError> {
+    validated(serde_json::from_str(text))
+}
+
+/// The artifact of a checkpoint parse, once it passes the stage's checks.
+fn validated<T: Checkpoint>(parsed: Result<T, serde_json::Error>) -> Result<T, FlowError> {
+    let artifact = parsed
         .map_err(|e| FlowError::Checkpoint(format!("cannot parse {} checkpoint: {e}", T::STAGE)))?;
     artifact.validate()?;
     Ok(artifact)
@@ -394,7 +406,7 @@ impl Synthesized {
     /// Returns [`FlowError::Checkpoint`] for malformed (truncated, corrupt
     /// or semantically inconsistent) checkpoints.
     pub fn from_json(text: &str) -> Result<Self, FlowError> {
-        read_checkpoint(text.as_bytes())
+        parse_checkpoint(text)
     }
 }
 
@@ -453,7 +465,7 @@ impl Placed {
     /// Returns [`FlowError::Checkpoint`] for malformed (truncated, corrupt
     /// or semantically inconsistent) checkpoints.
     pub fn from_json(text: &str) -> Result<Self, FlowError> {
-        read_checkpoint(text.as_bytes())
+        parse_checkpoint(text)
     }
 }
 
@@ -538,7 +550,7 @@ impl Routed {
     /// Returns [`FlowError::Checkpoint`] for malformed (truncated, corrupt
     /// or semantically inconsistent) checkpoints.
     pub fn from_json(text: &str) -> Result<Self, FlowError> {
-        read_checkpoint(text.as_bytes())
+        parse_checkpoint(text)
     }
 }
 
@@ -612,7 +624,7 @@ impl Checked {
     /// Returns [`FlowError::Checkpoint`] for malformed (truncated, corrupt
     /// or semantically inconsistent) checkpoints.
     pub fn from_json(text: &str) -> Result<Self, FlowError> {
-        read_checkpoint(text.as_bytes())
+        parse_checkpoint(text)
     }
 
     /// A one-line summary of the run: the synthesis statistics (Table II),
@@ -758,12 +770,16 @@ impl Artifact {
     /// or semantically inconsistent) checkpoints, including the checkpoint
     /// of another stage.
     pub fn from_json(stage: FlowStage, text: &str) -> Result<Self, FlowError> {
-        Artifact::read(stage, text.as_bytes())
+        Ok(match stage {
+            FlowStage::Synthesis => Artifact::Synthesized(parse_checkpoint(text)?),
+            FlowStage::Placement => Artifact::Placed(parse_checkpoint(text)?),
+            FlowStage::Routing => Artifact::Routed(parse_checkpoint(text)?),
+            FlowStage::Check => Artifact::Checked(parse_checkpoint(text)?),
+        })
     }
 
     /// Reads the artifact of `stage` from the checkpoint text `reader`
-    /// yields: the loader behind every `from_json` and
-    /// [`FlowSession::load_checkpoint`].
+    /// yields: the loader behind [`FlowSession::load_checkpoint`].
     fn read(stage: FlowStage, reader: impl Read) -> Result<Self, FlowError> {
         Ok(match stage {
             FlowStage::Synthesis => Artifact::Synthesized(read_checkpoint(reader)?),

@@ -468,43 +468,72 @@ pub fn gds_real_to_f64(bytes: &[u8; 8]) -> f64 {
     sign * mantissa * 16f64.powi(exponent)
 }
 
-/// A raw GDSII record: its tag and payload bytes.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RawRecord {
+/// A raw GDSII record: its tag and its payload, borrowed from the stream.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RawRecord<'a> {
     /// The record tag, if recognized.
     pub tag: Option<RecordTag>,
     /// The raw record-type byte.
     pub record_type: u8,
     /// Payload bytes (record contents after the 4-byte header).
-    pub payload: Vec<u8>,
+    pub payload: &'a [u8],
 }
 
-/// Splits a GDSII byte stream into records.
+/// Walks a GDSII byte stream one record at a time, without copying: each
+/// [`RawRecord`] borrows its payload from the stream.
+///
+/// The first malformed record header (length smaller than 4 or running
+/// past the end of the stream) is yielded as an `Err` describing it, and
+/// ends the walk.
+#[derive(Debug, Clone)]
+pub struct Records<'a> {
+    bytes: &'a [u8],
+    offset: usize,
+}
+
+impl<'a> Records<'a> {
+    /// Starts a walk at the first byte of `bytes`.
+    pub fn new(bytes: &'a [u8]) -> Self {
+        Self { bytes, offset: 0 }
+    }
+}
+
+impl<'a> Iterator for Records<'a> {
+    type Item = Result<RawRecord<'a>, String>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let offset = self.offset;
+        let rest = &self.bytes[offset..];
+        if rest.is_empty() {
+            return None;
+        }
+        let Some(&[high, low, record_type, _]) = rest.first_chunk::<4>() else {
+            self.offset = self.bytes.len();
+            return Some(Err(format!("truncated record header at offset {offset}")));
+        };
+        let length = u16::from_be_bytes([high, low]) as usize;
+        if length < 4 || length > rest.len() {
+            self.offset = self.bytes.len();
+            return Some(Err(format!("invalid record length {length} at offset {offset}")));
+        }
+        self.offset += length;
+        Some(Ok(RawRecord {
+            tag: RecordTag::from_code(record_type),
+            record_type,
+            payload: &rest[4..length],
+        }))
+    }
+}
+
+/// Splits a GDSII byte stream into records: the [`Records`] walk,
+/// collected.
 ///
 /// # Errors
 ///
 /// Returns a description of the first malformed record header (length
 /// smaller than 4 or running past the end of the stream).
-pub fn parse_records(bytes: &[u8]) -> Result<Vec<RawRecord>, String> {
-    let mut records = Vec::new();
-    let mut offset = 0usize;
-    while offset < bytes.len() {
-        if offset + 4 > bytes.len() {
-            return Err(format!("truncated record header at offset {offset}"));
-        }
-        let length = u16::from_be_bytes([bytes[offset], bytes[offset + 1]]) as usize;
-        if length < 4 || offset + length > bytes.len() {
-            return Err(format!("invalid record length {length} at offset {offset}"));
-        }
-        let record_type = bytes[offset + 2];
-        records.push(RawRecord {
-            tag: RecordTag::from_code(record_type),
-            record_type,
-            payload: bytes[offset + 4..offset + length].to_vec(),
-        });
-        offset += length;
-    }
-    Ok(records)
+pub fn parse_records(bytes: &[u8]) -> Result<Vec<RawRecord<'_>>, String> {
+    Records::new(bytes).collect()
 }
 
 #[cfg(test)]
@@ -566,7 +595,7 @@ mod tests {
         let names: Vec<String> = records
             .iter()
             .filter(|r| r.tag == Some(RecordTag::StrName))
-            .map(|r| String::from_utf8_lossy(&r.payload).trim_end_matches('\0').to_owned())
+            .map(|r| String::from_utf8_lossy(r.payload).trim_end_matches('\0').to_owned())
             .collect();
         assert_eq!(names, vec!["BUF", "TOP"]);
     }
@@ -610,6 +639,15 @@ mod tests {
         let bytes = toy_library().to_bytes();
         assert!(parse_records(&bytes[..bytes.len() - 3]).is_err());
         assert!(parse_records(&[0x00, 0x02, 0x00]).is_err());
+    }
+
+    #[test]
+    fn the_record_walk_ends_at_its_first_malformed_header() {
+        let bytes = toy_library().to_bytes();
+        let mut walk = Records::new(&bytes[..bytes.len() - 3]);
+        let whole = walk.by_ref().take_while(Result::is_ok).count();
+        assert_eq!(whole, parse_records(&bytes).unwrap().len() - 1);
+        assert!(walk.next().is_none(), "nothing follows the error");
     }
 
     #[test]

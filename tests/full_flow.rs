@@ -40,8 +40,8 @@ fn adder8_full_flow_produces_consistent_artifacts() {
 
     // The layout references every placed cell and the GDS stream parses.
     assert_eq!(checked.layout.cell_instances, design.cell_count());
-    let records =
-        aqfp_layout::gds::parse_records(&checked.layout.to_gds_bytes()).expect("valid GDSII");
+    let bytes = checked.layout.to_gds_bytes();
+    let records = aqfp_layout::gds::parse_records(&bytes).expect("valid GDSII");
     assert!(records.len() > 100);
 
     // Geometric DRC is clean.

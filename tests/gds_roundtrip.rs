@@ -15,7 +15,8 @@ fn gds_bytes(benchmark: Benchmark) -> Vec<u8> {
 
 #[test]
 fn flow_layout_stream_is_structurally_valid() {
-    let records = parse_records(&gds_bytes(Benchmark::Adder8)).expect("valid stream");
+    let bytes = gds_bytes(Benchmark::Adder8);
+    let records = parse_records(&bytes).expect("valid stream");
 
     // Stream framing.
     assert_eq!(records.first().and_then(|r| r.tag), Some(RecordTag::Header));
@@ -34,7 +35,7 @@ fn flow_layout_stream_is_structurally_valid() {
     let defined: std::collections::HashSet<String> = records
         .iter()
         .filter(|r| r.tag == Some(RecordTag::StrName))
-        .map(|r| String::from_utf8_lossy(&r.payload).trim_end_matches('\0').to_owned())
+        .map(|r| String::from_utf8_lossy(r.payload).trim_end_matches('\0').to_owned())
         .collect();
     let mut expecting_sname = false;
     for record in &records {
@@ -42,7 +43,7 @@ fn flow_layout_stream_is_structurally_valid() {
             Some(RecordTag::Sref) => expecting_sname = true,
             Some(RecordTag::SName) if expecting_sname => {
                 let name =
-                    String::from_utf8_lossy(&record.payload).trim_end_matches('\0').to_owned();
+                    String::from_utf8_lossy(record.payload).trim_end_matches('\0').to_owned();
                 assert!(defined.contains(&name), "SREF to undefined structure `{name}`");
                 expecting_sname = false;
             }
