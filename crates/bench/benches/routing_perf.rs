@@ -9,14 +9,16 @@
 //!   (on a single-core host they tie);
 //! * `drc_repair_reroute` — one DRC-repair iteration's reroute after two
 //!   cells moved: `from_scratch` routes every channel again, `incremental`
-//!   uses `Router::route_partial` to reroute only the dirty channels
-//!   (results asserted byte-identical);
+//!   hands the previous routing to `Router::route_partial`, which finds
+//!   and reroutes only the channels whose input changed (results asserted
+//!   byte-identical);
 //! * `drc_repair_buffer_rows` — one buffer-row DRC-repair iteration (rows
-//!   renumbered, cells/nets appended): `full_reroute` is the old
-//!   fallback that routes every channel of the edited design again,
-//!   `incremental` hands the `DesignEdit` to `Router::route_partial`,
-//!   which re-keys clean channels and routes only the edited/moved ones
-//!   (results asserted byte-identical);
+//!   renumbered, cells/nets appended): `full_reroute` routes every channel
+//!   of the edited design again, `incremental` hands the previous routing
+//!   to `Router::route_partial`, which re-keys unchanged channels and
+//!   routes only the changed ones (results asserted byte-identical). Both
+//!   `incremental` rows clone the previous routing in the untimed setup,
+//!   since `route_partial` consumes it;
 //! * `global_place_iteration` — 100 analytical global-placement iterations
 //!   on the `apc32` initial design (gradient/sort-index buffer reuse path).
 //!
@@ -24,7 +26,7 @@
 //! committed `BENCH_routing.json` and rewrites the file at the workspace
 //! root so future PRs can track the trajectory against this baseline.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 
 use aqfp_cells::Technology;
 use aqfp_netlist::generators::{benchmark_circuit, Benchmark};
@@ -98,27 +100,22 @@ fn bench_incremental_reroute(c: &mut Criterion) {
     let before = router.route(&design);
 
     // Reproduce a typical DRC-repair iteration: legalization nudged one cell
-    // in each of two rows, dirtying the (at most) two channels each cell
+    // in each of two rows, changing the (at most) two channels each cell
     // touches. Leftmost cells are moved so the routing grid keeps its column
     // count and the partial path is actually taken; mid-design rows are
     // chosen because repairs land on arbitrary rows, while the few
     // splitter-heavy channels near the inputs dominate a from-scratch route
     // whichever strategy runs.
-    let mut dirty: Vec<usize> = Vec::new();
     for row in [13usize, 20] {
         let cell = design.rows[row][0];
         design.cells[cell].x += design.rules.grid;
-        dirty.push(row);
-        dirty.push(row - 1);
     }
-    dirty.sort_unstable();
-    dirty.dedup();
 
     // Guard the bench's meaning: both strategies must produce the same
     // routed result, otherwise the timings compare different work.
     assert_eq!(
         router.route(&design),
-        router.route_partial(&design, &before, &dirty, None),
+        router.route_partial(&design, before.clone()),
         "incremental reroute diverged from the from-scratch reroute"
     );
 
@@ -128,7 +125,11 @@ fn bench_incremental_reroute(c: &mut Criterion) {
         b.iter(|| router.route(design));
     });
     group.bench_with_input(BenchmarkId::from_parameter("incremental"), &design, |b, design| {
-        b.iter(|| router.route_partial(design, &before, &dirty, None));
+        b.iter_batched(
+            || before.clone(),
+            |previous| router.route_partial(design, previous),
+            BatchSize::LargeInput,
+        );
     });
     group.finish();
 }
@@ -176,21 +177,12 @@ fn bench_buffer_row_repair(c: &mut Criterion) {
     assert_eq!(design.max_wirelength_violations().len(), 1, "exactly the stretched net violates");
     let before = router.route(&design);
 
-    // One repair iteration, tracking the edit and the moved cells; the
-    // channels of the two cells the regression itself moved are dirty too.
-    let (_, edit, mut moved) = repair_buffer_rows(&mut design, &library, &detailed_config);
-    assert!(!edit.is_noop(), "the repair must insert buffer rows");
-    moved.extend([driver, sink]);
-    let mut dirty: Vec<usize> = Vec::new();
-    for &cell in &moved {
-        let row = design.cells[cell].row;
-        dirty.push(row);
-        dirty.extend((row > 0).then(|| row - 1));
-    }
-    dirty.sort_unstable();
-    dirty.dedup();
+    // One repair iteration; the router finds the changed channels itself.
+    let rows_before = design.rows.len();
+    repair_buffer_rows(&mut design, &library, &detailed_config);
+    assert!(design.rows.len() > rows_before, "the repair must insert buffer rows");
 
-    // Guard the bench's meaning: the edit-aware incremental reroute must be
+    // Guard the bench's meaning: the incremental reroute must be
     // byte-identical to the from-scratch baseline it is measured against.
     let scratch = router.route(&design);
     assert_eq!(
@@ -199,8 +191,8 @@ fn bench_buffer_row_repair(c: &mut Criterion) {
     );
     assert_eq!(
         scratch,
-        router.route_partial(&design, &before, &dirty, Some(&edit)),
-        "edit-aware incremental reroute diverged from the from-scratch reroute"
+        router.route_partial(&design, before.clone()),
+        "incremental reroute diverged from the from-scratch reroute"
     );
 
     let mut group = c.benchmark_group("drc_repair_buffer_rows");
@@ -209,7 +201,11 @@ fn bench_buffer_row_repair(c: &mut Criterion) {
         b.iter(|| router.route(design));
     });
     group.bench_with_input(BenchmarkId::from_parameter("incremental"), &design, |b, design| {
-        b.iter(|| router.route_partial(design, &before, &dirty, Some(&edit)));
+        b.iter_batched(
+            || before.clone(),
+            |previous| router.route_partial(design, previous),
+            BatchSize::LargeInput,
+        );
     });
     group.finish();
 }

@@ -41,8 +41,9 @@
 //! report `superflow --report` writes. Observers ([`FlowObserver`]) watch
 //! stage boundaries and DRC-repair iterations, and
 //! [`FlowSession::timings`] accumulates per-stage wall-clock time from the
-//! moment the session opens. The DRC-repair loop is incremental: only the
-//! channels whose cells actually moved are rerouted (see [`session`]).
+//! moment the session opens. The DRC-repair loop is incremental: the
+//! router reroutes only the channels whose nets or pin columns changed
+//! (see [`session`]).
 //!
 //! # Batch runs
 //!

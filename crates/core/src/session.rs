@@ -28,16 +28,16 @@
 //!
 //! The session shares one [`Technology`] across all stages via `Arc`
 //! (instead of cloning it per stage) and repairs DRC violations
-//! *incrementally*: legalization and detailed placement report which cells
-//! they displaced, buffer-row insertion returns a structured
-//! [`DesignEdit`](aqfp_place::DesignEdit) describing its row renumbering,
-//! and the session hands both to [`Router::route_partial`], which routes
-//! only the affected channels and re-keys every clean one (unless the
-//! repair changed the routing grid's column count; then it reroutes every
-//! channel) — the result is byte-identical to a from-scratch reroute even
-//! across buffer-row insertions. The loop keeps no timing state: after it,
-//! the check stage analyzes the repaired design once, so the final
-//! placement report carries the post-repair timing.
+//! *incrementally*: after every repair it hands the repaired design and the
+//! previous routing to [`Router::route_partial`], which finds the channels
+//! whose nets or pin columns changed, routes only those and re-keys every
+//! other one onto its (possibly renumbered) row (unless the repair changed
+//! the routing grid's column count; then it reroutes every channel). The
+//! result is byte-identical to a from-scratch reroute, even across
+//! buffer-row insertions, and no repair records what it changed for the
+//! router. The loop keeps no timing state: after it, the check stage
+//! analyzes the repaired design once, so the final placement report
+//! carries the post-repair timing.
 //!
 //! # Examples
 //!
@@ -224,22 +224,22 @@ impl StageTimings {
     }
 }
 
-/// How a DRC-repair iteration brings the routing back in sync with the
-/// repaired placement.
+/// What a DRC-repair iteration changed in the placement, as its observers
+/// see it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RepairScope<'a> {
-    /// Every channel reroutes from scratch. The built-in repair loop no
-    /// longer produces this scope — buffer-row insertion is rerouted
-    /// incrementally through its `DesignEdit` — but the variant remains for
-    /// observers of external drivers that invalidate the whole routing.
+    /// Every channel reroutes from scratch. The built-in repair loop never
+    /// produces this scope, but the variant remains for observers of
+    /// external drivers that invalidate the whole routing.
     Full,
-    /// Only these channel rows route fresh; every other channel's wires are
-    /// reused — verbatim, or re-keyed onto their renumbered rows when a
-    /// buffer-row edit shifted them. (If the repair changed the routing
-    /// grid's column count, [`Router::route_partial`] reroutes every
-    /// channel anyway; the scope still names the dirty rows.)
+    /// The channel rows the repair touched, sorted: the row of each cell it
+    /// moved or inserted and the row below it (the channels carrying the
+    /// cell's driven and sunk nets). The reroute that follows does not read
+    /// this list; [`Router::route_partial`] finds the changed channels
+    /// itself.
     Channels(&'a [usize]),
-    /// The repair moved no cells; the previous routing is reused verbatim.
+    /// The repair moved and inserted no cells, so the loop has reached a
+    /// fixed point and stops.
     Unchanged,
 }
 
@@ -434,7 +434,7 @@ impl Checkpoint for Synthesized {
 pub struct Placed {
     /// The synthesis artifact this placement was built from.
     pub synthesized: Synthesized,
-    /// Placement result: HPWL, buffer lines, WNS, runtime (Table III).
+    /// Placement result: HPWL, buffer lines, WNS (Table III).
     pub placement: PlacementResult,
 }
 
@@ -477,14 +477,12 @@ impl Checkpoint for Placed {
     }
 }
 
-/// The routing-stage artifact: placement plus the routed wires, and the set
-/// of channels whose placement has changed since routing.
+/// The routing-stage artifact: placement plus the routed wires.
 ///
-/// The dirty-channel set is what makes DRC repair incremental: when
-/// legalization (or a caller editing the placement) moves a cell, only the
-/// channels that cell touches are recorded here and rerouted by
-/// [`FlowSession::check`]; every clean channel reuses its wires from
-/// [`Routed::routing`] byte-for-byte.
+/// A caller may edit the placement before handing the artifact to
+/// [`FlowSession::check`]: the check stage first brings the routing up to
+/// date through [`Router::route_partial`], which reroutes the channels
+/// whose input changed and reuses every other channel's wires.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Routed {
     /// The placement artifact this routing was built from.
@@ -492,10 +490,6 @@ pub struct Routed {
     /// Routing result: routed wirelength, vias, per-channel reports
     /// (Table IV).
     pub routing: RoutingResult,
-    /// Channel rows whose placement changed after `routing` was computed
-    /// (sorted, deduplicated). [`FlowSession::check`] reroutes exactly these
-    /// channels before running DRC.
-    pub dirty_channels: Vec<usize>,
 }
 
 impl Routed {
@@ -507,31 +501,6 @@ impl Routed {
     /// The placed physical design the wires were routed on.
     pub fn design(&self) -> &PlacedDesign {
         &self.placed.placement.design
-    }
-
-    /// Whether any channel needs rerouting before the routing matches the
-    /// placement again.
-    pub fn is_dirty(&self) -> bool {
-        !self.dirty_channels.is_empty()
-    }
-
-    /// Records that the placement of `cell` changed, marking the (at most
-    /// two) channels the cell touches — the channel above its row, which
-    /// carries its driven nets, and the one below, which carries the nets it
-    /// sinks — as needing a reroute.
-    pub fn mark_cell_moved(&mut self, cell: usize) {
-        let row = self.placed.placement.design.cells[cell].row;
-        self.mark_channel_dirty(row);
-        if row > 0 {
-            self.mark_channel_dirty(row - 1);
-        }
-    }
-
-    /// Marks the channel with driver row `row` as needing a reroute.
-    pub fn mark_channel_dirty(&mut self, row: usize) {
-        if let Err(position) = self.dirty_channels.binary_search(&row) {
-            self.dirty_channels.insert(position, row);
-        }
     }
 
     /// Serializes the artifact to a resumable JSON checkpoint.
@@ -564,7 +533,7 @@ impl Checkpoint for Routed {
 
 /// Shared semantic validation of a [`Routed`] artifact (also reused by the
 /// check-stage loader): the embedded design must be consistent and every
-/// wire and dirty-channel entry must reference it in bounds.
+/// wire must reference it in bounds.
 fn validate_routed(routed: &Routed, what: &str) -> Result<(), FlowError> {
     checkpoint_design_valid(routed.design(), what)?;
     let nets = routed.design().net_count();
@@ -576,14 +545,6 @@ fn validate_routed(routed: &Routed, what: &str) -> Result<(), FlowError> {
             )));
         }
     }
-    let rows = routed.design().rows.len();
-    for &row in &routed.dirty_channels {
-        if row >= rows {
-            return Err(FlowError::Checkpoint(format!(
-                "{what} checkpoint is inconsistent: dirty channel {row} of {rows} rows"
-            )));
-        }
-    }
     Ok(())
 }
 
@@ -592,7 +553,7 @@ fn validate_routed(routed: &Routed, what: &str) -> Result<(), FlowError> {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Checked {
     /// The routed artifact after DRC repair (placement and routing reflect
-    /// every fix the repair loop applied; the dirty-channel set is empty).
+    /// every fix the repair loop applied).
     pub routed: Routed,
     /// The generated GDSII layout.
     pub layout: Layout,
@@ -1194,7 +1155,7 @@ impl FlowSession {
         let routing = router.route(&placed.placement.design);
         self.ensure_not_cancelled(FlowStage::Routing)?;
         self.stage_finished(FlowStage::Routing, start.elapsed().as_secs_f64());
-        let routed = Routed { placed, routing, dirty_channels: Vec::new() };
+        let routed = Routed { placed, routing };
         if self.config.verify.enabled {
             self.verify_gate(self.verify_routed(&routed))?;
         }
@@ -1206,19 +1167,17 @@ impl FlowSession {
     /// re-legalization, max-wirelength problems by another round of buffer
     /// rows, and both trigger a reroute before DRC runs again.
     ///
-    /// Every repair — including buffer-row insertion — goes through
-    /// [`Router::route_partial`]. A spacing fix names the channels touched
-    /// by the cells legalization displaced. A buffer-row fix also hands
-    /// over the [`DesignEdit`](aqfp_place::DesignEdit) that
-    /// `insert_buffer_rows` returns, so `route_partial` re-keys every clean
-    /// channel onto its renumbered row and routes only the channels the
-    /// edit created plus those touched by cells the post-insertion
-    /// legalization/detailed-placement moved. The reroute is incremental
-    /// only while the routing grid keeps its column count: when a repair
-    /// widens (or narrows) the widest layer, `route_partial` returns a
-    /// [`Router::route`] of the repaired design, which reroutes every
-    /// channel. Either way the routing is byte-identical to rerouting the
-    /// repaired design from scratch.
+    /// The routing is brought up to date through
+    /// [`Router::route_partial`] on entry, so a placement a caller edited
+    /// after routing is routed again before DRC reads it, and after every
+    /// repair, buffer-row insertion included. The router finds the channels
+    /// whose nets or pin columns changed and reroutes only those, re-keying
+    /// every other channel onto its renumbered row; when a repair widens
+    /// (or narrows) the widest layer, it reroutes every channel. Either way
+    /// the routing is byte-identical to rerouting the repaired design from
+    /// scratch. The rows each repair touched go to the observers as a
+    /// [`RepairScope`], and a repair that moved and inserted nothing ends
+    /// the loop.
     ///
     /// After the loop, one batched timing analysis of the repaired design
     /// refreshes [`PlacementResult::timing`], so the report reflects the
@@ -1239,21 +1198,15 @@ impl FlowSession {
         self.ensure_not_cancelled(FlowStage::Check)?;
         self.stage_started(FlowStage::Check);
         let start = Instant::now();
-        let Routed { mut placed, mut routing, mut dirty_channels } = routed;
+        let Routed { mut placed, routing } = routed;
         let generator = LayoutGenerator::new(Arc::clone(&self.technology));
         let checker = DrcChecker::for_technology(&self.technology).with_cancel(self.cancel.clone());
         let router = Router::with_config(Arc::clone(&self.technology), self.config.router)
             .with_cancel(self.cancel.clone());
 
-        // The caller may have edited the placement since routing (that is
-        // what the dirty-channel set records); bring the routing up to date
-        // before checking anything.
-        if !dirty_channels.is_empty() {
-            routing =
-                router.route_partial(&placed.placement.design, &routing, &dirty_channels, None);
-            dirty_channels.clear();
-        }
-
+        // The caller may have edited the placement since routing; bring the
+        // routing up to date before checking anything.
+        let mut routing = router.route_partial(&placed.placement.design, routing);
         let mut drc = checker.check(&placed.placement.design, &routing);
         let mut drc_iterations = 0;
         while !drc.is_clean() && drc_iterations < self.config.max_drc_iterations {
@@ -1263,58 +1216,43 @@ impl FlowSession {
             self.ensure_not_cancelled(FlowStage::Check)?;
             drc_iterations += 1;
             let design = &mut placed.placement.design;
-            let mut moved_cells: Vec<usize> = Vec::new();
+            let mut changed_cells: Vec<usize> = Vec::new();
             if drc.count(DrcViolationKind::CellSpacing) > 0 {
-                // Spacing problems are fixed by re-legalization; only the
-                // channels the displaced cells touch need rerouting.
-                moved_cells.extend(legalize(design).moved_cells);
+                // Spacing problems are fixed by re-legalization.
+                changed_cells.extend(legalize(design).moved_cells);
             }
-            let mut edit: Option<aqfp_place::DesignEdit> = None;
             if drc.count(DrcViolationKind::MaxWirelength) > 0 {
                 // Split over-long connections with buffer rows, re-legalize,
                 // and let a *scoped* detailed-placement pass pull the new
                 // buffers toward their nets so each hop actually fits within
                 // the limit — only the inserted rows and the gap-boundary
                 // rows are swept, so the already-optimized rest of the
-                // design stays put and the dirty-channel set below stays
-                // bounded by the edit. The returned `DesignEdit` records
-                // the row renumbering and the appended cells/nets, and the
-                // moved-cell list covers both follow-up passes, so the
-                // reroute below stays incremental.
+                // design stays put and the router reuses its channels.
                 let detailed =
                     self.config.placement.detailed.with_technology_timing(&self.technology);
-                let (report, buffer_edit, repair_moved) =
-                    repair_buffer_rows(design, &self.technology, &detailed);
+                let (report, repaired) = repair_buffer_rows(design, &self.technology, &detailed);
                 placed.placement.buffer_lines += report.buffer_lines;
                 placed.placement.buffer_report.buffer_lines += report.buffer_lines;
                 placed.placement.buffer_report.buffer_cells += report.buffer_cells;
-                moved_cells.extend(repair_moved);
-                if !buffer_edit.is_noop() {
-                    edit = Some(buffer_edit);
-                }
+                changed_cells.extend(repaired);
             }
-            moved_cells.sort_unstable();
-            moved_cells.dedup();
-            // Dirty channels: the ones the buffer edit created or rewrote
-            // plus the (at most two) channels each moved cell touches. Cell
-            // rows are read *after* every repair of this iteration, so the
-            // set is in the current row numbering either way.
-            let mut dirty_rows: BTreeSet<usize> = BTreeSet::new();
-            if let Some(edit) = &edit {
-                dirty_rows.extend(edit.edited_channel_rows());
-            }
-            for &cell in &moved_cells {
+            // The channels each moved or inserted cell touches: its row's,
+            // which carries the nets it drives, and the one below, which
+            // carries the nets it sinks. Cell rows are read *after* every
+            // repair of this iteration, in the current row numbering.
+            let mut touched_rows: BTreeSet<usize> = BTreeSet::new();
+            for &cell in &changed_cells {
                 let row = design.cells[cell].row;
-                dirty_rows.insert(row);
+                touched_rows.insert(row);
                 if row > 0 {
-                    dirty_rows.insert(row - 1);
+                    touched_rows.insert(row - 1);
                 }
             }
-            let dirty: Vec<usize> = dirty_rows.into_iter().collect();
-            let scope = if dirty.is_empty() {
+            let touched: Vec<usize> = touched_rows.into_iter().collect();
+            let scope = if touched.is_empty() {
                 RepairScope::Unchanged
             } else {
-                RepairScope::Channels(&dirty)
+                RepairScope::Channels(&touched)
             };
             for observer in &mut self.observers {
                 observer.drc_iteration(drc_iterations, &drc, scope);
@@ -1329,10 +1267,9 @@ impl FlowSession {
             }
             // Unrouted nets and zigzag violations are addressed by
             // rerouting (the router's space expansion kicks in with a fresh
-            // channel); untouched channels are reused verbatim — re-keyed
-            // onto their renumbered rows when the edit shifted them.
-            routing =
-                router.route_partial(&placed.placement.design, &routing, &dirty, edit.as_ref());
+            // channel); unchanged channels are reused, re-keyed onto their
+            // renumbered rows when buffer rows shifted them.
+            routing = router.route_partial(&placed.placement.design, routing);
             drc = checker.check(&placed.placement.design, &routing);
         }
         // DRC reads only the design and its routing, so the layout is
@@ -1349,12 +1286,7 @@ impl FlowSession {
 
         self.ensure_not_cancelled(FlowStage::Check)?;
         self.stage_finished(FlowStage::Check, start.elapsed().as_secs_f64());
-        let checked = Checked {
-            routed: Routed { placed, routing, dirty_channels },
-            layout,
-            drc,
-            drc_iterations,
-        };
+        let checked = Checked { routed: Routed { placed, routing }, layout, drc, drc_iterations };
         if self.config.verify.enabled {
             self.verify_gate(self.verify_checked(&checked))?;
         }
@@ -1460,7 +1392,6 @@ mod tests {
         let placed = session.place(synthesized).expect("placement succeeds");
         assert!(placed.design().cell_count() > 0);
         let routed = session.route(placed).expect("routing succeeds");
-        assert!(!routed.is_dirty());
         let checked = session.check(routed).expect("check succeeds");
         assert_eq!(checked.routed.placed.synthesized.design_name, "adder8");
         let timings = session.timings();
@@ -1704,19 +1635,5 @@ mod tests {
         assert!(placed.design().validate_consistent().is_ok());
         assert!(matches!(session.route(placed), Err(FlowError::Checkpoint(_))));
         assert!(matches!(session.check(routed), Err(FlowError::Checkpoint(_))));
-    }
-
-    #[test]
-    fn marking_a_moved_cell_dirties_its_two_channels() {
-        let mut session = FlowSession::new(FlowConfig::fast()).expect("session opens");
-        let synthesized = session.synthesize(&benchmark_circuit(Benchmark::Adder8)).expect("ok");
-        let placed = session.place(synthesized).expect("placement succeeds");
-        let mut routed = session.route(placed).expect("routing succeeds");
-        let cell = routed.design().rows[3][0];
-        routed.mark_cell_moved(cell);
-        assert_eq!(routed.dirty_channels, vec![2, 3]);
-        // Marking again is idempotent.
-        routed.mark_cell_moved(cell);
-        assert_eq!(routed.dirty_channels, vec![2, 3]);
     }
 }

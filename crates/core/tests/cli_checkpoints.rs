@@ -46,12 +46,6 @@ fn every_stop_after_checkpoint_verifies_clean_against_its_input() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// `text` without its wall-clock `"runtime_s"` lines, the only part of a
-/// checkpoint that differs between runs.
-fn without_runtimes(text: &str) -> String {
-    text.lines().filter(|line| !line.contains("\"runtime_s\"")).collect::<Vec<_>>().join("\n")
-}
-
 #[test]
 fn a_complete_runs_report_is_the_check_checkpoint() {
     let dir = temp_dir("report");
@@ -62,7 +56,7 @@ fn a_complete_runs_report_is_the_check_checkpoint() {
 
     let full = std::fs::read_to_string(&full).expect("report written");
     let check = std::fs::read_to_string(&check).expect("checkpoint written");
-    assert!(without_runtimes(&full) == without_runtimes(&check), "the reports differ");
+    assert!(full == check, "the reports differ");
     let checked = superflow::Checked::from_json(&full).expect("the report is a check checkpoint");
     assert_eq!(checked.layout.to_gds_bytes(), std::fs::read(&gds).expect("GDS written"));
     let _ = std::fs::remove_dir_all(&dir);

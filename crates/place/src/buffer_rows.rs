@@ -7,6 +7,8 @@
 //! number of inserted buffer lines is one of the quality metrics Table III
 //! reports — fewer lines mean less area and fewer JJs.
 
+use std::ops::Range;
+
 use aqfp_cells::{CellKind, Technology};
 use serde::{Deserialize, Serialize};
 
@@ -47,80 +49,6 @@ impl Deserialize for BufferRowReport {
             violating_nets: usize::from_value(value.field("violating_nets")?)?,
             skipped_nets,
         })
-    }
-}
-
-/// A structured record of what [`insert_buffer_rows`] did to the design,
-/// precise enough for the router to update incrementally instead of
-/// rebuilding: it re-keys clean channels through [`DesignEdit::row_remap`]
-/// and reroutes only [`DesignEdit::edited_channel_rows`].
-///
-/// Cell and net *indices* below [`DesignEdit::first_new_cell`] /
-/// [`DesignEdit::first_new_net`] are stable across the edit; only the
-/// `split_nets` among them changed contents (each now covers the last hop
-/// of its split connection), and every pre-existing cell keeps its x while
-/// its row moves from `old` to `row_remap[old]`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DesignEdit {
-    /// Old row index → new row index, monotonically increasing (rows only
-    /// ever shift upward, by the number of buffer lines inserted below
-    /// them).
-    pub row_remap: Vec<usize>,
-    /// Number of rows after the edit.
-    pub row_count: usize,
-    /// Cells `first_new_cell..` were appended by the edit (buffer cells).
-    pub first_new_cell: usize,
-    /// Nets `first_new_net..` were appended by the edit (the leading hops
-    /// of every split connection).
-    pub first_new_net: usize,
-    /// Pre-existing nets the edit rewrote in place: each listed net's
-    /// driver is now the last buffer of its chain and the net covers only
-    /// the final hop.
-    pub split_nets: Vec<usize>,
-}
-
-impl DesignEdit {
-    /// The identity edit of a design: nothing inserted, nothing split.
-    pub fn identity(design: &PlacedDesign) -> Self {
-        Self {
-            row_remap: (0..design.rows.len()).collect(),
-            row_count: design.rows.len(),
-            first_new_cell: design.cells.len(),
-            first_new_net: design.nets.len(),
-            split_nets: Vec::new(),
-        }
-    }
-
-    /// Whether the edit changed the design at all.
-    pub fn is_noop(&self) -> bool {
-        self.split_nets.is_empty()
-            && self.row_remap.len() == self.row_count
-            && self.row_remap.iter().enumerate().all(|(old, &new)| old == new)
-    }
-
-    /// New-numbering rows of every channel the edit created or rewrote: for
-    /// each expanded gap, the channels from the gap's (remapped) driver row
-    /// up to but excluding its (remapped) sink row. Every net crossing such
-    /// a gap was split, so all of these channels carry new or rewritten
-    /// nets; every other channel's net list is unchanged.
-    pub fn edited_channel_rows(&self) -> Vec<usize> {
-        let mut rows = Vec::new();
-        for gap in 0..self.row_remap.len().saturating_sub(1) {
-            let (low, high) = (self.row_remap[gap], self.row_remap[gap + 1]);
-            if high - low > 1 {
-                rows.extend(low..high);
-            }
-        }
-        rows
-    }
-
-    /// New row index → old row index (`None` for rows the edit inserted).
-    pub fn inverse_row_remap(&self) -> Vec<Option<usize>> {
-        let mut inverse = vec![None; self.row_count];
-        for (old, &new) in self.row_remap.iter().enumerate() {
-            inverse[new] = Some(old);
-        }
-        inverse
     }
 }
 
@@ -170,13 +98,15 @@ pub fn required_buffer_lines(design: &PlacedDesign) -> usize {
 /// the public [`PlacedDesign`] API even though the flow never produces
 /// them).
 ///
-/// Besides the summary report, the returned [`DesignEdit`] records the
-/// old→new row remap, the appended cell/net ranges and the split nets, so
-/// the router can update incrementally instead of rebuilding from scratch.
+/// Besides the summary report, it returns the range of buffer cells it
+/// appended to [`PlacedDesign::cells`] (empty when it inserted nothing).
+/// Existing cells keep their indices and x, and rows above an expanded gap
+/// move up by the lines inserted below them.
 pub fn insert_buffer_rows(
     design: &mut PlacedDesign,
     library: &Technology,
-) -> (BufferRowReport, DesignEdit) {
+) -> (BufferRowReport, Range<usize>) {
+    let first_new_cell = design.cells.len();
     let violating = design.max_wirelength_violations();
     if violating.is_empty() {
         let report = BufferRowReport {
@@ -185,7 +115,7 @@ pub fn insert_buffer_rows(
             violating_nets: 0,
             skipped_nets: 0,
         };
-        return (report, DesignEdit::identity(design));
+        return (report, first_new_cell..first_new_cell);
     }
 
     // Lines needed per row gap (indexed by the driver row of the gap).
@@ -213,7 +143,7 @@ pub fn insert_buffer_rows(
     };
     if report.buffer_lines == 0 {
         // Every violation was a skipped (non-climbing) net.
-        return (report, DesignEdit::identity(design));
+        return (report, first_new_cell..first_new_cell);
     }
 
     // Rows above an expanded gap shift up by the lines inserted below them.
@@ -233,9 +163,7 @@ pub fn insert_buffer_rows(
 
     // Split every net that now spans more than one row through one buffer per
     // intermediate row.
-    let first_new_cell = design.cells.len();
     let original_net_count = design.nets.len();
-    let mut split_nets = Vec::new();
     for net_index in 0..original_net_count {
         let net = design.nets[net_index];
         let driver_row = design.cells[net.driver].row;
@@ -271,18 +199,10 @@ pub fn insert_buffer_rows(
         }
         // The original net now covers only the last hop.
         design.nets[net_index] = PhysNet { driver: previous, sink: net.sink };
-        split_nets.push(net_index);
     }
 
     design.sort_rows_by_x();
-    let edit = DesignEdit {
-        row_remap: new_row_index,
-        row_count: total_rows,
-        first_new_cell,
-        first_new_net: original_net_count,
-        split_nets,
-    };
-    (report, edit)
+    (report, first_new_cell..design.cells.len())
 }
 
 /// One complete buffer-row repair iteration, exactly as the flow's
@@ -290,11 +210,10 @@ pub fn insert_buffer_rows(
 /// *scoped* detailed placement over the inserted rows plus the rows
 /// bordering each expanded gap — the hop endpoints live there, so the pass
 /// can shorten every leg of a split connection while rows far from any
-/// edit stay untouched (which keeps the repair's dirty-channel set bounded
-/// by the edit).
+/// edit stay untouched.
 ///
-/// Returns the insertion report, the structured [`DesignEdit`] and the
-/// cells the follow-up legalize/detailed passes displaced (sorted,
+/// Returns the insertion report and the cells the iteration inserted or
+/// the follow-up legalize/detailed passes displaced (sorted,
 /// deduplicated). `FlowSession::check` and the `drc_repair_buffer_rows`
 /// bench both run this one function, so the bench measures exactly the
 /// iteration the flow executes.
@@ -302,20 +221,21 @@ pub fn repair_buffer_rows(
     design: &mut PlacedDesign,
     library: &Technology,
     detailed: &DetailedPlacementConfig,
-) -> (BufferRowReport, DesignEdit, Vec<usize>) {
-    let (report, edit) = insert_buffer_rows(design, library);
-    let mut moved = legalize(design).moved_cells;
-    let mut repair_rows: Vec<usize> = design.cells[edit.first_new_cell..]
+) -> (BufferRowReport, Vec<usize>) {
+    let (report, appended) = insert_buffer_rows(design, library);
+    let mut changed = legalize(design).moved_cells;
+    let mut repair_rows: Vec<usize> = design.cells[appended.clone()]
         .iter()
         .flat_map(|cell| [cell.row.saturating_sub(1), cell.row, cell.row + 1])
         .filter(|&row| row < design.rows.len())
         .collect();
     repair_rows.sort_unstable();
     repair_rows.dedup();
-    moved.extend(detailed_place_in_rows(design, detailed, &repair_rows).moved_cells);
-    moved.sort_unstable();
-    moved.dedup();
-    (report, edit, moved)
+    changed.extend(detailed_place_in_rows(design, detailed, &repair_rows).moved_cells);
+    changed.extend(appended);
+    changed.sort_unstable();
+    changed.dedup();
+    (report, changed)
 }
 
 #[cfg(test)]
@@ -382,12 +302,12 @@ mod tests {
         design.cells[net.driver].x = design.rules.max_wirelength * 3.0;
         assert!(required_buffer_lines(&design) >= 1);
 
-        let (report, edit) = insert_buffer_rows(&mut design, &library);
+        let (report, appended) = insert_buffer_rows(&mut design, &library);
         assert!(report.buffer_lines >= 1);
         assert!(report.buffer_cells >= report.buffer_lines);
         assert!(report.violating_nets >= 1);
         assert_eq!(report.skipped_nets, 0);
-        assert!(!edit.is_noop());
+        assert_eq!(appended.len(), report.buffer_cells);
         assert!(
             design.max_wirelength_violations().is_empty(),
             "all hops must be legal after buffer-row insertion"
@@ -411,12 +331,11 @@ mod tests {
     fn no_violation_means_no_change() {
         let library = Technology::mit_ll_sqf5ee();
         let mut design = tiny_legal_design(&library);
-        let cells_before = design.cell_count();
-        let (report, edit) = insert_buffer_rows(&mut design, &library);
+        let before = design.clone();
+        let (report, appended) = insert_buffer_rows(&mut design, &library);
         assert_eq!(report.buffer_lines, 0);
-        assert_eq!(design.cell_count(), cells_before);
-        assert!(edit.is_noop());
-        assert_eq!(edit, DesignEdit::identity(&design));
+        assert_eq!(design, before);
+        assert_eq!(appended, before.cell_count()..before.cell_count());
     }
 
     /// Regression: a hand-built design (constructible through the public
@@ -449,10 +368,10 @@ mod tests {
         // Both entry points tolerate the malformed nets.
         let required = required_buffer_lines(&design);
         assert!(required >= 1, "the climbing violation still needs lines");
-        let (report, edit) = insert_buffer_rows(&mut design, &library);
+        let (report, appended) = insert_buffer_rows(&mut design, &library);
         assert_eq!(report.skipped_nets, 2, "one downward and one same-row net are skipped");
         assert!(report.buffer_lines >= 1, "the climbing violation is still repaired");
-        assert!(!edit.is_noop());
+        assert!(!appended.is_empty());
         // The skipped nets are untouched; the climbing net's hops are legal.
         for net in &design.nets {
             let (dr, sr) = (design.cells[net.driver].row, design.cells[net.sink].row);
@@ -463,7 +382,7 @@ mod tests {
     }
 
     /// When every violating net is non-climbing there is nothing to insert:
-    /// the design is untouched and the edit is the identity.
+    /// the design is untouched and nothing is appended.
     #[test]
     fn all_skipped_violations_leave_the_design_untouched() {
         let library = Technology::mit_ll_sqf5ee();
@@ -471,11 +390,11 @@ mod tests {
         design.nets[0] = PhysNet { driver: 1, sink: 0 };
         design.cells[1].x = design.rules.max_wirelength * 3.0;
         let before = design.clone();
-        let (report, edit) = insert_buffer_rows(&mut design, &library);
+        let (report, appended) = insert_buffer_rows(&mut design, &library);
         assert_eq!(report.buffer_lines, 0);
         assert_eq!(report.skipped_nets, 1);
         assert_eq!(report.violating_nets, 1);
-        assert!(edit.is_noop());
+        assert!(appended.is_empty());
         assert_eq!(design, before);
         assert_eq!(required_buffer_lines(&design), 0);
     }
@@ -508,47 +427,45 @@ mod tests {
         let (mut design, library) = design_for(Benchmark::Adder8);
         let net = design.nets[0];
         design.cells[net.driver].x = design.rules.max_wirelength * 3.0;
-        let cells_before = design.cell_count();
-        let nets_before = design.net_count();
-        let rows_before = design.rows.len();
+        let before = design.clone();
 
-        let (report, edit) = insert_buffer_rows(&mut design, &library);
+        let (report, appended) = insert_buffer_rows(&mut design, &library);
 
-        assert_eq!(edit.first_new_cell, cells_before);
-        assert_eq!(edit.first_new_net, nets_before);
-        assert_eq!(edit.row_count, design.rows.len());
-        assert_eq!(edit.row_count, rows_before + report.buffer_lines);
-        assert_eq!(edit.row_remap.len(), rows_before);
-        // The remap is monotone, shifts only upward, and matches the final
-        // row of every pre-existing cell.
-        for pair in edit.row_remap.windows(2) {
-            assert!(pair[0] < pair[1]);
+        // The appended range holds exactly the inserted buffers, after every
+        // pre-existing cell.
+        assert_eq!(appended, before.cell_count()..design.cell_count());
+        assert_eq!(appended.len(), report.buffer_cells);
+        assert!(design.cells[appended.clone()].iter().all(|cell| cell.kind == CellKind::Buffer));
+        assert_eq!(design.rows.len(), before.rows.len() + report.buffer_lines);
+        // Pre-existing cells keep their x, and each old row moves as a
+        // whole: upward, in the same order.
+        let mut remap = std::collections::BTreeMap::new();
+        for (old, new) in before.cells.iter().zip(&design.cells) {
+            assert_eq!(old.x, new.x);
+            assert_eq!(*remap.entry(old.row).or_insert(new.row), new.row);
         }
-        for (old, &new) in edit.row_remap.iter().enumerate() {
+        for (&old, &new) in &remap {
             assert!(new >= old);
         }
-        // Split nets: rewritten in place, driver now a fresh buffer cell on
-        // the row right below the sink.
-        assert!(!edit.split_nets.is_empty());
-        for &net_index in &edit.split_nets {
-            assert!(net_index < edit.first_new_net);
+        let new_rows: Vec<usize> = remap.into_values().collect();
+        assert!(new_rows.windows(2).all(|pair| pair[0] < pair[1]));
+        // Split nets: rewritten in place, driver now an appended buffer on
+        // the row right below the original sink.
+        let split: Vec<usize> =
+            (0..before.net_count()).filter(|&n| design.nets[n] != before.nets[n]).collect();
+        assert!(!split.is_empty());
+        for &net_index in &split {
             let net = design.nets[net_index];
-            assert!(net.driver >= edit.first_new_cell, "split nets are driven by new buffers");
+            assert!(appended.contains(&net.driver), "split nets are driven by new buffers");
+            assert_eq!(net.sink, before.nets[net_index].sink);
             assert_eq!(design.cells[net.sink].row, design.cells[net.driver].row + 1);
         }
-        // Edited channel rows cover the rows of every appended cell and the
-        // (remapped) driver rows of every split net's chain.
-        let edited: std::collections::BTreeSet<usize> =
-            edit.edited_channel_rows().into_iter().collect();
-        for cell in &design.cells[edit.first_new_cell..] {
-            assert!(edited.contains(&cell.row) || edited.contains(&(cell.row - 1)));
+        // Every appended net leads one hop up from an existing or appended
+        // cell to an appended buffer.
+        for net in &design.nets[before.net_count()..] {
+            assert!(appended.contains(&net.sink));
+            assert_eq!(design.cells[net.sink].row, design.cells[net.driver].row + 1);
         }
-        // The inverse remap round-trips and marks inserted rows as new.
-        let inverse = edit.inverse_row_remap();
-        for (old, &new) in edit.row_remap.iter().enumerate() {
-            assert_eq!(inverse[new], Some(old));
-        }
-        assert_eq!(inverse.iter().filter(|slot| slot.is_none()).count(), report.buffer_lines);
     }
 
     #[test]

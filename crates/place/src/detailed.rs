@@ -117,11 +117,11 @@ pub struct DetailedPlacementReport {
     /// the convergence trajectory observers and benches inspect.
     pub pass_moves: Vec<usize>,
     /// Indices (into `PlacedDesign::cells`) of every cell at least one
-    /// accepted move displaced, sorted and deduplicated. The flow's
-    /// incremental DRC repair reroutes (and re-times) only the channels
-    /// these cells touch. A cell that moved and later moved back is still
-    /// listed — the set is a conservative superset of the cells whose final
-    /// position differs.
+    /// accepted move displaced, sorted and deduplicated. The flow's DRC
+    /// repair reports the channels these cells touch to its observers and
+    /// stops when a repair moves nothing. A cell that moved and later moved
+    /// back is still listed — the set is a conservative superset of the
+    /// cells whose final position differs.
     pub moved_cells: Vec<usize>,
 }
 

@@ -1,7 +1,6 @@
 //! The placement engine: the full placement pipeline plus the baselines.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use aqfp_cells::{CancelToken, Technology};
 use aqfp_synth::SynthesizedNetlist;
@@ -84,8 +83,6 @@ pub struct PlacementResult {
     pub buffer_report: BufferRowReport,
     /// Static timing report at the target clock.
     pub timing: TimingReport,
-    /// Wall-clock runtime of the placement pipeline in seconds.
-    pub runtime_s: f64,
 }
 
 impl PlacementResult {
@@ -184,8 +181,6 @@ impl PlacementEngine {
         placer: PlacerKind,
         scratch: &mut GlobalPlaceScratch,
     ) -> PlacementResult {
-        let start = Instant::now();
-
         match placer {
             PlacerKind::SuperFlow => {
                 global_place_with_scratch(&mut design, &self.options.global, &self.cancel, scratch);
@@ -200,7 +195,7 @@ impl PlacementEngine {
             }
         }
 
-        let (buffer_report, _edit) = insert_buffer_rows(&mut design, &self.technology);
+        let (buffer_report, _) = insert_buffer_rows(&mut design, &self.technology);
         if buffer_report.buffer_cells > 0 {
             // The freshly inserted buffer rows are packed onto legal,
             // grid-aligned positions; already-legal rows are untouched
@@ -221,7 +216,6 @@ impl PlacementEngine {
             buffer_lines: buffer_report.buffer_lines,
             buffer_report,
             timing,
-            runtime_s: start.elapsed().as_secs_f64(),
             design,
         }
     }
@@ -261,7 +255,6 @@ mod tests {
         assert_eq!(result.design.overlap_count(), 0);
         assert_eq!(result.design.spacing_violations(), 0);
         assert!(result.hpwl_um > 0.0);
-        assert!(result.runtime_s >= 0.0);
     }
 
     #[test]

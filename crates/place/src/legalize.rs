@@ -20,8 +20,8 @@ pub struct LegalizationReport {
     /// Overlapping pairs found before legalization.
     pub overlaps_before: usize,
     /// Indices (into [`PlacedDesign::cells`]) of every cell legalization
-    /// actually displaced. The flow's incremental DRC repair uses this to
-    /// reroute only the channels touched by the moved cells.
+    /// actually displaced. The flow's DRC repair reports the channels these
+    /// cells touch to its observers and stops when a repair moves nothing.
     pub moved_cells: Vec<usize>,
 }
 

@@ -55,7 +55,7 @@ pub mod global;
 pub mod legalize;
 pub mod parallel;
 
-pub use buffer_rows::{BufferRowReport, DesignEdit};
+pub use buffer_rows::BufferRowReport;
 pub use design::{PhysNet, PlacedCell, PlacedDesign};
 pub use detailed::DetailedPlacementConfig;
 pub use engine::{PlacementEngine, PlacementOptions, PlacementResult, PlacerKind};

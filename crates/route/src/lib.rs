@@ -64,12 +64,14 @@
 //!   each; one worker runs on the calling thread). A channel's outcome does
 //!   not depend on which worker routed it, and outcomes merge in row order,
 //!   so serial and parallel runs are byte-identical.
-//! * **Partial reroute** — [`Router::route_partial`] reroutes only the
-//!   channels named dirty (because DRC repair moved cells in them) and
-//!   reuses every other channel's wires from the previous
-//!   [`RoutingResult`]. Channel routing is deterministic, so the outcome is
-//!   byte-identical to a from-scratch [`Router::route`] of the same design;
-//!   the flow's DRC-repair loop is built on this entry point.
+//! * **Partial reroute** — [`Router::route_partial`] takes the changed
+//!   design and the previous [`RoutingResult`] and finds for itself which
+//!   channels changed: a channel whose nets and pin columns match a
+//!   previous channel's, read back from its wires, reuses those wires, and
+//!   every other channel is routed fresh. Channel routing is deterministic,
+//!   so the outcome is byte-identical to a from-scratch [`Router::route`]
+//!   of the same design; the flow's DRC-repair loop is built on this entry
+//!   point.
 //!
 //! The `routing_perf` bench in `crates/bench` tracks these paths
 //! (`route_channel`, `route_parallel_scaling`, `global_place_iteration`) and

@@ -24,12 +24,17 @@
 //!    workers) and the outcomes come back in row order. Each channel is
 //!    routed by the same sequential procedure regardless of the thread
 //!    count, so serial and parallel runs produce identical results.
+//!
+//! After a placement change, [`Router::route_partial`] routes only the
+//! channels whose input changed. It compares each channel's nets and pin
+//! columns with those the previous routing's wires start and end on, so no
+//! caller has to record what it moved.
 
 use std::sync::Arc;
 
 use aqfp_cells::{CancelToken, Point, Technology};
 use aqfp_place::parallel::{effective_threads, run_in_order};
-use aqfp_place::{DesignEdit, PlacedDesign};
+use aqfp_place::PlacedDesign;
 use serde::{Deserialize, Serialize};
 
 use crate::grid::{ChannelGrid, GridPoint, SearchScratch};
@@ -124,8 +129,9 @@ pub struct RoutingResult {
     /// buffers added by synthesis and placement).
     pub jj_count: usize,
     /// Width of the routing grid (in columns) the result was routed on.
-    /// [`Router::route_partial`] reuses a channel's wires only while the
-    /// grid the new design derives still has this column count.
+    /// [`Router::route_partial`] reuses wires only while the grid the
+    /// changed design derives still has this column count: pin columns
+    /// clamp at the grid's edge and every channel's grid spans it.
     pub grid_columns: i64,
 }
 
@@ -211,110 +217,74 @@ impl Router {
         self.assemble(outcomes, design, columns)
     }
 
-    /// Reroutes only the channels whose driver row is in `dirty_rows`,
-    /// reusing every other channel's wires and report from `previous`.
+    /// Routes `design` again after it changed, reusing every channel of
+    /// `previous` (this router's routing of an earlier state of the design)
+    /// that would route the same, and routing the rest fresh.
     ///
-    /// This is the flow's incremental DRC-repair entry point. Two kinds of
-    /// repair feed it:
+    /// This is the flow's incremental DRC-repair entry point; the caller
+    /// says nothing about what changed. A channel's routing depends on its
+    /// nets in order, each net's driver and sink pin column, and the grid's
+    /// column count, and every routed wire starts on its driver's pin
+    /// column and ends on its sink's, so a previous channel's input can be
+    /// read back from its wires. A channel of `design` reuses the previous
+    /// channel that holds its first net when the two match net for net:
+    /// the same net ids in the same order, on the same pin columns. The
+    /// reused wires move out of `previous`, translated onto the channel's
+    /// current vertical base when rows were renumbered (buffer-row
+    /// insertion shifts rows upward), and the reused report takes the new
+    /// row. Every other channel is routed fresh.
     ///
-    /// * **Pure moves** (`edit: None`) — legalization or detailed placement
-    ///   displaced cells without touching the row or net numbering. The
-    ///   flow maps each moved cell to the (at most two) channels it
-    ///   touches; only those channels reroute.
-    /// * **Buffer-row edits** (`edit: Some`) — `insert_buffer_rows`
-    ///   renumbered rows and appended cells/nets. The edit's row remap
-    ///   re-keys every clean channel to its new row index (reports take the
-    ///   new row, wires translate vertically onto the channel's new track
-    ///   base); only the channels the edit created or rewrote
-    ///   ([`DesignEdit::edited_channel_rows`] — callers pass them inside
-    ///   `dirty_rows`) and the channels of cells the post-edit
-    ///   legalize/detailed-place pass moved are routed fresh.
+    /// When the column count changed (a moved or inserted cell widened or
+    /// narrowed the widest layer), or a net of `previous` failed (its wire
+    /// is missing, so the channel boundaries cannot be read back), the call
+    /// is [`Router::route`] of the design, which routes every channel.
     ///
     /// Channel routing is deterministic and channels share no routing
-    /// state, so the result is byte-identical to a from-scratch
-    /// [`Router::route`] of the same design in both modes.
-    ///
-    /// The byte-identical guarantee requires `dirty_rows` to cover every
-    /// channel whose cells moved since `previous` was routed — a channel
-    /// wrongly reported clean keeps its stale wires. Grid-shape drift is
-    /// handled defensively on top of that. When the column count changed (a
-    /// moved or inserted cell widened or narrowed the widest layer), the
-    /// net list changed in a way the edit does not describe, or the edit's
-    /// row numbering does not fit the design, no previous wire is reused:
-    /// the call returns [`Router::route`] of the design, which reroutes
-    /// every channel. A supposedly clean channel whose net count disagrees
-    /// with its previous report reroutes on its own.
-    pub fn route_partial(
-        &self,
-        design: &PlacedDesign,
-        previous: &RoutingResult,
-        dirty_rows: &[usize],
-        edit: Option<&DesignEdit>,
-    ) -> RoutingResult {
+    /// state, so the result is byte-identical to [`Router::route`] of the
+    /// same design.
+    pub fn route_partial(&self, design: &PlacedDesign, previous: RoutingResult) -> RoutingResult {
         let (step, columns, initial_tracks, auto_tracks) = self.grid_params(design);
-        let previous_nets = previous.stats.nets_routed + previous.stats.failed_nets;
-        // The nets `previous` covered must be exactly the pre-edit nets
-        // (all of today's nets when there was no edit).
-        let expected_nets = edit.map_or(design.net_count(), |edit| edit.first_new_net);
-        let rows_consistent = edit.is_none_or(|edit| {
-            edit.row_count == design.rows.len()
-                && edit.row_remap.last().is_none_or(|&last| last < edit.row_count)
-        });
-        if columns != previous.grid_columns || previous_nets != expected_nets || !rows_consistent {
+        if columns != previous.grid_columns || previous.stats.failed_nets > 0 {
             return self.route(design);
         }
 
-        // New row → old row; identity when no edit renumbered the rows.
-        let new_to_old: Vec<Option<usize>> = match edit {
-            Some(edit) => edit.inverse_row_remap(),
-            None => (0..design.rows.len()).map(Some).collect(),
-        };
-
-        let mut dirty: std::collections::BTreeSet<usize> = dirty_rows.iter().copied().collect();
-        if let Some(edit) = edit {
-            // The channels the edit created or rewrote carry new or
-            // renumbered nets and can never reuse previous wires; fold them
-            // in here so the guarantee does not depend on the caller
-            // remembering to.
-            dirty.extend(edit.edited_channel_rows());
-        }
-        // Previous reports keyed by their *old* row index.
-        let previous_reports: std::collections::BTreeMap<usize, ChannelReport> =
-            previous.channels.iter().map(|report| (report.row, *report)).collect();
-        // Previous wires grouped by their *new* channel row, skipping the
-        // dirty rows whose wires are about to be replaced anyway. Mapping
-        // through the current design is correct in both modes: pure moves
-        // never change a driver's row, and under an edit a pre-existing
-        // net's driver either kept its cell (row remapped with the channel)
-        // or became a buffer in an edited — hence dirty — channel.
-        let mut previous_wires: std::collections::BTreeMap<usize, Vec<RoutedWire>> =
-            Default::default();
-        for wire in &previous.wires {
-            let row = design.cells[design.nets[wire.net].driver].row;
-            if !dirty.contains(&row) {
-                previous_wires.entry(row).or_default().push(wire.clone());
+        // Channel `k` of `previous` owns the next `channels[k].nets` wires.
+        let mut previous_wires = previous.wires.into_iter();
+        let mut chunks: Vec<Vec<RoutedWire>> = previous
+            .channels
+            .iter()
+            .map(|report| previous_wires.by_ref().take(report.nets).collect())
+            .collect();
+        // Net id → the previous channel whose first net it is.
+        let mut channel_of_first_net: Vec<Option<usize>> = vec![None; design.net_count()];
+        for (channel, chunk) in chunks.iter().enumerate() {
+            let first = chunk.first().and_then(|wire| channel_of_first_net.get_mut(wire.net));
+            if let Some(slot) = first {
+                *slot = Some(channel);
             }
         }
 
-        let jobs = build_channel_jobs(design, step, columns);
-        let (dirty_jobs, clean_jobs): (Vec<ChannelJob>, Vec<ChannelJob>) =
-            jobs.into_iter().partition(|job| {
-                dirty.contains(&job.row)
-                    || new_to_old[job.row].is_none()
-                    || previous_reports
-                        .get(&new_to_old[job.row].expect("checked above"))
-                        .is_none_or(|report| report.nets != job.nets.len())
-            });
-
-        let mut outcomes =
-            self.route_channels(&dirty_jobs, columns, initial_tracks, auto_tracks, step);
-        for job in &clean_jobs {
-            let old_row = new_to_old[job.row].expect("clean channels map to a previous row");
-            let mut report = previous_reports[&old_row];
-            report.row = job.row;
-            let wires = previous_wires.remove(&job.row).unwrap_or_default();
-            outcomes.push(ChannelOutcome { report, wires: rekey_wires(wires, job.y_base, step) });
+        let mut fresh_jobs = Vec::new();
+        let mut outcomes = Vec::new();
+        for job in build_channel_jobs(design, step, columns) {
+            let reused = channel_of_first_net[job.nets[0].net]
+                .filter(|&channel| routes_the_same(&chunks[channel], &job.nets, step));
+            match reused {
+                Some(channel) => {
+                    let report = ChannelReport { row: job.row, ..previous.channels[channel] };
+                    let wires = rekey_wires(std::mem::take(&mut chunks[channel]), job.y_base, step);
+                    outcomes.push(ChannelOutcome { report, wires });
+                }
+                None => fresh_jobs.push(job),
+            }
         }
+        outcomes.extend(self.route_channels(
+            &fresh_jobs,
+            columns,
+            initial_tracks,
+            auto_tracks,
+            step,
+        ));
         outcomes.sort_by_key(|outcome| outcome.report.row);
         self.assemble(outcomes, design, columns)
     }
@@ -706,8 +676,22 @@ fn rip_extension(grid: &mut ChannelGrid, goal_col: i64, routed_top: i64, current
     }
 }
 
+/// Whether a previous channel whose wires are `wires` had the input of a
+/// channel with `nets`: the same nets in the same order, each wire starting
+/// on its driver's pin column and ending on its sink's, at the x
+/// [`materialize_wire`] gives those columns.
+fn routes_the_same(wires: &[RoutedWire], nets: &[ChannelNet], step: f64) -> bool {
+    let column_x = |column: i64| (column as f64 * step).to_bits();
+    wires.len() == nets.len()
+        && wires.iter().zip(nets).all(|(wire, net)| {
+            wire.net == net.net
+                && wire.path.first().is_some_and(|pin| pin.x.to_bits() == column_x(net.start_col))
+                && wire.path.last().is_some_and(|pin| pin.x.to_bits() == column_x(net.goal_col))
+        })
+}
+
 /// Translates reused channel wires onto their channel's (possibly new)
-/// vertical base after a row-renumbering edit.
+/// vertical base after rows were renumbered.
 ///
 /// A channel wire's y coordinates are `y_base + track × step` with the
 /// driver pin on track 0, so the old base is the wire's minimum y and each
@@ -883,11 +867,11 @@ mod tests {
     }
 
     #[test]
-    fn partial_reroute_with_no_dirty_channels_returns_the_previous_result() {
+    fn partial_reroute_of_an_unchanged_design_returns_the_previous_result() {
         let (design, library) = placed(Benchmark::Adder8);
         let router = Router::new(library);
         let before = router.route(&design);
-        let rerouted = router.route_partial(&design, &before, &[], None);
+        let rerouted = router.route_partial(&design, before.clone());
         assert_eq!(before, rerouted, "an untouched design must reuse every channel verbatim");
     }
 
@@ -900,18 +884,13 @@ mod tests {
         // Nudge the leftmost cell of two rows by one grid step (leftmost so
         // the overall layer width — and with it the grid column count —
         // stays put and the partial path is actually exercised).
-        let mut dirty = Vec::new();
         for row in [2usize, 5] {
             let cell = design.rows[row][0];
             design.cells[cell].x += design.rules.grid;
-            dirty.push(row);
-            if row > 0 {
-                dirty.push(row - 1);
-            }
         }
 
         let scratch = router.route(&design);
-        let partial = router.route_partial(&design, &before, &dirty, None);
+        let partial = router.route_partial(&design, before.clone());
         assert_eq!(scratch, partial, "incremental reroute must match a from-scratch reroute");
         let scratch_json = serde_json::to_string(&scratch).expect("serialize");
         let partial_json = serde_json::to_string(&partial).expect("serialize");
@@ -921,10 +900,11 @@ mod tests {
         assert_ne!(before, scratch, "the perturbation must change the routed result");
     }
 
-    /// The tentpole guarantee: after a real buffer-row edit (rows
-    /// renumbered, cells and nets appended, originals split), consuming the
-    /// [`DesignEdit`] reroutes only the edited/moved channels and is still
-    /// byte-identical to a from-scratch route of the edited design.
+    /// After a real buffer-row insertion (rows renumbered, cells and nets
+    /// appended, originals split) and the re-legalization the flow runs
+    /// after it, the partial reroute re-keys the unchanged channels onto
+    /// their new rows and is still byte-identical to a from-scratch route
+    /// of the edited design.
     #[test]
     fn partial_reroute_consumes_a_buffer_row_edit() {
         use aqfp_place::buffer_rows::insert_buffer_rows;
@@ -935,7 +915,7 @@ mod tests {
         let before = router.route(&design);
 
         // Stretch one mid-design driver far enough to force buffer rows,
-        // then repair exactly like the flow does: insert, re-legalize.
+        // then repair like the flow does: insert, re-legalize.
         let victim_row = 13usize;
         let net_index = design
             .nets
@@ -956,56 +936,23 @@ mod tests {
         design.sort_rows_by_x();
         assert!(!design.max_wirelength_violations().is_empty(), "the stretch must violate");
 
-        let (_, edit) = insert_buffer_rows(&mut design, &library);
-        assert!(!edit.is_noop(), "the repair must renumber rows");
-        let moved = legalize(&mut design).moved_cells;
-
-        // Dirty set: the channels touched by every cell that moved since
-        // `before` was routed — the two the test stretched plus whatever
-        // the post-insert legalization displaced. (The edit's own channels
-        // are folded in by route_partial itself.)
-        let mut dirty: Vec<usize> = Vec::new();
-        for cell in moved.iter().copied().chain([driver, sink]) {
-            let row = design.cells[cell].row;
-            dirty.push(row);
-            if row > 0 {
-                dirty.push(row - 1);
-            }
-        }
-        dirty.sort_unstable();
-        dirty.dedup();
+        let (_, appended) = insert_buffer_rows(&mut design, &library);
+        assert!(!appended.is_empty(), "the repair must insert buffer cells");
+        legalize(&mut design);
 
         let scratch = router.route(&design);
-        let partial = router.route_partial(&design, &before, &dirty, Some(&edit));
+        let partial = router.route_partial(&design, before.clone());
         assert_eq!(
             before.grid_columns, partial.grid_columns,
             "the perturbation must keep the column count so the incremental path is exercised"
         );
-        assert_eq!(scratch, partial, "edit-aware reroute must match a from-scratch reroute");
+        assert_eq!(scratch, partial, "the partial reroute must match a from-scratch reroute");
         let scratch_json = serde_json::to_string(&scratch).expect("serialize");
         let partial_json = serde_json::to_string(&partial).expect("serialize");
         assert_eq!(scratch_json, partial_json, "… down to the serialized bytes");
-        // The edit must have genuinely moved channels upward, so clean
+        // The edit must have genuinely moved channels upward, so unchanged
         // channels were re-keyed rather than reused trivially.
         assert!(design.rows.len() > before.channels.len(), "rows were inserted");
-    }
-
-    /// An edit whose description disagrees with the design (stale edit)
-    /// falls back to a from-scratch route instead of mixing stale wires in.
-    #[test]
-    fn partial_reroute_rejects_inconsistent_edits() {
-        let (mut design, library) = placed(Benchmark::Adder8);
-        let router = Router::new(library);
-        let before = router.route(&design);
-        // A fabricated edit claiming one more net than the previous result
-        // covered: expected nets mismatch => full route.
-        let mut edit = aqfp_place::DesignEdit::identity(&design);
-        edit.first_new_net -= 1;
-        let net = design.nets[0];
-        design.nets.push(net);
-        let partial = router.route_partial(&design, &before, &[], Some(&edit));
-        let scratch = router.route(&design);
-        assert_eq!(scratch, partial);
     }
 
     #[test]
@@ -1013,14 +960,29 @@ mod tests {
         let (mut design, library) = placed(Benchmark::Adder8);
         let router = Router::new(library);
         let before = router.route(&design);
-        // Splice in an extra net: the previous result no longer covers the
-        // design, so every channel must reroute regardless of the dirty set.
+        // Splice in an extra net: the channel that carries it no longer
+        // matches its previous channel net for net, so that channel routes
+        // in full while the others are reused.
         let net = design.nets[0];
         design.nets.push(net);
-        let partial = router.route_partial(&design, &before, &[], None);
+        let partial = router.route_partial(&design, before);
         let scratch = router.route(&design);
         assert_eq!(scratch, partial);
         assert_eq!(partial.stats.nets_routed + partial.stats.failed_nets, design.net_count());
+    }
+
+    /// A previous routing with failed nets (here a cancelled one) has
+    /// channels whose wires cannot be told apart, so the partial reroute
+    /// routes every channel.
+    #[test]
+    fn partial_reroute_over_failed_nets_equals_route() {
+        let (design, library) = placed(Benchmark::Adder8);
+        let token = CancelToken::new();
+        token.cancel();
+        let cancelled = Router::new(library.clone()).with_cancel(token).route(&design);
+        assert!(cancelled.stats.failed_nets > 0);
+        let router = Router::new(library);
+        assert_eq!(router.route_partial(&design, cancelled), router.route(&design));
     }
 
     #[test]

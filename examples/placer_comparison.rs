@@ -9,6 +9,9 @@
 //! `circuit` is one of `adder8`, `apc32`, `apc128`, `decoder`, `sorter32`,
 //! `c432`, `c499`, `c1355`, `c1908` (default `apc32`).
 
+use std::time::Instant;
+
+use aqfp_place::PlacerKind;
 use superflow_suite::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -31,14 +34,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "{:<15} {:>12} {:>10} {:>10} {:>12}",
         "placer", "HPWL (um)", "buffers", "WNS (ps)", "runtime (s)"
     );
-    for result in engine.place_all(&synthesized) {
+    for placer in PlacerKind::ALL {
+        let start = Instant::now();
+        let result = engine.place(&synthesized, placer);
         println!(
             "{:<15} {:>12.0} {:>10} {:>10} {:>12.2}",
-            result.placer.name(),
+            placer.name(),
             result.hpwl_um,
             result.buffer_lines,
             result.wns_display(),
-            result.runtime_s,
+            start.elapsed().as_secs_f64(),
         );
     }
     println!("\nExpected shape (paper, Table III): SuperFlow achieves the best or near-best");

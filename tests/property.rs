@@ -167,15 +167,13 @@ proptest! {
         let mut routed = session.route(placed).expect("routing succeeds");
 
         // Stretch a seed-chosen driver far past the maximum wirelength.
-        let moved = {
+        {
             let design = &mut routed.placed.placement.design;
             prop_assume!(design.net_count() > 0);
             let net = design.nets[(pick as usize) % design.net_count()];
             design.cells[net.driver].x += design.rules.max_wirelength * 2.0;
             design.sort_rows_by_x();
-            net.driver
-        };
-        routed.mark_cell_moved(moved);
+        }
         prop_assert!(
             !routed.placed.placement.design.max_wirelength_violations().is_empty(),
             "the stretch must create a violation"

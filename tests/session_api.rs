@@ -76,6 +76,35 @@ fn every_stage_checkpoint_resumes_to_identical_gds() {
     assert_eq!(checked.routed.routing.jj_count, reference.routed.routing.jj_count);
 }
 
+/// A routing checkpoint written before the routed artifact lost its
+/// dirty-channel list and the placement its wall-clock runtime still
+/// loads: unknown keys are skipped, and `check` finds the changed channels
+/// itself, so it checks to the layout of the uninterrupted run.
+#[test]
+fn a_routing_checkpoint_with_retired_keys_checks_to_the_same_gds() {
+    let mut session = FlowSession::new(fast_config()).expect("session opens");
+    let synthesized =
+        session.synthesize(&benchmark_circuit(Benchmark::Adder8)).expect("synthesis succeeds");
+    let placed = session.place(synthesized).expect("placement succeeds");
+    let routed = session.route(placed).expect("routing succeeds");
+    let json = routed.to_json().expect("serializes");
+    let reference = session.check(routed).expect("check succeeds").layout.to_gds_bytes();
+
+    let with_runtime = json.replacen("\"hpwl_um\": ", "\"runtime_s\": 0.25,\n    \"hpwl_um\": ", 1);
+    let legacy = format!(
+        "{},\n  \"dirty_channels\": [\n    3\n  ]\n}}",
+        with_runtime.strip_suffix("\n}").expect("the checkpoint closes its object")
+    );
+    assert!(legacy.contains("\"runtime_s\"") && legacy.contains("\"dirty_channels\""));
+
+    let parsed = Routed::from_json(&legacy).expect("the legacy checkpoint parses");
+    assert_eq!(parsed.to_json().expect("serializes"), json, "only the retired keys differ");
+    let loaded = session.load_checkpoint(legacy.as_bytes()).expect("the legacy checkpoint loads");
+    assert_eq!(loaded, Artifact::Routed(parsed.clone()));
+    let checked = session.check(parsed).expect("check succeeds");
+    assert_eq!(checked.layout.to_gds_bytes(), reference);
+}
+
 #[test]
 fn artifact_checkpoints_are_the_typed_checkpoints_byte_for_byte() {
     let mut session = FlowSession::new(fast_config()).expect("session opens");
@@ -189,28 +218,24 @@ fn a_truncated_check_checkpoint_fails_alike_from_its_file_and_its_text() {
     );
 }
 
-/// FNV-1a (64-bit) of `json` without its wall-clock `"runtime_s"` lines.
-fn hash_without_runtimes(json: &str) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for line in json.split('\n').filter(|line| !line.contains("\"runtime_s\"")) {
-        for byte in line.bytes().chain([b'\n']) {
-            hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    hash
+/// FNV-1a (64-bit) of `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
-/// The bytes of every existing adder8 `--fast` check checkpoint apart
-/// from its `"runtime_s"` line. The oracle test above runs the same
-/// derived code on both sides, so this is what pins the shape the derive
-/// writes for every artifact type, the GDS elements included. A change
-/// to the flow's results moves it, as it moves the golden layouts.
+/// The bytes of adder8's `--fast` check checkpoint, the whole file: it
+/// holds no wall-clock value. The oracle test above runs the same derived
+/// code on both sides, so this is what pins the shape the derive writes
+/// for every artifact type, the GDS elements included. A change to the
+/// flow's results moves it, as it moves the golden layouts.
 #[test]
 fn adder8_check_checkpoint_bytes_are_pinned() {
     let mut session = FlowSession::new(fast_config()).expect("session opens");
     let checked = session.run(&benchmark_circuit(Benchmark::Adder8)).expect("flow runs");
     let json = Artifact::Checked(checked).to_json().expect("serializes");
-    assert_eq!(format!("{:016x}", hash_without_runtimes(&json)), "49737824f602ac7f");
+    assert_eq!(format!("{:016x}", fnv1a(json.as_bytes())), "2612b1cd3fc6f5d2");
 }
 
 /// A non-finite number has no JSON form: every way of writing a
@@ -352,8 +377,6 @@ fn incremental_repair_is_byte_identical_to_a_from_scratch_reroute() {
         let left = design.rows[design.cells[victim].row][0];
         design.cells[victim].x = design.cells[left].x;
     }
-    routed.mark_cell_moved(victim);
-    assert!(routed.is_dirty());
 
     let checked = session.check(routed).expect("check succeeds");
 
@@ -384,6 +407,41 @@ fn incremental_repair_is_byte_identical_to_a_from_scratch_reroute() {
 
     // And the repair genuinely fixed the overlap it was given.
     assert_eq!(checked.routed.placed.placement.design.overlap_count(), 0);
+}
+
+/// A cell a caller moves one grid step between `route` and `check`, with
+/// no other call, is rerouted: the checked routing is the one a fresh
+/// route of the design gives, byte for byte, not the stale wires that
+/// still end on the cell's old pins.
+#[test]
+fn a_cell_moved_between_route_and_check_is_rerouted() {
+    let netlist = aqfp_netlist::parsers::parse_verilog(MAJORITY_VOTE).expect("valid Verilog");
+    let mut session = FlowSession::new(fast_config()).expect("session opens");
+    let synthesized = session.synthesize(&netlist).expect("synthesis succeeds");
+    let placed = session.place(synthesized).expect("placement succeeds");
+    let mut routed = session.route(placed).expect("routing succeeds");
+    let stale = routed.routing.clone();
+
+    // Move a row's leftmost cell one grid step left: it has no neighbour
+    // on that side, and it is not the cell that sets the layer's width.
+    let design = &mut routed.placed.placement.design;
+    let grid = design.rules.grid;
+    let layer_width = design.layer_width();
+    let cell = design
+        .rows
+        .iter()
+        .filter_map(|row| row.first().copied())
+        .find(|&cell| design.cells[cell].x >= grid && design.cells[cell].right() < layer_width)
+        .expect("a row whose leftmost cell can move left");
+    design.cells[cell].x -= grid;
+
+    let checked = session.check(routed).expect("check succeeds");
+    let router = Router::with_config(Arc::clone(session.technology()), session.config().router);
+    let fresh = router.route(&checked.routed.placed.placement.design);
+    assert_ne!(fresh, stale, "the move must change the routing");
+    let fresh_json = serde_json::to_string(&fresh).expect("serialize");
+    let checked_json = serde_json::to_string(&checked.routed.routing).expect("serialize");
+    assert_eq!(checked_json, fresh_json, "the checked routing is a fresh route of its design");
 }
 
 /// The tentpole guarantee, asserted over benchmark circuits: every one of
