@@ -29,10 +29,12 @@
 //!   [`DesignReport::actual_stage_s`]), making the cost model auditable
 //!   from CI. `--no-predict` (or [`BatchConfig::predict`] = false) restores
 //!   flat deadlines and submission order.
-//! - **Degraded retry.** A failed or timed-out design is re-run once under
-//!   [`FlowConfig::degraded`] (strictly serial stages, doubled DRC-repair
-//!   budget) before it is classified `Failed`; a design rescued this way is
-//!   classified [`DesignStatus::Degraded`].
+//! - **Degraded retry.** A failed or timed-out design is re-run once, from
+//!   scratch and with strictly serial stages
+//!   ([`FlowConfig::with_threads`]`(1)`), before it is classified `Failed`;
+//!   a design rescued this way is classified [`DesignStatus::Degraded`].
+//!   Every stage writes the same bytes at any thread count, so a rescued
+//!   design's GDS and checkpoints are those of an uninterrupted run.
 //! - **Crash-safe resume.** With a journal directory configured, every
 //!   completed stage checkpoints its artifact JSON atomically under
 //!   `<journal>/<design>/<stage>.json` ([`Artifact::write_checkpoint`]:
@@ -269,7 +271,7 @@ pub struct BatchConfig {
     pub workers: usize,
     /// Per-stage wall-clock budget; `None` runs without deadlines.
     pub stage_timeout: Option<Duration>,
-    /// Re-run a failed design once under [`FlowConfig::degraded`] before
+    /// Re-run a failed design once, from scratch on one thread, before
     /// classifying it [`DesignStatus::Failed`]. On by default.
     pub retry_degraded: bool,
     /// Journal directory for per-design stage checkpoints; `None` disables
@@ -704,10 +706,9 @@ impl BatchRunner {
                 (DesignStatus::Succeeded, 1, success.resumed_from, Some(success.timings))
             }
             // Lint rejections and verification failures are deterministic —
-            // the degraded retry changes thread counts and repair budgets,
-            // not the netlist or the verifier's verdict — so retrying would
-            // waste a full flow attempt on a design that fails the same
-            // check again.
+            // the degraded retry changes the thread count, not the netlist
+            // or the verifier's verdict — so retrying would waste a full
+            // flow attempt on a design that fails the same check again.
             Err(failure)
                 if self.config.retry_degraded
                     && failure.stage.as_deref() != Some(LINT_STAGE)
@@ -715,7 +716,7 @@ impl BatchRunner {
             {
                 match self.run_attempt(
                     job,
-                    flow.clone().degraded(),
+                    flow.clone().with_threads(1),
                     technology,
                     2,
                     predicted.as_ref(),

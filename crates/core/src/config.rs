@@ -234,20 +234,6 @@ impl FlowConfig {
         }
     }
 
-    /// The degraded variant of this configuration, used by the batch
-    /// driver's retry policy after a design fails or times out: strictly
-    /// serial stage execution (no parallel row sweeps or channel workers
-    /// competing for cores) and a doubled DRC-repair budget, so the retry
-    /// trades wall-clock time for a better chance of completing. Everything
-    /// else — technology, placer, stage options — is unchanged, keeping the
-    /// retry's result comparable to the original attempt.
-    pub fn degraded(self) -> Self {
-        let max_drc_iterations = self.max_drc_iterations.saturating_mul(2).max(1);
-        let mut config = self.with_threads(1);
-        config.max_drc_iterations = max_drc_iterations;
-        config
-    }
-
     /// Resolves [`FlowConfig::tech`] to the shared, validated technology
     /// every stage of a session built from this configuration will target.
     ///
@@ -346,19 +332,6 @@ mod tests {
         assert_eq!(FlowConfig::default().threads(), 0);
         assert_eq!(FlowConfig::default().placement.detailed.threads, 0);
         assert_eq!(FlowConfig::default().placement.global.threads, 0);
-    }
-
-    #[test]
-    fn degraded_is_serial_with_a_doubled_repair_budget() {
-        let base = FlowConfig::fast().with_threads(4);
-        let degraded = base.clone().degraded();
-        assert_eq!(degraded.threads(), 1);
-        assert_eq!(degraded.placement.detailed.threads, 1);
-        assert_eq!(degraded.max_drc_iterations, base.max_drc_iterations * 2);
-        // Everything else is untouched — the retry stays comparable.
-        assert_eq!(degraded.tech, base.tech);
-        assert_eq!(degraded.placer, base.placer);
-        assert_eq!(degraded.placement.global.iterations, base.placement.global.iterations);
     }
 
     #[test]

@@ -34,10 +34,13 @@
 //! other one onto its (possibly renumbered) row (unless the repair changed
 //! the routing grid's column count; then it reroutes every channel). The
 //! result is byte-identical to a from-scratch reroute, even across
-//! buffer-row insertions, and no repair records what it changed for the
-//! router. The loop keeps no timing state: after it, the check stage
-//! analyzes the repaired design once, so the final placement report
-//! carries the post-repair timing.
+//! buffer-row insertions, and no repair records what it changed. The loop
+//! finds that itself: it copies every cell's x before a repair, and the
+//! cells whose x the repair changed, plus the cells it inserted, name the
+//! rows of the [`RepairScope`] its observers see; a repair that changed
+//! nothing ends the loop. The loop keeps no timing state: after it, the
+//! check stage analyzes the repaired design once, so the final placement
+//! report carries the post-repair timing.
 //!
 //! # Examples
 //!
@@ -232,14 +235,14 @@ pub enum RepairScope<'a> {
     /// produces this scope, but the variant remains for observers of
     /// external drivers that invalidate the whole routing.
     Full,
-    /// The channel rows the repair touched, sorted: the row of each cell it
-    /// moved or inserted and the row below it (the channels carrying the
-    /// cell's driven and sunk nets). The reroute that follows does not read
-    /// this list; [`Router::route_partial`] finds the changed channels
-    /// itself.
+    /// The channel rows the repair touched, sorted: the row of each cell
+    /// whose x it changed or that it inserted, and the row below it (the
+    /// channels carrying the cell's driven and sunk nets). The reroute that
+    /// follows does not read this list; [`Router::route_partial`] finds the
+    /// changed channels itself.
     Channels(&'a [usize]),
-    /// The repair moved and inserted no cells, so the loop has reached a
-    /// fixed point and stops.
+    /// The repair changed no cell's x and inserted no cell, so the loop has
+    /// reached a fixed point and stops.
     Unchanged,
 }
 
@@ -1175,9 +1178,11 @@ impl FlowSession {
     /// every other channel onto its renumbered row; when a repair widens
     /// (or narrows) the widest layer, it reroutes every channel. Either way
     /// the routing is byte-identical to rerouting the repaired design from
-    /// scratch. The rows each repair touched go to the observers as a
-    /// [`RepairScope`], and a repair that moved and inserted nothing ends
-    /// the loop.
+    /// scratch. The loop compares every cell's x before and after each
+    /// repair: the rows of the cells whose x changed or that the repair
+    /// inserted, and the row below each, go to the observers as a
+    /// [`RepairScope`], and a repair that changed no x and inserted no cell
+    /// ends the loop.
     ///
     /// After the loop, one batched timing analysis of the repaired design
     /// refreshes [`PlacementResult::timing`], so the report reflects the
@@ -1216,10 +1221,10 @@ impl FlowSession {
             self.ensure_not_cancelled(FlowStage::Check)?;
             drc_iterations += 1;
             let design = &mut placed.placement.design;
-            let mut changed_cells: Vec<usize> = Vec::new();
+            let x_before: Vec<f64> = design.cells.iter().map(|cell| cell.x).collect();
             if drc.count(DrcViolationKind::CellSpacing) > 0 {
                 // Spacing problems are fixed by re-legalization.
-                changed_cells.extend(legalize(design).moved_cells);
+                legalize(design);
             }
             if drc.count(DrcViolationKind::MaxWirelength) > 0 {
                 // Split over-long connections with buffer rows, re-legalize,
@@ -1230,25 +1235,12 @@ impl FlowSession {
                 // design stays put and the router reuses its channels.
                 let detailed =
                     self.config.placement.detailed.with_technology_timing(&self.technology);
-                let (report, repaired) = repair_buffer_rows(design, &self.technology, &detailed);
+                let report = repair_buffer_rows(design, &self.technology, &detailed);
                 placed.placement.buffer_lines += report.buffer_lines;
                 placed.placement.buffer_report.buffer_lines += report.buffer_lines;
                 placed.placement.buffer_report.buffer_cells += report.buffer_cells;
-                changed_cells.extend(repaired);
             }
-            // The channels each moved or inserted cell touches: its row's,
-            // which carries the nets it drives, and the one below, which
-            // carries the nets it sinks. Cell rows are read *after* every
-            // repair of this iteration, in the current row numbering.
-            let mut touched_rows: BTreeSet<usize> = BTreeSet::new();
-            for &cell in &changed_cells {
-                let row = design.cells[cell].row;
-                touched_rows.insert(row);
-                if row > 0 {
-                    touched_rows.insert(row - 1);
-                }
-            }
-            let touched: Vec<usize> = touched_rows.into_iter().collect();
+            let touched = repaired_rows(design, &x_before);
             let scope = if touched.is_empty() {
                 RepairScope::Unchanged
             } else {
@@ -1331,6 +1323,24 @@ impl FlowSession {
     }
 }
 
+/// The channel rows a DRC repair touched, sorted: for every cell whose x
+/// the repair changed (by more than 1e-9 µm) or that it appended (an index
+/// past the end of `x_before`, the cells' x before the repair), its row,
+/// which carries the nets it drives, and the row below, which carries the
+/// nets it sinks. Rows are read after the repair, in its row numbering.
+fn repaired_rows(design: &PlacedDesign, x_before: &[f64]) -> Vec<usize> {
+    let mut rows = BTreeSet::new();
+    for (index, cell) in design.cells.iter().enumerate() {
+        if x_before.get(index).is_none_or(|&x| (cell.x - x).abs() > 1e-9) {
+            rows.insert(cell.row);
+            if cell.row > 0 {
+                rows.insert(cell.row - 1);
+            }
+        }
+    }
+    rows.into_iter().collect()
+}
+
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
@@ -1379,6 +1389,49 @@ mod tests {
         fn drc_iteration(&mut self, iteration: usize, report: &DrcReport, scope: RepairScope<'_>) {
             self.0.borrow_mut().drc_iteration(iteration, report, scope);
         }
+    }
+
+    #[test]
+    fn repaired_rows_name_the_rows_of_moved_and_inserted_cells() {
+        use aqfp_cells::{CellKind, ProcessRules};
+        use aqfp_place::PlacedCell;
+
+        let cell = |name: &str, row: usize, x: f64| PlacedCell {
+            gate: None,
+            name: name.into(),
+            kind: CellKind::Buffer,
+            width: 30.0,
+            height: 40.0,
+            row,
+            x,
+        };
+        let rules = ProcessRules::mit_ll();
+        let mut design = PlacedDesign {
+            name: "repair".into(),
+            cells: vec![
+                cell("moved_in_row_0", 0, 0.0),
+                cell("moved_and_back", 3, 0.0),
+                cell("still", 4, 0.0),
+                cell("moved", 2, 50.0),
+            ],
+            nets: vec![],
+            rows: vec![vec![0], vec![], vec![3], vec![1], vec![2], vec![]],
+            row_pitch: rules.row_pitch,
+            rules,
+        };
+        let x_before: Vec<f64> = design.cells.iter().map(|c| c.x).collect();
+        assert!(repaired_rows(&design, &x_before).is_empty(), "nothing changed yet");
+
+        design.cells[0].x = 20.0;
+        design.cells[1].x = 40.0;
+        design.cells[1].x = 0.0;
+        design.cells[3].x = 60.0;
+        design.cells.push(cell("inserted", 5, 10.0));
+        design.rows[5].push(4);
+        // `moved_in_row_0` names row 0 alone, `moved` rows 1 and 2, and
+        // `inserted` rows 4 and 5; row 3 holds only the cell that moved
+        // back.
+        assert_eq!(repaired_rows(&design, &x_before), vec![0, 1, 2, 4, 5]);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! sweeps, followed by the shared Tetris legalization.
 
 use crate::design::PlacedDesign;
-use crate::legalize::{legalize, LegalizationReport};
+use crate::legalize::legalize;
 
 /// Configuration of the GORDIAN-style baseline.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -23,8 +23,8 @@ impl Default for GordianConfig {
 }
 
 /// Runs the GORDIAN-style baseline: quadratic wirelength minimization
-/// followed by Tetris legalization. Returns the legalization report.
-pub fn gordian_place(design: &mut PlacedDesign, config: &GordianConfig) -> LegalizationReport {
+/// followed by Tetris legalization.
+pub fn gordian_place(design: &mut PlacedDesign, config: &GordianConfig) {
     // Adjacency: for every cell, the cells it shares a net with.
     let mut neighbours: Vec<Vec<usize>> = vec![Vec::new(); design.cells.len()];
     for net in &design.nets {
@@ -44,7 +44,7 @@ pub fn gordian_place(design: &mut PlacedDesign, config: &GordianConfig) -> Legal
     }
 
     design.sort_rows_by_x();
-    legalize(design)
+    legalize(design);
 }
 
 #[cfg(test)]

@@ -7,11 +7,9 @@
 //! analytical global placer with a timing-aware objective and runs the
 //! detailed placer with mixed-size swapping disabled.
 
-use aqfp_cells::CancelToken;
-
 use crate::design::PlacedDesign;
 use crate::detailed::{detailed_place, DetailedPlacementConfig, DetailedPlacementReport};
-use crate::global::{global_place_with_scratch, GlobalPlaceScratch, GlobalPlacementConfig};
+use crate::global::{global_place, GlobalPlacementConfig};
 use crate::legalize::legalize;
 
 /// Configuration of the TAAS-style baseline.
@@ -44,17 +42,7 @@ impl Default for TaasConfig {
 /// Runs the TAAS-style baseline: timing-aware analytical placement, Tetris
 /// legalization, same-size-only detailed placement.
 pub fn taas_place(design: &mut PlacedDesign, config: &TaasConfig) -> DetailedPlacementReport {
-    taas_place_with_scratch(design, config, &mut GlobalPlaceScratch::new())
-}
-
-/// [`taas_place`] with caller-provided global-placement working memory, so
-/// comparison runs over several placers share one scratch.
-pub fn taas_place_with_scratch(
-    design: &mut PlacedDesign,
-    config: &TaasConfig,
-    scratch: &mut GlobalPlaceScratch,
-) -> DetailedPlacementReport {
-    global_place_with_scratch(design, &config.global, &CancelToken::none(), scratch);
+    global_place(design, &config.global);
     legalize(design);
     detailed_place(design, &config.detailed)
 }

@@ -212,30 +212,25 @@ pub fn insert_buffer_rows(
 /// can shorten every leg of a split connection while rows far from any
 /// edit stay untouched.
 ///
-/// Returns the insertion report and the cells the iteration inserted or
-/// the follow-up legalize/detailed passes displaced (sorted,
-/// deduplicated). `FlowSession::check` and the `drc_repair_buffer_rows`
-/// bench both run this one function, so the bench measures exactly the
-/// iteration the flow executes.
+/// Returns the insertion report. `FlowSession::check` and the
+/// `drc_repair_buffer_rows` bench both run this one function, so the bench
+/// measures exactly the iteration the flow executes.
 pub fn repair_buffer_rows(
     design: &mut PlacedDesign,
     library: &Technology,
     detailed: &DetailedPlacementConfig,
-) -> (BufferRowReport, Vec<usize>) {
+) -> BufferRowReport {
     let (report, appended) = insert_buffer_rows(design, library);
-    let mut changed = legalize(design).moved_cells;
-    let mut repair_rows: Vec<usize> = design.cells[appended.clone()]
+    legalize(design);
+    let mut repair_rows: Vec<usize> = design.cells[appended]
         .iter()
         .flat_map(|cell| [cell.row.saturating_sub(1), cell.row, cell.row + 1])
         .filter(|&row| row < design.rows.len())
         .collect();
     repair_rows.sort_unstable();
     repair_rows.dedup();
-    changed.extend(detailed_place_in_rows(design, detailed, &repair_rows).moved_cells);
-    changed.extend(appended);
-    changed.sort_unstable();
-    changed.dedup();
-    (report, changed)
+    detailed_place_in_rows(design, detailed, &repair_rows);
+    report
 }
 
 #[cfg(test)]

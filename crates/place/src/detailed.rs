@@ -116,13 +116,6 @@ pub struct DetailedPlacementReport {
     /// Accepted moves (swaps + slides) per executed pass, in pass order —
     /// the convergence trajectory observers and benches inspect.
     pub pass_moves: Vec<usize>,
-    /// Indices (into `PlacedDesign::cells`) of every cell at least one
-    /// accepted move displaced, sorted and deduplicated. The flow's DRC
-    /// repair reports the channels these cells touch to its observers and
-    /// stops when a repair moves nothing. A cell that moved and later moved
-    /// back is still listed — the set is a conservative superset of the
-    /// cells whose final position differs.
-    pub moved_cells: Vec<usize>,
 }
 
 /// Runs detailed placement in place on a legalized design.
@@ -157,9 +150,9 @@ pub fn detailed_place_cancellable(
 /// This is the scoped pass the flow's DRC-repair loop runs after buffer-row
 /// insertion: the freshly inserted buffers are pulled toward their nets
 /// while the — already optimized — rest of the design stays put, which
-/// keeps the repair's dirty-channel set (and with it the incremental
-/// reroute and timing refresh) bounded by the edit instead of the whole
-/// design. The same determinism contract as [`detailed_place`] applies.
+/// keeps the channels the follow-up reroute finds changed bounded by the
+/// edit instead of the whole design. The same determinism contract as
+/// [`detailed_place`] applies.
 pub fn detailed_place_in_rows(
     design: &mut PlacedDesign,
     config: &DetailedPlacementConfig,
@@ -190,7 +183,6 @@ fn detailed_place_impl(
         hpwl_after: hpwl_before,
         passes_run: 0,
         pass_moves: Vec::new(),
-        moved_cells: Vec::new(),
     };
 
     let incidence = NetIncidence::build(design);
@@ -254,7 +246,6 @@ fn detailed_place_impl(
                 for &(cell, x) in &outcome.moves {
                     design.cells[cell].x = x;
                     moved_half[parity][cell] = true;
-                    report.moved_cells.push(cell);
                 }
                 report.swaps_accepted += outcome.swaps;
                 report.slides_accepted += outcome.slides;
@@ -271,8 +262,6 @@ fn detailed_place_impl(
 
     design.sort_rows_by_x();
     report.hpwl_after = design.hpwl();
-    report.moved_cells.sort_unstable();
-    report.moved_cells.dedup();
     report
 }
 
@@ -829,7 +818,6 @@ pub fn detailed_place_reference(
     let hpwl_before = design.hpwl();
     let analyzer = TimingAnalyzer::new(config.timing);
     let incident = reference_incident_nets(design);
-    let start_x: Vec<f64> = design.cells.iter().map(|cell| cell.x).collect();
     let mut report = DetailedPlacementReport {
         swaps_accepted: 0,
         slides_accepted: 0,
@@ -837,7 +825,6 @@ pub fn detailed_place_reference(
         hpwl_after: hpwl_before,
         passes_run: 0,
         pass_moves: Vec::new(),
-        moved_cells: Vec::new(),
     };
 
     for _ in 0..config.passes {
@@ -892,12 +879,6 @@ pub fn detailed_place_reference(
 
     design.sort_rows_by_x();
     report.hpwl_after = design.hpwl();
-    // The baseline mutates coordinates in place, so moved cells are
-    // recovered from a start-of-run snapshot (cells that moved and returned
-    // exactly are not listed; the baseline is a bench-only path).
-    report.moved_cells = (0..design.cells.len())
-        .filter(|&cell| (design.cells[cell].x - start_x[cell]).abs() > 1e-9)
-        .collect();
     report
 }
 
@@ -1162,26 +1143,6 @@ mod tests {
         for &moves in &report.pass_moves[..report.passes_run - 1] {
             assert!(moves > 0, "only the final pass may accept no move");
         }
-    }
-
-    #[test]
-    fn moved_cells_cover_every_displaced_cell() {
-        let mut design = legal_design(Benchmark::Adder8);
-        let before: Vec<f64> = design.cells.iter().map(|c| c.x).collect();
-        let report = detailed_place(&mut design, &DetailedPlacementConfig::default());
-        assert!(report.moved_cells.windows(2).all(|w| w[0] < w[1]), "sorted and deduplicated");
-        for (index, cell) in design.cells.iter().enumerate() {
-            if (cell.x - before[index]).abs() > 1e-9 {
-                assert!(
-                    report.moved_cells.binary_search(&index).is_ok(),
-                    "cell {index} moved but is not reported"
-                );
-            }
-        }
-        assert!(
-            report.moved_cells.is_empty() == (report.swaps_accepted + report.slides_accepted == 0),
-            "moves and moved cells agree on whether anything happened"
-        );
     }
 
     #[test]

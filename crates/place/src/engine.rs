@@ -8,11 +8,11 @@ use aqfp_timing::{TimingAnalyzer, TimingBatch, TimingReport};
 use serde::{Deserialize, Serialize};
 
 use crate::baselines::gordian::{gordian_place, GordianConfig};
-use crate::baselines::taas::{taas_place_with_scratch, TaasConfig};
+use crate::baselines::taas::{taas_place, TaasConfig};
 use crate::buffer_rows::{insert_buffer_rows, BufferRowReport};
 use crate::design::PlacedDesign;
 use crate::detailed::{detailed_place_cancellable, DetailedPlacementConfig};
-use crate::global::{global_place_with_scratch, GlobalPlaceScratch, GlobalPlacementConfig};
+use crate::global::{global_place_cancellable, GlobalPlacementConfig};
 use crate::legalize::legalize;
 
 /// Which placement strategy to run.
@@ -163,27 +163,10 @@ impl PlacementEngine {
 
     /// Places a synthesized netlist with the selected strategy.
     pub fn place(&self, synthesized: &SynthesizedNetlist, placer: PlacerKind) -> PlacementResult {
-        let mut scratch = GlobalPlaceScratch::new();
-        self.place_base(
-            PlacedDesign::from_synthesized(synthesized, &self.technology),
-            placer,
-            &mut scratch,
-        )
-    }
-
-    /// Runs the selected strategy on an already-built initial design (so
-    /// comparison runs over several placers build the physical view once).
-    /// The global-placement scratch is caller-provided so comparison runs
-    /// reuse one set of hot-loop buffers across all placers.
-    fn place_base(
-        &self,
-        mut design: PlacedDesign,
-        placer: PlacerKind,
-        scratch: &mut GlobalPlaceScratch,
-    ) -> PlacementResult {
+        let mut design = PlacedDesign::from_synthesized(synthesized, &self.technology);
         match placer {
             PlacerKind::SuperFlow => {
-                global_place_with_scratch(&mut design, &self.options.global, &self.cancel, scratch);
+                global_place_cancellable(&mut design, &self.options.global, &self.cancel);
                 legalize(&mut design);
                 detailed_place_cancellable(&mut design, &self.effective_detailed(), &self.cancel);
             }
@@ -191,7 +174,7 @@ impl PlacementEngine {
                 gordian_place(&mut design, &GordianConfig::default());
             }
             PlacerKind::Taas => {
-                taas_place_with_scratch(&mut design, &TaasConfig::default(), scratch);
+                taas_place(&mut design, &TaasConfig::default());
             }
         }
 
@@ -218,18 +201,6 @@ impl PlacementEngine {
             timing,
             design,
         }
-    }
-
-    /// Places a synthesized netlist with every placer, in Table III column
-    /// order. The initial physical design is built once and cloned per
-    /// placer instead of being rebuilt from the netlist three times.
-    pub fn place_all(&self, synthesized: &SynthesizedNetlist) -> Vec<PlacementResult> {
-        let base = PlacedDesign::from_synthesized(synthesized, &self.technology);
-        let mut scratch = GlobalPlaceScratch::new();
-        PlacerKind::ALL
-            .iter()
-            .map(|&placer| self.place_base(base.clone(), placer, &mut scratch))
-            .collect()
     }
 }
 
@@ -261,12 +232,10 @@ mod tests {
     fn all_three_placers_run_on_the_same_design() {
         let (synth, library) = synthesized(Benchmark::Adder8);
         let engine = PlacementEngine::new(library);
-        let results = engine.place_all(&synth);
-        assert_eq!(results.len(), 3);
-        let names: Vec<&str> = results.iter().map(|r| r.placer.name()).collect();
-        assert_eq!(names, vec!["GORDIAN-based", "TAAS", "SuperFlow"]);
-        for result in &results {
-            assert_eq!(result.design.overlap_count(), 0, "{} overlaps", result.placer);
+        for placer in PlacerKind::ALL {
+            let result = engine.place(&synth, placer);
+            assert_eq!(result.placer, placer);
+            assert_eq!(result.design.overlap_count(), 0, "{placer} overlaps");
             assert!(result.hpwl_um > 0.0);
         }
     }

@@ -172,27 +172,11 @@ pub fn global_place(
     global_place_cancellable(design, config, &CancelToken::none())
 }
 
-/// [`global_place`] with a cooperative [`CancelToken`]: the token is polled
-/// once per gradient iteration, and a fired token ends the optimization
-/// early (the report's `iterations` records how many actually ran). The
-/// design is left in whatever intermediate state the last completed
-/// iteration produced — callers that honor cancellation discard it.
-pub fn global_place_cancellable(
-    design: &mut PlacedDesign,
-    config: &GlobalPlacementConfig,
-    cancel: &CancelToken,
-) -> GlobalPlacementReport {
-    global_place_with_scratch(design, config, cancel, &mut GlobalPlaceScratch::default())
-}
-
-/// Reusable working memory of the global placer: the warm-start adjacency,
+/// Working memory of one global-placement run: the warm-start adjacency,
 /// the row-major permutation, the CSR incidence lists and every hot-loop
-/// buffer. A [`crate::PlacementEngine`] comparison run (`place_all`) and
-/// the batch driver place many designs back to back; passing one scratch
-/// to [`global_place_with_scratch`] re-fills these buffers in place instead
-/// of re-allocating ~10 arrays of n elements per call.
+/// buffer.
 #[derive(Debug, Default)]
-pub struct GlobalPlaceScratch {
+struct GlobalPlaceScratch {
     /// CSR offsets of the cell-space neighbour lists (warm start).
     adj_offsets: Vec<u32>,
     /// CSR payload: neighbour cell indices, per cell in net order.
@@ -241,12 +225,7 @@ pub struct GlobalPlaceScratch {
 }
 
 impl GlobalPlaceScratch {
-    /// An empty scratch; buffers grow on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Rebuilds every derived structure for `design`, reusing allocations.
+    /// Builds every derived structure for `design`.
     fn prepare(&mut self, design: &PlacedDesign) {
         let n = design.cells.len();
         let net_count = design.nets.len();
@@ -390,13 +369,15 @@ struct NetTerms {
     excess: AtomicU64,
 }
 
-/// [`global_place_cancellable`] with caller-provided working memory, for
-/// hot paths that place many designs (see [`GlobalPlaceScratch`]).
-pub fn global_place_with_scratch(
+/// [`global_place`] with a cooperative [`CancelToken`]: the token is polled
+/// once per gradient iteration, and a fired token ends the optimization
+/// early (the report's `iterations` records how many actually ran). The
+/// design is left in whatever intermediate state the last completed
+/// iteration produced — callers that honor cancellation discard it.
+pub fn global_place_cancellable(
     design: &mut PlacedDesign,
     config: &GlobalPlacementConfig,
     cancel: &CancelToken,
-    scratch: &mut GlobalPlaceScratch,
 ) -> GlobalPlacementReport {
     let hpwl_before = design.hpwl();
     let n = design.cells.len();
@@ -409,6 +390,7 @@ pub fn global_place_with_scratch(
         };
     }
 
+    let mut scratch = GlobalPlaceScratch::default();
     scratch.prepare(design);
 
     // Warm start: a few Gauss-Seidel "average of neighbours" sweeps give the
@@ -1130,27 +1112,6 @@ mod tests {
                     "full report (incl. final_objective) must not depend on the thread count"
                 ),
             }
-        }
-    }
-
-    #[test]
-    fn a_reused_scratch_produces_bit_identical_results() {
-        let mut scratch = GlobalPlaceScratch::new();
-        let config = GlobalPlacementConfig::default();
-        // Warm the scratch on a different design first, then check the
-        // second run against a fresh-scratch run.
-        let mut warmup = design_for(Benchmark::Apc32);
-        global_place_with_scratch(&mut warmup, &config, &CancelToken::none(), &mut scratch);
-
-        let base = design_for(Benchmark::Adder8);
-        let mut fresh = base.clone();
-        let fresh_report = global_place(&mut fresh, &config);
-        let mut reused = base.clone();
-        let reused_report =
-            global_place_with_scratch(&mut reused, &config, &CancelToken::none(), &mut scratch);
-        assert_eq!(fresh_report, reused_report);
-        for (a, b) in fresh.cells.iter().zip(&reused.cells) {
-            assert_eq!(a.x.to_bits(), b.x.to_bits());
         }
     }
 }

@@ -6,35 +6,14 @@
 //! — the classic Tetris scheme — preserving the global-placement intent
 //! while eliminating overlaps and snapping to the 10 µm grid.
 
-use serde::{Deserialize, Serialize};
-
 use crate::design::PlacedDesign;
-
-/// Summary of a legalization run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct LegalizationReport {
-    /// Total displacement applied to cells, in µm.
-    pub total_displacement: f64,
-    /// Largest single-cell displacement, in µm.
-    pub max_displacement: f64,
-    /// Overlapping pairs found before legalization.
-    pub overlaps_before: usize,
-    /// Indices (into [`PlacedDesign::cells`]) of every cell legalization
-    /// actually displaced. The flow's DRC repair reports the channels these
-    /// cells touch to its observers and stops when a repair moves nothing.
-    pub moved_cells: Vec<usize>,
-}
 
 /// Legalizes every row in place: cells keep their left-to-right order from
 /// global placement, are snapped to the process grid and packed so that
 /// consecutive cells either abut or keep the minimum spacing.
-pub fn legalize(design: &mut PlacedDesign) -> LegalizationReport {
-    let overlaps_before = design.overlap_count();
+pub fn legalize(design: &mut PlacedDesign) {
     let grid = design.rules.grid;
     let spacing = design.rules.min_spacing;
-    let mut total_displacement = 0.0;
-    let mut max_displacement: f64 = 0.0;
-    let mut moved_cells = Vec::new();
 
     design.sort_rows_by_x();
     let rows = design.rows.clone();
@@ -65,19 +44,12 @@ pub fn legalize(design: &mut PlacedDesign) -> LegalizationReport {
                 // `legal_min`, so the desired spot stands as is.
                 snapped_desired
             };
-            let displacement = (position - desired).abs();
-            total_displacement += displacement;
-            max_displacement = max_displacement.max(displacement);
-            if displacement > 1e-9 {
-                moved_cells.push(cell_index);
-            }
             design.cells[cell_index].x = position;
             cursor = position + design.cells[cell_index].width;
         }
     }
 
     design.sort_rows_by_x();
-    LegalizationReport { total_displacement, max_displacement, overlaps_before, moved_cells }
 }
 
 #[cfg(test)]
@@ -101,10 +73,10 @@ mod tests {
     #[test]
     fn legalization_removes_all_overlaps() {
         let mut design = placed_design(Benchmark::Adder8);
-        let report = legalize(&mut design);
+        assert!(design.overlap_count() > 0, "global placement leaves overlaps to remove");
+        legalize(&mut design);
         assert_eq!(design.overlap_count(), 0);
         assert_eq!(design.spacing_violations(), 0);
-        assert!(report.total_displacement >= 0.0);
     }
 
     #[test]
@@ -129,33 +101,10 @@ mod tests {
         let mut design = placed_design(Benchmark::Adder8);
         legalize(&mut design);
         let xs: Vec<f64> = design.cells.iter().map(|c| c.x).collect();
-        let second = legalize(&mut design);
+        assert_eq!(design.overlap_count(), 0);
+        legalize(&mut design);
         let xs_after: Vec<f64> = design.cells.iter().map(|c| c.x).collect();
         assert_eq!(xs, xs_after, "already-legal placement must not move");
-        assert_eq!(second.overlaps_before, 0);
-        assert_eq!(second.total_displacement, 0.0);
-        assert!(second.moved_cells.is_empty(), "a no-op run must report no moved cells");
-    }
-
-    #[test]
-    fn moved_cells_name_exactly_the_displaced_cells() {
-        let mut design = placed_design(Benchmark::Adder8);
-        legalize(&mut design);
-        // Knock one legal cell onto its left neighbour to force a repack.
-        let row = design.rows.iter().position(|r| r.len() >= 2).expect("a row with two cells");
-        let victim = design.rows[row][1];
-        design.cells[victim].x = design.cells[design.rows[row][0]].x;
-        let before: Vec<f64> = design.cells.iter().map(|c| c.x).collect();
-        let report = legalize(&mut design);
-        assert!(report.moved_cells.contains(&victim), "the displaced cell must be reported");
-        for (index, cell) in design.cells.iter().enumerate() {
-            let moved = (cell.x - before[index]).abs() > 1e-9;
-            assert_eq!(
-                report.moved_cells.contains(&index),
-                moved,
-                "cell {index} moved={moved} but the report disagrees"
-            );
-        }
     }
 
     #[test]
@@ -185,8 +134,8 @@ mod tests {
             rules,
         };
 
-        let report = legalize(&mut design);
-        assert!(report.overlaps_before > 0, "the fixture must start overlapping");
+        assert!(design.overlap_count() > 0, "the fixture must start overlapping");
+        legalize(&mut design);
         assert_eq!(design.overlap_count(), 0);
         assert_eq!(design.spacing_violations(), 0);
         let grid = design.rules.grid;
@@ -202,10 +151,9 @@ mod tests {
         }
         // Idempotence holds for off-grid widths too.
         let xs: Vec<f64> = design.cells.iter().map(|c| c.x).collect();
-        let second = legalize(&mut design);
+        legalize(&mut design);
         let xs_after: Vec<f64> = design.cells.iter().map(|c| c.x).collect();
         assert_eq!(xs, xs_after);
-        assert!(second.moved_cells.is_empty());
     }
 
     #[test]

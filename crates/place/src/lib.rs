@@ -59,5 +59,5 @@ pub use buffer_rows::BufferRowReport;
 pub use design::{PhysNet, PlacedCell, PlacedDesign};
 pub use detailed::DetailedPlacementConfig;
 pub use engine::{PlacementEngine, PlacementOptions, PlacementResult, PlacerKind};
-pub use global::{GlobalPlaceScratch, GlobalPlacementConfig, GlobalPlacementReport};
+pub use global::{GlobalPlacementConfig, GlobalPlacementReport};
 pub use parallel::{effective_threads, ThreadBudget};

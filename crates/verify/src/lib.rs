@@ -11,9 +11,9 @@
 //!   primary inputs. Failures carry a concrete counterexample vector.
 //! - **Phase-legality** ([`check_placed`], [`check_routed`]) — re-derives
 //!   the AQFP clocking discipline (every edge advances exactly one phase,
-//!   fan-out within splitter arity, wires on-grid inside their channel)
-//!   from the raw placed/routed data, without trusting the engines'
-//!   bookkeeping.
+//!   fan-out within splitter arity, wires on-grid inside their channel and
+//!   ending on their cells' pins) from the raw placed/routed data, without
+//!   trusting the engines' bookkeeping.
 //! - **LVS-lite** ([`check_gds`]) — parses the emitted GDSII byte stream
 //!   back into cell instances and wire segments and checks a 1:1
 //!   structural match against the routed netlist, so layout bugs read as
@@ -124,6 +124,11 @@ pub fn catalog() -> Vec<RuleInfo> {
             summary: "nets and wires do not match 1:1 (missing, duplicate or dangling)",
         },
         RuleInfo {
+            id: phase::RULE_PIN_END,
+            severity: Severity::Error,
+            summary: "a routed wire does not start or end on its cells' pin columns",
+        },
+        RuleInfo {
             id: lvs::RULE_GDS_MALFORMED,
             severity: Severity::Error,
             summary: "the GDS byte stream is malformed or misses the library skeleton",
@@ -154,7 +159,7 @@ mod tests {
     #[test]
     fn rule_ids_are_stable_and_unique() {
         let rules = catalog();
-        assert_eq!(rules.len(), 11);
+        assert_eq!(rules.len(), 12);
         let mut ids: Vec<&str> = rules.iter().map(|r| r.id).collect();
         for id in &ids {
             assert!(id.starts_with("AQFP-V"), "{id}");

@@ -5,7 +5,9 @@
 //! here re-derive that invariant from the raw cell/net/wire data — they do
 //! not reuse the buffer-insertion pass's level bookkeeping, the placer's
 //! row lists, or the router's channel reports, so a bug in any of those
-//! engines cannot vouch for itself.
+//! engines cannot vouch for itself. The same holds for the pin columns
+//! every routed wire must start and end on: they are re-derived from the
+//! cells' positions, not read from the router.
 
 use aqfp_lint::Diagnostic;
 use aqfp_place::PlacedDesign;
@@ -24,6 +26,9 @@ pub const RULE_WIRE_GEOMETRY: &str = "AQFP-V012";
 /// Rule id: the net/wire structure does not match 1:1 (missing or duplicate
 /// wires, dangling indices, arity-inconsistent connectivity).
 pub const RULE_COVERAGE: &str = "AQFP-V013";
+/// Rule id: a routed wire does not start on its driver's pin column or does
+/// not end on its sink's.
+pub const RULE_PIN_END: &str = "AQFP-V014";
 
 /// Verifies the clocking and fan-out legality of a placed design.
 pub fn check_placed(design: &PlacedDesign, max_splitter_arity: usize) -> Vec<Diagnostic> {
@@ -106,10 +111,13 @@ pub fn check_placed(design: &PlacedDesign, max_splitter_arity: usize) -> Vec<Dia
     findings
 }
 
-/// Verifies that the routed wires cover the placed nets 1:1 and that every
+/// Verifies that the routed wires cover the placed nets 1:1, that every
 /// wire's geometry is rectilinear, on the routing grid and inside its own
-/// channel. `grid_step_um` is the router's grid pitch (values below 1 µm
-/// are clamped to 1, matching the router).
+/// channel, and that every wire starts on its driver's pin column and ends
+/// on its sink's, as the router assigns them. A wire left behind by a cell
+/// that moved after routing fails the last check. `grid_step_um` is
+/// the router's grid pitch (values below 1 µm are clamped to 1, matching
+/// the router).
 pub fn check_routed(
     design: &PlacedDesign,
     routing: &RoutingResult,
@@ -127,10 +135,12 @@ pub fn check_routed(
     // base offset), re-derived from the cell data.
     let base_offset = design.cells.iter().map(|c| c.height).fold(30.0, f64::max);
     let max_x = (routing.grid_columns.max(1) - 1) as f64 * step;
+    let pins = pin_columns(design, step);
     const EPS: f64 = 1e-6;
 
     let mut coverage = Vec::new();
     let mut geometry = Vec::new();
+    let mut pin_ends = Vec::new();
     let mut routed_count = vec![0usize; design.nets.len()];
     for wire in &routing.wires {
         if wire.net >= design.nets.len() {
@@ -211,6 +221,25 @@ pub fn check_routed(
                 Some(format!("n{}", wire.net)),
             ));
         }
+        let (start_column, end_column) = pins[wire.net];
+        let ends = [
+            (wire.path.first(), start_column, "starts", "driver", net.driver),
+            (wire.path.last(), end_column, "ends", "sink", net.sink),
+        ];
+        for (point, column, verb, role, cell) in ends {
+            let pin_x = column as f64 * step;
+            if let Some(point) = point.filter(|point| (point.x - pin_x).abs() > EPS) {
+                pin_ends.push(violation(
+                    RULE_PIN_END,
+                    format!(
+                        "wire for net n{} in channel {channel} {verb} at x = {:.1}, not on its \
+                         {role} `{}`'s pin column x = {pin_x:.1}",
+                        wire.net, point.x, design.cells[cell].name
+                    ),
+                    Some(format!("n{}", wire.net)),
+                ));
+            }
+        }
     }
     for (index, &count) in routed_count.iter().enumerate() {
         let net = &design.nets[index];
@@ -234,8 +263,51 @@ pub fn check_routed(
     }
 
     let mut findings = capped(RULE_WIRE_GEOMETRY, geometry);
+    findings.extend(capped(RULE_PIN_END, pin_ends));
     findings.extend(capped(RULE_COVERAGE, coverage));
     findings
+}
+
+/// The grid columns of every net's driver pin and sink pin, by net index,
+/// as the router assigns them. Nets are taken per channel (the driver's
+/// row) in design order, and each cell's driver and sink pins are numbered
+/// in that order. A pin prefers column `round(centre / step) + pin index`,
+/// clamped to the grid's `ceil(layer_width / step) + 2` columns; when
+/// another pin on its side of the channel holds that column, it takes the
+/// nearest free one, right before left at equal distance, and when none is
+/// free it keeps the preferred one.
+fn pin_columns(design: &PlacedDesign, step: f64) -> Vec<(i64, i64)> {
+    let columns = ((design.layer_width() / step).ceil() as i64 + 2).max(2);
+    let mut start_used: Vec<Vec<bool>> = vec![Vec::new(); design.rows.len()];
+    let mut end_used: Vec<Vec<bool>> = vec![Vec::new(); design.rows.len()];
+    let mut driver_pins = vec![0i64; design.cells.len()];
+    let mut sink_pins = vec![0i64; design.cells.len()];
+    let take = |center_x: f64, pin: i64, used: &mut Vec<bool>| {
+        if used.is_empty() {
+            used.resize(columns as usize, false);
+        }
+        let preferred = ((center_x / step).round() as i64 + pin).clamp(0, columns - 1);
+        let free = (0..columns)
+            .flat_map(|distance| [preferred + distance, preferred - distance])
+            .find(|&column| (0..columns).contains(&column) && !used[column as usize]);
+        if let Some(column) = free {
+            used[column as usize] = true;
+        }
+        free.unwrap_or(preferred)
+    };
+    design
+        .nets
+        .iter()
+        .map(|net| {
+            let (driver, sink) = (&design.cells[net.driver], &design.cells[net.sink]);
+            let start =
+                take(driver.center_x(), driver_pins[net.driver], &mut start_used[driver.row]);
+            let end = take(sink.center_x(), sink_pins[net.sink], &mut end_used[driver.row]);
+            driver_pins[net.driver] += 1;
+            sink_pins[net.sink] += 1;
+            (start, end)
+        })
+        .collect()
 }
 
 #[cfg(test)]

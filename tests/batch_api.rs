@@ -1,8 +1,8 @@
 //! Integration tests for the fault-isolated batch driver: injected faults
 //! (panics, zero deadlines, torn checkpoints) are classified per design
 //! without stopping the rest of the batch, the degraded retry rescues
-//! first-attempt failures, and a killed batch resumed over its journal
-//! produces byte-identical GDS.
+//! first-attempt failures with a fault-free run's GDS, and a killed batch
+//! resumed over its journal produces byte-identical GDS.
 
 use std::path::PathBuf;
 
@@ -128,6 +128,47 @@ fn corrupt_checkpoints_fail_loudly_and_the_retry_recovers() {
     assert_eq!(adder8.resumed_from.as_deref(), Some("check"), "journal is intact again");
 
     let _ = std::fs::remove_dir_all(&journal);
+}
+
+#[test]
+fn a_retried_design_writes_the_gds_of_a_fault_free_run() {
+    let dir = temp_dir("retried_gds");
+    let jobs = [BatchJob::from_input("adder8")];
+    let gds = |out: &std::path::Path| std::fs::read(out.join("adder8.gds")).expect("GDS written");
+
+    let cold_out = dir.join("cold");
+    let report =
+        BatchRunner::new(fast_batch().with_output_dir(&cold_out)).run(&jobs).expect("batch runs");
+    assert_eq!(status_of(&report, "adder8").status, DesignStatus::Succeeded);
+    let cold = gds(&cold_out);
+
+    // The first attempt panics; the serial retry rescues the design with
+    // the uninterrupted run's bytes.
+    let rescued_out = dir.join("rescued");
+    let faults = FaultPlan::none().with(Fault::parse("panic:adder8:placement").expect("valid"));
+    let rescuing = fast_batch().with_faults(faults).with_output_dir(&rescued_out);
+    let report = BatchRunner::new(rescuing).run(&jobs).expect("batch runs");
+    assert_eq!(status_of(&report, "adder8").status, DesignStatus::Degraded);
+    assert!(gds(&rescued_out) == cold, "a rescued design must write the fault-free GDS");
+
+    // A torn check checkpoint, healed by the retry's fresh checkpoints,
+    // resumes to the same bytes.
+    let journal = dir.join("journal");
+    let faults = FaultPlan::none().with(Fault::parse("truncate:adder8:check").expect("valid"));
+    let tearing = fast_batch().with_retry_degraded(false).with_journal_dir(&journal);
+    BatchRunner::new(tearing.with_faults(faults)).run(&jobs).expect("batch runs");
+    let healing = BatchRunner::new(fast_batch().with_journal_dir(&journal));
+    let report = healing.run(&jobs).expect("batch runs");
+    assert_eq!(status_of(&report, "adder8").status, DesignStatus::Degraded);
+    let resumed_out = dir.join("resumed");
+    let resuming = fast_batch().with_journal_dir(&journal).with_output_dir(&resumed_out);
+    let report = BatchRunner::new(resuming).run(&jobs).expect("batch runs");
+    let adder8 = status_of(&report, "adder8");
+    assert_eq!(adder8.status, DesignStatus::Succeeded);
+    assert_eq!(adder8.checkpoint_hits, 4, "every stage resumes from the healed journal");
+    assert!(gds(&resumed_out) == cold, "a healed journal must resume to the fault-free GDS");
+
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Resume reads a journal checkpoint straight from its file, and a torn

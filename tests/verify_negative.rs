@@ -7,7 +7,7 @@
 //! that weakens a verifier shows up as a silent pass here.
 
 use aqfp_verify::{lec, lvs, mutate, phase, Defect};
-use superflow::{Checked, FlowConfig, FlowSession};
+use superflow::{Checked, FlowConfig, FlowSession, Routed};
 
 /// Runs the fast flow on adder8 to the check stage, returning the session
 /// (for the verify entry points) and the final artifact.
@@ -54,6 +54,39 @@ fn a_displaced_cell_reports_lvs_with_its_name() {
         Defect::Cell.expected_rule(),
         report.render()
     );
+}
+
+#[test]
+fn a_cell_moved_after_routing_reports_pin_ends_on_its_nets() {
+    let mut session = FlowSession::new(FlowConfig::fast()).expect("session starts");
+    let netlist = superflow::load_netlist("adder8").expect("benchmark resolves");
+    let synthesized = session.synthesize(&netlist).expect("synthesis runs");
+    let placed = session.place(synthesized).expect("placement runs");
+    let mut routed = session.route(placed).expect("routing runs");
+    let verify_checkpoint = |routed: &Routed| {
+        let checkpoint = routed.to_json().expect("checkpoint writes");
+        let artifact = session.load_checkpoint(checkpoint.as_bytes()).expect("checkpoint loads");
+        session.verify_artifact(&artifact, Some(&netlist))
+    };
+    let clean = verify_checkpoint(&routed);
+    assert!(!clean.has_errors(), "the routing checkpoint verifies clean:\n{}", clean.render());
+
+    // Move input cell `a0` 10 µm left: its wires still start on its old
+    // pin columns.
+    let design = &mut routed.placed.placement.design;
+    let cell = design.cells.iter().position(|c| c.name == "a0").expect("adder8 has input a0");
+    design.cells[cell].x -= 10.0;
+    let nets: Vec<String> = (0..design.nets.len())
+        .filter(|&n| design.nets[n].driver == cell || design.nets[n].sink == cell)
+        .map(|n| format!("n{n}"))
+        .collect();
+    let report = verify_checkpoint(&routed);
+    let pin_ends: Vec<_> = report.errors().filter(|d| d.rule == phase::RULE_PIN_END).collect();
+    assert!(!pin_ends.is_empty(), "a stale wire must trip AQFP-V014:\n{}", report.render());
+    for finding in pin_ends {
+        let net = finding.object.clone().unwrap_or_default();
+        assert!(nets.contains(&net), "{net} is not a net of `a0`: {}", finding.message);
+    }
 }
 
 #[test]
