@@ -112,7 +112,7 @@ pub struct FlowConfig {
     /// design rules, clock, timing coefficients and GDS layer map for every
     /// stage at once.
     pub tech: TechSpec,
-    /// Placement strategy (SuperFlow or one of the baselines).
+    /// Placement strategy (SuperFlow, or GORDIAN-based or TAAS for Table III).
     pub placer: PlacerKind,
     /// Logic synthesis options.
     pub synthesis: SynthesisOptions,

@@ -819,11 +819,12 @@ impl FlowSession {
     }
 
     /// Installs a cooperative [`CancelToken`] for the *following* stage
-    /// calls. The token is threaded into the hot loops of the placers, the
-    /// router and the DRC checker, and polled at the stage boundaries: when
-    /// it fires, the running stage bails out early, its partial result is
-    /// discarded, and the stage method returns [`FlowError::Cancelled`] or
-    /// [`FlowError::DeadlineExceeded`] depending on the token's reason.
+    /// calls. The token is threaded into the hot loops of every placer
+    /// (SuperFlow, GORDIAN-based and TAAS), the router and the DRC checker, and
+    /// polled at the stage boundaries: when it fires, the running stage
+    /// bails out early, its partial result is discarded, and the stage
+    /// method returns [`FlowError::Cancelled`] or [`FlowError::DeadlineExceeded`]
+    /// depending on the token's reason.
     ///
     /// Typical use is one deadline token per stage
     /// (`session.set_cancel_token(CancelToken::with_deadline(budget))`

@@ -67,7 +67,7 @@ pub struct DetailedPlacementConfig {
     /// benches, custom pipelines). The flow treats delay coefficients as
     /// process facts: `PlacementEngine` and `FlowSession` *override* this
     /// field with their technology's `TimingConfig`
-    /// (`PlacementEngine::effective_detailed`), so setting it through
+    /// ([`DetailedPlacementConfig::with_technology_timing`]), so setting it through
     /// `FlowConfig::placement` has no effect there — edit the technology
     /// instead.
     pub timing: TimingConfig,

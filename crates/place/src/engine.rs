@@ -1,4 +1,12 @@
-//! The placement engine: the full placement pipeline plus the baselines.
+//! The placement engine: one pipeline that runs the SuperFlow placer and
+//! the two placers Table III compares it with, then inserts buffer rows
+//! and analyzes timing.
+//!
+//! SuperFlow and TAAS are the same three steps, global placement, Tetris
+//! legalization and detailed placement, each with its own tuning;
+//! GORDIAN is the global placer's quadratic warm start and legalization.
+//! Every placer polls the engine's [`CancelToken`] and runs within the
+//! thread counts of its [`PlacementOptions`].
 
 use std::sync::Arc;
 
@@ -7,24 +15,27 @@ use aqfp_synth::SynthesizedNetlist;
 use aqfp_timing::{TimingAnalyzer, TimingBatch, TimingReport};
 use serde::{Deserialize, Serialize};
 
-use crate::baselines::gordian::{gordian_place, GordianConfig};
-use crate::baselines::taas::{taas_place, TaasConfig};
 use crate::buffer_rows::{insert_buffer_rows, BufferRowReport};
 use crate::design::PlacedDesign;
 use crate::detailed::{detailed_place_cancellable, DetailedPlacementConfig};
-use crate::global::{global_place_cancellable, GlobalPlacementConfig};
+use crate::global::{global_place_cancellable, warm_start, GlobalPlacementConfig};
 use crate::legalize::legalize;
 
 /// Which placement strategy to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum PlacerKind {
     /// The paper's placer: timing-aware analytical global placement, Tetris
-    /// legalization, mixed-cell-size detailed placement.
+    /// legalization, mixed-cell-size detailed placement, all tuned by the
+    /// engine's [`PlacementOptions`].
     SuperFlow,
-    /// Quadratic wirelength-only baseline (Li et al., DATE 2021).
+    /// Quadratic wirelength-only baseline (Li et al., DATE 2021): 60
+    /// Gauss-Seidel sweeps of the global placer's warm start, which reach
+    /// the squared-wirelength optimum, then Tetris legalization.
     GordianBased,
-    /// Timing-aware analytical baseline with same-size-only detailed
-    /// placement (Dong et al., DAC 2022).
+    /// Timing-aware analytical baseline (Dong et al., DAC 2022): the
+    /// SuperFlow steps with TAAS's own tuning, global placement at timing
+    /// weight 0.01 with no max-wirelength term and 500 iterations, then two
+    /// passes of same-size-only detailed swaps (Fig. 4a).
     Taas,
 }
 
@@ -49,12 +60,14 @@ impl std::fmt::Display for PlacerKind {
     }
 }
 
-/// Options shared by every placement run.
+/// The tuning of the SuperFlow placer. TAAS keeps its own tuning and reads
+/// only the two thread counts; GORDIAN's sweeps are serial.
 ///
 /// The timing model is *not* an option: the delay coefficients are process
 /// facts, so the engine reads them from its [`Technology`] (and overrides
-/// [`DetailedPlacementConfig::timing`] with them) instead of carrying a
-/// side-channel copy that could drift from the targeted process.
+/// [`DetailedPlacementConfig::timing`] with them in every placer's detailed
+/// sweep) instead of carrying a side-channel copy that could drift from the
+/// targeted process.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct PlacementOptions {
     /// Global-placement tuning for the SuperFlow placer.
@@ -133,18 +146,14 @@ impl PlacementEngine {
         Self { technology: technology.into(), options, cancel: CancelToken::none() }
     }
 
-    /// Attaches a cooperative [`CancelToken`]; the global and detailed
-    /// placers poll it at their loop boundaries and bail out early when it
-    /// fires. The engine then still returns a (partial) result — the caller
-    /// decides whether to keep it.
+    /// Attaches a cooperative [`CancelToken`]. Every placer polls it at its
+    /// loop boundaries (each warm-start sweep, global iteration and
+    /// detailed pass) and stops early when it fires; legalization and
+    /// buffer-row insertion do not poll it. The engine then still returns a
+    /// (partial) result — the caller decides whether to keep it.
     pub fn with_cancel(mut self, cancel: CancelToken) -> Self {
         self.cancel = cancel;
         self
-    }
-
-    /// The engine's options.
-    pub fn options(&self) -> &PlacementOptions {
-        &self.options
     }
 
     /// The technology the engine places against.
@@ -152,30 +161,36 @@ impl PlacementEngine {
         &self.technology
     }
 
-    /// The engine's detailed-placement configuration with the technology's
-    /// timing coefficients injected — the configuration every detailed
-    /// sweep of this engine (and of the flow's DRC-repair loop) runs with,
-    /// so the placer's cost model can never drift from the process the
-    /// other stages target.
-    pub fn effective_detailed(&self) -> DetailedPlacementConfig {
-        self.options.detailed.with_technology_timing(&self.technology)
-    }
-
     /// Places a synthesized netlist with the selected strategy.
     pub fn place(&self, synthesized: &SynthesizedNetlist, placer: PlacerKind) -> PlacementResult {
         let mut design = PlacedDesign::from_synthesized(synthesized, &self.technology);
-        match placer {
-            PlacerKind::SuperFlow => {
-                global_place_cancellable(&mut design, &self.options.global, &self.cancel);
-                legalize(&mut design);
-                detailed_place_cancellable(&mut design, &self.effective_detailed(), &self.cancel);
-            }
-            PlacerKind::GordianBased => {
-                gordian_place(&mut design, &GordianConfig::default());
-            }
-            PlacerKind::Taas => {
-                taas_place(&mut design, &TaasConfig::default());
-            }
+        let PlacementOptions { mut global, mut detailed } = self.options;
+        if placer == PlacerKind::Taas {
+            // TAAS keeps its own tuning and takes only the thread counts.
+            global = GlobalPlacementConfig {
+                timing_weight: 0.01,
+                max_wirelength_weight: 0.0,
+                threads: global.threads,
+                ..GlobalPlacementConfig::default()
+            };
+            detailed = DetailedPlacementConfig {
+                passes: 2,
+                allow_mixed_size_swaps: false,
+                threads: detailed.threads,
+                ..DetailedPlacementConfig::default()
+            };
+        }
+        if placer == PlacerKind::GordianBased {
+            warm_start(&mut design, 60, &self.cancel);
+            design.sort_rows_by_x();
+            legalize(&mut design);
+        } else {
+            global_place_cancellable(&mut design, &global, &self.cancel);
+            legalize(&mut design);
+            // Delay coefficients are process facts: every detailed sweep
+            // reads the technology's.
+            let detailed = detailed.with_technology_timing(&self.technology);
+            detailed_place_cancellable(&mut design, &detailed, &self.cancel);
         }
 
         let (buffer_report, _) = insert_buffer_rows(&mut design, &self.technology);
@@ -236,8 +251,42 @@ mod tests {
             let result = engine.place(&synth, placer);
             assert_eq!(result.placer, placer);
             assert_eq!(result.design.overlap_count(), 0, "{placer} overlaps");
+            assert_eq!(result.design.spacing_violations(), 0, "{placer} breaks spacing");
             assert!(result.hpwl_um > 0.0);
         }
+    }
+
+    #[test]
+    fn gordian_produces_a_legal_placement() {
+        let (synth, library) = synthesized(Benchmark::Adder8);
+        let result = PlacementEngine::new(library).place(&synth, PlacerKind::GordianBased);
+        assert_eq!(result.design.overlap_count(), 0);
+        assert_eq!(result.design.spacing_violations(), 0);
+    }
+
+    #[test]
+    fn taas_produces_a_legal_placement() {
+        let (synth, library) = synthesized(Benchmark::Adder8);
+        let result = PlacementEngine::new(library).place(&synth, PlacerKind::Taas);
+        assert_eq!(result.design.overlap_count(), 0);
+        assert_eq!(result.design.spacing_violations(), 0);
+    }
+
+    #[test]
+    fn a_fired_token_stops_every_placer_before_any_cell_moves() {
+        let (synth, library) = synthesized(Benchmark::Apc32);
+        let designs = |engine: &PlacementEngine| {
+            PlacerKind::ALL.map(|placer| engine.place(&synth, placer).design)
+        };
+        let free = designs(&PlacementEngine::new(library.clone()));
+        let differ = free[0] != free[1] && free[1] != free[2] && free[0] != free[2];
+        assert!(differ, "without a token the three placers place differently");
+
+        let token = CancelToken::new();
+        token.cancel();
+        let [gordian, taas, superflow] = designs(&PlacementEngine::new(library).with_cancel(token));
+        assert!(gordian == taas, "GORDIAN or TAAS ran past a fired token");
+        assert!(gordian == superflow, "GORDIAN or SuperFlow ran past a fired token");
     }
 
     #[test]

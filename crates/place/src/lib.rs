@@ -22,10 +22,12 @@
 //!   shared with the channel router and the batch driver;
 //! * [`buffer_rows`] — insertion of buffer rows for connections exceeding
 //!   the maximum wirelength;
-//! * [`baselines`] — the GORDIAN-based placer of [Li et al., DATE'21] and
-//!   the timing-aware TAAS placer of [Dong et al., DAC'22] used as
-//!   comparison points in Table III;
-//! * [`engine`] — the [`PlacementEngine`] tying the pipeline together.
+//! * [`engine`] — the [`PlacementEngine`] tying the pipeline together. It
+//!   runs the SuperFlow placer and, through the same steps with their own
+//!   tuning, the two comparison points of Table III: the GORDIAN-based
+//!   placer of [Li et al., DATE'21] (the global placer's quadratic warm
+//!   start, then legalization) and the timing-aware TAAS placer of
+//!   [Dong et al., DAC'22] (same-size-only detailed swaps).
 //!
 //! # Examples
 //!
@@ -46,7 +48,6 @@
 
 #![warn(clippy::unwrap_used)]
 
-pub mod baselines;
 pub mod buffer_rows;
 pub mod design;
 pub mod detailed;

@@ -9,6 +9,7 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use aqfp_layout::DrcReport;
+use aqfp_place::PlacerKind;
 use aqfp_route::Router;
 use serde::Serialize;
 use superflow_suite::prelude::*;
@@ -236,6 +237,27 @@ fn adder8_check_checkpoint_bytes_are_pinned() {
     let checked = session.run(&benchmark_circuit(Benchmark::Adder8)).expect("flow runs");
     let json = Artifact::Checked(checked).to_json().expect("serializes");
     assert_eq!(format!("{:016x}", fnv1a(json.as_bytes())), "2612b1cd3fc6f5d2");
+}
+
+/// The bytes of adder8's `--fast` placement checkpoint under each placer.
+/// GORDIAN and TAAS keep their own tuning whatever the flow's placement
+/// options say, so these pin that tuning as well as each placer's steps.
+#[test]
+fn adder8_placement_checkpoint_bytes_are_pinned_for_every_placer() {
+    for placer in PlacerKind::ALL {
+        let expected = match placer {
+            PlacerKind::GordianBased => "99ebc4362a1b1a21",
+            PlacerKind::Taas => "81b3d3bd257895e7",
+            PlacerKind::SuperFlow => "3c6bd60691e54236",
+        };
+        let mut session =
+            FlowSession::new(fast_config().with_placer(placer)).expect("session opens");
+        let synthesized =
+            session.synthesize(&benchmark_circuit(Benchmark::Adder8)).expect("synthesis succeeds");
+        let placed = session.place(synthesized).expect("placement succeeds");
+        let json = Artifact::Placed(placed).to_json().expect("serializes");
+        assert_eq!(format!("{:016x}", fnv1a(json.as_bytes())), expected, "{placer}");
+    }
 }
 
 /// A non-finite number has no JSON form: every way of writing a
