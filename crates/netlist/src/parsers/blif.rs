@@ -406,15 +406,19 @@ mod tests {
 
     #[test]
     fn parses_gate_records() {
-        let n = parse_blif(C17_LIKE).expect("parses");
-        assert_eq!(n.name(), "c17ish");
-        assert_eq!(n.primary_inputs().len(), 3);
-        assert_eq!(n.primary_outputs().len(), 2);
-        n.validate().expect("valid");
-        // y = (a&b)|c, z = !(b&c)
-        assert_eq!(simulate::simulate(&n, &[true, true, false]).unwrap(), vec![true, true]);
-        assert_eq!(simulate::simulate(&n, &[false, false, true]).unwrap(), vec![true, true]);
-        assert_eq!(simulate::simulate(&n, &[false, true, true]).unwrap(), vec![true, false]);
+        // The file needs no trailing newline, and no `.end`.
+        let unterminated = C17_LIKE.trim_end().trim_end_matches(".end").trim_end();
+        for src in [C17_LIKE, C17_LIKE.trim_end(), unterminated] {
+            let n = parse_blif(src).expect("parses");
+            assert_eq!(n.name(), "c17ish");
+            assert_eq!(n.primary_inputs().len(), 3);
+            assert_eq!(n.primary_outputs().len(), 2);
+            n.validate().expect("valid");
+            // y = (a&b)|c, z = !(b&c)
+            assert_eq!(simulate::simulate(&n, &[true, true, false]).unwrap(), vec![true, true]);
+            assert_eq!(simulate::simulate(&n, &[false, false, true]).unwrap(), vec![true, true]);
+            assert_eq!(simulate::simulate(&n, &[false, true, true]).unwrap(), vec![true, false]);
+        }
     }
 
     #[test]
@@ -467,6 +471,10 @@ mod tests {
         let src = ".model m\n.inputs a\n.outputs y y\n.gate BUF a=a O=y\n.end\n";
         let err = parse_blif(src).unwrap_err();
         assert!(err.message.contains("output `y` declared twice"), "{}", err.message);
+        let src = ".model m\n.inputs a\n.outputs y\n.gate BUF a=a O=y\n.outputs  y\n.end\n";
+        let err = parse_blif(src).unwrap_err();
+        assert_eq!((err.line, err.column), (5, 11), "{err}");
+        assert_eq!(err.message, "output `y` declared twice (first on line 3)");
     }
 
     #[test]
@@ -482,6 +490,68 @@ mod tests {
         let src = ".model m\n.inputs a \\\nb\n.outputs y\n.gate AND2 a=a b=b O=y\n.end\n";
         let n = parse_blif(src).expect("parses");
         assert_eq!(n.primary_inputs().len(), 2);
+
+        // A record spread over three lines keeps each token's own line.
+        let src = ".model m\n.inputs a\n.outputs y\n.gate AND2 a=a \\\n  b=u \\  \n  O=y\n.end";
+        let design = parse_blif_recovering(src).expect("recovers");
+        assert_eq!(design.recovered[0].signal, "u");
+        assert_eq!(design.recovered[0].span, SourceSpan::new(5, 5));
+        let n = &design.netlist;
+        assert_eq!(n.span(n.find_by_name("u_y").unwrap()), SourceSpan::new(4, 1));
+    }
+
+    #[test]
+    fn crlf_line_ends_read_like_lf() {
+        let lf = ".model m\n.inputs a b\n.outputs y z\n.gate AND2 a=a b=u O=n1 # and\n\
+                  .gate INV a=n1 O=y\n.end\n";
+        let crlf = lf.replace('\n', "\r\n");
+        let design = parse_blif_recovering(lf).expect("recovers");
+        assert_eq!(parse_blif_recovering(&crlf).expect("recovers"), design);
+        let spans: Vec<SourceSpan> = design.recovered.iter().map(|d| d.span).collect();
+        assert_eq!(spans, [SourceSpan::new(4, 18), SourceSpan::new(3, 12)]);
+    }
+
+    #[test]
+    fn columns_count_characters_not_bytes() {
+        let src = ".model m\n.inputs\tä b\n.outputs y\n.gate\tAND2\ta=ä\tb=ü\tO=y\n.end";
+        let design = parse_blif_recovering(src).expect("recovers");
+        let n = &design.netlist;
+        assert_eq!(n.span(n.find_by_name("ä").unwrap()), SourceSpan::new(2, 9));
+        assert_eq!(n.span(n.find_by_name("b").unwrap()), SourceSpan::new(2, 11));
+        // `ü` is the 18th character of its line but starts at its 19th byte.
+        assert_eq!(design.recovered[0].signal, "ü");
+        assert_eq!(design.recovered[0].span, SourceSpan::new(4, 18));
+    }
+
+    #[test]
+    fn comments_end_a_record_and_its_continuations() {
+        let src = ".model m\n.inputs a b # c d\n.outputs y\n.gate AND2 a=a b=b O=y\n.end";
+        assert_eq!(parse_blif(src).expect("parses").primary_inputs().len(), 2);
+        // `#` comments out the rest of the logical line, continuations too.
+        let src = ".model m\n.inputs a # b \\\n c\n.outputs y\n.gate BUF a=a O=y\n.end";
+        assert_eq!(parse_blif(src).expect("parses").primary_inputs().len(), 1);
+    }
+
+    #[test]
+    fn empty_bindings_and_records() {
+        // An empty signal is an undriven one, pinpointed after its `=`, or
+        // at the `=` when it ends the line.
+        for (gate, column) in [(".gate BUF a= O=y", 13), (".gate BUF O=y a=", 16)] {
+            let src = format!(".model m\n.inputs a\n.outputs y\n{gate}\n.end");
+            let err = parse_blif(&src).unwrap_err();
+            assert_eq!(err.message, "signal `` is never driven");
+            assert_eq!((err.line, err.column), (4, column), "{gate}");
+        }
+        for (record, message) in [
+            (".names", ".names needs at least an output"),
+            (".gate", ".gate missing cell name"),
+            (".gate BUF a=a", ".gate missing output pin"),
+            (".gate AND2 O=y b=a", ".gate missing input pin `a`"),
+        ] {
+            let src = format!(".model m\n.inputs a\n.outputs y\n{record}\n.end");
+            let err = parse_blif(&src).unwrap_err();
+            assert_eq!((err.line, err.column, err.message.as_str()), (4, 0, message));
+        }
     }
 
     #[test]
@@ -530,5 +600,16 @@ mod tests {
         assert_eq!(design.recovered[1].span, SourceSpan::new(3, 12));
         design.netlist.validate().expect("patched netlist is valid");
         assert!(design.netlist.find_by_name("undriven$u").is_some());
+
+        // An undriven output that a gate also reads is one defect, at the
+        // read, and the output terminal shares its placeholder.
+        let src = ".model m\n.inputs a\n.outputs y z\n.gate AND2 a=a b=z O=y\n.end\n";
+        let design = parse_blif_recovering(src).expect("recovers");
+        assert_eq!(design.recovered.len(), 1);
+        assert_eq!(design.recovered[0].kind, RecoveredKind::UndrivenSignal);
+        assert_eq!(design.recovered[0].span, SourceSpan::new(4, 18));
+        let n = &design.netlist;
+        let po = n.find_by_name("po_z").unwrap();
+        assert_eq!(n.gate(po).fanin, vec![design.recovered[0].placeholder]);
     }
 }

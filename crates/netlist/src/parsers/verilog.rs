@@ -62,7 +62,7 @@ pub fn parse_verilog_recovering(source: &str) -> Result<ParsedDesign, ParseNetli
         if text.is_empty() || text == "endmodule" {
             continue;
         }
-        if let Some(rest) = text.strip_prefix("module") {
+        if let Some(rest) = module_header(text) {
             let name = rest.split(['(', ';']).next().unwrap_or("").trim();
             if name.is_empty() {
                 return Err(ParseNetlistError::at(stmt.start(), "module name missing"));
@@ -174,6 +174,17 @@ fn declare(
         }
     }
     Ok(())
+}
+
+/// The rest of a `module` header: `module` must end the statement or be
+/// followed by whitespace or `(`, so `modulex g1(y, a)` stays an instance.
+fn module_header(stmt: &str) -> Option<&str> {
+    let rest = stmt.strip_prefix("module")?;
+    if rest.is_empty() || rest.starts_with(|c: char| c.is_whitespace() || c == '(') {
+        Some(rest)
+    } else {
+        None
+    }
 }
 
 fn strip_keyword<'a>(stmt: &'a str, keyword: &str) -> Option<&'a str> {
@@ -418,14 +429,19 @@ mod tests {
 
     #[test]
     fn parses_half_adder() {
-        let n = parse_verilog(HALF_ADDER).expect("parses");
-        assert_eq!(n.name(), "half_adder");
-        assert_eq!(n.primary_inputs().len(), 2);
-        assert_eq!(n.primary_outputs().len(), 2);
-        n.validate().expect("valid");
-        // sum = a ^ b, carry = a & b
-        assert_eq!(simulate::simulate(&n, &[true, false]).unwrap(), vec![true, false]);
-        assert_eq!(simulate::simulate(&n, &[true, true]).unwrap(), vec![false, true]);
+        // The file needs no trailing newline, and its last statement no `;`.
+        let unterminated = HALF_ADDER.trim_end().trim_end_matches("endmodule").trim_end();
+        let unterminated = unterminated.trim_end_matches(';');
+        for src in [HALF_ADDER, HALF_ADDER.trim_end(), unterminated] {
+            let n = parse_verilog(src).expect("parses");
+            assert_eq!(n.name(), "half_adder");
+            assert_eq!(n.primary_inputs().len(), 2);
+            assert_eq!(n.primary_outputs().len(), 2);
+            n.validate().expect("valid");
+            // sum = a ^ b, carry = a & b
+            assert_eq!(simulate::simulate(&n, &[true, false]).unwrap(), vec![true, false]);
+            assert_eq!(simulate::simulate(&n, &[true, true]).unwrap(), vec![false, true]);
+        }
     }
 
     #[test]
@@ -496,6 +512,21 @@ mod tests {
         let src = "module m(a); input a; output a; endmodule";
         let err = parse_verilog(src).unwrap_err();
         assert!(err.message.contains("declared twice"), "{}", err.message);
+        // Nor two wires; and a port that took over a wire's name is the
+        // first declaration a later duplicate names.
+        for (decls, line, column, message) in [
+            ("wire w;\nwire w;", 5, 6, "signal `w` declared twice (first as wire on line 4)"),
+            (
+                "wire y;\noutput y;\n  output y;",
+                6,
+                10,
+                "signal `y` declared twice (first as output on line 5)",
+            ),
+        ] {
+            let src = format!("module m(a, y);\ninput a;\noutput z;\n{decls}\nendmodule");
+            let err = parse_verilog(&src).unwrap_err();
+            assert_eq!((err.line, err.column, err.message.as_str()), (line, column, message));
+        }
     }
 
     #[test]
@@ -580,6 +611,94 @@ mod tests {
         // The patched netlist is structurally complete and validates.
         design.netlist.validate().expect("patched netlist is valid");
         assert!(design.netlist.find_by_name("undriven$u").is_some());
+
+        // An undriven output that a gate also reads is one defect, at the
+        // read, and the output terminal shares its placeholder.
+        let src = "module m(a, y, z);\n input a;\n output y, z;\n and g1(y, a, z);\nendmodule";
+        let design = parse_verilog_recovering(src).expect("recovers");
+        assert_eq!(design.recovered.len(), 1);
+        assert_eq!(design.recovered[0].signal, "z");
+        assert_eq!(design.recovered[0].kind, RecoveredKind::UndrivenSignal);
+        assert_eq!(design.recovered[0].span, SourceSpan::new(4, 15));
+        let n = &design.netlist;
+        let po = n.find_by_name("po_z").unwrap();
+        assert_eq!(n.gate(po).fanin, vec![design.recovered[0].placeholder]);
+    }
+
+    #[test]
+    fn module_is_a_keyword_only_before_whitespace_or_a_port_list() {
+        let src =
+            "module m(a, y);\ninput a;\noutput y;\nmodulex g1(y, a);\nbuf g2(y, a);\nendmodule";
+        let err = parse_verilog(src).unwrap_err();
+        assert_eq!(err.message, "unknown gate primitive `modulex`");
+        assert_eq!((err.line, err.column), (4, 1));
+        for src in ["module(a); input a; endmodule", "module; input a; endmodule"] {
+            assert_eq!(parse_verilog(src).unwrap_err().message, "module name missing", "{src}");
+        }
+        let n = parse_verilog("module\n\tm(a, y); input a; output y; buf g(y, a); endmodule");
+        assert_eq!(n.unwrap().name(), "m");
+    }
+
+    #[test]
+    fn crlf_line_ends_read_like_lf() {
+        let lf = "module m(a, y, z);\n  input a;\n  output y, z;\n  wire w, u;\n  \
+                  not g1(w, a); // inverted\n  and g2(y, w,\n         u);\nendmodule\n";
+        let crlf = lf.replace('\n', "\r\n");
+        let design = parse_verilog_recovering(lf).expect("recovers");
+        assert_eq!(parse_verilog_recovering(&crlf).expect("recovers"), design);
+        let spans: Vec<SourceSpan> = design.recovered.iter().map(|d| d.span).collect();
+        assert_eq!(spans, [SourceSpan::new(7, 10), SourceSpan::new(3, 13)]);
+        let n = &design.netlist;
+        assert_eq!(n.span(n.find_by_name("g2").unwrap()), SourceSpan::new(6, 3));
+
+        let src = "module m(a, y);\r\ninput a;\r\noutput y;\r\nand g1(y, a, ghost);\r\nendmodule";
+        let err = parse_verilog(src).unwrap_err();
+        assert_eq!((err.line, err.column), (4, 14), "{err}");
+    }
+
+    #[test]
+    fn columns_count_characters_not_bytes() {
+        let src = "module m(a, y);\n\tinput a;\n\toutput y;\n\twire é, ü;\n\tbuf gé(é, a);\n\t\
+                   and g2(y, é, ü);\nendmodule";
+        let design = parse_verilog_recovering(src).expect("recovers");
+        let n = &design.netlist;
+        assert_eq!(n.span(n.find_by_name("gé").unwrap()), SourceSpan::new(5, 2));
+        assert_eq!(n.span(n.find_by_name("a").unwrap()), SourceSpan::new(2, 8));
+        // `ü` is the 15th character of its line but starts at its 16th byte.
+        assert_eq!(design.recovered[0].signal, "ü");
+        assert_eq!(design.recovered[0].span, SourceSpan::new(6, 15));
+        let err = parse_verilog(&src.replace("é, ü)", "é, ghost)")).unwrap_err();
+        assert_eq!((err.line, err.column), (6, 15), "{err}");
+    }
+
+    #[test]
+    fn comments_and_line_ends_inside_statements() {
+        let src = "module m(a, // first port\n         b, y);\n  input a, b; // ports\n  \
+                   output y;\n  and g1(y, // the output\n         a, b);\nendmodule";
+        let n = parse_verilog(src).expect("parses");
+        assert_eq!(n.name(), "m");
+        assert_eq!(n.span(n.find_by_name("g1").unwrap()), SourceSpan::new(5, 3));
+        assert_eq!(n.span(n.find_by_name("b").unwrap()), SourceSpan::new(3, 12));
+        // A comment hides a `;`.
+        let src = "module m(a, y);\ninput a; // output y;\nbuf g1(y, a);\nendmodule";
+        let err = parse_verilog(src).unwrap_err();
+        assert_eq!(err.message, "undeclared signal `y`");
+        // A name broken by a comment and a line end quotes the comment as
+        // nothing and the line end as one space.
+        let src = "module m(a, y);\ninput a;\noutput y;\nbuf g1(y, a // comment\n  b);\nendmodule";
+        let err = parse_verilog(src).unwrap_err();
+        assert_eq!(err.message, "undeclared signal `a    b`");
+        assert_eq!((err.line, err.column), (4, 11));
+    }
+
+    #[test]
+    fn empty_ports_are_pinpointed() {
+        for (ports, column) in [("(y, )", 11), ("(, a)", 8), ("(y,, a)", 10)] {
+            let src = format!("module m(a, y);\ninput a;\noutput y;\nbuf g1{ports};\nendmodule");
+            let err = parse_verilog(&src).unwrap_err();
+            assert_eq!(err.message, "empty port in gate instantiation");
+            assert_eq!((err.line, err.column), (4, column), "{ports}");
+        }
     }
 
     #[test]
