@@ -12,14 +12,21 @@
 //! .gate OR2  a=n1 b=c O=y
 //! .end
 //! ```
+//!
+//! The reader makes one pass over the source and keeps every name a slice
+//! of it until the [`Netlist`] takes it. A record continued over several
+//! lines (trailing `\\`) reads as its lines joined by one space each.
+
+use std::borrow::Cow;
+use std::collections::HashMap;
+use std::ops::Range;
 
 use aqfp_cells::CellKind;
-use std::collections::HashMap;
 
-use super::{placeholder, ParseNetlistError, ParsedDesign, RecoveredDefect, RecoveredKind};
+use super::source::{offset_in, trim, Joiner, LineIndex, Signals, Text};
+use super::{ParseNetlistError, ParsedDesign, RecoveredKind};
 use crate::gate::GateId;
 use crate::netlist::Netlist;
-use crate::span::SourceSpan;
 
 /// Parses a gate-level BLIF description into a [`Netlist`].
 ///
@@ -31,18 +38,9 @@ pub fn parse_blif(source: &str) -> Result<Netlist, ParseNetlistError> {
     super::strictify(parse_blif_recovering(source)?)
 }
 
-/// One `.gate`/`.names` record: the directive's span, the cell kind, the
-/// ordered input signals and the output signal, each with its token span.
-struct GateRecord {
-    span: SourceSpan,
-    kind: CellKind,
-    inputs: Vec<(String, SourceSpan)>,
-    output: (String, SourceSpan),
-}
-
 /// Parses gate-level BLIF, patching undriven signals with constant-0
 /// placeholder gates instead of failing, and recording each patch as a
-/// [`RecoveredDefect`] with its exact source span.
+/// [`RecoveredDefect`](super::RecoveredDefect) with its exact source span.
 ///
 /// Malformed records (unknown gate types, bad bindings, `.latch`, duplicate
 /// drivers) are still hard errors.
@@ -51,136 +49,156 @@ struct GateRecord {
 ///
 /// Returns a [`ParseNetlistError`] for the unrecoverable problems above.
 pub fn parse_blif_recovering(source: &str) -> Result<ParsedDesign, ParseNetlistError> {
-    let mut model = String::from("blif");
-    let mut inputs: Vec<(String, SourceSpan)> = Vec::new();
-    let mut input_spans: HashMap<String, SourceSpan> = HashMap::new();
-    let mut outputs: Vec<(String, SourceSpan)> = Vec::new();
-    let mut output_spans: HashMap<String, SourceSpan> = HashMap::new();
-    let mut gates: Vec<GateRecord> = Vec::new();
-
-    let logical_lines = join_continuations(source);
-    let mut pending_names: Option<(SourceSpan, Vec<(String, SourceSpan)>)> = None;
-    let mut pending_cover: Vec<String> = Vec::new();
-
-    let flush_names = |pending: &mut Option<(SourceSpan, Vec<(String, SourceSpan)>)>,
-                       cover: &mut Vec<String>,
-                       gates: &mut Vec<GateRecord>|
-     -> Result<(), ParseNetlistError> {
-        if let Some((span, signals)) = pending.take() {
-            let names: Vec<&str> = signals.iter().map(|(name, _)| name.as_str()).collect();
-            let kind = names_kind(&names, cover)
-                .ok_or_else(|| ParseNetlistError::at(span, "unsupported .names cover"))?;
-            // Guarded at the `.names` directive, but a typed error beats an
-            // unreachable-by-construction panic if that invariant ever slips.
-            let output = signals
-                .last()
-                .ok_or_else(|| ParseNetlistError::at(span, ".names needs at least an output"))?
-                .clone();
-            let inputs = signals[..signals.len() - 1].to_vec();
-            gates.push(GateRecord { span, kind, inputs, output });
-            cover.clear();
-        }
-        Ok(())
-    };
-
-    for line in logical_lines {
-        // `#` starts a comment; truncating keeps byte offsets into `text`
-        // aligned with the position table.
-        let text = &line.text[..line.text.find('#').unwrap_or(line.text.len())];
-        let tokens = tokenize(text);
-        let Some(&(first_offset, first)) = tokens.first() else { continue };
-        if !first.starts_with('.') {
-            // Part of a .names cover.
-            if pending_names.is_some() {
-                pending_cover.push(text.trim().to_owned());
-            }
+    let lines = LineIndex::new(source);
+    let mut model = Model { name: Cow::Borrowed("blif"), ..Model::default() };
+    let mut joiner = Joiner::default();
+    for line in source.lines() {
+        let at = offset_in(source, line);
+        if let Some(content) = line.trim_end().strip_suffix('\\') {
+            // The backslash becomes a joining space at its own position.
+            joiner.push(at, content);
+            joiner.push(at + content.len(), " ");
             continue;
         }
-        flush_names(&mut pending_names, &mut pending_cover, &mut gates)?;
-        let directive_span = line.span_at(first_offset);
-        let line_no = directive_span.line;
-        let rest = &tokens[1..];
-        match first {
+        if joiner.is_empty() {
+            model.line(&joiner.verbatim(source, at..at + line.len()), &lines)?;
+        } else {
+            joiner.push(at, line);
+            model.line(&joiner.text(source), &lines)?;
+        }
+        joiner.clear();
+        if model.ended {
+            break;
+        }
+    }
+    if !joiner.is_empty() {
+        model.line(&joiner.text(source), &lines)?;
+    }
+    model.flush_names(&lines)?;
+    model.build(&lines)
+}
+
+/// One `.gate`/`.names` record: the cell kind, the source offset of the
+/// directive, and the output signal with the offset of its token.
+struct Record<'a> {
+    kind: CellKind,
+    at: usize,
+    output: (Cow<'a, str>, usize),
+    /// The record's range of [`Model::bindings`].
+    inputs: Range<usize>,
+}
+
+/// The records of one model in source order, names still slices of the
+/// source, each with the source offset of its token.
+#[derive(Default)]
+struct Model<'a> {
+    name: Cow<'a, str>,
+    inputs: Vec<(Cow<'a, str>, usize)>,
+    outputs: Vec<(Cow<'a, str>, usize)>,
+    /// Where each input and each output was declared.
+    input_at: HashMap<Cow<'a, str>, usize>,
+    output_at: HashMap<Cow<'a, str>, usize>,
+    gates: Vec<Record<'a>>,
+    /// Every record's ordered input signals.
+    bindings: Vec<(Cow<'a, str>, usize)>,
+    /// The `.names` record being read: its directive's offset, its signals
+    /// and the cover rows read so far.
+    names_at: Option<usize>,
+    names: Vec<(Cow<'a, str>, usize)>,
+    cover: Vec<Cow<'a, str>>,
+    /// Whether `.end` was read.
+    ended: bool,
+}
+
+impl<'a> Model<'a> {
+    /// Reads one logical line.
+    fn line(&mut self, line: &Text<'_, 'a>, lines: &LineIndex) -> Result<(), ParseNetlistError> {
+        // `#` starts a comment; cutting the text keeps its offsets.
+        let text = line.as_str();
+        let text = &text[..text.find('#').unwrap_or(text.len())];
+        let mut tokens = tokens(text);
+        let Some(first) = tokens.next() else { return Ok(()) };
+        if !text[first.clone()].starts_with('.') {
+            // Part of a .names cover.
+            if self.names_at.is_some() {
+                self.cover.push(line.slice(trim(text, 0..text.len())));
+            }
+            return Ok(());
+        }
+        self.flush_names(lines)?;
+        let at = line.offset(first.start);
+        let line_no = || lines.span(at).line;
+        match &text[first] {
             ".model" => {
-                model = rest.first().map_or("blif", |&(_, token)| token).to_owned();
+                self.name = tokens.next().map_or(Cow::Borrowed("blif"), |token| line.slice(token));
             }
             ".inputs" => {
-                for &(offset, signal) in rest {
-                    let span = line.span_at(offset);
-                    if let Some(previous) = input_spans.insert(signal.to_owned(), span) {
-                        return Err(ParseNetlistError::at(
-                            span,
-                            format!(
-                                "input `{signal}` declared twice (first on line {})",
-                                previous.line
-                            ),
-                        ));
-                    }
-                    inputs.push((signal.to_owned(), span));
+                for token in tokens {
+                    declare(&mut self.input_at, &mut self.inputs, "input", line, token, lines)?;
                 }
             }
             ".outputs" => {
-                for &(offset, signal) in rest {
-                    let span = line.span_at(offset);
-                    if let Some(previous) = output_spans.insert(signal.to_owned(), span) {
-                        return Err(ParseNetlistError::at(
-                            span,
-                            format!(
-                                "output `{signal}` declared twice (first on line {})",
-                                previous.line
-                            ),
-                        ));
-                    }
-                    outputs.push((signal.to_owned(), span));
+                for token in tokens {
+                    declare(&mut self.output_at, &mut self.outputs, "output", line, token, lines)?;
                 }
             }
             ".gate" => {
-                let &(_, cell) = rest
-                    .first()
-                    .ok_or_else(|| ParseNetlistError::new(line_no, ".gate missing cell name"))?;
+                let cell = tokens
+                    .next()
+                    .ok_or_else(|| ParseNetlistError::new(line_no(), ".gate missing cell name"))?;
+                let cell = &text[cell];
                 let kind = gate_kind(cell).ok_or_else(|| {
-                    ParseNetlistError::at(directive_span, format!("unknown gate type `{cell}`"))
+                    ParseNetlistError::at(lines.span(at), format!("unknown gate type `{cell}`"))
                 })?;
-                let mut pin_map: HashMap<String, (String, SourceSpan)> = HashMap::new();
-                for &(offset, binding) in &rest[1..] {
-                    let (pin, signal) = binding.split_once('=').ok_or_else(|| {
-                        ParseNetlistError::at(
-                            line.span_at(offset),
-                            format!("malformed binding `{binding}`"),
+                // The last binding of a pin wins; pins compare lowercased.
+                let mut pins: [Option<(Cow<'a, str>, usize)>; PINS.len()] = Default::default();
+                for binding in tokens {
+                    let token = &text[binding.clone()];
+                    let Some((pin, _)) = token.split_once('=') else {
+                        return Err(ParseNetlistError::at(
+                            line.span(lines, binding.start),
+                            format!("malformed binding `{token}`"),
+                        ));
+                    };
+                    if let Some(slot) = PINS.iter().position(|name| lowercases_to(pin, name)) {
+                        let signal = binding.start + pin.len() + 1;
+                        pins[slot] = Some((line.slice(signal..binding.end), line.offset(signal)));
+                    }
+                }
+                let output = pins[..OUTPUT_PINS]
+                    .iter_mut()
+                    .find_map(Option::take)
+                    .ok_or_else(|| ParseNetlistError::new(line_no(), ".gate missing output pin"))?;
+                let first_input = self.bindings.len();
+                let input_pins = PINS[OUTPUT_PINS..].iter().zip(&mut pins[OUTPUT_PINS..]);
+                for (pin, slot) in input_pins.take(kind.input_count()) {
+                    let signal = slot.take().ok_or_else(|| {
+                        ParseNetlistError::new(
+                            line_no(),
+                            format!(".gate missing input pin `{pin}`"),
                         )
                     })?;
-                    let signal_span = line.span_at(offset + pin.len() + 1);
-                    pin_map.insert(pin.to_lowercase(), (signal.to_owned(), signal_span));
+                    self.bindings.push(signal);
                 }
-                let output = pin_map
-                    .remove("o")
-                    .or_else(|| pin_map.remove("y"))
-                    .or_else(|| pin_map.remove("out"))
-                    .or_else(|| pin_map.remove("xout"))
-                    .ok_or_else(|| ParseNetlistError::new(line_no, ".gate missing output pin"))?;
-                let mut gate_inputs = Vec::new();
-                for pin in ["a", "b", "c"].iter().take(kind.input_count()) {
-                    let signal = pin_map.remove(*pin).ok_or_else(|| {
-                        ParseNetlistError::new(line_no, format!(".gate missing input pin `{pin}`"))
-                    })?;
-                    gate_inputs.push(signal);
-                }
-                gates.push(GateRecord { span: directive_span, kind, inputs: gate_inputs, output });
+                let inputs = first_input..self.bindings.len();
+                self.gates.push(Record { kind, at, output, inputs });
             }
             ".names" => {
-                let signals: Vec<(String, SourceSpan)> = rest
-                    .iter()
-                    .map(|&(offset, token)| (token.to_owned(), line.span_at(offset)))
-                    .collect();
-                if signals.is_empty() {
-                    return Err(ParseNetlistError::new(line_no, ".names needs at least an output"));
+                self.names.extend(
+                    tokens.map(|token| (line.slice(token.clone()), line.offset(token.start))),
+                );
+                if self.names.is_empty() {
+                    return Err(ParseNetlistError::new(
+                        line_no(),
+                        ".names needs at least an output",
+                    ));
                 }
-                pending_names = Some((directive_span, signals));
+                self.names_at = Some(at);
             }
-            ".end" => break,
+            ".end" => self.ended = true,
             ".latch" => {
                 return Err(ParseNetlistError::at(
-                    directive_span,
+                    lines.span(at),
                     "sequential elements (.latch) are not supported",
                 ))
             }
@@ -188,132 +206,159 @@ pub fn parse_blif_recovering(source: &str) -> Result<ParsedDesign, ParseNetlistE
                 // Ignore other directives (.clock, .area, ...).
             }
         }
+        Ok(())
     }
-    flush_names(&mut pending_names, &mut pending_cover, &mut gates)?;
 
-    build(&model, &inputs, &outputs, &gates)
-}
-
-/// A BLIF logical line (continuations joined) with a `(line, column)`
-/// position recorded per byte of its text.
-struct LogicalLine {
-    text: String,
-    pos: Vec<(usize, usize)>,
-}
-
-impl LogicalLine {
-    fn span_at(&self, offset: usize) -> SourceSpan {
-        self.pos
-            .get(offset)
-            .or_else(|| self.pos.last())
-            .map_or(SourceSpan::UNKNOWN, |&(line, column)| SourceSpan::new(line, column))
+    /// Closes the `.names` record being read, if any.
+    fn flush_names(&mut self, lines: &LineIndex) -> Result<(), ParseNetlistError> {
+        let Some(at) = self.names_at.take() else { return Ok(()) };
+        let kind = names_kind(self.names.len() - 1, &self.cover)
+            .ok_or_else(|| ParseNetlistError::at(lines.span(at), "unsupported .names cover"))?;
+        // Guarded at the `.names` directive, but a typed error beats an
+        // unreachable-by-construction panic if that invariant ever slips.
+        let output = self.names.pop().ok_or_else(|| {
+            ParseNetlistError::at(lines.span(at), ".names needs at least an output")
+        })?;
+        let first_input = self.bindings.len();
+        self.bindings.append(&mut self.names);
+        let inputs = first_input..self.bindings.len();
+        self.gates.push(Record { kind, at, output, inputs });
+        self.cover.clear();
+        Ok(())
     }
-}
 
-/// Joins BLIF continuation lines (trailing `\`), recording the original
-/// position of every retained character.
-fn join_continuations(source: &str) -> Vec<LogicalLine> {
-    let mut lines = Vec::new();
-    let mut text = String::new();
-    let mut pos: Vec<(usize, usize)> = Vec::new();
-    for (i, raw) in source.lines().enumerate() {
-        let line_no = i + 1;
-        let (content, continued) = match raw.trim_end().strip_suffix('\\') {
-            Some(stripped) => (stripped, true),
-            None => (raw, false),
-        };
-        let mut column = 0;
-        for ch in content.chars() {
-            column += 1;
-            text.push(ch);
-            for _ in 0..ch.len_utf8() {
-                pos.push((line_no, column));
+    fn build(self, lines: &LineIndex) -> Result<ParsedDesign, ParseNetlistError> {
+        let mut netlist = Netlist::new(self.name);
+        let mut recovered = Vec::new();
+        let mut signals = Signals::default();
+        for (name, at) in &self.inputs {
+            let gate = netlist.add_input(name.as_ref());
+            netlist.set_span(gate, lines.span(*at));
+            let id = signals.id(name.clone());
+            signals.drive(id, gate);
+        }
+        let first_gate = netlist.gate_count();
+        for record in &self.gates {
+            let (output, output_at) = &record.output;
+            let gate = netlist.add_gate(record.kind, format!("u_{output}"), vec![]);
+            netlist.set_span(gate, lines.span(record.at));
+            let id = signals.id(output.clone());
+            if signals.drive(id, gate).is_some() {
+                return Err(ParseNetlistError::at(
+                    lines.span(*output_at),
+                    format!("signal `{output}` has multiple drivers"),
+                ));
             }
         }
-        if continued {
-            // The backslash becomes a joining space at its own position.
-            text.push(' ');
-            pos.push((line_no, column + 1));
-        } else {
-            lines.push(LogicalLine {
-                text: std::mem::take(&mut text),
-                pos: std::mem::take(&mut pos),
-            });
-        }
-    }
-    if !text.is_empty() {
-        lines.push(LogicalLine { text, pos });
-    }
-    lines
-}
-
-/// Whitespace-tokenizes `text`, returning each token with its byte offset.
-fn tokenize(text: &str) -> Vec<(usize, &str)> {
-    let mut out = Vec::new();
-    let mut start: Option<usize> = None;
-    for (i, ch) in text.char_indices() {
-        if ch.is_whitespace() {
-            if let Some(s) = start.take() {
-                out.push((s, &text[s..i]));
+        for (i, record) in self.gates.iter().enumerate() {
+            let mut fanin = Vec::with_capacity(record.inputs.len());
+            for (signal, at) in &self.bindings[record.inputs.clone()] {
+                let id = signals.id(signal.clone());
+                let span = || lines.span(*at);
+                let kind = RecoveredKind::UndrivenSignal;
+                fanin.push(signals.source(id, signal, kind, span, &mut netlist, &mut recovered));
             }
-        } else if start.is_none() {
-            start = Some(i);
+            netlist.gate_mut(GateId(first_gate + i)).fanin = fanin;
         }
+        for (name, at) in &self.outputs {
+            let id = signals.id(name.clone());
+            let span = lines.span(*at);
+            let kind = RecoveredKind::UndrivenOutput;
+            let source = signals.source(id, name, kind, || span, &mut netlist, &mut recovered);
+            let gate = netlist.add_output(format!("po_{name}"), source);
+            netlist.set_span(gate, span);
+        }
+        Ok(ParsedDesign { netlist, recovered })
     }
-    if let Some(s) = start {
-        out.push((s, &text[s..]));
-    }
-    out
 }
 
+/// Declares the input or output at `token` of `line`; a second declaration
+/// of a name is an error naming the first one's line.
+fn declare<'a>(
+    declared: &mut HashMap<Cow<'a, str>, usize>,
+    list: &mut Vec<(Cow<'a, str>, usize)>,
+    what: &str,
+    line: &Text<'_, 'a>,
+    token: Range<usize>,
+    lines: &LineIndex,
+) -> Result<(), ParseNetlistError> {
+    let at = line.offset(token.start);
+    let name = line.slice(token);
+    if let Some(previous) = declared.insert(name.clone(), at) {
+        return Err(ParseNetlistError::at(
+            lines.span(at),
+            format!("{what} `{name}` declared twice (first on line {})", lines.span(previous).line),
+        ));
+    }
+    list.push((name, at));
+    Ok(())
+}
+
+/// The pins a `.gate` binding may name: the output's aliases in the order
+/// they are looked up, then the inputs in fan-in order.
+const PINS: [&str; 7] = ["o", "y", "out", "xout", "a", "b", "c"];
+const OUTPUT_PINS: usize = 4;
+
+/// Whether `pin` lowercased is `name`.
+fn lowercases_to(pin: &str, name: &str) -> bool {
+    if pin.is_ascii() {
+        pin.eq_ignore_ascii_case(name)
+    } else {
+        pin.to_lowercase() == name
+    }
+}
+
+/// The whitespace-separated tokens of `text`, as byte ranges.
+fn tokens(text: &str) -> impl Iterator<Item = Range<usize>> + '_ {
+    text.split_whitespace().map(move |token| {
+        let start = offset_in(text, token);
+        start..start + token.len()
+    })
+}
+
+/// The cell kind of a `.gate` cell name: its uppercase form without a
+/// trailing run of digits, `_` and `X`.
 fn gate_kind(cell: &str) -> Option<CellKind> {
-    let upper = cell.to_uppercase();
-    let base = upper.trim_end_matches(|c: char| c.is_ascii_digit() || c == '_' || c == 'X');
-    match base {
-        "AND" => Some(CellKind::And),
-        "OR" => Some(CellKind::Or),
-        "NAND" => Some(CellKind::Nand),
-        "NOR" => Some(CellKind::Nor),
-        "XOR" => Some(CellKind::Xor),
-        "INV" | "NOT" => Some(CellKind::Inverter),
-        "BUF" | "BUFF" => Some(CellKind::Buffer),
-        "MAJ" | "MAJORITY" => Some(CellKind::Majority3),
-        "ZERO" | "CONST" => Some(CellKind::Constant0),
-        "ONE" | "VDD" => Some(CellKind::Constant1),
-        _ => None,
-    }
+    let upper = if cell.is_ascii() { Cow::Borrowed(cell) } else { Cow::Owned(cell.to_uppercase()) };
+    let base = upper
+        .trim_end_matches(|c: char| c.is_ascii_digit() || c == '_' || c.eq_ignore_ascii_case(&'X'));
+    [
+        ("AND", CellKind::And),
+        ("OR", CellKind::Or),
+        ("NAND", CellKind::Nand),
+        ("NOR", CellKind::Nor),
+        ("XOR", CellKind::Xor),
+        ("INV", CellKind::Inverter),
+        ("NOT", CellKind::Inverter),
+        ("BUF", CellKind::Buffer),
+        ("BUFF", CellKind::Buffer),
+        ("MAJ", CellKind::Majority3),
+        ("MAJORITY", CellKind::Majority3),
+        ("ZERO", CellKind::Constant0),
+        ("CONST", CellKind::Constant0),
+        ("ONE", CellKind::Constant1),
+        ("VDD", CellKind::Constant1),
+    ]
+    .into_iter()
+    .find_map(|(name, kind)| base.eq_ignore_ascii_case(name).then_some(kind))
 }
 
 /// Recognizes the small set of `.names` covers needed for mapped netlists:
-/// constants, buffers, inverters, 2-input AND/OR.
-fn names_kind(signals: &[&str], cover: &[String]) -> Option<CellKind> {
-    let n_inputs = signals.len().checked_sub(1)?;
-    match n_inputs {
-        0 => {
-            if cover.iter().any(|c| c.trim() == "1") {
-                Some(CellKind::Constant1)
-            } else {
-                Some(CellKind::Constant0)
-            }
-        }
-        1 => {
-            let c: Vec<&str> = cover.iter().map(|s| s.trim()).collect();
-            if c == ["1 1"] {
-                Some(CellKind::Buffer)
-            } else if c == ["0 1"] {
-                Some(CellKind::Inverter)
-            } else {
-                None
-            }
-        }
-        2 => {
-            let mut rows: Vec<&str> = cover.iter().map(|s| s.trim()).collect();
-            rows.sort_unstable();
-            if rows == ["11 1"] {
-                Some(CellKind::And)
-            } else if rows == ["-1 1", "1- 1"] {
+/// constants, buffers, inverters, 2-input AND/OR/XOR.
+fn names_kind(inputs: usize, cover: &[Cow<'_, str>]) -> Option<CellKind> {
+    let row = |i: usize| cover[i].trim();
+    match (inputs, cover.len()) {
+        (0, _) if cover.iter().any(|c| c.trim() == "1") => Some(CellKind::Constant1),
+        (0, _) => Some(CellKind::Constant0),
+        (1, 1) if row(0) == "1 1" => Some(CellKind::Buffer),
+        (1, 1) if row(0) == "0 1" => Some(CellKind::Inverter),
+        (2, 1) if row(0) == "11 1" => Some(CellKind::And),
+        (2, 2) => {
+            let rows = [row(0), row(1)];
+            let rows_are = |a, b| rows == [a, b] || rows == [b, a];
+            if rows_are("-1 1", "1- 1") {
                 Some(CellKind::Or)
-            } else if rows == ["01 1", "10 1"] {
+            } else if rows_are("01 1", "10 1") {
                 Some(CellKind::Xor)
             } else {
                 None
@@ -323,75 +368,12 @@ fn names_kind(signals: &[&str], cover: &[String]) -> Option<CellKind> {
     }
 }
 
-fn build(
-    model: &str,
-    inputs: &[(String, SourceSpan)],
-    outputs: &[(String, SourceSpan)],
-    gates: &[GateRecord],
-) -> Result<ParsedDesign, ParseNetlistError> {
-    let mut netlist = Netlist::new(model);
-    let mut recovered: Vec<RecoveredDefect> = Vec::new();
-    let mut driver: HashMap<String, GateId> = HashMap::new();
-    let mut placeholders: HashMap<String, GateId> = HashMap::new();
-    for (name, span) in inputs {
-        let id = netlist.add_input(name.clone());
-        netlist.set_span(id, *span);
-        driver.insert(name.clone(), id);
-    }
-    let mut pending: Vec<(GateId, &GateRecord)> = Vec::new();
-    for record in gates {
-        let (output, output_span) = &record.output;
-        let id = netlist.add_gate(record.kind, format!("u_{output}"), vec![]);
-        netlist.set_span(id, record.span);
-        if driver.insert(output.clone(), id).is_some() {
-            return Err(ParseNetlistError::at(
-                *output_span,
-                format!("signal `{output}` has multiple drivers"),
-            ));
-        }
-        pending.push((id, record));
-    }
-    for (id, record) in pending {
-        let mut fanin = Vec::with_capacity(record.inputs.len());
-        for (signal, span) in &record.inputs {
-            let src = match driver.get(signal) {
-                Some(src) => *src,
-                None => placeholder(
-                    &mut netlist,
-                    &mut placeholders,
-                    &mut recovered,
-                    signal,
-                    RecoveredKind::UndrivenSignal,
-                    *span,
-                ),
-            };
-            fanin.push(src);
-        }
-        netlist.gate_mut(id).fanin = fanin;
-    }
-    for (name, span) in outputs {
-        let src = match driver.get(name).or_else(|| placeholders.get(name)) {
-            Some(src) => *src,
-            None => placeholder(
-                &mut netlist,
-                &mut placeholders,
-                &mut recovered,
-                name,
-                RecoveredKind::UndrivenOutput,
-                *span,
-            ),
-        };
-        let id = netlist.add_output(format!("po_{name}"), src);
-        netlist.set_span(id, *span);
-    }
-    Ok(ParsedDesign { netlist, recovered })
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use crate::simulate;
+    use crate::span::SourceSpan;
 
     const C17_LIKE: &str = r#"
 # a tiny mapped netlist

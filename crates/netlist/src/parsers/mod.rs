@@ -20,6 +20,9 @@
 //! recorded defect", so their behaviour is unchanged.
 
 pub mod blif;
+#[cfg(test)]
+mod reference;
+mod source;
 pub mod verilog;
 
 pub use blif::{parse_blif, parse_blif_recovering};
@@ -113,31 +116,6 @@ pub struct ParsedDesign {
     /// The patched defects, in the order the strict parser would have
     /// reported them.
     pub recovered: Vec<RecoveredDefect>,
-}
-
-/// Injects (or reuses) the constant-0 placeholder standing in for an
-/// undriven `signal`, recording the defect on first sight. Shared by both
-/// recovering front-ends.
-pub(crate) fn placeholder(
-    netlist: &mut Netlist,
-    placeholders: &mut std::collections::HashMap<String, GateId>,
-    recovered: &mut Vec<RecoveredDefect>,
-    signal: &str,
-    kind: RecoveredKind,
-    span: SourceSpan,
-) -> GateId {
-    if let Some(&id) = placeholders.get(signal) {
-        return id;
-    }
-    let id = netlist.add_gate(
-        aqfp_cells::CellKind::Constant0,
-        format!("{PLACEHOLDER_PREFIX}{signal}"),
-        vec![],
-    );
-    netlist.set_span(id, span);
-    placeholders.insert(signal.to_owned(), id);
-    recovered.push(RecoveredDefect { signal: signal.to_owned(), kind, span, placeholder: id });
-    id
 }
 
 /// Converts a recovering parse into the strict contract: the first patched

@@ -16,14 +16,21 @@
 //! Supported primitives: `and`, `or`, `nand`, `nor`, `xor`, `not`, `buf`,
 //! `maj` (3-input majority). The first port of a primitive is its output.
 //! Vectors, assigns, parameters and behavioural constructs are not supported.
+//!
+//! The reader makes one pass over the source: it cuts `//` comments, splits
+//! the `;`-terminated statements and keeps every name a slice of the source
+//! until the [`Netlist`] takes it. A statement that runs over several lines
+//! reads as its lines joined by one space each.
+
+use std::borrow::Cow;
+use std::ops::Range;
 
 use aqfp_cells::CellKind;
-use std::collections::HashMap;
 
-use super::{placeholder, ParseNetlistError, ParsedDesign, RecoveredDefect, RecoveredKind};
+use super::source::{offset_in, trim, Joiner, LineIndex, Signals, Text};
+use super::{ParseNetlistError, ParsedDesign, RecoveredKind};
 use crate::gate::GateId;
 use crate::netlist::Netlist;
-use crate::span::SourceSpan;
 
 /// Parses a structural-Verilog module into a [`Netlist`].
 ///
@@ -39,7 +46,8 @@ pub fn parse_verilog(source: &str) -> Result<Netlist, ParseNetlistError> {
 
 /// Parses a structural-Verilog module, patching undriven signals with
 /// constant-0 placeholder gates instead of failing, and recording each patch
-/// as a [`RecoveredDefect`] with its exact source span.
+/// as a [`RecoveredDefect`](super::RecoveredDefect) with its exact source
+/// span.
 ///
 /// Structural problems other than missing drivers (unknown primitives,
 /// undeclared signals, multiple drivers, malformed statements) are still
@@ -49,131 +57,298 @@ pub fn parse_verilog(source: &str) -> Result<Netlist, ParseNetlistError> {
 ///
 /// Returns a [`ParseNetlistError`] for the unrecoverable problems above.
 pub fn parse_verilog_recovering(source: &str) -> Result<ParsedDesign, ParseNetlistError> {
-    let statements = split_statements(source);
-    let mut module_name = String::new();
-    let mut declared_at: HashMap<String, (&'static str, SourceSpan)> = HashMap::new();
-    let mut inputs: Vec<String> = Vec::new();
-    let mut outputs: Vec<String> = Vec::new();
-    let mut wires: Vec<String> = Vec::new();
-    let mut instances: Vec<Instance> = Vec::new();
-
-    for stmt in &statements {
-        let text = stmt.text.as_str();
-        if text.is_empty() || text == "endmodule" {
-            continue;
-        }
-        if let Some(rest) = module_header(text) {
-            let name = rest.split(['(', ';']).next().unwrap_or("").trim();
-            if name.is_empty() {
-                return Err(ParseNetlistError::at(stmt.start(), "module name missing"));
+    let lines = LineIndex::new(source);
+    let mut module = Module::default();
+    let mut joiner = Joiner::default();
+    // The statement read so far, from its first to its last non-blank byte.
+    let mut statement: Option<Range<usize>> = None;
+    for line in source.lines() {
+        let code = &line[..line.find("//").unwrap_or(line.len())];
+        for (i, piece) in code.split(';').enumerate() {
+            if i > 0 {
+                if let Some(range) = statement.take() {
+                    module.read(source, range, &mut joiner, &lines)?;
+                }
             }
-            module_name = name.to_owned();
-            continue;
+            let piece = piece.trim();
+            if !piece.is_empty() {
+                let end = offset_in(source, piece) + piece.len();
+                match &mut statement {
+                    Some(range) => range.end = end,
+                    None => statement = Some(end - piece.len()..end),
+                }
+            }
         }
-        let category = ["input", "output", "wire"]
-            .into_iter()
-            .find_map(|keyword| strip_keyword(text, keyword).map(|_| keyword));
-        if let Some(category) = category {
-            declare(
-                &mut declared_at,
-                category,
-                split_signals(stmt, category.len()),
-                &mut inputs,
-                &mut outputs,
-                &mut wires,
-            )?;
-            continue;
-        }
-        // Gate primitive instantiation: `<prim> <name>(<out>, <in>...)`.
-        let (prim, after) = text.split_once(char::is_whitespace).ok_or_else(|| {
-            ParseNetlistError::at(stmt.start(), format!("unrecognised statement `{text}`"))
-        })?;
-        let after_offset = text.len() - after.len();
-        let open = after.find('(').ok_or_else(|| {
-            ParseNetlistError::at(stmt.start(), "expected `(` in gate instantiation")
-        })?;
-        let close = after.rfind(')').ok_or_else(|| {
-            ParseNetlistError::at(stmt.start(), "expected `)` in gate instantiation")
-        })?;
-        if close <= open {
-            // `buf g1 )a(` — slicing open+1..close below would panic.
-            return Err(ParseNetlistError::at(
-                stmt.start(),
-                "`)` precedes `(` in gate instantiation",
-            ));
-        }
-        let ports = split_signals_in(stmt, &after[open + 1..close], after_offset + open + 1);
-        if let Some((_, span)) = ports.iter().find(|(p, _)| p.is_empty()) {
-            return Err(ParseNetlistError::at(*span, "empty port in gate instantiation"));
-        }
-        instances.push(Instance {
-            span: stmt.start(),
-            prim: prim.trim().to_owned(),
-            name: after[..open].trim().to_owned(),
-            ports,
-        });
+    }
+    if let Some(range) = statement {
+        module.read(source, range, &mut joiner, &lines)?;
     }
 
-    if module_name.is_empty() {
+    if module.name.is_empty() {
         return Err(ParseNetlistError::new(0, "no module declaration found"));
     }
-
-    build_netlist(&module_name, &inputs, &outputs, &wires, &instances, &declared_at)
+    module.build(&lines)
 }
 
-/// One gate-primitive instantiation, with the statement's source span and a
-/// span per port token.
-struct Instance {
-    span: SourceSpan,
-    prim: String,
-    name: String,
-    ports: Vec<(String, SourceSpan)>,
+/// What a declaration statement declares.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Declared {
+    Input,
+    Output,
+    Wire,
 }
 
-/// Registers a declaration list, detecting duplicates. Re-declaring a port
-/// as a wire (or a wire as a port) is legal Verilog and collapses to the
-/// port declaration; any other duplicate is an error carrying both lines.
-fn declare(
-    declared_at: &mut HashMap<String, (&'static str, SourceSpan)>,
-    category: &'static str,
-    names: Vec<(String, SourceSpan)>,
-    inputs: &mut Vec<String>,
-    outputs: &mut Vec<String>,
-    wires: &mut Vec<String>,
-) -> Result<(), ParseNetlistError> {
-    for (name, span) in names {
-        if let Some(&(previous, previous_span)) = declared_at.get(name.as_str()) {
-            if (previous == "wire") == (category == "wire") {
+impl Declared {
+    const ALL: [Declared; 3] = [Declared::Input, Declared::Output, Declared::Wire];
+
+    fn keyword(self) -> &'static str {
+        match self {
+            Declared::Input => "input",
+            Declared::Output => "output",
+            Declared::Wire => "wire",
+        }
+    }
+}
+
+/// One gate-primitive instantiation.
+struct Instance<'a> {
+    /// The source offset of the statement.
+    at: usize,
+    primitive: Cow<'a, str>,
+    name: Cow<'a, str>,
+    /// The instance's range of [`Module::ports`].
+    ports: Range<usize>,
+}
+
+/// The statements of one module in source order, names still slices of
+/// the source.
+#[derive(Default)]
+struct Module<'a> {
+    name: Cow<'a, str>,
+    /// Every declared signal, numbered in declaration order.
+    signals: Signals<'a>,
+    /// Per signal: what its winning declaration declares, and where.
+    declared: Vec<(Declared, usize)>,
+    /// The input and the output ports in declaration order.
+    inputs: Vec<(Cow<'a, str>, usize)>,
+    outputs: Vec<(Cow<'a, str>, usize)>,
+    instances: Vec<Instance<'a>>,
+    /// Every instance's port signals, each with its source offset.
+    ports: Vec<(Cow<'a, str>, usize)>,
+}
+
+impl<'a> Module<'a> {
+    /// Reads the statement at `range` of the source.
+    fn read(
+        &mut self,
+        source: &'a str,
+        range: Range<usize>,
+        joiner: &mut Joiner,
+        lines: &LineIndex,
+    ) -> Result<(), ParseNetlistError> {
+        if !source[range.clone()].contains('\n') {
+            return self.statement(&joiner.verbatim(source, range), lines);
+        }
+        // Each line end reads as one space; a `\r` before it and a comment
+        // are dropped.
+        joiner.clear();
+        let mut rest = &source[range];
+        while let Some(end) = rest.find('\n') {
+            let line = &rest[..end];
+            let line = line.strip_suffix('\r').unwrap_or(line);
+            let code = &line[..line.find("//").unwrap_or(line.len())];
+            let at = offset_in(source, code);
+            joiner.push(at, code);
+            joiner.push(at + code.len(), " ");
+            rest = &rest[end + 1..];
+        }
+        joiner.push(offset_in(source, rest), rest);
+        self.statement(&joiner.text(source), lines)
+    }
+
+    fn statement(
+        &mut self,
+        stmt: &Text<'_, 'a>,
+        lines: &LineIndex,
+    ) -> Result<(), ParseNetlistError> {
+        let text = stmt.as_str();
+        let error =
+            |at: usize, message: String| ParseNetlistError::at(stmt.span(lines, at), message);
+        if text == "endmodule" {
+            return Ok(());
+        }
+        if let Some(rest) = module_header(text) {
+            let from = text.len() - rest.len();
+            let name = trim(text, from..from + rest.find('(').unwrap_or(rest.len()));
+            if name.is_empty() {
+                return Err(error(0, "module name missing".into()));
+            }
+            self.name = stmt.slice(name);
+            return Ok(());
+        }
+        if let Some(declared) =
+            Declared::ALL.into_iter().find(|d| strip_keyword(text, d.keyword()).is_some())
+        {
+            return self.declare(stmt, declared, lines);
+        }
+        // Gate primitive instantiation: `<prim> <name>(<out>, <in>...)`.
+        let Some((primitive, after)) = text.split_once(char::is_whitespace) else {
+            return Err(error(0, format!("unrecognised statement `{text}`")));
+        };
+        let after_at = text.len() - after.len();
+        let open =
+            after.find('(').ok_or_else(|| error(0, "expected `(` in gate instantiation".into()))?;
+        let close = after
+            .rfind(')')
+            .ok_or_else(|| error(0, "expected `)` in gate instantiation".into()))?;
+        if close <= open {
+            return Err(error(0, "`)` precedes `(` in gate instantiation".into()));
+        }
+        let first_port = self.ports.len();
+        for port in pieces(text, after_at + open + 1..after_at + close) {
+            if port.is_empty() {
+                return Err(error(port.start, "empty port in gate instantiation".into()));
+            }
+            self.ports.push((stmt.slice(port.clone()), stmt.offset(port.start)));
+        }
+        self.instances.push(Instance {
+            at: stmt.offset(0),
+            primitive: stmt.slice(0..primitive.len()),
+            name: stmt.slice(trim(text, after_at..after_at + open)),
+            ports: first_port..self.ports.len(),
+        });
+        Ok(())
+    }
+
+    /// Registers a declaration list, detecting duplicates. Re-declaring a
+    /// port as a wire (or a wire as a port) is legal Verilog and collapses
+    /// to the port declaration; any other duplicate is an error carrying
+    /// both lines.
+    fn declare(
+        &mut self,
+        stmt: &Text<'_, 'a>,
+        declared: Declared,
+        lines: &LineIndex,
+    ) -> Result<(), ParseNetlistError> {
+        let text = stmt.as_str();
+        for range in pieces(text, declared.keyword().len()..text.len()) {
+            if range.is_empty() {
+                continue;
+            }
+            let at = stmt.offset(range.start);
+            let name = stmt.slice(range);
+            let id = self.signals.id(name.clone());
+            if id == self.declared.len() {
+                self.declared.push((declared, at));
+                self.port(declared, name, id);
+                continue;
+            }
+            let (previous, previous_at) = self.declared[id];
+            if (previous == Declared::Wire) == (declared == Declared::Wire) {
                 return Err(ParseNetlistError::at(
-                    span,
+                    lines.span(at),
                     format!(
-                        "signal `{name}` declared twice (first as {previous} on line {})",
-                        previous_span.line
+                        "signal `{name}` declared twice (first as {} on line {})",
+                        previous.keyword(),
+                        lines.span(previous_at).line
                     ),
                 ));
             }
-            if previous == "wire" {
+            if previous == Declared::Wire {
                 // The port declaration wins: `wire y; output y;` makes `y`
                 // an output.
-                wires.retain(|wire| wire != &name);
-                declared_at.insert(name.clone(), (category, span));
-                if category == "input" {
-                    inputs.push(name);
-                } else {
-                    outputs.push(name);
-                }
+                self.declared[id] = (declared, at);
+                self.port(declared, name, id);
             }
-            // `input a; wire a;` — the wire re-declaration adds nothing.
-            continue;
+            // `input a; wire a;`: the wire re-declaration adds nothing.
         }
-        declared_at.insert(name.clone(), (category, span));
-        match category {
-            "input" => inputs.push(name),
-            "output" => outputs.push(name),
-            _ => wires.push(name),
+        Ok(())
+    }
+
+    fn port(&mut self, declared: Declared, name: Cow<'a, str>, id: usize) {
+        match declared {
+            Declared::Input => self.inputs.push((name, id)),
+            Declared::Output => self.outputs.push((name, id)),
+            Declared::Wire => {}
         }
     }
-    Ok(())
+
+    fn build(self, lines: &LineIndex) -> Result<ParsedDesign, ParseNetlistError> {
+        let Module { name, mut signals, declared, inputs, outputs, instances, ports } = self;
+        let mut netlist = Netlist::new(name);
+        let mut recovered = Vec::new();
+        let undeclared = |signal: &str, at: usize| {
+            ParseNetlistError::at(lines.span(at), format!("undeclared signal `{signal}`"))
+        };
+        for (name, id) in &inputs {
+            let gate = netlist.add_input(name.as_ref());
+            netlist.set_span(gate, lines.span(declared[*id].1));
+            signals.drive(*id, gate);
+        }
+
+        // First pass: create the gates so forward references resolve; we
+        // place gates in instance order and patch fan-ins in a second pass.
+        let first_gate = netlist.gate_count();
+        for instance in &instances {
+            let span = lines.span(instance.at);
+            let kind = primitive_kind(&instance.primitive).ok_or_else(|| {
+                ParseNetlistError::at(
+                    span,
+                    format!("unknown gate primitive `{}`", instance.primitive),
+                )
+            })?;
+            if instance.ports.len() != kind.input_count() + 1 {
+                return Err(ParseNetlistError::at(
+                    span,
+                    format!(
+                        "primitive `{}` expects {} ports, found {}",
+                        instance.primitive,
+                        kind.input_count() + 1,
+                        instance.ports.len()
+                    ),
+                ));
+            }
+            let (output, output_at) = &ports[instance.ports.start];
+            let id = signals.get(output).ok_or_else(|| undeclared(output, *output_at))?;
+            let gate_name = if instance.name.is_empty() {
+                format!("u_{output}")
+            } else {
+                instance.name.to_string()
+            };
+            let gate = netlist.add_gate(kind, gate_name, vec![]);
+            netlist.set_span(gate, span);
+            if signals.drive(id, gate).is_some() {
+                return Err(ParseNetlistError::at(
+                    lines.span(*output_at),
+                    format!("signal `{output}` has multiple drivers"),
+                ));
+            }
+        }
+
+        // Second pass: resolve fan-ins now that all drivers are known;
+        // missing drivers are patched with recorded placeholders.
+        for (i, instance) in instances.iter().enumerate() {
+            let mut fanin = Vec::with_capacity(instance.ports.len() - 1);
+            for (signal, at) in &ports[instance.ports.start + 1..instance.ports.end] {
+                let id = signals.get(signal).ok_or_else(|| undeclared(signal, *at))?;
+                let span = || lines.span(*at);
+                let kind = RecoveredKind::UndrivenSignal;
+                fanin.push(signals.source(id, signal, kind, span, &mut netlist, &mut recovered));
+            }
+            netlist.gate_mut(GateId(first_gate + i)).fanin = fanin;
+        }
+
+        for (name, id) in &outputs {
+            let declaration = lines.span(declared[*id].1);
+            let kind = RecoveredKind::UndrivenOutput;
+            let source =
+                signals.source(*id, name, kind, || declaration, &mut netlist, &mut recovered);
+            let gate = netlist.add_output(format!("po_{name}"), source);
+            netlist.set_span(gate, declaration);
+        }
+
+        Ok(ParsedDesign { netlist, recovered })
+    }
 }
 
 /// The rest of a `module` header: `module` must end the statement or be
@@ -196,92 +371,13 @@ fn strip_keyword<'a>(stmt: &'a str, keyword: &str) -> Option<&'a str> {
     }
 }
 
-/// A `;`-terminated statement with a `(line, column)` position recorded for
-/// every byte of its (whitespace-trimmed, comment-stripped) text.
-struct Statement {
-    text: String,
-    pos: Vec<(usize, usize)>,
-}
-
-impl Statement {
-    /// The span of the statement's first character.
-    fn start(&self) -> SourceSpan {
-        self.span_at(0)
-    }
-
-    /// The span of the byte at `offset` into [`Statement::text`], clamped to
-    /// the last recorded position.
-    fn span_at(&self, offset: usize) -> SourceSpan {
-        self.pos
-            .get(offset)
-            .or_else(|| self.pos.last())
-            .map_or(SourceSpan::UNKNOWN, |&(line, column)| SourceSpan::new(line, column))
-    }
-}
-
-/// Splits the source into `;`-terminated statements, stripping `//` comments
-/// and recording the original (line, column) of every retained character.
-fn split_statements(source: &str) -> Vec<Statement> {
-    fn flush(text: &mut String, pos: &mut Vec<(usize, usize)>, out: &mut Vec<Statement>) {
-        let start = text.len() - text.trim_start().len();
-        let end = text.trim_end().len();
-        if end > start {
-            out.push(Statement {
-                text: text[start..end].to_owned(),
-                pos: pos[start..end].to_vec(),
-            });
-        }
-        text.clear();
-        pos.clear();
-    }
-
-    let mut statements = Vec::new();
-    let mut text = String::new();
-    let mut pos: Vec<(usize, usize)> = Vec::new();
-    for (i, raw_line) in source.lines().enumerate() {
-        let line_no = i + 1;
-        let line = raw_line.split("//").next().unwrap_or("");
-        let mut column = 0;
-        for ch in line.chars() {
-            column += 1;
-            if ch == ';' {
-                flush(&mut text, &mut pos, &mut statements);
-            } else {
-                text.push(ch);
-                // One position entry per byte keeps `pos` indexable by the
-                // byte offsets string searches produce.
-                for _ in 0..ch.len_utf8() {
-                    pos.push((line_no, column));
-                }
-            }
-        }
-        text.push(' ');
-        pos.push((line_no, column + 1));
-    }
-    flush(&mut text, &mut pos, &mut statements);
-    statements
-}
-
-/// Splits the comma-separated list starting `offset` bytes into the
-/// statement's text, returning each trimmed piece with the span of its first
-/// character. Empty pieces are dropped.
-fn split_signals(stmt: &Statement, offset: usize) -> Vec<(String, SourceSpan)> {
-    let list = &stmt.text[offset..];
-    split_signals_in(stmt, list, offset).into_iter().filter(|(name, _)| !name.is_empty()).collect()
-}
-
-/// Like [`split_signals`] but keeps empty pieces (so instantiation port
-/// lists can report them), over an explicit `slice` of the statement found
-/// at byte offset `base`.
-fn split_signals_in(stmt: &Statement, slice: &str, base: usize) -> Vec<(String, SourceSpan)> {
-    let mut out = Vec::new();
-    let mut cursor = 0;
-    for piece in slice.split(',') {
-        let lead = piece.len() - piece.trim_start().len();
-        out.push((piece.trim().to_owned(), stmt.span_at(base + cursor + lead)));
-        cursor += piece.len() + 1;
-    }
-    out
+/// The comma-separated pieces of `text[range]`, each trimmed; a blank piece
+/// is the empty range where the next piece or the list's end begins.
+fn pieces(text: &str, range: Range<usize>) -> impl Iterator<Item = Range<usize>> + '_ {
+    text[range].split(',').map(move |piece| {
+        let start = offset_in(text, piece);
+        trim(text, start..start + piece.len())
+    })
 }
 
 fn primitive_kind(prim: &str) -> Option<CellKind> {
@@ -298,124 +394,12 @@ fn primitive_kind(prim: &str) -> Option<CellKind> {
     }
 }
 
-fn build_netlist(
-    module_name: &str,
-    inputs: &[String],
-    outputs: &[String],
-    wires: &[String],
-    instances: &[Instance],
-    declared_at: &HashMap<String, (&'static str, SourceSpan)>,
-) -> Result<ParsedDesign, ParseNetlistError> {
-    let mut netlist = Netlist::new(module_name);
-    let mut recovered: Vec<RecoveredDefect> = Vec::new();
-    // Map from signal name to the gate that drives it.
-    let mut driver: HashMap<String, GateId> = HashMap::new();
-    // Placeholders injected for undriven signals, one per signal.
-    let mut placeholders: HashMap<String, GateId> = HashMap::new();
-    for name in inputs {
-        let id = netlist.add_input(name.clone());
-        if let Some(&(_, span)) = declared_at.get(name.as_str()) {
-            netlist.set_span(id, span);
-        }
-        driver.insert(name.clone(), id);
-    }
-
-    let declared: std::collections::HashSet<&str> =
-        inputs.iter().chain(outputs.iter()).chain(wires.iter()).map(String::as_str).collect();
-
-    // First pass: create the gates so forward references resolve; we place
-    // gates in instance order and patch fan-ins in a second pass.
-    let mut pending: Vec<(GateId, &Instance)> = Vec::new();
-    for instance in instances {
-        let kind = primitive_kind(&instance.prim).ok_or_else(|| {
-            ParseNetlistError::at(
-                instance.span,
-                format!("unknown gate primitive `{}`", instance.prim),
-            )
-        })?;
-        if instance.ports.len() != kind.input_count() + 1 {
-            return Err(ParseNetlistError::at(
-                instance.span,
-                format!(
-                    "primitive `{}` expects {} ports, found {}",
-                    instance.prim,
-                    kind.input_count() + 1,
-                    instance.ports.len()
-                ),
-            ));
-        }
-        let (out_signal, out_span) = &instance.ports[0];
-        if !declared.contains(out_signal.as_str()) {
-            return Err(ParseNetlistError::at(
-                *out_span,
-                format!("undeclared signal `{out_signal}`"),
-            ));
-        }
-        let gate_name = if instance.name.is_empty() {
-            format!("u_{out_signal}")
-        } else {
-            instance.name.clone()
-        };
-        let id = netlist.add_gate(kind, gate_name, vec![]);
-        netlist.set_span(id, instance.span);
-        if driver.insert(out_signal.clone(), id).is_some() {
-            return Err(ParseNetlistError::at(
-                *out_span,
-                format!("signal `{out_signal}` has multiple drivers"),
-            ));
-        }
-        pending.push((id, instance));
-    }
-
-    // Second pass: resolve fan-ins now that all drivers are known; missing
-    // drivers are patched with recorded placeholders.
-    for (id, instance) in pending {
-        let mut fanin = Vec::with_capacity(instance.ports.len() - 1);
-        for (signal, span) in &instance.ports[1..] {
-            if !declared.contains(signal.as_str()) {
-                return Err(ParseNetlistError::at(*span, format!("undeclared signal `{signal}`")));
-            }
-            let src = match driver.get(signal) {
-                Some(src) => *src,
-                None => placeholder(
-                    &mut netlist,
-                    &mut placeholders,
-                    &mut recovered,
-                    signal,
-                    RecoveredKind::UndrivenSignal,
-                    *span,
-                ),
-            };
-            fanin.push(src);
-        }
-        netlist.gate_mut(id).fanin = fanin;
-    }
-
-    for name in outputs {
-        let declaration = declared_at.get(name).map_or(SourceSpan::UNKNOWN, |&(_, span)| span);
-        let src = match driver.get(name).or_else(|| placeholders.get(name)) {
-            Some(src) => *src,
-            None => placeholder(
-                &mut netlist,
-                &mut placeholders,
-                &mut recovered,
-                name,
-                RecoveredKind::UndrivenOutput,
-                declaration,
-            ),
-        };
-        let id = netlist.add_output(format!("po_{name}"), src);
-        netlist.set_span(id, declaration);
-    }
-
-    Ok(ParsedDesign { netlist, recovered })
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use crate::simulate;
+    use crate::span::SourceSpan;
 
     const HALF_ADDER: &str = r#"
         // A half adder in the supported structural subset.

@@ -17,7 +17,7 @@ use crate::detailed::{detailed_place_in_rows, DetailedPlacementConfig};
 use crate::legalize::legalize;
 
 /// Summary of a buffer-row insertion run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct BufferRowReport {
     /// Number of buffer rows (lines) inserted.
     pub buffer_lines: usize,

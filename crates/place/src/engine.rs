@@ -148,9 +148,10 @@ impl PlacementEngine {
 
     /// Attaches a cooperative [`CancelToken`]. Every placer polls it at its
     /// loop boundaries (each warm-start sweep, global iteration and
-    /// detailed pass) and stops early when it fires; legalization and
-    /// buffer-row insertion do not poll it. The engine then still returns a
-    /// (partial) result — the caller decides whether to keep it.
+    /// detailed pass) and stops early when it fires, and a fired token
+    /// skips buffer-row insertion and the legalization that follows it.
+    /// The engine then still returns a (partial) result — the caller
+    /// decides whether to keep it.
     pub fn with_cancel(mut self, cancel: CancelToken) -> Self {
         self.cancel = cancel;
         self
@@ -193,8 +194,12 @@ impl PlacementEngine {
             detailed_place_cancellable(&mut design, &detailed, &self.cancel);
         }
 
-        let (buffer_report, _) = insert_buffer_rows(&mut design, &self.technology);
-        if buffer_report.buffer_cells > 0 {
+        let buffer_report = if self.cancel.is_cancelled() {
+            BufferRowReport::default()
+        } else {
+            insert_buffer_rows(&mut design, &self.technology).0
+        };
+        if buffer_report.buffer_cells > 0 && !self.cancel.is_cancelled() {
             // The freshly inserted buffer rows are packed onto legal,
             // grid-aligned positions; already-legal rows are untouched
             // because legalization is idempotent.
@@ -287,6 +292,20 @@ mod tests {
         let [gordian, taas, superflow] = designs(&PlacementEngine::new(library).with_cancel(token));
         assert!(gordian == taas, "GORDIAN or TAAS ran past a fired token");
         assert!(gordian == superflow, "GORDIAN or SuperFlow ran past a fired token");
+    }
+
+    #[test]
+    fn a_fired_token_skips_buffer_rows() {
+        let (synth, library) = synthesized(Benchmark::Decoder);
+        let free = PlacementEngine::new(library.clone()).place(&synth, PlacerKind::SuperFlow);
+        assert!(free.buffer_lines > 0, "decoder needs buffer lines");
+
+        let token = CancelToken::new();
+        token.cancel();
+        let engine = PlacementEngine::new(library).with_cancel(token);
+        let cancelled = engine.place(&synth, PlacerKind::SuperFlow);
+        assert_eq!(cancelled.buffer_lines, 0);
+        assert!(cancelled.design.cells.iter().all(|cell| !cell.name.starts_with("wlbuf_")));
     }
 
     #[test]

@@ -23,11 +23,15 @@
 //! and splitter-tree growth.
 
 use aqfp_cells::CellKind;
+use aqfp_netlist::csr::out_degrees;
 use aqfp_netlist::traverse::topological_order;
-use aqfp_netlist::Netlist;
+use aqfp_netlist::{GateId, Netlist};
 use aqfp_synth::fanout::splitter_tree_size;
 
 use crate::report::{Interval, OutputDepth, StructureBounds};
+
+#[cfg(test)]
+mod reference;
 
 /// Levels a majority recipe may deepen a cone root by (the recipe table's
 /// worst case), used only for the `max` ceilings.
@@ -62,36 +66,37 @@ fn negate(net: Net) -> Net {
     }
 }
 
-/// N-ary AND over resolved values (OR via De Morgan in the caller).
-fn and_like(inputs: &[Net]) -> Simplified {
-    let mut lits: Vec<(usize, bool)> = Vec::new();
-    for value in inputs {
-        match *value {
+/// N-ary AND over resolved values, or with `complemented` over their
+/// complements (OR via De Morgan in [`or_like`]).
+fn and_like(inputs: &[Net], complemented: bool) -> Simplified {
+    let value = |i: usize| if complemented { negate(inputs[i]) } else { inputs[i] };
+    // The distinct literals: how many, and the last one seen.
+    let (mut distinct, mut literal) = (0, Net::Const(true));
+    for i in 0..inputs.len() {
+        match value(i) {
             Net::Const(false) => return Simplified::Known(Net::Const(false)),
             Net::Const(true) => {}
-            Net::Wire { source, inverted } => {
-                if lits.contains(&(source, !inverted)) {
+            wire => {
+                if (0..i).any(|earlier| value(earlier) == negate(wire)) {
                     // x AND NOT x.
                     return Simplified::Known(Net::Const(false));
                 }
-                if !lits.contains(&(source, inverted)) {
-                    lits.push((source, inverted));
+                if !(0..i).any(|earlier| value(earlier) == wire) {
+                    distinct += 1;
+                    literal = wire;
                 }
             }
         }
     }
-    match lits.as_slice() {
-        [] => Simplified::Known(Net::Const(true)),
-        [(source, inverted)] => {
-            Simplified::Known(Net::Wire { source: *source, inverted: *inverted })
-        }
+    match distinct {
+        0 => Simplified::Known(Net::Const(true)),
+        1 => Simplified::Known(literal),
         _ => Simplified::Opaque,
     }
 }
 
 fn or_like(inputs: &[Net]) -> Simplified {
-    let negated: Vec<Net> = inputs.iter().map(|v| negate(*v)).collect();
-    match and_like(&negated) {
+    match and_like(inputs, true) {
         Simplified::Known(net) => Simplified::Known(negate(net)),
         Simplified::Opaque => Simplified::Opaque,
     }
@@ -137,7 +142,7 @@ fn maj_like(inputs: &[Net]) -> Simplified {
     for (i, j, k) in [(0, 1, 2), (1, 0, 2), (2, 0, 1)] {
         if let Net::Const(value) = [a, b, c][i] {
             let rest = [[a, b, c][j], [a, b, c][k]];
-            return if value { or_like(&rest) } else { and_like(&rest) };
+            return if value { or_like(&rest) } else { and_like(&rest, false) };
         }
     }
     Simplified::Opaque
@@ -175,6 +180,7 @@ fn min_splitters_for(fanout: usize, arity: usize) -> usize {
 }
 
 /// The structural analysis: everything later passes need.
+#[derive(Debug, PartialEq)]
 pub(crate) struct Analysis {
     /// The derived structural bounds.
     pub structure: StructureBounds,
@@ -189,24 +195,62 @@ pub(crate) struct Analysis {
     pub edges: Vec<(usize, usize, usize)>,
 }
 
+/// Per-gate lists in compressed-sparse-row form, the layout of
+/// [`aqfp_netlist::FanoutCsr`]: gate `i`'s list is
+/// `items[offsets[i]..offsets[i + 1]]`.
+struct Csr {
+    offsets: Vec<usize>,
+    items: Vec<usize>,
+}
+
+impl Csr {
+    /// The lists that hold `item` under `gate` for every `(gate, item)`
+    /// pair `pairs` yields, each list in the order of the pairs.
+    fn from_pairs<I: Iterator<Item = (usize, usize)>>(gates: usize, pairs: impl Fn() -> I) -> Self {
+        let mut offsets = vec![0; gates + 1];
+        for (gate, _) in pairs() {
+            offsets[gate + 1] += 1;
+        }
+        for i in 0..gates {
+            offsets[i + 1] += offsets[i];
+        }
+        let mut items = vec![0; offsets[gates]];
+        let mut next = offsets.clone();
+        for (gate, item) in pairs() {
+            items[next[gate]] = item;
+            next[gate] += 1;
+        }
+        Self { offsets, items }
+    }
+
+    fn of(&self, gate: usize) -> &[usize] {
+        &self.items[self.offsets[gate]..self.offsets[gate + 1]]
+    }
+}
+
 /// Runs the abstract interpretation. Returns `None` when the netlist has a
 /// combinational cycle (plain lint reports that defect).
+///
+/// Every pass runs over flat per-gate arrays; the resolved dependencies and
+/// the effective consumers are one [`Csr`] each.
 pub(crate) fn analyse(netlist: &Netlist, max_splitter_arity: usize) -> Option<Analysis> {
     let order = topological_order(netlist).ok()?;
     let n = netlist.gate_count();
     let arity = max_splitter_arity.max(2);
+    let kind = |i: usize| netlist.gate(GateId(i)).kind;
+    let fanin =
+        |i: usize| netlist.gate(GateId(i)).fanin.iter().map(|f| f.index()).filter(|&f| f < n);
 
-    // Pass 1: effective values, opaqueness and resolved dependencies.
+    // Pass 1: effective values and opaqueness.
     let mut values: Vec<Net> = vec![Net::Const(false); n];
     let mut opaque = vec![false; n];
     let mut is_pi = vec![false; n];
-    let mut deps: Vec<Vec<usize>> = vec![Vec::new(); n];
+    let mut inputs: Vec<Net> = Vec::new();
     for &id in &order {
         let i = id.index();
-        let gate = netlist.gate(id);
-        let fanin: Vec<Net> =
-            gate.fanin.iter().filter(|f| f.index() < n).map(|f| values[f.index()]).collect();
-        let simplified = match gate.kind {
+        inputs.clear();
+        inputs.extend(fanin(i).map(|f| values[f]));
+        let simplified = match kind(i) {
             CellKind::Input => {
                 is_pi[i] = true;
                 values[i] = Net::Wire { source: i, inverted: false };
@@ -215,113 +259,117 @@ pub(crate) fn analyse(netlist: &Netlist, max_splitter_arity: usize) -> Option<An
             CellKind::Constant0 => Simplified::Known(Net::Const(false)),
             CellKind::Constant1 => Simplified::Known(Net::Const(true)),
             CellKind::Buffer | CellKind::Splitter2 | CellKind::Splitter3 | CellKind::Splitter4 => {
-                match fanin.first() {
+                match inputs.first() {
                     Some(net) => Simplified::Known(*net),
                     None => Simplified::Opaque,
                 }
             }
-            CellKind::Inverter => match fanin.first() {
+            CellKind::Inverter => match inputs.first() {
                 Some(net) => Simplified::Known(negate(*net)),
                 None => Simplified::Opaque,
             },
             CellKind::Output => {
-                values[i] = *fanin.first().unwrap_or(&Net::Const(false));
+                values[i] = *inputs.first().unwrap_or(&Net::Const(false));
                 continue;
             }
-            CellKind::And => and_like(&fanin),
-            CellKind::Nand => match and_like(&fanin) {
+            CellKind::And => and_like(&inputs, false),
+            CellKind::Nand => match and_like(&inputs, false) {
                 Simplified::Known(net) => Simplified::Known(negate(net)),
                 Simplified::Opaque => Simplified::Opaque,
             },
-            CellKind::Or => or_like(&fanin),
-            CellKind::Nor => match or_like(&fanin) {
+            CellKind::Or => or_like(&inputs),
+            CellKind::Nor => match or_like(&inputs) {
                 Simplified::Known(net) => Simplified::Known(negate(net)),
                 Simplified::Opaque => Simplified::Opaque,
             },
-            CellKind::Xor => xor_like(&fanin),
-            CellKind::Majority3 => maj_like(&fanin),
+            CellKind::Xor => xor_like(&inputs),
+            CellKind::Majority3 => maj_like(&inputs),
         };
         match simplified {
             Simplified::Known(net) => values[i] = net,
             Simplified::Opaque => {
                 opaque[i] = true;
                 values[i] = Net::Wire { source: i, inverted: false };
-                let mut sources: Vec<usize> = fanin
-                    .iter()
-                    .filter_map(|net| match net {
-                        Net::Wire { source, .. } => Some(*source),
-                        Net::Const(_) => None,
-                    })
-                    .collect();
-                sources.sort_unstable();
-                sources.dedup();
-                deps[i] = sources;
             }
         }
+    }
+    let source = |net: Net| match net {
+        Net::Wire { source, .. } => Some(source),
+        Net::Const(_) => None,
+    };
+
+    // Resolved dependencies: the distinct sources an opaque gate's fan-ins
+    // resolve to, ascending.
+    let mut deps = Csr { offsets: Vec::with_capacity(n + 1), items: Vec::new() };
+    deps.offsets.push(0);
+    let mut sources: Vec<usize> = Vec::new();
+    for (i, &opaque) in opaque.iter().enumerate() {
+        if opaque {
+            sources.clear();
+            sources.extend(fanin(i).filter_map(|f| source(values[f])));
+            sources.sort_unstable();
+            sources.dedup();
+            deps.items.extend_from_slice(&sources);
+        }
+        deps.offsets.push(deps.items.len());
     }
 
     // Pass 2: reachability — opaque ancestors of primary outputs through
     // resolved edges (anything else may be swept by `pruned()`).
+    let outputs = netlist.primary_outputs();
+    let po_source = |po: &GateId| source(values[po.index()]);
     let mut reached = vec![false; n];
     let mut stack: Vec<usize> = Vec::new();
-    for &po in netlist.primary_outputs() {
-        if let Net::Wire { source, .. } = values[po.index()] {
-            if opaque[source] && !reached[source] {
-                reached[source] = true;
-                stack.push(source);
-            }
+    for src in outputs.iter().filter_map(po_source) {
+        if opaque[src] && !reached[src] {
+            reached[src] = true;
+            stack.push(src);
         }
     }
     while let Some(g) = stack.pop() {
-        for &dep in &deps[g] {
+        for &dep in deps.of(g) {
             if opaque[dep] && !reached[dep] {
                 reached[dep] = true;
                 stack.push(dep);
             }
         }
     }
+    let live = |i: usize| opaque[i] && reached[i];
 
     // Pass 3: effective consumers over the reachable graph. Primary outputs
     // are consumers too (their terminal must be fed).
-    let mut consumers: Vec<Vec<usize>> = vec![Vec::new(); n];
+    let consumers = Csr::from_pairs(n, || {
+        let gates =
+            (0..n).filter(|&i| live(i)).flat_map(|i| deps.of(i).iter().map(move |&d| (d, i)));
+        gates.chain(outputs.iter().filter_map(move |po| po_source(po).map(|s| (s, po.index()))))
+    });
     let mut feeds_po = vec![false; n];
-    for (i, gate_deps) in deps.iter().enumerate() {
-        if opaque[i] && reached[i] {
-            for &dep in gate_deps {
-                consumers[dep].push(i);
-            }
-        }
-    }
-    for &po in netlist.primary_outputs() {
-        if let Net::Wire { source, .. } = values[po.index()] {
-            consumers[source].push(po.index());
-            feeds_po[source] = true;
-        }
+    for src in outputs.iter().filter_map(po_source) {
+        feeds_po[src] = true;
     }
 
     // Surviving set: reachable opaque gates that feed a primary output or
     // have two or more reachable consumers (such a gate can never be
     // absorbed as a cone internal, which requires fan-out exactly one).
-    let surviving: Vec<bool> = (0..n)
-        .map(|i| opaque[i] && reached[i] && (feeds_po[i] || consumers[i].len() >= 2))
-        .collect();
+    let surviving: Vec<bool> =
+        (0..n).map(|i| live(i) && (feeds_po[i] || consumers.of(i).len() >= 2)).collect();
 
     // Pass 4: endpoint contraction. A non-surviving gate has exactly one
     // relevant consumer; walking down the chain finds the surviving cell (or
     // output terminal) its signal ultimately feeds. Two consumers of the
     // same source that end in the same cell merge into one sink there.
-    let is_output = |i: usize| netlist.gate(aqfp_netlist::GateId(i)).kind == CellKind::Output;
+    let is_output = |i: usize| kind(i) == CellKind::Output;
     let mut endpoint: Vec<usize> = vec![usize::MAX; n];
     for &id in order.iter().rev() {
         let i = id.index();
-        if !(opaque[i] && reached[i]) {
+        if !live(i) {
             continue;
         }
         endpoint[i] = if surviving[i] {
             i
         } else {
             // Exactly one reachable consumer (else it would survive).
-            match consumers[i].first() {
+            match consumers.of(i).first() {
                 Some(&c) if surviving[c] || is_output(c) => c,
                 Some(&c) => endpoint[c],
                 None => usize::MAX,
@@ -329,15 +377,19 @@ pub(crate) fn analyse(netlist: &Netlist, max_splitter_arity: usize) -> Option<An
         };
     }
     let mut cons = vec![0usize; n];
+    let mut ends: Vec<usize> = Vec::new();
     for i in 0..n {
-        if !(is_pi[i] || (opaque[i] && reached[i])) {
+        if !(is_pi[i] || live(i)) {
             continue;
         }
-        let mut ends: Vec<usize> = consumers[i]
-            .iter()
-            .map(|&c| if surviving[c] || is_output(c) { c } else { endpoint[c] })
-            .filter(|&e| e != usize::MAX)
-            .collect();
+        ends.clear();
+        ends.extend(
+            consumers
+                .of(i)
+                .iter()
+                .map(|&c| if surviving[c] || is_output(c) { c } else { endpoint[c] })
+                .filter(|&e| e != usize::MAX),
+        );
         ends.sort_unstable();
         ends.dedup();
         cons[i] = ends.len();
@@ -348,32 +400,24 @@ pub(crate) fn analyse(netlist: &Netlist, max_splitter_arity: usize) -> Option<An
     let mut min_depth = vec![0usize; n];
     for &id in &order {
         let i = id.index();
-        if !(opaque[i] && reached[i]) {
+        if !live(i) {
             continue;
         }
-        let below = deps[i].iter().map(|&d| min_depth[d]).max().unwrap_or(0);
+        let below = deps.of(i).iter().map(|&d| min_depth[d]).max().unwrap_or(0);
         min_depth[i] = below + usize::from(surviving[i]);
     }
 
     // Pass 6: ceiling levels over the *raw* graph — every gate kept, plus
     // recipe-deepening and splitter-tree slack per edge.
-    let raw_fanouts = netlist.fanouts();
+    let raw_fanout = out_degrees(netlist);
     let mut max_level = vec![0usize; n];
     for &id in &order {
         let i = id.index();
-        let gate = netlist.gate(id);
-        if matches!(gate.kind, CellKind::Input | CellKind::Constant0 | CellKind::Constant1) {
+        if matches!(kind(i), CellKind::Input | CellKind::Constant0 | CellKind::Constant1) {
             continue;
         }
-        max_level[i] = gate
-            .fanin
-            .iter()
-            .filter(|f| f.index() < n)
-            .map(|f| {
-                let d = f.index();
-                let fanout = raw_fanouts[d].len();
-                max_level[d] + RECIPE_DEPTH_SLACK + ceil_log(arity, 3 * fanout + 3)
-            })
+        max_level[i] = fanin(i)
+            .map(|d| max_level[d] + RECIPE_DEPTH_SLACK + ceil_log(arity, 3 * raw_fanout[d] + 3))
             .max()
             .unwrap_or(0);
     }
@@ -382,35 +426,26 @@ pub(crate) fn analyse(netlist: &Netlist, max_splitter_arity: usize) -> Option<An
     // advance one phase, absorbed gates are transparent, splitter trees add
     // their depth below high-fan-out sources.
     let mut est_level = vec![0usize; n];
-    let lv_out = |est_level: &[usize], cons: &[usize], s: usize| {
-        est_level[s] + split_depth_est(cons[s], arity)
-    };
+    let lv_out = |est_level: &[usize], s: usize| est_level[s] + split_depth_est(cons[s], arity);
     for &id in &order {
         let i = id.index();
-        if !(opaque[i] && reached[i]) {
+        if !live(i) {
             continue;
         }
-        let below = deps[i].iter().map(|&d| lv_out(&est_level, &cons, d)).max().unwrap_or(0);
+        let below = deps.of(i).iter().map(|&d| lv_out(&est_level, d)).max().unwrap_or(0);
         est_level[i] = below + usize::from(surviving[i]);
     }
 
     // Per-output depth intervals and the alignment level bounds.
-    let outputs = netlist.primary_outputs();
     let mut po_depths = Vec::new();
     let mut align_min = 0usize; // sound lower bound on the common PO level
     let mut align_est = 0usize;
     let mut align_max = 0usize;
     let mut po_levels: Vec<(usize, usize)> = Vec::new(); // (est, max) per PO
-    for &po in outputs {
-        let i = po.index();
-        let (lo, est, hi) = match values[i] {
-            Net::Const(_) => (1, 1, 1),
-            Net::Wire { source, .. } => {
-                let lo = min_depth[source] + 1;
-                let est = lv_out(&est_level, &cons, source) + 1;
-                let hi = max_level[source] + 1;
-                (lo, est, hi)
-            }
+    for po in outputs {
+        let (lo, est, hi) = match po_source(po) {
+            None => (1, 1, 1),
+            Some(src) => (min_depth[src] + 1, lv_out(&est_level, src) + 1, max_level[src] + 1),
         };
         align_min = align_min.max(lo);
         align_est = align_est.max(est);
@@ -418,7 +453,7 @@ pub(crate) fn analyse(netlist: &Netlist, max_splitter_arity: usize) -> Option<An
         po_levels.push((est, hi));
         if po_depths.len() < StructureBounds::PO_DEPTH_CAP {
             po_depths.push(OutputDepth {
-                output: netlist.gate(po).name.clone(),
+                output: netlist.gate(*po).name.clone(),
                 min_level: lo,
                 max_level: hi,
             });
@@ -441,28 +476,25 @@ pub(crate) fn analyse(netlist: &Netlist, max_splitter_arity: usize) -> Option<An
         if !surviving[i] {
             continue;
         }
-        for &d in &deps[i] {
-            let out = lv_out(&est_level, &cons, d);
+        for &d in deps.of(i) {
+            let out = lv_out(&est_level, d);
             est_buffers += est_level[i].saturating_sub(out + 1);
             edges.push((d, est_level[d], est_level[i]));
         }
     }
-    for (&po, &(est, _)) in outputs.iter().zip(&po_levels) {
-        if let Net::Wire { source, .. } = values[po.index()] {
-            let _ = est; // outputs sit on the aligned level
-            edges.push((source, est_level[source], align_est));
-        }
+    // Outputs sit on the aligned level.
+    for src in outputs.iter().filter_map(po_source) {
+        edges.push((src, est_level[src], align_est));
     }
     // Raw-graph buffer ceiling: every raw edge may need to bridge its whole
     // ceiling-level gap.
     for &id in &order {
         let i = id.index();
-        let gate = netlist.gate(id);
-        if gate.kind.is_terminal() {
+        if kind(i).is_terminal() {
             continue;
         }
-        for f in gate.fanin.iter().filter(|f| f.index() < n) {
-            max_buffers += max_level[i].saturating_sub(max_level[f.index()] + 1);
+        for f in fanin(i) {
+            max_buffers += max_level[i].saturating_sub(max_level[f] + 1);
         }
     }
 
@@ -482,16 +514,14 @@ pub(crate) fn analyse(netlist: &Netlist, max_splitter_arity: usize) -> Option<An
 
     let mut min_split = 0usize;
     let mut est_split = 0usize;
+    let mut max_split = 0usize;
     for i in 0..n {
-        if is_pi[i] || (opaque[i] && reached[i]) {
+        if is_pi[i] || live(i) {
             min_split += min_splitters_for(cons[i], arity);
             est_split += splitter_tree_size(cons[i], arity);
         }
-    }
-    let mut max_split = 0usize;
-    for (i, sinks) in raw_fanouts.iter().enumerate() {
-        if !netlist.gate(aqfp_netlist::GateId(i)).kind.is_terminal() || is_pi[i] {
-            max_split += splitter_tree_size(3 * sinks.len() + 3, arity);
+        if !kind(i).is_terminal() || is_pi[i] {
+            max_split += splitter_tree_size(3 * raw_fanout[i] + 3, arity);
         }
     }
 
@@ -640,6 +670,62 @@ mod tests {
         for interval in [s.logic_cells, s.splitters, s.buffers, s.cells, s.rows] {
             assert!(interval.min <= interval.est && interval.est <= interval.max, "{interval:?}");
         }
+    }
+
+    #[test]
+    fn flat_passes_match_the_reference() {
+        use aqfp_netlist::generators::random::{random_dag, RandomDagConfig};
+        use aqfp_netlist::generators::{benchmark_circuit, Benchmark, LargeFamily};
+
+        let mut designs: Vec<Netlist> = Benchmark::ALL.into_iter().map(benchmark_circuit).collect();
+        designs.extend((1..=6).map(|seed| random_dag(&RandomDagConfig::small(seed))));
+        designs.extend((1..=3).map(|seed| LargeFamily::RandomDag.by_cells(2_000, seed)));
+        designs.extend([tiny(), collapsing_logic()]);
+        // A cycle, and a fan-in naming a gate that does not exist.
+        let mut cyclic = tiny();
+        cyclic.gate_mut(GateId(2)).fanin[1] = GateId(3);
+        let mut dangling = tiny();
+        dangling.gate_mut(GateId(2)).fanin.push(GateId(99));
+        let or = dangling.add_gate(CellKind::Or, "dangling_or", vec![GateId(0), GateId(42)]);
+        dangling.add_output("z2", or);
+        designs.extend([cyclic, dangling]);
+        for netlist in &designs {
+            for arity in [2, 3, 4] {
+                let (flat, nested) = (analyse(netlist, arity), reference::analyse(netlist, arity));
+                assert_eq!(flat, nested, "{} at splitter arity {arity}", netlist.name());
+            }
+        }
+        assert!(analyse(&designs[designs.len() - 2], 4).is_none(), "the cycle yields no analysis");
+    }
+
+    /// Constants, same-literal and complementary inputs on every folding
+    /// kind, so the flat passes see every simplification.
+    fn collapsing_logic() -> Netlist {
+        let mut n = Netlist::new("collapsing");
+        let a = n.add_input("a");
+        let b = n.add_input("b");
+        let zero = n.add_gate(CellKind::Constant0, "zero", vec![]);
+        let one = n.add_gate(CellKind::Constant1, "one", vec![]);
+        let not_a = n.add_gate(CellKind::Inverter, "not_a", vec![a]);
+        let gates = [
+            (CellKind::And, vec![a, a]),
+            (CellKind::Nand, vec![a, not_a]),
+            (CellKind::Or, vec![b, zero]),
+            (CellKind::Nor, vec![b, one]),
+            (CellKind::Xor, vec![a, not_a]),
+            (CellKind::Xor, vec![b, one]),
+            (CellKind::Majority3, vec![a, not_a, b]),
+            (CellKind::Majority3, vec![zero, a, b]),
+            (CellKind::Majority3, vec![one, a, b]),
+            (CellKind::Majority3, vec![a, b, zero]),
+            (CellKind::And, vec![a, b]),
+            (CellKind::Splitter2, vec![b]),
+        ];
+        for (i, (kind, fanin)) in gates.into_iter().enumerate() {
+            let g = n.add_gate(kind, format!("g{i}"), fanin);
+            n.add_output(format!("z{i}"), g);
+        }
+        n
     }
 
     #[test]
