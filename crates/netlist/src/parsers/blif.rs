@@ -212,13 +212,10 @@ impl<'a> Model<'a> {
     /// Closes the `.names` record being read, if any.
     fn flush_names(&mut self, lines: &LineIndex) -> Result<(), ParseNetlistError> {
         let Some(at) = self.names_at.take() else { return Ok(()) };
-        let kind = names_kind(self.names.len() - 1, &self.cover)
+        let kind = (self.names.len().checked_sub(1))
+            .and_then(|inputs| names_kind(inputs, &self.cover))
             .ok_or_else(|| ParseNetlistError::at(lines.span(at), "unsupported .names cover"))?;
-        // Guarded at the `.names` directive, but a typed error beats an
-        // unreachable-by-construction panic if that invariant ever slips.
-        let output = self.names.pop().ok_or_else(|| {
-            ParseNetlistError::at(lines.span(at), ".names needs at least an output")
-        })?;
+        let output = self.names.pop().expect("a recognised cover has an output signal");
         let first_input = self.bindings.len();
         self.bindings.append(&mut self.names);
         let inputs = first_input..self.bindings.len();
