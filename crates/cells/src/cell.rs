@@ -210,28 +210,6 @@ impl AqfpCell {
     pub fn area(&self) -> f64 {
         self.width * self.height
     }
-
-    /// Absolute position of the `index`-th input pin for a cell placed with
-    /// its lower-left corner at `origin`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range.
-    pub fn input_pin_position(&self, origin: Point, index: usize) -> Point {
-        let pin = &self.input_pins[index];
-        origin.translated(pin.offset.x, pin.offset.y)
-    }
-
-    /// Absolute position of the `index`-th output pin for a cell placed with
-    /// its lower-left corner at `origin`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range.
-    pub fn output_pin_position(&self, origin: Point, index: usize) -> Point {
-        let pin = &self.output_pins[index];
-        origin.translated(pin.offset.x, pin.offset.y)
-    }
 }
 
 #[cfg(test)]

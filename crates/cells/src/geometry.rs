@@ -33,16 +33,6 @@ impl Point {
         (self.x - other.x).abs() + (self.y - other.y).abs()
     }
 
-    /// Euclidean (L2) distance to `other`.
-    pub fn euclidean_distance(self, other: Point) -> f64 {
-        ((self.x - other.x).powi(2) + (self.y - other.y).powi(2)).sqrt()
-    }
-
-    /// Returns the point translated by `(dx, dy)`.
-    pub fn translated(self, dx: f64, dy: f64) -> Point {
-        Point::new(self.x + dx, self.y + dy)
-    }
-
     /// Snaps both coordinates to the nearest multiple of `grid`.
     ///
     /// # Panics

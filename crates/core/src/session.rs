@@ -835,11 +835,6 @@ impl FlowSession {
         self.cancel = cancel;
     }
 
-    /// The session's current cancellation token.
-    pub fn cancel_token(&self) -> &CancelToken {
-        &self.cancel
-    }
-
     /// Maps a fired token to the stage error to report; `Ok(())` while the
     /// token is live.
     fn ensure_not_cancelled(&self, stage: FlowStage) -> Result<(), FlowError> {

@@ -1,7 +1,7 @@
 //! The shared context rules run against.
 
 use aqfp_cells::Technology;
-use aqfp_netlist::{GateId, Netlist};
+use aqfp_netlist::{Csr, GateId, Netlist};
 
 use crate::config::{FlowSettings, LintConfig};
 
@@ -18,7 +18,7 @@ pub struct LintContext<'a> {
     /// The active lint policy (rules may read parameters such as the
     /// fan-out threshold from it).
     pub config: &'a LintConfig,
-    fanouts: Vec<Vec<GateId>>,
+    fanouts: Csr<GateId>,
     has_dangling: bool,
 }
 
@@ -30,28 +30,22 @@ impl<'a> LintContext<'a> {
         settings: &'a FlowSettings,
         config: &'a LintConfig,
     ) -> Self {
-        let mut fanouts = Vec::new();
-        let mut has_dangling = false;
-        if let Some(n) = netlist {
-            // Unlike `Netlist::fanouts`, tolerate fan-in ids that point past
-            // the gate table: a rule reports those, so the context must
-            // survive them.
-            fanouts = vec![Vec::new(); n.gate_count()];
-            for (id, gate) in n.iter() {
-                for &driver in &gate.fanin {
-                    match fanouts.get_mut(driver.index()) {
-                        Some(sinks) => sinks.push(id),
-                        None => has_dangling = true,
-                    }
-                }
-            }
-        }
+        let (fanouts, has_dangling) = match netlist {
+            // The fan-out lists skip fan-in ids that point past the gate
+            // table: a rule reports those, so the context must survive them.
+            Some(n) => (
+                Csr::fanouts(n),
+                n.iter().any(|(_, gate)| gate.fanin.iter().any(|d| d.index() >= n.gate_count())),
+            ),
+            None => (Csr::default(), false),
+        };
         Self { netlist, technology, settings, config, fanouts, has_dangling }
     }
 
-    /// Sink gates per driver (pin-level: a gate consuming one signal on two
-    /// pins appears twice). Empty when no netlist is present.
-    pub fn fanouts(&self) -> &[Vec<GateId>] {
+    /// Sink gates per driver, row `i` for gate `i` (pin-level: a gate
+    /// consuming one signal on two pins appears twice). No rows when no
+    /// netlist is present.
+    pub fn fanouts(&self) -> &Csr<GateId> {
         &self.fanouts
     }
 

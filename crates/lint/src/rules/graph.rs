@@ -268,7 +268,7 @@ impl Rule for FloatingInput {
         let Some(n) = ctx.netlist else { return Vec::new() };
         n.primary_inputs()
             .iter()
-            .filter(|&&pi| ctx.fanouts()[pi.index()].is_empty())
+            .filter(|&&pi| ctx.fanouts().row(pi.index()).is_empty())
             .map(|&pi| {
                 let gate = n.gate(pi);
                 Finding::on(
@@ -388,7 +388,7 @@ impl Rule for ConstantOutput {
             }
         }
         while let Some(id) = stack.pop() {
-            for &sink in &ctx.fanouts()[id.index()] {
+            for &sink in ctx.fanouts().row(id.index()) {
                 if !reached[sink.index()] {
                     reached[sink.index()] = true;
                     stack.push(sink);
@@ -438,7 +438,7 @@ impl Rule for ExcessiveFanout {
         let threshold = ctx.config.effective_fanout_threshold(arity);
         let mut findings = Vec::new();
         for (id, gate) in n.iter() {
-            let fanout = ctx.fanouts()[id.index()].len();
+            let fanout = ctx.fanouts().row(id.index()).len();
             if fanout > threshold {
                 let splitters = aqfp_synth::fanout::splitter_tree_size(fanout, arity);
                 findings.push(Finding::on(

@@ -1,77 +1,116 @@
-//! Flat (CSR) adjacency storage for netlist traversals.
+//! Flat (CSR) adjacency: the one "list of items under each row" type.
 //!
-//! [`Netlist::fanouts`] materializes a `Vec<Vec<GateId>>` — one heap
+//! [`Netlist::fanouts`] materializes a `Vec<Vec<GateId>>`, one heap
 //! allocation per gate. That is fine at benchmark scale, but at 10⁵–10⁶
 //! cells the per-gate `Vec` headers and allocator slack dominate peak RSS.
-//! [`FanoutCsr`] stores the same adjacency as two flat arrays — `offsets`
-//! (one entry per gate, prefix sums) and `sinks` (one entry per
-//! connection) — in the style of the placement crate's cell→net incidence,
-//! and [`out_degrees`] answers the common "how many consumers" question
-//! without materializing the lists at all.
+//! [`Csr`] stores any per-row lists as two flat arrays: `offsets` (one
+//! `u32` prefix sum per row) and `items` (one entry per listed item). The
+//! flow builds every adjacency it walks through it: a netlist's fan-outs
+//! ([`Csr::fanouts`], which traversal and lint read), splitter insertion's
+//! sink pins, predict's dependency and consumer lists, and the placers'
+//! cell-to-net incidence and warm-start neighbours.
 //!
-//! Entry order is identical to [`Netlist::fanouts`]: for every driver, its
-//! sinks appear in ascending consumer id order, so algorithms switched
-//! from the nested-`Vec` form to CSR visit gates in the same order and
-//! produce identical results.
+//! [`Csr::from_pairs`] is a two-pass counting sort over `(row, item)` pairs
+//! and keeps, within each row, the order in which the pairs come, so a
+//! builder that yields its pairs in the order it used to push onto per-row
+//! `Vec`s gets the same lists. [`Csr::push_row`] appends one whole row for
+//! lists that are computed a row at a time. [`out_degrees`] answers "how
+//! many consumers" without materializing the lists at all.
 
 use crate::gate::GateId;
 use crate::netlist::Netlist;
 
-/// Fan-out adjacency in compressed-sparse-row form: two flat arrays
-/// instead of one `Vec` per gate. See the [module docs](self).
+/// Per-row lists in compressed-sparse-row form: two flat arrays instead of
+/// one `Vec` per row. See the [module docs](self).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FanoutCsr {
-    /// `offsets[i]..offsets[i + 1]` indexes the sinks of gate `i`;
-    /// `gate_count + 1` entries.
+pub struct Csr<T> {
+    /// `offsets[r]..offsets[r + 1]` indexes the items of row `r`; one entry
+    /// more than there are rows.
     offsets: Vec<u32>,
-    /// Consumer gate ids, grouped by driver, ascending within each group.
-    sinks: Vec<u32>,
+    /// The items, grouped by row.
+    items: Vec<T>,
 }
 
-impl FanoutCsr {
-    /// Builds the fan-out adjacency of `netlist`. Dangling fan-ins (ids
-    /// beyond the gate count) are skipped, matching [`Netlist::fanouts`].
-    pub fn build(netlist: &Netlist) -> Self {
+/// No rows.
+impl<T> Default for Csr<T> {
+    fn default() -> Self {
+        Self { offsets: vec![0], items: Vec::new() }
+    }
+}
+
+impl<T: Copy> Csr<T> {
+    /// The lists that hold `item` under `row` for every `(row, item)` pair
+    /// `pairs` yields, each list in the order of its pairs. `pairs` is
+    /// called to count and again to fill, and must yield the same pairs.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a row of `rows` or more, or on more than `u32::MAX` pairs.
+    pub fn from_pairs<I: IntoIterator<Item = (usize, T)>>(
+        rows: usize,
+        pairs: impl Fn() -> I,
+    ) -> Self {
+        // Row `r` is counted at `offsets[r + 2]`, so after the prefix sum
+        // `offsets[r + 1]` is where row `r` starts; filling advances it to
+        // where row `r + 1` starts, and the spare last entry goes.
+        let mut offsets = vec![0u32; rows + 2];
+        let mut total = 0usize;
+        for (row, _) in pairs() {
+            offsets[row + 2] += 1;
+            total += 1;
+        }
+        assert!(u32::try_from(total).is_ok(), "CSR items fit in u32");
+        for r in 2..rows + 2 {
+            offsets[r] += offsets[r - 1];
+        }
+        // The first pair's item fills the slots until each is written.
+        let mut items = match pairs().into_iter().next() {
+            Some((_, first)) => vec![first; total],
+            None => Vec::new(),
+        };
+        for (row, item) in pairs() {
+            items[offsets[row + 1] as usize] = item;
+            offsets[row + 1] += 1;
+        }
+        offsets.pop();
+        Self { offsets, items }
+    }
+
+    /// Appends a row holding `row`'s items.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the lists would hold more than `u32::MAX` items.
+    pub fn push_row(&mut self, row: &[T]) {
+        self.items.extend_from_slice(row);
+        self.offsets.push(u32::try_from(self.items.len()).expect("CSR items fit in u32"));
+    }
+}
+
+impl<T> Csr<T> {
+    /// The items of row `r`, in the order they were added.
+    pub fn row(&self, r: usize) -> &[T] {
+        &self.items[self.offsets[r] as usize..self.offsets[r + 1] as usize]
+    }
+
+    /// The number of rows.
+    pub fn row_count(&self) -> usize {
+        self.offsets.len() - 1
+    }
+}
+
+impl Csr<GateId> {
+    /// The fan-out lists of `netlist`: row `i` holds the consumers of gate
+    /// `i` in ascending id order, a gate that reads the signal on two pins
+    /// twice, as in [`Netlist::fanouts`]. Dangling fan-ins (ids beyond the
+    /// gate count) are skipped.
+    pub fn fanouts(netlist: &Netlist) -> Self {
         let n = netlist.gate_count();
-        let mut offsets = vec![0u32; n + 1];
-        for (_, gate) in netlist.iter() {
-            for &driver in &gate.fanin {
-                if driver.0 < n {
-                    offsets[driver.0 + 1] += 1;
-                }
-            }
-        }
-        for i in 0..n {
-            offsets[i + 1] += offsets[i];
-        }
-        let mut sinks = vec![0u32; offsets[n] as usize];
-        let mut cursor: Vec<u32> = offsets[..n].to_vec();
-        for (id, gate) in netlist.iter() {
-            for &driver in &gate.fanin {
-                if driver.0 < n {
-                    sinks[cursor[driver.0] as usize] = id.0 as u32;
-                    cursor[driver.0] += 1;
-                }
-            }
-        }
-        Self { offsets, sinks }
-    }
-
-    /// The consumers of gate `id`, in ascending id order.
-    pub fn of(&self, id: GateId) -> impl Iterator<Item = GateId> + '_ {
-        self.sinks[self.offsets[id.0] as usize..self.offsets[id.0 + 1] as usize]
-            .iter()
-            .map(|&sink| GateId(sink as usize))
-    }
-
-    /// Number of consumers of gate `id`.
-    pub fn degree(&self, id: GateId) -> usize {
-        (self.offsets[id.0 + 1] - self.offsets[id.0]) as usize
-    }
-
-    /// Total number of connections stored.
-    pub fn connection_count(&self) -> usize {
-        self.sinks.len()
+        Self::from_pairs(n, || {
+            netlist.iter().flat_map(move |(id, gate)| {
+                gate.fanin.iter().filter(move |d| d.0 < n).map(move |d| (d.0, id))
+            })
+        })
     }
 }
 
@@ -95,27 +134,56 @@ pub fn out_degrees(netlist: &Netlist) -> Vec<usize> {
 mod tests {
     use super::*;
     use crate::generators::{benchmark_circuit, Benchmark};
+    use aqfp_cells::CellKind;
 
     #[test]
     fn csr_matches_the_nested_vec_adjacency() {
-        let netlist = benchmark_circuit(Benchmark::Adder8);
-        let nested = netlist.fanouts();
-        let csr = FanoutCsr::build(&netlist);
-        let degrees = out_degrees(&netlist);
-        assert_eq!(csr.connection_count(), netlist.connection_count());
-        for id in netlist.ids() {
-            let flat: Vec<GateId> = csr.of(id).collect();
-            assert_eq!(flat, nested[id.0], "sink order must match for gate {id:?}");
-            assert_eq!(csr.degree(id), nested[id.0].len());
-            assert_eq!(degrees[id.0], nested[id.0].len());
+        // A dangling fan-in is skipped; a gate that reads one signal on two
+        // pins is listed twice under it.
+        let mut odd = Netlist::new("odd");
+        let a = odd.add_input("a");
+        let b = odd.add_input("b");
+        let twice = odd.add_gate(CellKind::And, "twice", vec![a, a]);
+        let dangling = odd.add_gate(CellKind::And, "dangling", vec![b, GateId(99)]);
+        odd.add_output("y", twice);
+        odd.add_output("z", dangling);
+
+        for netlist in [benchmark_circuit(Benchmark::Adder8), odd] {
+            let nested = netlist.fanouts();
+            let csr = Csr::fanouts(&netlist);
+            let degrees = out_degrees(&netlist);
+            assert_eq!(csr.row_count(), netlist.gate_count());
+            for id in netlist.ids() {
+                assert_eq!(csr.row(id.0), nested[id.0], "sink order must match for gate {id:?}");
+                assert_eq!(degrees[id.0], nested[id.0].len());
+            }
         }
+    }
+
+    #[test]
+    fn from_pairs_keeps_each_rows_pair_order() {
+        // Rows 0, 2 and the trailing 4 and 5 are empty; the pairs come out
+        // of row order.
+        let pairs = [(3, 'a'), (1, 'b'), (3, 'c'), (1, 'd'), (3, 'e')];
+        let csr = Csr::from_pairs(6, || pairs);
+        let rows: Vec<Vec<char>> = (0..csr.row_count()).map(|r| csr.row(r).to_vec()).collect();
+        assert_eq!(rows, [vec![], vec!['b', 'd'], vec![], vec!['a', 'c', 'e'], vec![], vec![]]);
+
+        let mut pushed = Csr::default();
+        for row in &rows {
+            pushed.push_row(row);
+        }
+        assert_eq!(pushed, csr, "push_row builds the same lists");
+
+        let empty = Csr::<char>::from_pairs(3, || []);
+        assert_eq!(empty.row_count(), 3);
+        assert!((0..3).all(|r| empty.row(r).is_empty()));
     }
 
     #[test]
     fn empty_netlist_has_an_empty_csr() {
         let netlist = Netlist::new("empty");
-        let csr = FanoutCsr::build(&netlist);
-        assert_eq!(csr.connection_count(), 0);
+        assert_eq!(Csr::fanouts(&netlist), Csr::default());
         assert!(out_degrees(&netlist).is_empty());
     }
 }

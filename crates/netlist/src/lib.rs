@@ -39,7 +39,7 @@ pub mod stats;
 pub mod traverse;
 pub mod writers;
 
-pub use csr::FanoutCsr;
+pub use csr::Csr;
 pub use gate::{Gate, GateId};
 pub use netlist::{Netlist, NetlistError};
 pub use span::SourceSpan;

@@ -117,11 +117,6 @@ impl Netlist {
         &self.name
     }
 
-    /// Renames the design.
-    pub fn set_name(&mut self, name: impl Into<String>) {
-        self.name = name.into();
-    }
-
     /// Adds a primary input terminal and returns its id.
     pub fn add_input(&mut self, name: impl Into<String>) -> GateId {
         let id = self.push(Gate::new(name, CellKind::Input, vec![]));

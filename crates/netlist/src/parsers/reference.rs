@@ -71,9 +71,15 @@ pub(super) mod verilog {
                 continue;
             }
             if let Some(rest) = module_header(text) {
-                let name = rest.split(['(', ';']).next().unwrap_or("").trim();
+                let head = rest.split(['(', ';']).next().unwrap_or("");
+                let name = head.trim();
                 if name.is_empty() {
                     return Err(ParseNetlistError::at(stmt.start(), "module name missing"));
+                }
+                let at = text.len() - rest.len() + head.len() - head.trim_start().len();
+                if let Some((first, second, span)) = two_words(stmt, name, at) {
+                    let message = format!("expected `(` after module `{first}`, found `{second}`");
+                    return Err(ParseNetlistError::at(span, message));
                 }
                 module_name = name.to_owned();
                 continue;
@@ -85,6 +91,7 @@ pub(super) mod verilog {
                 declare(
                     &mut declared_at,
                     category,
+                    stmt,
                     split_signals(stmt, category.len()),
                     &mut inputs,
                     &mut outputs,
@@ -110,14 +117,24 @@ pub(super) mod verilog {
                     "`)` precedes `(` in gate instantiation",
                 ));
             }
-            let ports = split_signals_in(stmt, &after[open + 1..close], after_offset + open + 1);
+            let name = after[..open].trim();
+            let at = after_offset + after.len() - after.trim_start().len();
+            if let Some((first, second, span)) = two_words(stmt, name, at) {
+                let message = format!("expected `(` after instance `{first}`, found `{second}`");
+                return Err(ParseNetlistError::at(span, message));
+            }
+            let ports: Vec<(String, SourceSpan)> =
+                split_signals_in(&after[open + 1..close], after_offset + open + 1)
+                    .into_iter()
+                    .map(|(port, at)| (port, stmt.span_at(at)))
+                    .collect();
             if let Some((_, span)) = ports.iter().find(|(p, _)| p.is_empty()) {
                 return Err(ParseNetlistError::at(*span, "empty port in gate instantiation"));
             }
             instances.push(Instance {
                 span: stmt.start(),
                 prim: prim.trim().to_owned(),
-                name: after[..open].trim().to_owned(),
+                name: name.to_owned(),
                 ports,
             });
         }
@@ -144,12 +161,18 @@ pub(super) mod verilog {
     fn declare(
         declared_at: &mut HashMap<String, (&'static str, SourceSpan)>,
         category: &'static str,
-        names: Vec<(String, SourceSpan)>,
+        stmt: &Statement,
+        names: Vec<(String, usize)>,
         inputs: &mut Vec<String>,
         outputs: &mut Vec<String>,
         wires: &mut Vec<String>,
     ) -> Result<(), ParseNetlistError> {
-        for (name, span) in names {
+        for (name, at) in names {
+            if let Some((first, second, span)) = two_words(stmt, &name, at) {
+                let message = format!("expected `,` between `{first}` and `{second}`");
+                return Err(ParseNetlistError::at(span, message));
+            }
+            let span = stmt.span_at(at);
             if let Some(&(previous, previous_span)) = declared_at.get(name.as_str()) {
                 if (previous == "wire") == (category == "wire") {
                     return Err(ParseNetlistError::at(
@@ -271,28 +294,35 @@ pub(super) mod verilog {
     }
 
     /// Splits the comma-separated list starting `offset` bytes into the
-    /// statement's text, returning each trimmed piece with the span of its first
-    /// character. Empty pieces are dropped.
-    fn split_signals(stmt: &Statement, offset: usize) -> Vec<(String, SourceSpan)> {
+    /// statement's text, returning each trimmed piece with the offset of its
+    /// first character. Empty pieces are dropped.
+    fn split_signals(stmt: &Statement, offset: usize) -> Vec<(String, usize)> {
         let list = &stmt.text[offset..];
-        split_signals_in(stmt, list, offset)
-            .into_iter()
-            .filter(|(name, _)| !name.is_empty())
-            .collect()
+        split_signals_in(list, offset).into_iter().filter(|(name, _)| !name.is_empty()).collect()
     }
 
     /// Like [`split_signals`] but keeps empty pieces (so instantiation port
     /// lists can report them), over an explicit `slice` of the statement found
     /// at byte offset `base`.
-    fn split_signals_in(stmt: &Statement, slice: &str, base: usize) -> Vec<(String, SourceSpan)> {
+    fn split_signals_in(slice: &str, base: usize) -> Vec<(String, usize)> {
         let mut out = Vec::new();
         let mut cursor = 0;
         for piece in slice.split(',') {
             let lead = piece.len() - piece.trim_start().len();
-            out.push((piece.trim().to_owned(), stmt.span_at(base + cursor + lead)));
+            out.push((piece.trim().to_owned(), base + cursor + lead));
             cursor += piece.len() + 1;
         }
         out
+    }
+
+    /// The first two words of `name`, which starts `at` bytes into the
+    /// statement's text, and the span of the second, when `name` has
+    /// whitespace inside.
+    fn two_words(stmt: &Statement, name: &str, at: usize) -> Option<(String, String, SourceSpan)> {
+        let (first, rest) = name.split_once(char::is_whitespace)?;
+        let rest = rest.trim_start();
+        let second = rest.split(char::is_whitespace).next().unwrap_or(rest);
+        Some((first.to_owned(), second.to_owned(), stmt.span_at(at + name.len() - rest.len())))
     }
 
     fn primitive_kind(prim: &str) -> Option<CellKind> {
@@ -818,11 +848,11 @@ mod tests {
     use crate::writers::{to_blif, to_verilog};
 
     /// Sources with what the writers never emit: comments, tabs, non-ASCII
-    /// names, statements, records and a name over several lines, `.names`
-    /// covers. Each is also read with CRLF line ends.
+    /// names, statements and records over several lines, `.names` covers.
+    /// Each is also read with CRLF line ends.
     const VERILOG: [&str; 2] = [
         "// A commented module over several lines.\nmodule top(a, b, // inputs\n  y, z);\n  \
-         input a,\n        b;\n  input p\n q;\n  output y, z;\n  wire n1, ü;\n  \
+         input a,\n        b;\n  input p,\n q;\n  output y, z;\n  wire n1, ü;\n  \
          and g1(n1, a, b); // first\n  maj g2(y, n1,\n         a, b);\n  buf (z, ü);\nendmodule\n",
         "module\tt(a,\ty);\n\tinput\ta;\n\toutput\ty;\n\tnot\tg1(y,\ta);\nendmodule",
     ];

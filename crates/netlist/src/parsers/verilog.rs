@@ -183,6 +183,12 @@ impl<'a> Module<'a> {
             if name.is_empty() {
                 return Err(error(0, "module name missing".into()));
             }
+            if let Some((first, second, at)) = two_words(text, name.clone()) {
+                return Err(error(
+                    at,
+                    format!("expected `(` after module `{first}`, found `{second}`"),
+                ));
+            }
             self.name = stmt.slice(name);
             return Ok(());
         }
@@ -204,6 +210,13 @@ impl<'a> Module<'a> {
         if close <= open {
             return Err(error(0, "`)` precedes `(` in gate instantiation".into()));
         }
+        let name = trim(text, after_at..after_at + open);
+        if let Some((first, second, at)) = two_words(text, name.clone()) {
+            return Err(error(
+                at,
+                format!("expected `(` after instance `{first}`, found `{second}`"),
+            ));
+        }
         let first_port = self.ports.len();
         for port in pieces(text, after_at + open + 1..after_at + close) {
             if port.is_empty() {
@@ -214,7 +227,7 @@ impl<'a> Module<'a> {
         self.instances.push(Instance {
             at: stmt.offset(0),
             primitive: stmt.slice(0..primitive.len()),
-            name: stmt.slice(trim(text, after_at..after_at + open)),
+            name: stmt.slice(name),
             ports: first_port..self.ports.len(),
         });
         Ok(())
@@ -234,6 +247,12 @@ impl<'a> Module<'a> {
         for range in pieces(text, declared.keyword().len()..text.len()) {
             if range.is_empty() {
                 continue;
+            }
+            if let Some((first, second, at)) = two_words(text, range.clone()) {
+                return Err(ParseNetlistError::at(
+                    stmt.span(lines, at),
+                    format!("expected `,` between `{first}` and `{second}`"),
+                ));
             }
             let at = stmt.offset(range.start);
             let name = stmt.slice(range);
@@ -378,6 +397,15 @@ fn pieces(text: &str, range: Range<usize>) -> impl Iterator<Item = Range<usize>>
         let start = offset_in(text, piece);
         trim(text, start..start + piece.len())
     })
+}
+
+/// The first two words of the trimmed `text[range]` and the offset of the
+/// second, when a name there has whitespace inside.
+fn two_words(text: &str, range: Range<usize>) -> Option<(&str, &str, usize)> {
+    let (first, rest) = text[range.clone()].split_once(char::is_whitespace)?;
+    let rest = rest.trim_start();
+    let second = rest.split(char::is_whitespace).next().unwrap_or(rest);
+    Some((first, second, range.end - rest.len()))
 }
 
 fn primitive_kind(prim: &str) -> Option<CellKind> {
@@ -560,6 +588,22 @@ mod tests {
         let src = "module m(a, y);\ninput a;\noutput y;\nand g1(y, a, ghost);\nendmodule";
         let err = parse_verilog(src).unwrap_err();
         assert_eq!((err.line, err.column), (4, 14), "{err}");
+
+        // A module, signal or instance name with whitespace inside is an
+        // error at its second word.
+        for (src, line, column, message) in [
+            ("module top level(a, y);", 1, 12, "expected `(` after module `top`, found `level`"),
+            ("and g 1(y, a, b);", 4, 7, "expected `(` after instance `g`, found `1`"),
+            ("input p q;", 4, 9, "expected `,` between `p` and `q`"),
+        ] {
+            let src = if src.starts_with("module") {
+                format!("{src}\ninput a;\noutput y;\nbuf g1(y, a);\nendmodule")
+            } else {
+                format!("module m(a, b, y);\ninput a, b;\noutput y;\n{src}\nendmodule")
+            };
+            let err = parse_verilog(&src).unwrap_err();
+            assert_eq!((err.line, err.column, err.message.as_str()), (line, column, message));
+        }
     }
 
     #[test]

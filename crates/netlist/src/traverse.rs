@@ -2,7 +2,7 @@
 
 use std::collections::VecDeque;
 
-use crate::csr::FanoutCsr;
+use crate::csr::Csr;
 use crate::gate::GateId;
 use crate::netlist::{Netlist, NetlistError};
 
@@ -22,12 +22,12 @@ pub fn topological_order(netlist: &Netlist) -> Result<Vec<GateId>, NetlistError>
         indegree[id.0] = gate.fanin.iter().filter(|d| d.0 < n).count();
     }
 
-    let fanouts = FanoutCsr::build(netlist);
+    let fanouts = Csr::fanouts(netlist);
     let mut queue: VecDeque<GateId> = (0..n).filter(|&i| indegree[i] == 0).map(GateId).collect();
     let mut order = Vec::with_capacity(n);
     while let Some(id) = queue.pop_front() {
         order.push(id);
-        for sink in fanouts.of(id) {
+        for &sink in fanouts.row(id.0) {
             indegree[sink.0] -= 1;
             if indegree[sink.0] == 0 {
                 queue.push_back(sink);
@@ -99,7 +99,7 @@ pub fn fanin_cone(netlist: &Netlist, root: GateId) -> Vec<GateId> {
 /// Returns the transitive fan-out cone of `root` (all gates reachable from
 /// `root`), including `root` itself.
 pub fn fanout_cone(netlist: &Netlist, root: GateId) -> Vec<GateId> {
-    let fanouts = FanoutCsr::build(netlist);
+    let fanouts = Csr::fanouts(netlist);
     let mut visited = vec![false; netlist.gate_count()];
     let mut stack = vec![root];
     let mut cone = Vec::new();
@@ -109,7 +109,7 @@ pub fn fanout_cone(netlist: &Netlist, root: GateId) -> Vec<GateId> {
         }
         visited[id.0] = true;
         cone.push(id);
-        for sink in fanouts.of(id) {
+        for &sink in fanouts.row(id.0) {
             if !visited[sink.0] {
                 stack.push(sink);
             }

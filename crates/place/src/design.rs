@@ -2,7 +2,7 @@
 //! point-to-point nets.
 
 use aqfp_cells::{CellKind, ProcessRules, Technology};
-use aqfp_netlist::GateId;
+use aqfp_netlist::{Csr, GateId};
 use aqfp_synth::SynthesizedNetlist;
 use aqfp_timing::{PlacedNet, TimingBatch};
 use serde::{Deserialize, Serialize};
@@ -47,54 +47,6 @@ pub struct PhysNet {
     pub driver: usize,
     /// Index of the sink cell.
     pub sink: usize,
-}
-
-/// Flat CSR (compressed sparse row) incidence structure mapping each cell to
-/// the nets that touch it.
-///
-/// Built once from a [`PlacedDesign`], it replaces the per-cell
-/// `Vec<Vec<usize>>` adjacency with two contiguous arrays, so the detailed
-/// placer's move evaluation walks dense memory without chasing per-cell
-/// heap allocations. The structure stays valid as long as the design's cell
-/// and net *indices* are stable — moving cells is fine, inserting buffer
-/// rows (which renumbers both) requires a rebuild.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct NetIncidence {
-    /// `offsets[c]..offsets[c + 1]` spans cell `c`'s entries in `nets`.
-    offsets: Vec<u32>,
-    /// Net indices, grouped by cell.
-    nets: Vec<u32>,
-}
-
-impl NetIncidence {
-    /// Builds the incidence structure with two counting passes over the
-    /// design's nets (no intermediate per-cell vectors).
-    pub(crate) fn build(design: &PlacedDesign) -> Self {
-        let cell_count = design.cells.len();
-        let mut offsets = vec![0u32; cell_count + 1];
-        for net in &design.nets {
-            offsets[net.driver + 1] += 1;
-            offsets[net.sink + 1] += 1;
-        }
-        for cell in 0..cell_count {
-            offsets[cell + 1] += offsets[cell];
-        }
-        let mut nets = vec![0u32; offsets[cell_count] as usize];
-        let mut cursor = offsets.clone();
-        for (index, net) in design.nets.iter().enumerate() {
-            nets[cursor[net.driver] as usize] = index as u32;
-            cursor[net.driver] += 1;
-            nets[cursor[net.sink] as usize] = index as u32;
-            cursor[net.sink] += 1;
-        }
-        Self { offsets, nets }
-    }
-
-    /// The nets incident to `cell` (each net index appears once per endpoint
-    /// on the cell).
-    pub(crate) fn of(&self, cell: usize) -> &[u32] {
-        &self.nets[self.offsets[cell] as usize..self.offsets[cell + 1] as usize]
-    }
 }
 
 /// The physical design: all cells with their row/x positions plus the
@@ -258,6 +210,16 @@ impl PlacedDesign {
     /// Number of two-pin nets.
     pub fn net_count(&self) -> usize {
         self.nets.len()
+    }
+
+    /// The nets incident to each cell, row `c` for cell `c`: every net
+    /// appears under its driver and under its sink, in net order. It stays
+    /// valid while cell and net *indices* are stable: moving cells is fine,
+    /// inserting buffer rows (which renumbers both) needs a rebuild.
+    pub(crate) fn net_incidence(&self) -> Csr<u32> {
+        Csr::from_pairs(self.cells.len(), || {
+            self.nets.iter().zip(0u32..).flat_map(|(net, k)| [(net.driver, k), (net.sink, k)])
+        })
     }
 
     /// Y coordinate of a row's bottom edge.
@@ -460,18 +422,22 @@ mod tests {
     #[test]
     fn incidence_matches_the_net_list() {
         let design = small_design();
-        let incidence = NetIncidence::build(&design);
-        assert_eq!(incidence.offsets.len(), design.cell_count() + 1, "one span per cell");
+        let incidence = design.net_incidence();
+        assert_eq!(incidence.row_count(), design.cell_count(), "one list per cell");
         // Every net appears exactly once in its driver's and its sink's
         // incidence list.
         for (index, net) in design.nets.iter().enumerate() {
             for cell in [net.driver, net.sink] {
-                let hits = incidence.of(cell).iter().filter(|&&n| n as usize == index).count();
+                let hits = incidence.row(cell).iter().filter(|&&n| n as usize == index).count();
                 assert_eq!(hits, 1, "net {index} in cell {cell}'s list");
             }
         }
-        let total: usize = (0..design.cell_count()).map(|c| incidence.of(c).len()).sum();
+        let total: usize = (0..design.cell_count()).map(|c| incidence.row(c).len()).sum();
         assert_eq!(total, 2 * design.net_count(), "two endpoints per net");
+        // Each list is in net order.
+        for cell in 0..design.cell_count() {
+            assert!(incidence.row(cell).windows(2).all(|pair| pair[0] < pair[1]), "cell {cell}");
+        }
     }
 
     #[test]

@@ -14,9 +14,9 @@
 //! Move evaluation is the hottest loop of the placement stage, so it is
 //! engineered around the same discipline as the router's `SearchScratch`:
 //!
-//! 1. **Flat CSR incidence** — the cell→net adjacency is a crate-private
-//!    `NetIncidence` (two contiguous arrays) built once per run, not a
-//!    `Vec<Vec<usize>>` rebuilt per call.
+//! 1. **Flat CSR incidence** — the cell→net adjacency is one
+//!    [`aqfp_netlist::Csr`] (two contiguous arrays) built once per run, not
+//!    a `Vec<Vec<usize>>` rebuilt per call.
 //! 2. **Delta cost, no allocation per move** — each row sweep keeps a
 //!    generation-stamped cache of per-net costs; evaluating a move computes
 //!    only the touched nets' new costs against the cached old ones (no
@@ -44,9 +44,10 @@
 use aqfp_cells::CancelToken;
 use serde::{Deserialize, Serialize};
 
+use aqfp_netlist::Csr;
 use aqfp_timing::{signed_phase_distance, PlacedNet, TimingAnalyzer, TimingConfig};
 
-use crate::design::{NetIncidence, PlacedDesign};
+use crate::design::PlacedDesign;
 use crate::parallel::{effective_threads, run_in_order};
 
 /// Tuning parameters of the detailed placer.
@@ -185,7 +186,7 @@ fn detailed_place_impl(
         pass_moves: Vec::new(),
     };
 
-    let incidence = NetIncidence::build(design);
+    let incidence = design.net_incidence();
     let geometry = NetGeometry::build(design);
     let mut frozen_x: Vec<f64> = Vec::with_capacity(design.cells.len());
     // One scratch arena per worker, reused across half-sweeps and passes.
@@ -272,7 +273,7 @@ fn detailed_place_impl(
 /// is exact.
 fn row_is_dirty(
     design: &PlacedDesign,
-    incidence: &NetIncidence,
+    incidence: &Csr<u32>,
     row: usize,
     moved_half: &[Vec<bool>; 2],
     parity: usize,
@@ -281,7 +282,7 @@ fn row_is_dirty(
     let partners = &moved_half[1 - parity];
     design.rows[row].iter().any(|&cell| {
         own[cell]
-            || incidence.of(cell).iter().any(|&net| {
+            || incidence.row(cell).iter().any(|&net| {
                 let net = &design.nets[net as usize];
                 let other = if net.driver == cell { net.sink } else { net.driver };
                 partners[other]
@@ -342,7 +343,7 @@ impl NetGeometry {
 #[allow(clippy::too_many_arguments)]
 fn sweep_rows(
     design: &PlacedDesign,
-    incidence: &NetIncidence,
+    incidence: &Csr<u32>,
     geometry: &NetGeometry,
     config: &DetailedPlacementConfig,
     layer_width: f64,
@@ -412,7 +413,7 @@ impl SweepScratch {
 /// row, so candidate evaluation touches no config structs.
 struct RowSweep<'a> {
     design: &'a PlacedDesign,
-    incidence: &'a NetIncidence,
+    incidence: &'a Csr<u32>,
     geometry: &'a NetGeometry,
     config: &'a DetailedPlacementConfig,
     layer_width: f64,
@@ -429,7 +430,7 @@ impl<'a> RowSweep<'a> {
     #[allow(clippy::too_many_arguments)]
     fn new(
         design: &'a PlacedDesign,
-        incidence: &'a NetIncidence,
+        incidence: &'a Csr<u32>,
         geometry: &'a NetGeometry,
         config: &'a DetailedPlacementConfig,
         layer_width: f64,
@@ -617,10 +618,10 @@ impl RowSweep<'_> {
             record.driver as usize == left || record.sink as usize == left
         };
         let mut before = 0.0;
-        for &net in incidence.of(left) {
+        for &net in incidence.row(left) {
             before += self.current_cost(net as usize);
         }
-        for &net in incidence.of(right) {
+        for &net in incidence.row(right) {
             let net = net as usize;
             if !touches_left(net) {
                 before += self.current_cost(net);
@@ -630,13 +631,13 @@ impl RowSweep<'_> {
         // the moment it crosses the accept threshold the swap is provably
         // rejected and the remaining nets need no evaluation.
         let mut after = 0.0;
-        for &net in incidence.of(left) {
+        for &net in incidence.row(left) {
             after += self.net_cost_at(net as usize, (left, new_left_x), (right, new_right_x));
             if after + 1e-9 >= before {
                 return false;
             }
         }
-        for &net in incidence.of(right) {
+        for &net in incidence.row(right) {
             let net = net as usize;
             if touches_left(net) {
                 continue;
@@ -653,13 +654,13 @@ impl RowSweep<'_> {
             // Refresh the cache at the accepted (now live) positions; the
             // two walks cover every incident net exactly once, including
             // any degenerate shared ones.
-            for &net in incidence.of(left) {
+            for &net in incidence.row(left) {
                 let net = net as usize;
                 let cost = self.net_cost_current(net);
                 self.scratch.net_cost[net] = cost;
                 self.scratch.net_stamp[net] = self.scratch.row_gen;
             }
-            for &net in incidence.of(right) {
+            for &net in incidence.row(right) {
                 let net = net as usize;
                 if touches_left(net) {
                     continue;
@@ -685,7 +686,7 @@ impl RowSweep<'_> {
 
         let incidence = self.incidence;
         let geometry = self.geometry;
-        let nets = incidence.of(cell);
+        let nets = incidence.row(cell);
         if nets.is_empty() {
             return false;
         }

@@ -181,6 +181,9 @@ impl PlacementEngine {
                 ..DetailedPlacementConfig::default()
             };
         }
+        // The timing cost's exponent is a process fact: every placer reads
+        // the technology's.
+        global.alpha = self.technology.timing.alpha;
         if placer == PlacerKind::GordianBased {
             warm_start(&mut design, 60, &self.cancel);
             design.sort_rows_by_x();
@@ -320,6 +323,23 @@ mod tests {
             superflow.timing.wns_ps,
             gordian.timing.wns_ps
         );
+    }
+
+    #[test]
+    fn the_global_placer_reads_the_technologys_alpha() {
+        let (synth, library) = synthesized(Benchmark::C432);
+        let xs = |alpha: f64| {
+            let mut technology = library.clone();
+            technology.timing.alpha = alpha;
+            let engine = PlacementEngine::new(technology);
+            [PlacerKind::SuperFlow, PlacerKind::Taas].map(|placer| {
+                let design = engine.place(&synth, placer).design;
+                design.cells.iter().map(|cell| cell.x).collect::<Vec<f64>>()
+            })
+        };
+        let (steep, paper) = (xs(1.5), xs(2.0));
+        assert_ne!(steep[0], paper[0], "SuperFlow");
+        assert_ne!(steep[1], paper[1], "TAAS");
     }
 
     #[test]

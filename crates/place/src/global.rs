@@ -77,6 +77,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Barrier;
 
 use aqfp_cells::CancelToken;
+use aqfp_netlist::Csr;
 use serde::{Deserialize, Serialize};
 
 use aqfp_timing::model::{
@@ -113,7 +114,9 @@ pub struct GlobalPlacementConfig {
     pub spreading_weight: f64,
     /// Smoothing epsilon of the wirelength model, in µm.
     pub smoothing_um: f64,
-    /// Exponent α of the timing model.
+    /// Exponent α of the timing model. `PlacementEngine::place` overrides
+    /// it with the technology's `TimingConfig::alpha`; it holds for direct
+    /// callers of [`global_place`].
     pub alpha: f64,
     /// Number of gradient-descent iterations.
     pub iterations: usize,
@@ -185,10 +188,8 @@ struct GlobalPlaceScratch {
     net_sj: Vec<u32>,
     /// Clock phase (driver row) of each net.
     net_phase: Vec<u32>,
-    /// CSR offsets of the per-slot incident-net lists.
-    inc_offsets: Vec<u32>,
-    /// CSR payload: incident net indices, per slot in net order.
-    inc: Vec<u32>,
+    /// Incident net indices of each slot, in net order.
+    incidence: Csr<u32>,
     /// Shard boundaries as row indices, `shard_count + 1` entries.
     shard_rows: Vec<u32>,
     /// Cell x positions by slot, as `f64` bits. Atomic because the evaluate
@@ -210,8 +211,6 @@ struct GlobalPlaceScratch {
     obj_net: Vec<f64>,
     /// Spreading-penalty partial sum per shard.
     obj_spread: Vec<f64>,
-    /// Fill cursors of the incidence CSR build.
-    cursor: Vec<u32>,
 }
 
 impl GlobalPlaceScratch {
@@ -251,27 +250,10 @@ impl GlobalPlaceScratch {
             self.net_sj.push(self.inv_perm[net.sink]);
             self.net_phase.push(design.cells[net.driver].row as u32);
         }
-        self.inc_offsets.clear();
-        self.inc_offsets.resize(n + 1, 0);
-        for k in 0..net_count {
-            self.inc_offsets[self.net_dj[k] as usize + 1] += 1;
-            self.inc_offsets[self.net_sj[k] as usize + 1] += 1;
-        }
-        for i in 0..n {
-            self.inc_offsets[i + 1] += self.inc_offsets[i];
-        }
-        self.inc.clear();
-        self.inc.resize(2 * net_count, 0);
-        self.cursor.clear();
-        self.cursor.extend_from_slice(&self.inc_offsets[..n]);
-        for k in 0..net_count {
-            let dj = self.net_dj[k] as usize;
-            let sj = self.net_sj[k] as usize;
-            self.inc[self.cursor[dj] as usize] = k as u32;
-            self.cursor[dj] += 1;
-            self.inc[self.cursor[sj] as usize] = k as u32;
-            self.cursor[sj] += 1;
-        }
+        let (dj, sj) = (&self.net_dj, &self.net_sj);
+        self.incidence = Csr::from_pairs(n, || {
+            (0..net_count).flat_map(|k| [(dj[k] as usize, k as u32), (sj[k] as usize, k as u32)])
+        });
 
         // Shard boundaries: rows grouped by cumulative cell count. A pure
         // function of the design — never of the thread knob or machine.
@@ -386,8 +368,7 @@ pub fn global_place_cancellable(
         net_sj: &scratch.net_sj,
         net_phase: &scratch.net_phase,
         net_terms: &scratch.net_terms,
-        inc_offsets: &scratch.inc_offsets,
-        inc: &scratch.inc,
+        incidence: &scratch.incidence,
         row_start: &scratch.row_start,
         shard_rows: &scratch.shard_rows,
         xs: &scratch.xs,
@@ -477,8 +458,7 @@ struct SharedState<'a> {
     net_sj: &'a [u32],
     net_phase: &'a [u32],
     net_terms: &'a [NetTerms],
-    inc_offsets: &'a [u32],
-    inc: &'a [u32],
+    incidence: &'a Csr<u32>,
     row_start: &'a [u32],
     shard_rows: &'a [u32],
     xs: &'a [AtomicU64],
@@ -646,9 +626,7 @@ fn gather_net_terms(shared: &SharedState<'_>, chunk: &mut ShardChunk<'_>, s: usi
     let j_last = shared.row_start[shared.shard_rows[s + 1] as usize] as usize;
     for j in j_first..j_last {
         let mut acc = 0.0f64;
-        let k_first = shared.inc_offsets[j] as usize;
-        let k_last = shared.inc_offsets[j + 1] as usize;
-        for &k in &shared.inc[k_first..k_last] {
+        for &k in shared.incidence.row(j) {
             let k = k as usize;
             let terms = &shared.net_terms[k];
             let wirelength = load_f64(&terms.wirelength);
@@ -673,9 +651,7 @@ fn net_objective(shared: &SharedState<'_>, s: usize) -> f64 {
     let j_last = shared.row_start[shared.shard_rows[s + 1] as usize] as usize;
     let mut objective = 0.0;
     for j in j_first..j_last {
-        let k_first = shared.inc_offsets[j] as usize;
-        let k_last = shared.inc_offsets[j + 1] as usize;
-        for &k in &shared.inc[k_first..k_last] {
+        for &k in shared.incidence.row(j) {
             let k = k as usize;
             if j != shared.net_dj[k] as usize {
                 continue;
@@ -753,29 +729,19 @@ fn spread_row_terms(
 /// dominate peak RSS at 10⁶ cells.
 pub(crate) fn warm_start(design: &mut PlacedDesign, sweeps: usize, cancel: &CancelToken) {
     let n = design.cells.len();
-    let mut offsets = vec![0u32; n + 1];
-    for net in &design.nets {
-        offsets[net.driver + 1] += 1;
-        offsets[net.sink + 1] += 1;
-    }
-    for i in 0..n {
-        offsets[i + 1] += offsets[i];
-    }
-    let mut adj = vec![0u32; offsets[n] as usize];
-    let mut cursor = offsets[..n].to_vec();
-    for net in &design.nets {
-        adj[cursor[net.driver] as usize] = net.sink as u32;
-        cursor[net.driver] += 1;
-        adj[cursor[net.sink] as usize] = net.driver as u32;
-        cursor[net.sink] += 1;
-    }
+    let neighbours = Csr::from_pairs(n, || {
+        design
+            .nets
+            .iter()
+            .flat_map(|net| [(net.driver, net.sink as u32), (net.sink, net.driver as u32)])
+    });
 
     for _ in 0..sweeps {
         if cancel.is_cancelled() {
             break;
         }
         for index in 0..n {
-            let adjacent = &adj[offsets[index] as usize..offsets[index + 1] as usize];
+            let adjacent = neighbours.row(index);
             if adjacent.is_empty() {
                 continue;
             }

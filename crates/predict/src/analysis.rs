@@ -25,7 +25,7 @@
 use aqfp_cells::CellKind;
 use aqfp_netlist::csr::out_degrees;
 use aqfp_netlist::traverse::topological_order;
-use aqfp_netlist::{GateId, Netlist};
+use aqfp_netlist::{Csr, GateId, Netlist};
 use aqfp_synth::fanout::splitter_tree_size;
 
 use crate::report::{Interval, OutputDepth, StructureBounds};
@@ -195,39 +195,6 @@ pub(crate) struct Analysis {
     pub edges: Vec<(usize, usize, usize)>,
 }
 
-/// Per-gate lists in compressed-sparse-row form, the layout of
-/// [`aqfp_netlist::FanoutCsr`]: gate `i`'s list is
-/// `items[offsets[i]..offsets[i + 1]]`.
-struct Csr {
-    offsets: Vec<usize>,
-    items: Vec<usize>,
-}
-
-impl Csr {
-    /// The lists that hold `item` under `gate` for every `(gate, item)`
-    /// pair `pairs` yields, each list in the order of the pairs.
-    fn from_pairs<I: Iterator<Item = (usize, usize)>>(gates: usize, pairs: impl Fn() -> I) -> Self {
-        let mut offsets = vec![0; gates + 1];
-        for (gate, _) in pairs() {
-            offsets[gate + 1] += 1;
-        }
-        for i in 0..gates {
-            offsets[i + 1] += offsets[i];
-        }
-        let mut items = vec![0; offsets[gates]];
-        let mut next = offsets.clone();
-        for (gate, item) in pairs() {
-            items[next[gate]] = item;
-            next[gate] += 1;
-        }
-        Self { offsets, items }
-    }
-
-    fn of(&self, gate: usize) -> &[usize] {
-        &self.items[self.offsets[gate]..self.offsets[gate + 1]]
-    }
-}
-
 /// Runs the abstract interpretation. Returns `None` when the netlist has a
 /// combinational cycle (plain lint reports that defect).
 ///
@@ -300,18 +267,16 @@ pub(crate) fn analyse(netlist: &Netlist, max_splitter_arity: usize) -> Option<An
 
     // Resolved dependencies: the distinct sources an opaque gate's fan-ins
     // resolve to, ascending.
-    let mut deps = Csr { offsets: Vec::with_capacity(n + 1), items: Vec::new() };
-    deps.offsets.push(0);
+    let mut deps = Csr::default();
     let mut sources: Vec<usize> = Vec::new();
     for (i, &opaque) in opaque.iter().enumerate() {
+        sources.clear();
         if opaque {
-            sources.clear();
             sources.extend(fanin(i).filter_map(|f| source(values[f])));
             sources.sort_unstable();
             sources.dedup();
-            deps.items.extend_from_slice(&sources);
         }
-        deps.offsets.push(deps.items.len());
+        deps.push_row(&sources);
     }
 
     // Pass 2: reachability — opaque ancestors of primary outputs through
@@ -327,7 +292,7 @@ pub(crate) fn analyse(netlist: &Netlist, max_splitter_arity: usize) -> Option<An
         }
     }
     while let Some(g) = stack.pop() {
-        for &dep in deps.of(g) {
+        for &dep in deps.row(g) {
             if opaque[dep] && !reached[dep] {
                 reached[dep] = true;
                 stack.push(dep);
@@ -340,7 +305,7 @@ pub(crate) fn analyse(netlist: &Netlist, max_splitter_arity: usize) -> Option<An
     // are consumers too (their terminal must be fed).
     let consumers = Csr::from_pairs(n, || {
         let gates =
-            (0..n).filter(|&i| live(i)).flat_map(|i| deps.of(i).iter().map(move |&d| (d, i)));
+            (0..n).filter(|&i| live(i)).flat_map(|i| deps.row(i).iter().map(move |&d| (d, i)));
         gates.chain(outputs.iter().filter_map(move |po| po_source(po).map(|s| (s, po.index()))))
     });
     let mut feeds_po = vec![false; n];
@@ -352,7 +317,7 @@ pub(crate) fn analyse(netlist: &Netlist, max_splitter_arity: usize) -> Option<An
     // have two or more reachable consumers (such a gate can never be
     // absorbed as a cone internal, which requires fan-out exactly one).
     let surviving: Vec<bool> =
-        (0..n).map(|i| live(i) && (feeds_po[i] || consumers.of(i).len() >= 2)).collect();
+        (0..n).map(|i| live(i) && (feeds_po[i] || consumers.row(i).len() >= 2)).collect();
 
     // Pass 4: endpoint contraction. A non-surviving gate has exactly one
     // relevant consumer; walking down the chain finds the surviving cell (or
@@ -369,7 +334,7 @@ pub(crate) fn analyse(netlist: &Netlist, max_splitter_arity: usize) -> Option<An
             i
         } else {
             // Exactly one reachable consumer (else it would survive).
-            match consumers.of(i).first() {
+            match consumers.row(i).first() {
                 Some(&c) if surviving[c] || is_output(c) => c,
                 Some(&c) => endpoint[c],
                 None => usize::MAX,
@@ -385,7 +350,7 @@ pub(crate) fn analyse(netlist: &Netlist, max_splitter_arity: usize) -> Option<An
         ends.clear();
         ends.extend(
             consumers
-                .of(i)
+                .row(i)
                 .iter()
                 .map(|&c| if surviving[c] || is_output(c) { c } else { endpoint[c] })
                 .filter(|&e| e != usize::MAX),
@@ -403,7 +368,7 @@ pub(crate) fn analyse(netlist: &Netlist, max_splitter_arity: usize) -> Option<An
         if !live(i) {
             continue;
         }
-        let below = deps.of(i).iter().map(|&d| min_depth[d]).max().unwrap_or(0);
+        let below = deps.row(i).iter().map(|&d| min_depth[d]).max().unwrap_or(0);
         min_depth[i] = below + usize::from(surviving[i]);
     }
 
@@ -432,7 +397,7 @@ pub(crate) fn analyse(netlist: &Netlist, max_splitter_arity: usize) -> Option<An
         if !live(i) {
             continue;
         }
-        let below = deps.of(i).iter().map(|&d| lv_out(&est_level, d)).max().unwrap_or(0);
+        let below = deps.row(i).iter().map(|&d| lv_out(&est_level, d)).max().unwrap_or(0);
         est_level[i] = below + usize::from(surviving[i]);
     }
 
@@ -476,7 +441,7 @@ pub(crate) fn analyse(netlist: &Netlist, max_splitter_arity: usize) -> Option<An
         if !surviving[i] {
             continue;
         }
-        for &d in deps.of(i) {
+        for &d in deps.row(i) {
             let out = lv_out(&est_level, d);
             est_buffers += est_level[i].saturating_sub(out + 1);
             edges.push((d, est_level[d], est_level[i]));

@@ -6,7 +6,7 @@
 //! most its arity, building balanced splitter trees for large fan-outs.
 
 use aqfp_cells::CellKind;
-use aqfp_netlist::{GateId, Netlist};
+use aqfp_netlist::{Csr, GateId, Netlist};
 use serde::{Deserialize, Serialize};
 
 /// Statistics of a splitter-insertion run.
@@ -34,15 +34,15 @@ pub fn insert_splitters(netlist: &Netlist, max_arity: usize) -> (Netlist, Splitt
     let mut report = SplitterReport::default();
 
     // Snapshot of sink pin references per driver: (sink gate, pin index).
-    let mut sink_pins: Vec<Vec<(GateId, usize)>> = vec![Vec::new(); work.gate_count()];
-    for (id, gate) in netlist.iter() {
-        for (pin, &driver) in gate.fanin.iter().enumerate() {
-            sink_pins[driver.index()].push((id, pin));
-        }
-    }
+    let sink_pins = Csr::from_pairs(netlist.gate_count(), || {
+        netlist.iter().flat_map(|(id, gate)| {
+            gate.fanin.iter().enumerate().map(move |(pin, driver)| (driver.index(), (id, pin)))
+        })
+    });
 
-    for (driver_index, pins) in sink_pins.iter().enumerate() {
+    for driver_index in 0..sink_pins.row_count() {
         let driver = GateId(driver_index);
+        let pins = sink_pins.row(driver_index);
         let fanout = pins.len();
         report.max_fanout = report.max_fanout.max(fanout);
         if fanout <= 1 {

@@ -207,7 +207,7 @@ impl TimingAnalyzer {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use crate::config::TimingConfig;
+    use crate::TimingConfig;
 
     fn analyzer() -> TimingAnalyzer {
         TimingAnalyzer::new(TimingConfig::paper_default())

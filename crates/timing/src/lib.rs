@@ -31,11 +31,10 @@
 #![warn(clippy::unwrap_used)]
 
 pub mod batch;
-pub mod config;
 pub mod model;
 pub mod sta;
 
+pub use aqfp_cells::timing::TimingConfig;
 pub use batch::TimingBatch;
-pub use config::TimingConfig;
 pub use model::{phase_timing_cost, signed_phase_distance};
 pub use sta::{PlacedNet, TimingAnalyzer, TimingReport};

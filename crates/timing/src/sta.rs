@@ -2,8 +2,8 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::config::TimingConfig;
 use crate::model::signed_phase_distance;
+use crate::TimingConfig;
 
 /// A placed point-to-point connection, the unit of AQFP timing analysis.
 ///
