@@ -683,7 +683,6 @@ mod tests {
         assert_eq!((buf.width, buf.height), (40.0, 30.0));
         let maj = tech.cell(CellKind::Majority3);
         assert_eq!((maj.width, maj.height), (60.0, 70.0));
-        assert_eq!(tech.timing, TimingConfig::paper_default(), "the paper's delay model");
     }
 
     #[test]

@@ -266,6 +266,21 @@ mod tests {
         assert_eq!(config.resolve_technology().unwrap().name, MIT_LL_SQF5EE);
     }
 
+    /// The delay coefficients a flow runs under are its technology's
+    /// `timing` field: the paper's model by default, and whatever an
+    /// inline technology carries otherwise.
+    #[test]
+    fn config_is_the_technology_field() {
+        let timing = FlowConfig::default().resolve_technology().unwrap().timing;
+        assert_eq!(timing, aqfp_timing::TimingConfig::paper_default());
+        assert!((timing.phase_budget_ps() - 50.0).abs() < 1e-9);
+
+        let mut tech = Technology::mit_ll_sqf5ee();
+        tech.timing.alpha = 3.0;
+        let config = FlowConfig::fast().with_technology(tech);
+        assert_eq!(config.resolve_technology().unwrap().timing.alpha, 3.0);
+    }
+
     #[test]
     fn fast_config_is_cheaper() {
         let fast = FlowConfig::fast();
