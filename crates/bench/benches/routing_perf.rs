@@ -7,18 +7,20 @@
 //!   Results are asserted byte-identical across thread counts; on a
 //!   multi-core host the higher thread counts should be measurably faster
 //!   (on a single-core host they tie);
-//! * `drc_repair_reroute` — one DRC-repair iteration's reroute after two
-//!   cells moved: `from_scratch` routes every channel again, `incremental`
-//!   hands the previous routing to `Router::route_partial`, which finds
-//!   and reroutes only the channels whose input changed (results asserted
+//! * `drc_repair_reroute` — the reroute after a repair that moved two
+//!   cells: `from_scratch` routes every channel again, `incremental` hands
+//!   the previous routing to `Router::route_partial`, which finds and
+//!   reroutes only the channels whose input changed (results asserted
 //!   byte-identical);
-//! * `drc_repair_buffer_rows` — one buffer-row DRC-repair iteration (rows
-//!   renumbered, cells/nets appended): `full_reroute` routes every channel
-//!   of the edited design again, `incremental` hands the previous routing
-//!   to `Router::route_partial`, which re-keys unchanged channels and
-//!   routes only the changed ones (results asserted byte-identical). Both
-//!   `incremental` rows clone the previous routing in the untimed setup,
-//!   since `route_partial` consumes it;
+//! * `drc_repair_buffer_rows` — the reroute after one buffer-row repair
+//!   (rows renumbered, cells/nets appended): `full_reroute` routes every
+//!   channel of the edited design again, `incremental` hands the previous
+//!   routing to `Router::route_partial`, which re-keys unchanged channels
+//!   and routes only the changed ones (results asserted byte-identical).
+//!   Both `incremental` rows clone the previous routing in the untimed
+//!   setup, since `route_partial` consumes it. The check stage makes this
+//!   call once, after its whole repair loop, so these rows time one
+//!   repair's change where the stage routes the change of all of them;
 //! * `global_place_iteration` — 100 analytical global-placement iterations
 //!   on the `apc32` initial design (gradient/sort-index buffer reuse path).
 //!

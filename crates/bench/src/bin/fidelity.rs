@@ -25,7 +25,7 @@ fn main() -> ExitCode {
         match fidelity_row(circuit) {
             Ok(row) => rows.push(row),
             Err(error) => {
-                eprintln!("{circuit}: {error}");
+                eprintln!("{circuit}: {}", superflow::error_chain(&error));
                 return ExitCode::FAILURE;
             }
         }

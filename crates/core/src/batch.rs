@@ -1356,4 +1356,24 @@ mod tests {
         assert!(chain.contains("caused by:"), "{chain}");
         assert!(chain.contains("bad token"), "{chain}");
     }
+
+    #[test]
+    fn error_chains_name_each_cause_once() {
+        use aqfp_netlist::{GateId, NetlistError};
+        let parse = FlowError::from(aqfp_netlist::parsers::ParseNetlistError {
+            line: 4,
+            column: 13,
+            message: "undeclared signal `a b`".to_owned(),
+        });
+        let cycle = || NetlistError::Cycle { gate: GateId(3) };
+        let synthesis = FlowError::from(aqfp_synth::SynthesisError::InvalidInput(cycle()));
+        for (error, inner) in [
+            (parse, "undeclared signal `a b`".to_owned()),
+            (FlowError::from(cycle()), cycle().to_string()),
+            (synthesis, cycle().to_string()),
+        ] {
+            let chain = error_chain(&error);
+            assert_eq!(chain.matches(inner.as_str()).count(), 1, "{chain}");
+        }
+    }
 }

@@ -1056,6 +1056,11 @@ fn inject_defect(defect: Defect, artifact: &mut Artifact, input: &str) -> Result
     note.ok_or_else(|| format!("the design is too small to inject a {} defect", defect.name()))
 }
 
+/// Loads the `--against` input, naming the flag in the error.
+fn load_against(spec: &str) -> Result<Netlist, String> {
+    load_netlist(spec).map_err(|e| format!("--against `{spec}`: {e}"))
+}
+
 /// Resolves the original input netlist for LEC: `--against` when given,
 /// otherwise the design name (which resolves for benchmark circuits but not
 /// for generated or file-based designs). `required` turns an unresolvable
@@ -1066,7 +1071,7 @@ fn lec_input(
     required: bool,
 ) -> Result<Option<Netlist>, String> {
     match &options.against {
-        Some(spec) => load_netlist(spec).map(Some).map_err(|e| format!("--against `{spec}`: {e}")),
+        Some(spec) => load_against(spec).map(Some),
         None => match superflow::load_netlist(design_name) {
             Ok(netlist) => Ok(Some(netlist)),
             Err(_) if !required => Ok(None),
@@ -1087,15 +1092,15 @@ fn verify_gds_input(
     config: &FlowConfig,
 ) -> Result<VerifyReport, String> {
     let bytes = std::fs::read(input).map_err(|e| format!("cannot read `{input}`: {e}"))?;
-    let spec = match &options.against {
-        Some(spec) => spec.clone(),
-        None => std::path::Path::new(input)
-            .file_stem()
-            .and_then(|stem| stem.to_str())
-            .map(str::to_owned)
-            .ok_or_else(|| format!("cannot infer a design name from `{input}`"))?,
+    let netlist = match &options.against {
+        Some(spec) => load_against(spec)?,
+        None => load_netlist(
+            std::path::Path::new(input)
+                .file_stem()
+                .and_then(|stem| stem.to_str())
+                .ok_or_else(|| format!("cannot infer a design name from `{input}`"))?,
+        )?,
     };
-    let netlist = load_netlist(&spec)?;
     let mut session = FlowSession::new(config.clone()).map_err(|e| error_chain(&e))?;
     let mut artifact = Artifact::Checked(session.run(&netlist).map_err(|e| error_chain(&e))?);
     if let Some(defect) = options.inject {
@@ -1922,6 +1927,42 @@ mod verify_cli_tests {
         let mismatched = verify(&["verify", "--fast", "--against", "adder8", &path]);
         assert!(mismatched.mentions("AQFP-V022"), "{}", mismatched.render());
         assert!(mismatched.has_errors());
+    }
+
+    /// A `--against` input that fails to load is named in the error of a
+    /// `.gds` and a `.json` verify alike, and its parse error appears once.
+    #[test]
+    fn an_against_input_that_fails_to_load_is_named_once() {
+        let dir = std::env::temp_dir().join("superflow_cli_verify_bad_against");
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let bad = dir.join("bad.v");
+        let source = "module m(a, y);\ninput a;\noutput y;\nbuf g1(y, a b);\nendmodule\n";
+        std::fs::write(&bad, source).expect("writes");
+        let gds = dir.join("any.gds");
+        std::fs::write(&gds, b"never parsed").expect("writes");
+        let json = dir.join("adder8_synthesized.json");
+        let options = cli(&[
+            "--fast",
+            "--quiet",
+            "--stop-after",
+            "synthesis",
+            "--report",
+            "unused.json",
+            "adder8",
+        ])
+        .expect("parses");
+        let (artifact, _) = run(&options).expect("flow runs");
+        std::fs::write(&json, artifact.to_json().expect("serializes")).expect("writes");
+
+        let bad = bad.to_str().expect("utf-8 path");
+        for input in [&gds, &json] {
+            let input = input.to_str().expect("utf-8 path");
+            let options = cli(&["verify", "--fast", "--against", bad, input]).expect("parses");
+            let error =
+                verify_one(input, &options, &options.flow_config()).expect_err("bad --against");
+            assert!(error.starts_with(&format!("--against `{bad}`: ")), "{error}");
+            assert_eq!(error.matches("expected `,` between `a` and `b`").count(), 1, "{error}");
+        }
     }
 
     /// Stage checkpoints verify with the checks applicable to their stage.

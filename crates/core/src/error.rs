@@ -9,6 +9,11 @@ use std::error::Error;
 use std::fmt;
 
 /// Errors a complete flow run can produce.
+///
+/// A variant that wraps a cause (`Parse`, `InvalidNetlist`, `Synthesis`)
+/// returns it from [`Error::source`] and, as the standard library's error
+/// types do, leaves it out of its own `Display`;
+/// [`error_chain`](crate::error_chain) renders the whole chain.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FlowError {
     /// The RTL/netlist input could not be parsed.
@@ -68,7 +73,7 @@ pub enum FlowError {
 impl fmt::Display for FlowError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            FlowError::Parse(e) => write!(f, "failed to parse input: {e}"),
+            FlowError::Parse(_) => f.write_str("failed to parse input"),
             FlowError::Lint(report) => {
                 let errors = report.errors().count();
                 let rules: std::collections::BTreeSet<&str> =
@@ -97,8 +102,8 @@ impl fmt::Display for FlowError {
                     rules.join(", ")
                 )
             }
-            FlowError::InvalidNetlist(e) => write!(f, "input netlist is invalid: {e}"),
-            FlowError::Synthesis(e) => write!(f, "logic synthesis failed: {e}"),
+            FlowError::InvalidNetlist(_) => f.write_str("input netlist is invalid"),
+            FlowError::Synthesis(_) => f.write_str("logic synthesis failed"),
             FlowError::Checkpoint(message) => write!(f, "checkpoint error: {message}"),
             FlowError::Input(message) => write!(f, "input error: {message}"),
             FlowError::Io { path, message } => write!(f, "io error on `{path}`: {message}"),

@@ -41,9 +41,10 @@
 //! report `superflow --report` writes. Observers ([`FlowObserver`]) watch
 //! stage boundaries and DRC-repair iterations, and
 //! [`FlowSession::timings`] accumulates per-stage wall-clock time from the
-//! moment the session opens. The DRC-repair loop is incremental: the
-//! router reroutes only the channels whose nets or pin columns changed
-//! (see [`session`]).
+//! moment the session opens. The DRC-repair loop repairs on the placement
+//! and the check stage routes once after it, incrementally: the router
+//! reroutes only the channels whose nets or pin columns changed (see
+//! [`session`]).
 //!
 //! # Batch runs
 //!

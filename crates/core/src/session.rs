@@ -27,20 +27,23 @@
 //! [`FlowSession::config_mut`].
 //!
 //! The session shares one [`Technology`] across all stages via `Arc`
-//! (instead of cloning it per stage) and repairs DRC violations
-//! *incrementally*: after every repair it hands the repaired design and the
-//! previous routing to [`Router::route_partial`], which finds the channels
-//! whose nets or pin columns changed, routes only those and re-keys every
-//! other one onto its (possibly renumbered) row (unless the repair changed
-//! the routing grid's column count; then it reroutes every channel). The
-//! result is byte-identical to a from-scratch reroute, even across
-//! buffer-row insertions, and no repair records what it changed. The loop
-//! finds that itself: it copies every cell's x before a repair, and the
-//! cells whose x the repair changed, plus the cells it inserted, name the
-//! rows of the [`RepairScope`] its observers see; a repair that changed
-//! nothing ends the loop. The loop keeps no timing state: after it, the
-//! check stage analyzes the repaired design once, so the final placement
-//! report carries the post-repair timing.
+//! (instead of cloning it per stage). The check stage repairs DRC
+//! violations *on the placement*: the rules its repairs act on (cell
+//! spacing, max wirelength) read only the placed design, so its loop runs
+//! [`DrcChecker::check_design`] and never routes. No repair records what
+//! it changed; the loop finds that itself: it copies every cell's x before
+//! a repair, and the cells whose x the repair changed, plus the cells it
+//! inserted, name the rows of the [`RepairScope`] its observers see; a
+//! repair that changed nothing ends the loop. After the loop the stage
+//! routes once: it hands the final design and the routing it was given to
+//! [`Router::route_partial`], which finds the channels whose nets or pin
+//! columns changed, routes only those and re-keys every other one onto its
+//! (possibly renumbered) row (unless the repairs changed the routing grid's
+//! column count; then it reroutes every channel). The result is
+//! byte-identical to a from-scratch route, even across buffer-row
+//! insertions, and the full DRC reads it. The loop keeps no timing state
+//! either: after it, the check stage analyzes the repaired design once, so
+//! the final placement report carries the post-repair timing.
 //!
 //! # Examples
 //!
@@ -191,8 +194,8 @@ pub struct StageTimings {
     pub placement_s: f64,
     /// Seconds spent in the initial routing.
     pub routing_s: f64,
-    /// Seconds spent in layout generation, DRC and the repair loop
-    /// (including incremental reroutes).
+    /// Seconds spent in the repair loop, the one incremental reroute after
+    /// it, DRC and layout generation.
     pub check_s: f64,
 }
 
@@ -237,9 +240,9 @@ pub enum RepairScope<'a> {
     Full,
     /// The channel rows the repair touched, sorted: the row of each cell
     /// whose x it changed or that it inserted, and the row below it (the
-    /// channels carrying the cell's driven and sunk nets). The reroute that
-    /// follows does not read this list; [`Router::route_partial`] finds the
-    /// changed channels itself.
+    /// channels carrying the cell's driven and sunk nets). No iteration
+    /// reroutes them: the check stage routes once, after its loop, and
+    /// [`Router::route_partial`] finds the changed channels itself.
     Channels(&'a [usize]),
     /// The repair changed no cell's x and inserted no cell, so the loop has
     /// reached a fixed point and stops.
@@ -251,9 +254,9 @@ impl fmt::Display for RepairScope<'_> {
         match self {
             RepairScope::Full => f.write_str("full reroute"),
             RepairScope::Channels(rows) => {
-                write!(f, "rerouting {} dirty channel(s)", rows.len())
+                write!(f, "touched {} channel(s)", rows.len())
             }
-            RepairScope::Unchanged => f.write_str("routing unchanged"),
+            RepairScope::Unchanged => f.write_str("placement unchanged"),
         }
     }
 }
@@ -270,9 +273,11 @@ pub trait FlowObserver {
     /// A stage finished after `elapsed_s` seconds of wall-clock time.
     fn stage_finished(&mut self, _stage: FlowStage, _elapsed_s: f64) {}
 
-    /// The DRC-repair loop begins iteration `iteration` (1-based) to fix
-    /// `report`; `scope` says how much of the design will be rerouted
-    /// afterwards.
+    /// The DRC-repair loop ran its repair of iteration `iteration`
+    /// (1-based) on `report`, the design-only DRC
+    /// ([`DrcChecker::check_design`]) the iteration started from; `scope`
+    /// names the channel rows the repair touched. Nothing is rerouted in
+    /// the loop: the check stage routes once, after its last iteration.
     fn drc_iteration(&mut self, _iteration: usize, _report: &DrcReport, _scope: RepairScope<'_>) {}
 }
 
@@ -483,9 +488,10 @@ impl Checkpoint for Placed {
 /// The routing-stage artifact: placement plus the routed wires.
 ///
 /// A caller may edit the placement before handing the artifact to
-/// [`FlowSession::check`]: the check stage first brings the routing up to
-/// date through [`Router::route_partial`], which reroutes the channels
-/// whose input changed and reuses every other channel's wires.
+/// [`FlowSession::check`]: after its repairs, the check stage brings the
+/// routing up to date with the final placement through
+/// [`Router::route_partial`], which reroutes the channels whose input
+/// changed and reuses every other channel's wires.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Routed {
     /// The placement artifact this routing was built from.
@@ -560,9 +566,13 @@ pub struct Checked {
     pub routed: Routed,
     /// The generated GDSII layout.
     pub layout: Layout,
-    /// Design-rule-check report after the final layout generation.
+    /// The full design-rule-check report of the final placement and its
+    /// routing.
     pub drc: DrcReport,
-    /// Number of DRC-fix iterations the repair loop executed.
+    /// Number of design-rule repair iterations the loop executed: each
+    /// starts from a design-only DRC ([`DrcChecker::check_design`]) that
+    /// found violations, so a design whose only violations read the
+    /// routing (zigzag spacing, unrouted nets) runs none.
     pub drc_iterations: usize,
 }
 
@@ -1161,24 +1171,30 @@ impl FlowSession {
         Ok(routed)
     }
 
-    /// Runs DRC, repairing violations in place, then generates the layout
-    /// of the repaired design: spacing problems are fixed by
-    /// re-legalization, max-wirelength problems by another round of buffer
-    /// rows, and both trigger a reroute before DRC runs again.
+    /// Repairs design-rule violations on the placement, routes the
+    /// repaired design once, then runs the full DRC and generates the
+    /// layout: spacing problems are fixed by re-legalization and
+    /// max-wirelength problems by another round of buffer rows.
     ///
-    /// The routing is brought up to date through
-    /// [`Router::route_partial`] on entry, so a placement a caller edited
-    /// after routing is routed again before DRC reads it, and after every
-    /// repair, buffer-row insertion included. The router finds the channels
-    /// whose nets or pin columns changed and reroutes only those, re-keying
-    /// every other channel onto its renumbered row; when a repair widens
-    /// (or narrows) the widest layer, it reroutes every channel. Either way
-    /// the routing is byte-identical to rerouting the repaired design from
-    /// scratch. The loop compares every cell's x before and after each
-    /// repair: the rows of the cells whose x changed or that the repair
-    /// inserted, and the row below each, go to the observers as a
-    /// [`RepairScope`], and a repair that changed no x and inserted no cell
-    /// ends the loop.
+    /// The repair loop reads only [`DrcChecker::check_design`] (cell
+    /// spacing, max wirelength, metal density), the rules that read the
+    /// placement alone, so no iteration routes. It compares every cell's x
+    /// before and after each repair: the rows of the cells whose x changed
+    /// or that the repair inserted, and the row below each, go to the
+    /// observers as a [`RepairScope`] with that iteration's design report,
+    /// and a repair that changed no x and inserted no cell ends the loop. A
+    /// violation only the routing passes see (zigzag spacing, unrouted
+    /// nets) starts no iteration; it stays in the final report.
+    ///
+    /// After the loop, one [`Router::route_partial`] call brings the given
+    /// routing up to date with the final placement, so a placement a
+    /// caller edited after routing is routed again too. The router finds
+    /// the channels whose nets or pin columns changed and reroutes only
+    /// those, re-keying every other channel onto its renumbered row; when
+    /// the repairs widened (or narrowed) the widest layer, it reroutes
+    /// every channel. Either way the routing is byte-identical to rerouting
+    /// the repaired design from scratch. The full [`DrcChecker::check`] of
+    /// that routing is the artifact's report.
     ///
     /// After the loop, one batched timing analysis of the repaired design
     /// refreshes [`PlacementResult::timing`], so the report reflects the
@@ -1205,15 +1221,15 @@ impl FlowSession {
         let router = Router::with_config(Arc::clone(&self.technology), self.config.router)
             .with_cancel(self.cancel.clone());
 
-        // The caller may have edited the placement since routing; bring the
-        // routing up to date before checking anything.
-        let mut routing = router.route_partial(&placed.placement.design, routing);
-        let mut drc = checker.check(&placed.placement.design, &routing);
+        // The repairs act on spacing and wirelength violations, which read
+        // only the placement, so the loop checks the design alone and the
+        // routing is brought up to date once, after it.
+        let mut drc = checker.check_design(&placed.placement.design);
         let mut drc_iterations = 0;
         while !drc.is_clean() && drc_iterations < self.config.max_drc_iterations {
             // The repair loop is the flow's classic runaway: each iteration
-            // legalizes, re-places, reroutes and re-checks, so this is where
-            // a deadline must be able to step in between iterations.
+            // legalizes, re-places and re-checks, so this is where a
+            // deadline must be able to step in between iterations.
             self.ensure_not_cancelled(FlowStage::Check)?;
             drc_iterations += 1;
             let design = &mut placed.placement.design;
@@ -1228,7 +1244,7 @@ impl FlowSession {
                 // buffers toward their nets so each hop actually fits within
                 // the limit — only the inserted rows and the gap-boundary
                 // rows are swept, so the already-optimized rest of the
-                // design stays put and the router reuses its channels.
+                // design stays put and the final route reuses its channels.
                 let detailed =
                     self.config.placement.detailed.with_technology_timing(&self.technology);
                 let report = repair_buffer_rows(design, &self.technology, &detailed);
@@ -1246,22 +1262,21 @@ impl FlowSession {
                 observer.drc_iteration(drc_iterations, &drc, scope);
             }
             if scope == RepairScope::Unchanged {
-                // The repair moved nothing: rerouting and DRC would both
-                // reproduce themselves exactly (routing is
-                // deterministic), so the loop has reached a fixed point and
-                // further iterations cannot make progress. The remaining
-                // violations are reported, not hidden.
+                // The repair moved nothing, so the design check would
+                // reproduce itself exactly: the loop has reached a fixed
+                // point and further iterations cannot make progress. The
+                // remaining violations are reported, not hidden.
                 break;
             }
-            // Unrouted nets and zigzag violations are addressed by
-            // rerouting (the router's space expansion kicks in with a fresh
-            // channel); unchanged channels are reused, re-keyed onto their
-            // renumbered rows when buffer rows shifted them.
-            routing = router.route_partial(&placed.placement.design, routing);
-            drc = checker.check(&placed.placement.design, &routing);
+            drc = checker.check_design(&placed.placement.design);
         }
-        // DRC reads only the design and its routing, so the layout is
-        // generated once, from the final repaired state.
+        // One route of the final design: the router reuses every channel
+        // of the given routing whose nets and pin columns still match (the
+        // caller may also have edited the placement since routing),
+        // re-keyed onto its renumbered row, and routes the rest. The full
+        // DRC and the layout then read the final state once.
+        let routing = router.route_partial(&placed.placement.design, routing);
+        let drc = checker.check(&placed.placement.design, &routing);
         let layout = generator.generate(&placed.placement.design, &routing);
 
         // Refresh the placement metrics in case DRC repair moved cells.

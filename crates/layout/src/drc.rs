@@ -4,9 +4,12 @@
 //! the raw GDSII polygons: every rule the paper mentions — cell spacing,
 //! zigzag (wire turn) spacing, maximum wirelength, metal density, via size —
 //! is expressed directly over those data structures, which keeps the checks
-//! exact and fast. The flow runs DRC after layout generation and, when
-//! violations are found, re-runs the corresponding physical-design step
-//! (legalization or space expansion) before finalizing the GDS.
+//! exact and fast. Cell spacing, maximum wirelength and metal density read
+//! only the placement ([`DrcChecker::check_design`]); zigzag spacing and
+//! unrouted nets read the routing as well ([`DrcChecker::check`] runs all
+//! five). The flow repairs the placement-only violations (re-legalization,
+//! buffer rows) on the placement alone, then routes the repaired design
+//! once and runs the full check before finalizing the GDS.
 
 use aqfp_cells::{CancelToken, ProcessRules, Technology};
 use aqfp_place::PlacedDesign;
@@ -79,9 +82,9 @@ impl DrcChecker {
     }
 
     /// Attaches a cooperative [`CancelToken`], polled between the rule
-    /// passes of [`DrcChecker::check`]. A fired token skips the remaining
-    /// passes, so the report may miss violations — the caller is expected
-    /// to discard it.
+    /// passes of [`DrcChecker::check`] and [`DrcChecker::check_design`]. A
+    /// fired token skips the remaining passes, so the report may miss
+    /// violations — the caller is expected to discard it.
     pub fn with_cancel(mut self, cancel: CancelToken) -> Self {
         self.cancel = cancel;
         self
@@ -92,24 +95,43 @@ impl DrcChecker {
         &self.rules
     }
 
-    /// Checks a placed and routed design against all rules.
-    pub fn check(&self, design: &PlacedDesign, routing: &RoutingResult) -> DrcReport {
+    /// Checks the rules that read only the placement: cell spacing,
+    /// maximum wirelength (a net's center-to-center Manhattan length) and
+    /// metal density. These are the violations the check stage's repair
+    /// loop acts on, so it can decide without routing the design.
+    pub fn check_design(&self, design: &PlacedDesign) -> DrcReport {
         let mut report = DrcReport::default();
-        type Pass = fn(&DrcChecker, &PlacedDesign, &RoutingResult, &mut DrcReport);
-        let passes: [Pass; 5] = [
-            |c, d, _, r| c.check_cell_spacing(d, r),
-            |c, d, _, r| c.check_max_wirelength(d, r),
-            |c, d, _, r| c.check_metal_density(d, r),
-            |c, _, routing, r| c.check_zigzag_spacing(routing, r),
-            |c, _, routing, r| c.check_unrouted(routing, r),
-        ];
+        self.run_passes(
+            &[Self::check_cell_spacing, Self::check_max_wirelength, Self::check_metal_density],
+            design,
+            &mut report,
+        );
+        report
+    }
+
+    /// Checks a placed and routed design against all rules: the
+    /// [`check_design`](Self::check_design) passes, then zigzag spacing and
+    /// unrouted nets, which read the routing. The report lists the
+    /// violations in that pass order.
+    pub fn check(&self, design: &PlacedDesign, routing: &RoutingResult) -> DrcReport {
+        let mut report = self.check_design(design);
+        self.run_passes(&[Self::check_zigzag_spacing, Self::check_unrouted], routing, &mut report);
+        report
+    }
+
+    /// Runs `passes` over `input` in order, stopping at a fired token.
+    fn run_passes<T: ?Sized>(
+        &self,
+        passes: &[fn(&Self, &T, &mut DrcReport)],
+        input: &T,
+        report: &mut DrcReport,
+    ) {
         for pass in passes {
             if self.cancel.is_cancelled() {
                 break;
             }
-            pass(self, design, routing, &mut report);
+            pass(self, input, report);
         }
-        report
     }
 
     fn check_cell_spacing(&self, design: &PlacedDesign, report: &mut DrcReport) {
@@ -318,6 +340,48 @@ mod tests {
         // Four turns -> three consecutive pairs, each 5 µm apart: every one
         // is a separate violation, not one per wire.
         assert_eq!(report.count(DrcViolationKind::ZigzagSpacing), 3);
+    }
+
+    #[test]
+    fn full_check_is_the_design_pass_followed_by_the_routing_passes() {
+        let (design, routing, library) = routed(Benchmark::Adder8);
+        let checker = DrcChecker::for_technology(&library);
+
+        // A copy with one violation of each kind the two passes see: a
+        // stretched net, an overlap in a row away from the stretched
+        // driver, and a wire that turns every 5 µm.
+        let (mut sabotaged, mut sabotaged_routing) = (design.clone(), routing.clone());
+        let driver = sabotaged.nets[0].driver;
+        sabotaged.cells[driver].x = sabotaged.rules.max_wirelength * 5.0;
+        let row = sabotaged
+            .rows
+            .iter()
+            .find(|row| row.len() >= 2 && !row.contains(&driver))
+            .unwrap()
+            .clone();
+        sabotaged.cells[row[1]].x = sabotaged.cells[row[0]].x + 1.0;
+        sabotaged_routing.wires.push(tight_zigzag_wire());
+
+        for (design, routing) in [(&design, &routing), (&sabotaged, &sabotaged_routing)] {
+            let design_pass = checker.check_design(design);
+            let full = checker.check(design, routing);
+            assert!(full.violations.len() >= design_pass.violations.len());
+            let (head, tail) = full.violations.split_at(design_pass.violations.len());
+            assert_eq!(head, design_pass.violations.as_slice());
+            assert!(
+                tail.iter().all(|v| matches!(
+                    v.kind,
+                    DrcViolationKind::ZigzagSpacing | DrcViolationKind::Unrouted
+                )),
+                "{tail:?}"
+            );
+        }
+        let design_pass = checker.check_design(&sabotaged);
+        assert!(design_pass.count(DrcViolationKind::CellSpacing) > 0);
+        assert!(design_pass.count(DrcViolationKind::MaxWirelength) > 0);
+        assert_eq!(design_pass.count(DrcViolationKind::ZigzagSpacing), 0);
+        let full = checker.check(&sabotaged, &sabotaged_routing);
+        assert!(full.count(DrcViolationKind::ZigzagSpacing) >= 3);
     }
 
     #[test]

@@ -123,13 +123,17 @@ pub(super) mod verilog {
                 let message = format!("expected `(` after instance `{first}`, found `{second}`");
                 return Err(ParseNetlistError::at(span, message));
             }
-            let ports: Vec<(String, SourceSpan)> =
-                split_signals_in(&after[open + 1..close], after_offset + open + 1)
-                    .into_iter()
-                    .map(|(port, at)| (port, stmt.span_at(at)))
-                    .collect();
-            if let Some((_, span)) = ports.iter().find(|(p, _)| p.is_empty()) {
-                return Err(ParseNetlistError::at(*span, "empty port in gate instantiation"));
+            let mut ports: Vec<(String, SourceSpan)> = Vec::new();
+            for (port, at) in split_signals_in(&after[open + 1..close], after_offset + open + 1) {
+                if port.is_empty() {
+                    let span = stmt.span_at(at);
+                    return Err(ParseNetlistError::at(span, "empty port in gate instantiation"));
+                }
+                if let Some((first, second, span)) = two_words(stmt, &port, at) {
+                    let message = format!("expected `,` between `{first}` and `{second}`");
+                    return Err(ParseNetlistError::at(span, message));
+                }
+                ports.push((port, stmt.span_at(at)));
             }
             instances.push(Instance {
                 span: stmt.start(),

@@ -222,6 +222,9 @@ impl<'a> Module<'a> {
             if port.is_empty() {
                 return Err(error(port.start, "empty port in gate instantiation".into()));
             }
+            if let Some((first, second, at)) = two_words(text, port.clone()) {
+                return Err(error(at, format!("expected `,` between `{first}` and `{second}`")));
+            }
             self.ports.push((stmt.slice(port.clone()), stmt.offset(port.start)));
         }
         self.instances.push(Instance {
@@ -595,6 +598,8 @@ mod tests {
             ("module top level(a, y);", 1, 12, "expected `(` after module `top`, found `level`"),
             ("and g 1(y, a, b);", 4, 7, "expected `(` after instance `g`, found `1`"),
             ("input p q;", 4, 9, "expected `,` between `p` and `q`"),
+            ("buf g1(y, a b);", 4, 13, "expected `,` between `a` and `b`"),
+            ("and g1(y, a b);", 4, 13, "expected `,` between `a` and `b`"),
         ] {
             let src = if src.starts_with("module") {
                 format!("{src}\ninput a;\noutput y;\nbuf g1(y, a);\nendmodule")
@@ -711,12 +716,12 @@ mod tests {
         let src = "module m(a, y);\ninput a; // output y;\nbuf g1(y, a);\nendmodule";
         let err = parse_verilog(src).unwrap_err();
         assert_eq!(err.message, "undeclared signal `y`");
-        // A name broken by a comment and a line end quotes the comment as
-        // nothing and the line end as one space.
+        // A port broken by a comment and a line end is two words, and the
+        // error points at the second one, past the comment and the line end.
         let src = "module m(a, y);\ninput a;\noutput y;\nbuf g1(y, a // comment\n  b);\nendmodule";
         let err = parse_verilog(src).unwrap_err();
-        assert_eq!(err.message, "undeclared signal `a    b`");
-        assert_eq!((err.line, err.column), (4, 11));
+        assert_eq!(err.message, "expected `,` between `a` and `b`");
+        assert_eq!((err.line, err.column), (5, 3));
     }
 
     #[test]

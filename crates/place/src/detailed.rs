@@ -151,9 +151,9 @@ pub fn detailed_place_cancellable(
 /// This is the scoped pass the flow's DRC-repair loop runs after buffer-row
 /// insertion: the freshly inserted buffers are pulled toward their nets
 /// while the — already optimized — rest of the design stays put, which
-/// keeps the channels the follow-up reroute finds changed bounded by the
-/// edit instead of the whole design. The same determinism contract as
-/// [`detailed_place`] applies.
+/// keeps the channels the check stage's final reroute finds changed
+/// bounded by the edits instead of the whole design. The same determinism
+/// contract as [`detailed_place`] applies.
 pub fn detailed_place_in_rows(
     design: &mut PlacedDesign,
     config: &DetailedPlacementConfig,

@@ -4,7 +4,9 @@ use aqfp_netlist::NetlistError;
 use std::error::Error;
 use std::fmt;
 
-/// Errors produced by the synthesis stage.
+/// Errors produced by the synthesis stage. Each variant returns the
+/// netlist error it wraps from [`Error::source`] and leaves it out of its
+/// own `Display`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SynthesisError {
     /// The input netlist failed structural validation.
@@ -18,9 +20,9 @@ pub enum SynthesisError {
 impl fmt::Display for SynthesisError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SynthesisError::InvalidInput(e) => write!(f, "input netlist is invalid: {e}"),
-            SynthesisError::InternalRewrite(e) => {
-                write!(f, "synthesis rewrite produced an invalid netlist: {e}")
+            SynthesisError::InvalidInput(_) => f.write_str("input netlist is invalid"),
+            SynthesisError::InternalRewrite(_) => {
+                f.write_str("synthesis rewrite produced an invalid netlist")
             }
         }
     }
@@ -47,9 +49,10 @@ mod tests {
     use aqfp_netlist::GateId;
 
     #[test]
-    fn display_includes_cause() {
+    fn display_leaves_the_cause_to_source() {
         let err = SynthesisError::InvalidInput(NetlistError::Cycle { gate: GateId(3) });
-        assert!(err.to_string().contains("cycle"));
-        assert!(std::error::Error::source(&err).is_some());
+        assert!(!err.to_string().contains("cycle"), "{err}");
+        let cause = std::error::Error::source(&err).expect("the netlist error is the source");
+        assert!(cause.to_string().contains("cycle"), "{cause}");
     }
 }

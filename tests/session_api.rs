@@ -8,7 +8,7 @@ use std::io::BufReader;
 use std::rc::Rc;
 use std::sync::Arc;
 
-use aqfp_layout::DrcReport;
+use aqfp_layout::{DrcReport, DrcViolationKind};
 use aqfp_place::PlacerKind;
 use aqfp_route::Router;
 use serde::Serialize;
@@ -337,8 +337,9 @@ fn flow_reports_round_trip_through_json() {
     assert_eq!(parsed.to_json().expect("report serializes"), json);
 }
 
-/// Captures the reroute scope of each DRC-repair iteration: `None` for a
-/// full reroute, `Some(rows)` for an incremental one (empty = unchanged).
+/// Captures the scope of each DRC-repair iteration: `None` for a full
+/// reroute, `Some(rows)` for the channel rows its repair touched (empty =
+/// unchanged).
 struct RepairWatch(Rc<RefCell<Vec<Option<Vec<usize>>>>>);
 
 impl FlowObserver for RepairWatch {
@@ -403,8 +404,8 @@ fn incremental_repair_is_byte_identical_to_a_from_scratch_reroute() {
     let checked = session.check(routed).expect("check succeeds");
 
     // The repair loop must have run at least once, and at least one
-    // iteration must have rerouted a bounded dirty set rather than the
-    // whole design.
+    // iteration must have touched a bounded set of channels rather than
+    // the whole design.
     assert!(checked.drc_iterations >= 1, "the sabotage must trigger a repair iteration");
     let seen = iterations.borrow().clone();
     assert!(!seen.is_empty());
@@ -413,12 +414,13 @@ fn incremental_repair_is_byte_identical_to_a_from_scratch_reroute() {
         seen.iter().any(|scope| {
             scope.as_ref().is_some_and(|rows| !rows.is_empty() && rows.len() < channel_count)
         }),
-        "at least one repair iteration must reroute only dirty channels \
+        "at least one repair iteration must touch only some channels \
          (observed {seen:?} over {channel_count} channels)"
     );
 
     // Byte-identical guarantee: rerouting the repaired design from scratch
-    // gives exactly the routing the incremental loop produced.
+    // gives exactly the routing the check stage's one incremental route
+    // produced.
     let library = Arc::clone(session.technology());
     let router = Router::with_config(library, session.config().router);
     let scratch = router.route(&checked.routed.placed.placement.design);
@@ -466,6 +468,31 @@ fn a_cell_moved_between_route_and_check_is_rerouted() {
     assert_eq!(checked_json, fresh_json, "the checked routing is a fresh route of its design");
 }
 
+/// A violation only the routing passes see starts no repair iteration.
+/// Under a 200 µm zigzag rule the majority vote's placement is clean, but
+/// its wires turn closer than that: the loop runs no iteration and no
+/// observer hears of one, the final report still holds every zigzag
+/// violation, and the GDS is the one the flow wrote when such a design
+/// ran one empty iteration.
+#[test]
+fn a_routing_only_violation_starts_no_repair_iteration() {
+    let mut technology = Technology::mit_ll_sqf5ee();
+    technology.rules.zigzag_spacing = 200.0;
+    let netlist = aqfp_netlist::parsers::parse_verilog(MAJORITY_VOTE).expect("valid Verilog");
+    let iterations = Rc::new(RefCell::new(Vec::new()));
+    let mut session =
+        FlowSession::new(fast_config().with_technology(technology)).expect("session opens");
+    session.add_observer(Box::new(RepairWatch(Rc::clone(&iterations))));
+
+    let checked = session.run(&netlist).expect("flow runs");
+
+    assert_eq!(checked.drc_iterations, 0);
+    assert!(iterations.borrow().is_empty(), "observed {:?}", iterations.borrow());
+    assert_eq!(checked.drc.count(DrcViolationKind::ZigzagSpacing), 6);
+    assert_eq!(checked.drc.violations.len(), 6, "{:?}", checked.drc);
+    assert_eq!(format!("{:016x}", fnv1a(&checked.layout.to_gds_bytes())), "7c09da9364cd6fa3");
+}
+
 /// The tentpole guarantee, asserted over benchmark circuits: every one of
 /// them reaches `check` with max-wirelength residuals, so the repair loop
 /// takes the buffer-row branch (rows and nets renumbered) on each — and
@@ -496,7 +523,7 @@ fn buffer_row_repair_is_incremental_and_byte_identical() {
         let checked = session.check(routed).expect("check succeeds");
 
         // The buffer-row branch ran (rows were inserted) and every repair
-        // iteration stayed incremental.
+        // iteration touched a set of channels, never the whole routing.
         assert!(checked.drc_iterations >= 1, "{benchmark:?}: repair must run");
         let design = &checked.routed.placed.placement.design;
         assert!(
@@ -514,7 +541,7 @@ fn buffer_row_repair_is_incremental_and_byte_identical() {
         );
         assert!(
             seen.iter().any(|scope| scope.as_ref().is_some_and(|rows| !rows.is_empty())),
-            "{benchmark:?}: the buffer-row iterations must reroute through a dirty-channel set"
+            "{benchmark:?}: the buffer-row iterations must touch a set of channels"
         );
         // Byte-identical guarantee, end to end: routing, GDS and timing all
         // equal a from-scratch run over the repaired design.
