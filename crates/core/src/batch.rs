@@ -13,12 +13,9 @@
 //!   through the cooperative [`CancelToken`] threaded into the hot loops of
 //!   the placers, the router and the DRC-repair loop — a stage that blows
 //!   its budget actually stops working (at its next loop boundary), rather
-//!   than being abandoned on a zombie thread. With prediction enabled (the
-//!   default), `--stage-timeout` is a *ceiling*, not a flat budget: each
-//!   stage's deadline is its predicted wall-clock times a safety margin,
-//!   clamped between a tenth of the configured timeout (the floor) and the
-//!   timeout itself — so a 5-minute ceiling does not let a design predicted
-//!   to place in 2 s burn 5 minutes in a pathological placer loop.
+//!   than being abandoned on a zombie thread. `--stage-timeout`
+//!   ([`BatchConfig::stage_timeout`]) is one flat deadline for every stage
+//!   of every design; the forecast below never shortens it.
 //! - **Prediction-driven scheduling.** Before any worker starts, the
 //!   predictive feasibility analysis ([`aqfp_predict`]) runs over every
 //!   design (static bounds only — no stage engines), and the work queue is
@@ -27,8 +24,8 @@
 //!   per-design forecast and the measured reality land side by side in the
 //!   report ([`DesignReport::predicted_stage_s`] /
 //!   [`DesignReport::actual_stage_s`]), making the cost model auditable
-//!   from CI. `--no-predict` (or [`BatchConfig::predict`] = false) restores
-//!   flat deadlines and submission order.
+//!   from CI. `--no-predict` (or [`BatchConfig::predict`] = false) skips
+//!   the forecast: submission order and no predicted ledger.
 //! - **Degraded retry.** A failed or timed-out design is re-run once, from
 //!   scratch and with strictly serial stages
 //!   ([`FlowConfig::with_threads`]`(1)`), before it is classified `Failed`;
@@ -269,7 +266,8 @@ pub struct BatchConfig {
     /// Worker threads pulling designs off the shared queue; `0` uses every
     /// available core (capped at the job count).
     pub workers: usize,
-    /// Per-stage wall-clock budget; `None` runs without deadlines.
+    /// Per-stage wall-clock deadline, the same for every stage of every
+    /// design; `None` runs without deadlines.
     pub stage_timeout: Option<Duration>,
     /// Re-run a failed design once, from scratch on one thread, before
     /// classifying it [`DesignStatus::Failed`]. On by default.
@@ -283,10 +281,11 @@ pub struct BatchConfig {
     /// Deterministic fault injection (testing hook); empty in production.
     pub faults: FaultPlan,
     /// Run the predictive feasibility analysis over every design before the
-    /// workers start, order the queue longest-predicted-first, and scale
-    /// each stage's deadline from its predicted cost (see the
-    /// [module docs](self)). On by default; `false` restores submission
-    /// order and flat per-stage deadlines.
+    /// workers start, order the queue longest-predicted-first and record
+    /// the forecast in [`DesignReport::predicted_stage_s`] (see the
+    /// [module docs](self)). On by default; `false` keeps submission order
+    /// and records no forecast. Deadlines are [`BatchConfig::stage_timeout`]
+    /// either way.
     pub predict: bool,
 }
 
@@ -700,7 +699,7 @@ impl BatchRunner {
         predicted: Option<StageTimings>,
     ) -> DesignReport {
         let start = Instant::now();
-        let first = self.run_attempt(job, flow.clone(), technology, 1, predicted.as_ref());
+        let first = self.run_attempt(job, flow.clone(), technology, 1);
         let (status, attempts, resumed_from, actual) = match first {
             Ok(success) => {
                 (DesignStatus::Succeeded, 1, success.resumed_from, Some(success.timings))
@@ -714,13 +713,7 @@ impl BatchRunner {
                     && failure.stage.as_deref() != Some(LINT_STAGE)
                     && failure.stage.as_deref() != Some(VERIFY_STAGE) =>
             {
-                match self.run_attempt(
-                    job,
-                    flow.clone().with_threads(1),
-                    technology,
-                    2,
-                    predicted.as_ref(),
-                ) {
+                match self.run_attempt(job, flow.clone().with_threads(1), technology, 2) {
                     Ok(success) => (DesignStatus::Degraded, 2, None, Some(success.timings)),
                     Err(retry_failure) => (
                         DesignStatus::Failed {
@@ -768,7 +761,6 @@ impl BatchRunner {
         flow: FlowConfig,
         technology: &Arc<Technology>,
         attempt: usize,
-        predicted: Option<&StageTimings>,
     ) -> Result<AttemptSuccess, StageFailure> {
         let mut session = FlowSession::with_technology(flow, Arc::clone(technology));
         let journal = self.config.journal_dir.as_ref().map(|dir| dir.join(&job.name));
@@ -798,7 +790,6 @@ impl BatchRunner {
                     &job.name,
                     FlowStage::Synthesis,
                     attempt,
-                    predicted,
                     |session| session.synthesize(&netlist).map(Artifact::Synthesized),
                 )?;
                 // The input netlist is needed only for LEC of the synthesis
@@ -815,9 +806,8 @@ impl BatchRunner {
             }
         };
         while let Some(stage) = artifact.stage().next() {
-            artifact = self.run_stage(&mut session, &job.name, stage, attempt, predicted, |s| {
-                s.advance(artifact)
-            })?;
+            artifact =
+                self.run_stage(&mut session, &job.name, stage, attempt, |s| s.advance(artifact))?;
             self.seal(&session, &job.name, attempt, journal.as_deref(), &mut artifact, None)?;
         }
         let Artifact::Checked(Checked { routed, layout, drc, .. }) = artifact else {
@@ -831,29 +821,12 @@ impl BatchRunner {
     }
 
     /// The cancellation token a stage runs under: an injected zero
-    /// deadline, the prediction-scaled slice of the configured stage
-    /// budget, the flat budget when there is no forecast, or none. Without
-    /// a configured `stage_timeout` a prediction never introduces a
-    /// deadline on its own.
-    fn stage_token(
-        &self,
-        design: &str,
-        stage: FlowStage,
-        attempt: usize,
-        predicted: Option<&StageTimings>,
-    ) -> CancelToken {
+    /// deadline, else the configured `stage_timeout`, else none.
+    fn stage_token(&self, design: &str, stage: FlowStage, attempt: usize) -> CancelToken {
         if attempt == 1 && self.config.faults.matches(design, stage, FaultKind::ZeroDeadline) {
             return CancelToken::with_deadline(Duration::ZERO);
         }
-        match self.config.stage_timeout {
-            Some(ceiling) => match predicted {
-                Some(timings) => {
-                    CancelToken::with_deadline(scaled_budget(ceiling, timings.get(stage)))
-                }
-                None => CancelToken::with_deadline(ceiling),
-            },
-            None => CancelToken::none(),
-        }
+        self.config.stage_timeout.map_or_else(CancelToken::none, CancelToken::with_deadline)
     }
 
     /// Runs one stage inside the fault boundary: deadline armed, injected
@@ -864,10 +837,9 @@ impl BatchRunner {
         design: &str,
         stage: FlowStage,
         attempt: usize,
-        predicted: Option<&StageTimings>,
         body: impl FnOnce(&mut FlowSession) -> Result<Artifact, FlowError>,
     ) -> Result<Artifact, StageFailure> {
-        session.set_cancel_token(self.stage_token(design, stage, attempt, predicted));
+        session.set_cancel_token(self.stage_token(design, stage, attempt));
         let inject_panic =
             attempt == 1 && self.config.faults.matches(design, stage, FaultKind::Panic);
         let result = catch_stage_panic(move || {
@@ -1037,31 +1009,6 @@ fn corrupt(artifact: &mut Artifact) {
             aqfp_verify::mutate::corrupt_layout(&mut checked.layout);
         }
     }
-}
-
-/// Safety margin a predicted stage time is multiplied by to become that
-/// stage's deadline: the forecast is a power-law estimate, and host load,
-/// shared-core worker splits and DRC-repair iterations all stretch the
-/// real run past it.
-const BUDGET_MARGIN: f64 = 8.0;
-
-/// Constant slack added on top of the margined prediction, so sub-second
-/// forecasts still leave room for journaling and thread spin-up.
-const BUDGET_SLACK_S: f64 = 2.0;
-
-/// A prediction-scaled deadline never drops below this fraction of the
-/// configured `--stage-timeout` ceiling, bounding the damage of a forecast
-/// that is badly low.
-const BUDGET_FLOOR: f64 = 0.1;
-
-/// The prediction-scaled deadline for one stage: the forecast times
-/// [`BUDGET_MARGIN`] plus [`BUDGET_SLACK_S`], clamped between
-/// [`BUDGET_FLOOR`] of the configured ceiling and the ceiling itself — the
-/// configured `--stage-timeout` remains a hard upper bound in every case.
-fn scaled_budget(ceiling: Duration, predicted_s: f64) -> Duration {
-    let ceiling_s = ceiling.as_secs_f64();
-    let raw = predicted_s.max(0.0) * BUDGET_MARGIN + BUDGET_SLACK_S;
-    Duration::from_secs_f64(raw.clamp(ceiling_s * BUDGET_FLOOR, ceiling_s))
 }
 
 /// The per-stage wall-clock forecast for one job: loads the design (a
@@ -1250,18 +1197,30 @@ mod tests {
     }
 
     #[test]
-    fn scaled_budgets_clamp_between_floor_and_ceiling() {
-        let ceiling = Duration::from_secs(100);
-        // A tiny forecast gets the floor (a tenth of the ceiling), not the
-        // raw 2-second slack.
-        assert_eq!(scaled_budget(ceiling, 0.0), Duration::from_secs(10));
-        // A mid-range forecast gets margin × prediction + slack.
-        assert_eq!(scaled_budget(ceiling, 5.0), Duration::from_secs(42));
-        // A huge forecast is capped at the configured ceiling.
-        assert_eq!(scaled_budget(ceiling, 50.0), ceiling);
-        // A zero ceiling stays a zero deadline (the ZeroDeadline fault
-        // semantics are preserved under scaling).
-        assert_eq!(scaled_budget(Duration::ZERO, 5.0), Duration::ZERO);
+    fn the_stage_timeout_is_every_stages_deadline() {
+        let runner = |timeout: Option<Duration>| {
+            let mut config = BatchConfig::new(FlowConfig::fast());
+            config.stage_timeout = timeout;
+            let deadline = Fault::parse("deadline:adder8:routing").unwrap();
+            config.faults = FaultPlan::none().with(deadline);
+            BatchRunner::new(config)
+        };
+        // Every stage runs under the whole timeout, whatever its forecast: a
+        // check stage forecast at 0.04 s once got 2.3 s of a 10 s timeout.
+        let timed = runner(Some(Duration::from_secs(10)));
+        let tokens: Vec<CancelToken> =
+            FlowStage::ALL.into_iter().map(|stage| timed.stage_token("c432", stage, 1)).collect();
+        std::thread::sleep(Duration::from_millis(2500));
+        assert!(tokens.iter().all(|token| !token.is_cancelled()));
+        let zero = runner(Some(Duration::ZERO));
+        assert!(zero.stage_token("c432", FlowStage::Check, 1).is_cancelled());
+        // The injected zero deadline fires on the first attempt only.
+        assert!(timed.stage_token("adder8", FlowStage::Routing, 1).is_cancelled());
+        assert!(!timed.stage_token("adder8", FlowStage::Routing, 2).is_cancelled());
+        // Without a timeout no deadline is armed: the token never fires.
+        let unbounded = runner(None).stage_token("c432", FlowStage::Check, 1);
+        unbounded.cancel();
+        assert!(!unbounded.is_cancelled());
     }
 
     #[test]

@@ -46,14 +46,10 @@
 //!   superflow::batch module docs).
 //!
 //!   --workers <n>           designs in flight at once; 0 = all cores [0]
-//!   --stage-timeout <s>     per-stage wall-clock ceiling in seconds. When
-//!                           the predictive cost model has a forecast for a
-//!                           design, each stage's deadline is scaled from
-//!                           its predicted cost, clamped between 10% of
-//!                           this value (floor) and this value (ceiling);
-//!                           designs without a forecast get the flat value
+//!   --stage-timeout <s>     flat per-stage wall-clock deadline in seconds,
+//!                           the same for every stage of every design
 //!   --no-predict            skip the predictive pass: submission order and
-//!                           flat per-stage deadlines
+//!                           no predicted cost in the report
 //!   --no-retry              skip the degraded retry of failed designs
 //!   --journal <dir>         stage-checkpoint directory; re-running with the
 //!                           same journal resumes each design from its last

@@ -356,6 +356,8 @@ mod tests {
         assert_eq!(settings.threads, 2);
         assert_eq!(settings.max_splitter_arity, config.synthesis.max_splitter_arity);
         assert_eq!(settings.max_drc_iterations, config.max_drc_iterations);
+        // The lint crate's defaults are the paper defaults' settings.
+        assert_eq!(aqfp_lint::FlowSettings::default(), FlowConfig::paper_default().lint_settings());
         // with_lint swaps the policy wholesale.
         let strict = config
             .with_lint(aqfp_lint::LintConfig { deny: vec!["all".into()], ..Default::default() });

@@ -80,8 +80,9 @@
 //! report as the lint rules ([`lint_design`], [`FlowSession::lint`]), so a
 //! provably-infeasible design is rejected before synthesis; the batch
 //! driver additionally uses the per-stage cost forecast to schedule
-//! longest-predicted-first and to scale its per-stage deadlines (see
-//! [`batch`]). Run it standalone with `superflow predict`.
+//! longest-predicted-first and reports it next to the measured stage
+//! times, while its per-stage deadline stays the flat `--stage-timeout`
+//! (see [`batch`]). Run it standalone with `superflow predict`.
 //!
 //! # Post-stage verification
 //!

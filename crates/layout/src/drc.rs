@@ -135,45 +135,28 @@ impl DrcChecker {
     }
 
     fn check_cell_spacing(&self, design: &PlacedDesign, report: &mut DrcReport) {
-        let tolerance = 1e-6;
-        for (row_index, row) in design.rows.iter().enumerate() {
-            let mut sorted: Vec<usize> = row.clone();
-            sorted.sort_by(|&a, &b| {
-                design.cells[a].x.partial_cmp(&design.cells[b].x).expect("finite coordinates")
+        for (row, left, right, gap) in design.spacing_faults(self.rules.min_spacing) {
+            report.violations.push(DrcViolation {
+                kind: DrcViolationKind::CellSpacing,
+                message: format!(
+                    "cells `{}` and `{}` in row {row} have an illegal gap of {gap:.1} µm",
+                    design.cells[left].name, design.cells[right].name
+                ),
+                row: Some(row),
             });
-            for pair in sorted.windows(2) {
-                let left = &design.cells[pair[0]];
-                let right = &design.cells[pair[1]];
-                let gap = right.x - left.right();
-                let violating = gap < -tolerance
-                    || (gap > tolerance && gap < self.rules.min_spacing - tolerance);
-                if violating {
-                    report.violations.push(DrcViolation {
-                        kind: DrcViolationKind::CellSpacing,
-                        message: format!(
-                            "cells `{}` and `{}` in row {row_index} have an illegal gap of {gap:.1} µm",
-                            left.name, right.name
-                        ),
-                        row: Some(row_index),
-                    });
-                }
-            }
         }
     }
 
     fn check_max_wirelength(&self, design: &PlacedDesign, report: &mut DrcReport) {
-        for (index, net) in design.nets.iter().enumerate() {
-            let length = design.net_length(net);
-            if length > self.rules.max_wirelength {
-                report.violations.push(DrcViolation {
-                    kind: DrcViolationKind::MaxWirelength,
-                    message: format!(
-                        "net {index} is {length:.0} µm long (limit {:.0} µm)",
-                        self.rules.max_wirelength
-                    ),
-                    row: Some(design.cells[net.driver].row),
-                });
-            }
+        for (index, length) in design.nets_longer_than(self.rules.max_wirelength) {
+            report.violations.push(DrcViolation {
+                kind: DrcViolationKind::MaxWirelength,
+                message: format!(
+                    "net {index} is {length:.0} µm long (limit {:.0} µm)",
+                    self.rules.max_wirelength
+                ),
+                row: Some(design.cells[design.nets[index].driver].row),
+            });
         }
     }
 

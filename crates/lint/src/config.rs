@@ -71,7 +71,7 @@ pub struct FlowSettings {
 impl Default for FlowSettings {
     fn default() -> Self {
         // Mirrors `SynthesisOptions::default()` and the flow's paper defaults.
-        Self { threads: 0, max_splitter_arity: 4, max_drc_iterations: 8 }
+        Self { threads: 0, max_splitter_arity: 4, max_drc_iterations: 3 }
     }
 }
 

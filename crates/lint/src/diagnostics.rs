@@ -106,6 +106,50 @@ impl fmt::Display for Diagnostic {
     }
 }
 
+/// Sorts findings into report order: severity descending, then rule id,
+/// then source position, then object — the one deterministic order of
+/// lint, predict and verify reports.
+pub fn normalize(diagnostics: &mut [Diagnostic]) {
+    diagnostics.sort_by(|a, b| {
+        b.severity
+            .cmp(&a.severity)
+            .then_with(|| a.rule.cmp(&b.rule))
+            .then_with(|| (a.line, a.column).cmp(&(b.line, b.column)))
+            .then_with(|| a.object.cmp(&b.object))
+    });
+}
+
+/// Whether any finding is an error.
+pub fn has_errors(diagnostics: &[Diagnostic]) -> bool {
+    diagnostics.iter().any(|d| d.severity == Severity::Error)
+}
+
+/// Whether a given rule fired at least once.
+pub fn mentions(diagnostics: &[Diagnostic], rule: &str) -> bool {
+    diagnostics.iter().any(|d| d.rule == rule)
+}
+
+/// Appends one line per finding and a summary line to `out`: `<design>:
+/// <clean>` when there is none, else `<design>: N errors, M warnings`.
+pub fn render_findings(out: &mut String, design: &str, diagnostics: &[Diagnostic], clean: &str) {
+    for diagnostic in diagnostics {
+        out.push_str(&diagnostic.to_string());
+        out.push('\n');
+    }
+    let count = |severity| diagnostics.iter().filter(|d| d.severity == severity).count();
+    let plural = |n: usize| if n == 1 { "" } else { "s" };
+    let (errors, warnings) = (count(Severity::Error), count(Severity::Warn));
+    if diagnostics.is_empty() {
+        out.push_str(&format!("{design}: {clean}\n"));
+    } else {
+        out.push_str(&format!(
+            "{design}: {errors} error{}, {warnings} warning{}\n",
+            plural(errors),
+            plural(warnings)
+        ));
+    }
+}
+
 /// The outcome of linting one design.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LintReport {
@@ -121,16 +165,9 @@ impl LintReport {
         Self { design: design.into(), diagnostics: Vec::new() }
     }
 
-    /// Sorts diagnostics into report order: severity descending, then rule
-    /// id, then source position — a deterministic order for tests and CI.
+    /// Sorts diagnostics into report order (see [`normalize`]).
     pub fn normalize(&mut self) {
-        self.diagnostics.sort_by(|a, b| {
-            b.severity
-                .cmp(&a.severity)
-                .then_with(|| a.rule.cmp(&b.rule))
-                .then_with(|| (a.line, a.column).cmp(&(b.line, b.column)))
-                .then_with(|| a.object.cmp(&b.object))
-        });
+        normalize(&mut self.diagnostics);
     }
 
     /// The error-severity findings.
@@ -145,36 +182,19 @@ impl LintReport {
 
     /// Whether any finding is an error (the flow must refuse the design).
     pub fn has_errors(&self) -> bool {
-        self.errors().next().is_some()
+        has_errors(&self.diagnostics)
     }
 
     /// Whether a given rule fired at least once.
     pub fn mentions(&self, rule: &str) -> bool {
-        self.diagnostics.iter().any(|d| d.rule == rule)
+        mentions(&self.diagnostics, rule)
     }
 
     /// Renders the report as human-readable text, one line per finding plus
     /// a summary line.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        for diagnostic in &self.diagnostics {
-            out.push_str(&diagnostic.to_string());
-            out.push('\n');
-        }
-        let errors = self.errors().count();
-        let warnings = self.warnings().count();
-        if self.diagnostics.is_empty() {
-            out.push_str(&format!("{}: clean, no findings\n", self.design));
-        } else {
-            out.push_str(&format!(
-                "{}: {} error{}, {} warning{}\n",
-                self.design,
-                errors,
-                if errors == 1 { "" } else { "s" },
-                warnings,
-                if warnings == 1 { "" } else { "s" },
-            ));
-        }
+        render_findings(&mut out, &self.design, &self.diagnostics, "clean, no findings");
         out
     }
 }
@@ -248,5 +268,18 @@ mod tests {
         assert!(text.contains("line 4, column 3"), "{text}");
         assert!(text.contains("bad: 1 error, 1 warning"), "{text}");
         assert!(LintReport::clean("ok").render().contains("clean"));
+    }
+
+    #[test]
+    fn findings_render_the_clean_line_or_plural_totals() {
+        let mut out = String::new();
+        render_findings(&mut out, "d", &[], "feasible, no findings");
+        assert_eq!(out, "d: feasible, no findings\n");
+        let mut report = sample_report();
+        report.diagnostics[0].severity = Severity::Error;
+        out.clear();
+        render_findings(&mut out, "d", &report.diagnostics, "clean");
+        assert_eq!(out.lines().count(), 3, "{out}");
+        assert!(out.ends_with("d: 2 errors, 0 warnings\n"), "{out}");
     }
 }

@@ -52,13 +52,29 @@ impl Deserialize for BufferRowReport {
     }
 }
 
-/// Number of intermediate rows needed so every hop of a connection with
-/// horizontal span `dx` stays within the maximum wirelength (each hop also
-/// pays one row pitch of vertical distance).
-fn lines_for_span(dx: f64, design: &PlacedDesign) -> usize {
+/// The buffer lines each row gap needs (indexed by the gap's driver row)
+/// so every hop of the `violating` nets stays within the maximum
+/// wirelength, each hop also paying one row pitch of vertical distance: a
+/// gap's longest climbing connection decides. Also returns how many of the
+/// nets do not climb and so cannot be split
+/// ([`BufferRowReport::skipped_nets`]).
+fn buffer_lines_per_gap(design: &PlacedDesign, violating: &[usize]) -> (Vec<usize>, usize) {
     let budget = (design.rules.max_wirelength - design.row_pitch).max(design.rules.grid);
-    let hops = (dx / budget).ceil().max(1.0) as usize;
-    hops - 1
+    let mut lines: Vec<usize> = vec![0; design.rows.len()];
+    let mut skipped_nets = 0;
+    for &net_index in violating {
+        let net = design.nets[net_index];
+        let (driver, sink) = (&design.cells[net.driver], &design.cells[net.sink]);
+        if sink.row <= driver.row {
+            // A sink at or below its driver: no gap between the two rows to
+            // expand.
+            skipped_nets += 1;
+            continue;
+        }
+        let hops = ((driver.center_x() - sink.center_x()).abs() / budget).ceil().max(1.0) as usize;
+        lines[driver.row] = lines[driver.row].max((hops - 1).max(1));
+    }
+    (lines, skipped_nets)
 }
 
 /// Counts the buffer lines a placement would need without modifying it.
@@ -67,21 +83,7 @@ fn lines_for_span(dx: f64, design: &PlacedDesign) -> usize {
 /// determines how many intermediate buffer rows that gap needs; the total is
 /// the "Buffers" column of Table III.
 pub fn required_buffer_lines(design: &PlacedDesign) -> usize {
-    let mut per_gap: Vec<usize> = vec![0; design.rows.len()];
-    for net in &design.nets {
-        if design.net_length(net) <= design.rules.max_wirelength {
-            continue;
-        }
-        // Only nets climbing to a higher clock phase can be split by buffer
-        // rows; see [`BufferRowReport::skipped_nets`].
-        if design.cells[net.sink].row <= design.cells[net.driver].row {
-            continue;
-        }
-        let dx = (design.cells[net.driver].center_x() - design.cells[net.sink].center_x()).abs();
-        let gap = design.cells[net.driver].row;
-        per_gap[gap] = per_gap[gap].max(lines_for_span(dx, design).max(1));
-    }
-    per_gap.iter().sum()
+    buffer_lines_per_gap(design, &design.max_wirelength_violations()).0.iter().sum()
 }
 
 /// Inserts buffer rows so every connection respects the maximum wirelength.
@@ -108,32 +110,7 @@ pub fn insert_buffer_rows(
 ) -> (BufferRowReport, Range<usize>) {
     let first_new_cell = design.cells.len();
     let violating = design.max_wirelength_violations();
-    if violating.is_empty() {
-        let report = BufferRowReport {
-            buffer_lines: 0,
-            buffer_cells: 0,
-            violating_nets: 0,
-            skipped_nets: 0,
-        };
-        return (report, first_new_cell..first_new_cell);
-    }
-
-    // Lines needed per row gap (indexed by the driver row of the gap).
-    let mut lines_per_gap: Vec<usize> = vec![0; design.rows.len()];
-    let mut skipped_nets = 0;
-    for &net_index in &violating {
-        let net = design.nets[net_index];
-        if design.cells[net.sink].row <= design.cells[net.driver].row {
-            // A sink at or below its driver: no gap between the two rows to
-            // expand. Report and skip instead of underflowing below.
-            skipped_nets += 1;
-            continue;
-        }
-        let dx = (design.cells[net.driver].center_x() - design.cells[net.sink].center_x()).abs();
-        let gap = design.cells[net.driver].row;
-        lines_per_gap[gap] = lines_per_gap[gap].max(lines_for_span(dx, design).max(1));
-    }
-
+    let (lines_per_gap, skipped_nets) = buffer_lines_per_gap(design, &violating);
     let buffer_proto = library.cell(CellKind::Buffer);
     let mut report = BufferRowReport {
         buffer_lines: lines_per_gap.iter().sum(),
@@ -142,7 +119,7 @@ pub fn insert_buffer_rows(
         skipped_nets,
     };
     if report.buffer_lines == 0 {
-        // Every violation was a skipped (non-climbing) net.
+        // No violation, or only skipped (non-climbing) nets.
         return (report, first_new_cell..first_new_cell);
     }
 

@@ -295,55 +295,51 @@ impl PlacedDesign {
         }
     }
 
+    /// Nets longer than `limit` µm, as `(net index, length)` in net order.
+    pub fn nets_longer_than(&self, limit: f64) -> impl Iterator<Item = (usize, f64)> + '_ {
+        self.nets.iter().enumerate().filter_map(move |(index, net)| {
+            let length = self.net_length(net);
+            (length > limit).then_some((index, length))
+        })
+    }
+
     /// Nets whose length exceeds the process maximum wirelength.
     pub fn max_wirelength_violations(&self) -> Vec<usize> {
-        (0..self.nets.len())
-            .filter(|&i| self.net_length(&self.nets[i]) > self.rules.max_wirelength)
-            .collect()
+        self.nets_longer_than(self.rules.max_wirelength).map(|(index, _)| index).collect()
+    }
+
+    /// Horizontally neighbouring cells that neither abut nor keep
+    /// `min_spacing` apart, as `(row, left cell, right cell, gap µm)`: rows
+    /// in order, each left to right. A negative gap is an overlap.
+    pub fn spacing_faults(&self, min_spacing: f64) -> Vec<(usize, usize, usize, f64)> {
+        let tolerance = 1e-6;
+        let mut faults = Vec::new();
+        for (row_index, row) in self.rows.iter().enumerate() {
+            let mut sorted: Vec<usize> = row.clone();
+            sorted.sort_by(|&a, &b| {
+                self.cells[a].x.partial_cmp(&self.cells[b].x).expect("finite coordinates")
+            });
+            for pair in sorted.windows(2) {
+                let gap = self.cells[pair[1]].x - self.cells[pair[0]].right();
+                if gap < -tolerance || (gap > tolerance && gap < min_spacing - tolerance) {
+                    faults.push((row_index, pair[0], pair[1], gap));
+                }
+            }
+        }
+        faults
     }
 
     /// Number of overlapping cell pairs within rows (zero after
     /// legalization).
     pub fn overlap_count(&self) -> usize {
-        let mut overlaps = 0;
-        for row in &self.rows {
-            let mut sorted: Vec<usize> = row.clone();
-            sorted.sort_by(|&a, &b| {
-                self.cells[a].x.partial_cmp(&self.cells[b].x).expect("finite coordinates")
-            });
-            for pair in sorted.windows(2) {
-                let left = &self.cells[pair[0]];
-                let right = &self.cells[pair[1]];
-                if left.right() > right.x + 1e-6 {
-                    overlaps += 1;
-                }
-            }
-        }
-        overlaps
+        let faults = self.spacing_faults(self.rules.min_spacing);
+        faults.iter().filter(|&&(_, _, _, gap)| gap < 0.0).count()
     }
 
     /// Number of spacing violations: horizontally neighbouring cells must
     /// either abut or keep at least the minimum spacing.
     pub fn spacing_violations(&self) -> usize {
-        let tolerance = 1e-6;
-        let mut violations = 0;
-        for row in &self.rows {
-            let mut sorted: Vec<usize> = row.clone();
-            sorted.sort_by(|&a, &b| {
-                self.cells[a].x.partial_cmp(&self.cells[b].x).expect("finite coordinates")
-            });
-            for pair in sorted.windows(2) {
-                let left = &self.cells[pair[0]];
-                let right = &self.cells[pair[1]];
-                let gap = right.x - left.right();
-                if gap < -tolerance {
-                    violations += 1; // overlap
-                } else if gap > tolerance && gap < self.rules.min_spacing - tolerance {
-                    violations += 1; // neither abutting nor properly spaced
-                }
-            }
-        }
-        violations
+        self.spacing_faults(self.rules.min_spacing).len()
     }
 
     /// Re-sorts the per-row index lists by x coordinate (call after moving

@@ -81,8 +81,9 @@ pub(crate) fn forecast(
     let die =
         DieEstimate { layer_width_um: layer_width, height_um, area_um2: layer_width * height_um };
 
-    // Router grid parameters, mirroring `Router::grid_params`.
-    let step = router.grid_step_um.max(1.0);
+    // Router grid parameters, mirroring `Router::grid_params` on the grid
+    // the flow routes on: the technology's minimum spacing.
+    let step = rules.min_spacing.max(1.0);
     let columns = (((layer_width / step).ceil() as i64) + 2).max(2) as usize;
     let initial_tracks = if router.initial_tracks >= 2 {
         router.initial_tracks
@@ -191,6 +192,17 @@ mod tests {
         assert_eq!(congestion.initial_tracks, 10);
         assert_eq!(congestion.max_tracks, 74);
         assert!(congestion.columns >= 2);
+    }
+
+    #[test]
+    fn the_grid_pitch_is_the_technologys_minimum_spacing() {
+        let analysis = analyse(&chain(3), 4).unwrap();
+        let mut technology = Technology::mit_ll_sqf5ee();
+        technology.rules.min_spacing = 20.0;
+        // The configured 10 µm pitch is not the grid the flow routes on.
+        let (_, congestion) = forecast(&analysis, &technology, &RouterConfig::default());
+        assert_eq!(congestion.initial_tracks, 5);
+        assert_eq!(congestion.max_tracks, 69);
     }
 
     #[test]

@@ -7,8 +7,10 @@
 //! anchors: within a segment the prediction interpolates linearly in
 //! log-log space, outside the anchor range it extrapolates with the nearest
 //! segment's exponent. DRC has no committed anchor; the check stage is
-//! predicted as a fixed fraction of routing plus GDS emission — rough, but
-//! the batch scheduler's 8× budget slack absorbs the error.
+//! predicted as a fixed fraction of routing plus GDS emission. That is
+//! rough (the check stage is most of a real run's wall time), which is why
+//! the forecast only orders the batch queue, fills its report's predicted
+//! ledger and feeds `AQFP-P005`; it sets no deadline.
 
 use crate::report::CostForecast;
 

@@ -76,7 +76,9 @@ pub struct PredictOptions {
     pub settings: FlowSettings,
     /// Severity policy for the predictive rules.
     pub lint: LintConfig,
-    /// Router configuration the congestion forecast mirrors.
+    /// Router configuration the congestion forecast mirrors (its track
+    /// budget; the grid pitch is the technology's minimum spacing, as in
+    /// the flow).
     pub router: RouterConfig,
 }
 

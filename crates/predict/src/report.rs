@@ -11,7 +11,7 @@
 
 use std::fmt::Write as _;
 
-use aqfp_lint::Diagnostic;
+use aqfp_lint::{diagnostics, Diagnostic};
 use serde::{Deserialize, Serialize};
 
 /// A `[min, max]` interval around a best estimate for an integer quantity.
@@ -192,12 +192,12 @@ pub struct PredictReport {
 impl PredictReport {
     /// Whether any finding is an error (the flow should refuse the design).
     pub fn has_errors(&self) -> bool {
-        self.diagnostics.iter().any(|d| d.severity == aqfp_lint::Severity::Error)
+        diagnostics::has_errors(&self.diagnostics)
     }
 
     /// Whether a given rule fired at least once.
     pub fn mentions(&self, rule: &str) -> bool {
-        self.diagnostics.iter().any(|d| d.rule == rule)
+        diagnostics::mentions(&self.diagnostics, rule)
     }
 
     /// Renders the report as human-readable text: a bounds table followed by
@@ -253,26 +253,8 @@ impl PredictReport {
                 );
             }
         }
-        for diagnostic in &self.diagnostics {
-            let _ = writeln!(out, "{diagnostic}");
-        }
-        let errors =
-            self.diagnostics.iter().filter(|d| d.severity == aqfp_lint::Severity::Error).count();
-        let warnings =
-            self.diagnostics.iter().filter(|d| d.severity == aqfp_lint::Severity::Warn).count();
-        if self.diagnostics.is_empty() {
-            let _ = writeln!(out, "{}: feasible, no findings", self.design);
-        } else {
-            let _ = writeln!(
-                out,
-                "{}: {} error{}, {} warning{}",
-                self.design,
-                errors,
-                if errors == 1 { "" } else { "s" },
-                warnings,
-                if warnings == 1 { "" } else { "s" },
-            );
-        }
+        let feasible = "feasible, no findings";
+        diagnostics::render_findings(&mut out, &self.design, &self.diagnostics, feasible);
         out
     }
 }

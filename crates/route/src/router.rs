@@ -53,6 +53,9 @@ const MAX_RIP_UP_ROUND_FAILURES: usize = 4;
 pub struct RouterConfig {
     /// Routing grid pitch in µm; wires only turn on this grid (the paper's
     /// dynamic step size, equal to the process minimum spacing).
+    /// [`Router::new`] and the flow's sessions set it to the technology's
+    /// `min_spacing`; the default of 10 µm serves direct
+    /// [`Router::with_config`] callers.
     pub grid_step_um: f64,
     /// Initial number of routing tracks per channel (derived from the row
     /// pitch when 0).

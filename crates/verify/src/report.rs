@@ -8,7 +8,7 @@
 //! so a clean report can be told apart from a report that never exercised a
 //! verifier.
 
-use aqfp_lint::{Diagnostic, Severity};
+use aqfp_lint::{diagnostics, Diagnostic, Severity};
 use serde::{Deserialize, Serialize};
 
 /// The outcome of verifying one design's stage artifacts.
@@ -55,17 +55,10 @@ impl VerifyReport {
         self.diagnostics.extend(other.diagnostics);
     }
 
-    /// Sorts diagnostics into report order: severity descending, then rule
-    /// id, then source position — the same deterministic order lint reports
-    /// use, so mixed tooling sorts identically.
+    /// Sorts diagnostics into report order, the order lint and predict
+    /// reports use ([`diagnostics::normalize`]).
     pub fn normalize(&mut self) {
-        self.diagnostics.sort_by(|a, b| {
-            b.severity
-                .cmp(&a.severity)
-                .then_with(|| a.rule.cmp(&b.rule))
-                .then_with(|| (a.line, a.column).cmp(&(b.line, b.column)))
-                .then_with(|| a.object.cmp(&b.object))
-        });
+        diagnostics::normalize(&mut self.diagnostics);
     }
 
     /// The error-severity findings.
@@ -75,12 +68,12 @@ impl VerifyReport {
 
     /// Whether any finding is an error (the artifact must be rejected).
     pub fn has_errors(&self) -> bool {
-        self.errors().next().is_some()
+        diagnostics::has_errors(&self.diagnostics)
     }
 
     /// Whether a given rule fired at least once.
     pub fn mentions(&self, rule: &str) -> bool {
-        self.diagnostics.iter().any(|d| d.rule == rule)
+        diagnostics::mentions(&self.diagnostics, rule)
     }
 
     /// Renders the report as human-readable text, one line per finding plus
