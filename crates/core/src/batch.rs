@@ -112,7 +112,7 @@
 
 use std::cell::Cell;
 use std::fs::File;
-use std::io::BufReader;
+use std::io::{BufReader, Write};
 use std::panic::{self, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Once};
@@ -942,7 +942,7 @@ impl BatchRunner {
         let Some(dir) = &self.config.output_dir else { return Ok(()) };
         let path = dir.join(format!("{design}.gds"));
         write_atomic(&path, |out| {
-            layout.gds.write_to(out).map_err(|e| FlowError::Io {
+            out.write_all(layout.gds_bytes()).map_err(|e| FlowError::Io {
                 path: path.display().to_string(),
                 message: e.to_string(),
             })

@@ -110,7 +110,8 @@
 //!   --threads <n>           worker threads for the re-derivation     [0]
 //!   --against <input>       the original design input (file, benchmark
 //!                           name or gen: spec) for LEC; defaults to the
-//!                           artifact's design name / file stem
+//!                           artifact's design name / file stem, so a
+//!                           `.gds` whose stem names no input needs it
 //!   --format <text|json>    output format                         [text]
 //!   --inject-defect <kind>  corrupt one wire | cell | phase before
 //!                           verifying, to prove the defect is caught
@@ -153,7 +154,7 @@
 #![warn(clippy::unwrap_used)]
 
 use std::fs::File;
-use std::io::BufReader;
+use std::io::{BufReader, Write};
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -811,13 +812,8 @@ fn write_outputs(
     if let (None, Artifact::Checked(checked)) = (options.stop_after, artifact) {
         let path =
             options.output.clone().unwrap_or_else(|| format!("{}.gds", artifact.design_name()));
-        // Stream record by record instead of materializing the byte image —
-        // at a million cells the image alone is tens of MB.
         write_atomic(Path::new(&path), |out| {
-            checked
-                .layout
-                .gds
-                .write_to(out)
+            out.write_all(checked.layout.gds_bytes())
                 .map_err(|e| FlowError::Io { path: path.clone(), message: e.to_string() })
         })
         .map_err(|e| error_chain(&e))?;
@@ -1080,8 +1076,10 @@ fn lec_input(
 }
 
 /// Verifies a committed `.gds` layout: re-runs the flow on the matching
-/// input, then checks logic equivalence, phase-legality and an LVS-lite
-/// comparison of the committed bytes against the re-derived design.
+/// input (`--against`, or else the file stem as a benchmark name or
+/// netlist path), then checks logic equivalence, phase-legality and an
+/// LVS-lite comparison of the committed bytes against the re-derived
+/// design.
 fn verify_gds_input(
     input: &str,
     options: &Options,
@@ -1090,12 +1088,20 @@ fn verify_gds_input(
     let bytes = std::fs::read(input).map_err(|e| format!("cannot read `{input}`: {e}"))?;
     let netlist = match &options.against {
         Some(spec) => load_against(spec)?,
-        None => load_netlist(
-            std::path::Path::new(input)
-                .file_stem()
-                .and_then(|stem| stem.to_str())
-                .ok_or_else(|| format!("cannot infer a design name from `{input}`"))?,
-        )?,
+        None => {
+            let stem = Path::new(input).file_stem().and_then(|s| s.to_str()).unwrap_or_default();
+            match superflow::load_netlist(stem) {
+                Ok(netlist) => netlist,
+                // A stem that names no input says nothing about the layout.
+                Err(FlowError::Input(_) | FlowError::Io { .. }) => {
+                    return Err(format!(
+                        "cannot tell which design `{input}` was built from: its stem `{stem}` \
+                         names no flow input; pass --against <input>"
+                    ))
+                }
+                Err(e) => return Err(error_chain(&e)),
+            }
+        }
     };
     let mut session = FlowSession::new(config.clone()).map_err(|e| error_chain(&e))?;
     let mut artifact = Artifact::Checked(session.run(&netlist).map_err(|e| error_chain(&e))?);

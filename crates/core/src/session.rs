@@ -554,7 +554,11 @@ pub struct Checked {
     /// The routed artifact after DRC repair (placement and routing reflect
     /// every fix the repair loop applied).
     pub routed: Routed,
-    /// The generated GDSII layout.
+    /// The generated GDSII layout: the stream's byte image
+    /// ([`Layout::gds_bytes`]), which the CLI and the batch write to their
+    /// `.gds` files and LVS reads in place, plus its summary numbers. It is
+    /// derived data (`LayoutGenerator::generate` of the design and the
+    /// routing) that the checkpoint keeps as base64 chunks.
     pub layout: Layout,
     /// The full design-rule-check report of the final placement and its
     /// routing.
@@ -1018,12 +1022,12 @@ impl FlowSession {
 
     /// Full post-layout verification of a check artifact: phase legality of
     /// the repaired design and routing, then LVS-lite extraction of the
-    /// emitted GDS byte stream against them.
+    /// layout's GDS byte image, read in place, against them.
     pub fn verify_checked(&self, checked: &Checked) -> VerifyReport {
         let mut report = self.verify_routed(&checked.routed);
         report.record_check("lvs");
         report.extend(aqfp_verify::check_gds(
-            &checked.layout.to_gds_bytes(),
+            checked.layout.gds_bytes(),
             checked.routed.design(),
             &checked.routed.routing,
             &self.technology,

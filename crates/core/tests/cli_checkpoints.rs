@@ -111,3 +111,29 @@ fn verify_refuses_a_checkpoint_with_an_edited_cell_width_and_says_why() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A `.gds` whose file stem names no flow input cannot say which design
+/// it was built from: `verify` names the file and asks for `--against`
+/// (exit 1), and with `--against` the same file verifies clean.
+#[test]
+fn verify_of_a_gds_named_after_no_input_asks_for_against() {
+    let dir = temp_dir("against");
+    let gds = dir.join("w.gds");
+    let gds = gds.to_str().expect("utf-8 path");
+    superflow(&["--fast", "--quiet", "--output", gds, "adder8"]);
+
+    let output = Command::new(env!("CARGO_BIN_EXE_superflow"))
+        .args(["verify", "--fast", gds])
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains(&format!("`{gds}`")), "names the file: {stderr}");
+    assert!(stderr.contains("its stem `w` names no flow input"), "{stderr}");
+    assert!(stderr.contains("pass --against <input>"), "{stderr}");
+    assert!(!stderr.contains("cannot tell the format"), "{stderr}");
+
+    let report = superflow(&["verify", "--fast", "--against", "adder8", gds]);
+    assert_eq!(report, "adder8: clean (lec+phase+lvs), no findings\n");
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -9,8 +9,16 @@
 //! Serialization is record-streaming: [`GdsStreamWriter`] pushes each record
 //! straight into any [`io::Write`] sink, so a million-cell chip can be
 //! written through a `BufWriter` without ever materializing the byte image
-//! in memory. [`GdsLibrary::to_bytes`] is a thin wrapper that streams into a
-//! `Vec<u8>`, which makes the two paths byte-identical by construction.
+//! in memory. The chip layout the flow keeps
+//! ([`Layout`](crate::Layout)) is that stream written into a `Vec<u8>`
+//! sized for it up front: its cell references and wire paths are written
+//! straight from the placed cells and routed wires, so no element tree is
+//! built.
+//! [`GdsLibrary`] is the element tree for what is built by hand (the cell
+//! masters of [`cells`](crate::cells), tests) and for reading the layout of
+//! a check checkpoint written before the layout was kept as bytes;
+//! [`GdsLibrary::to_bytes`] streams it through the same writer, which makes
+//! every path byte-identical by construction.
 
 use std::io::{self, Write};
 
@@ -233,20 +241,44 @@ impl GdsLibrary {
     /// The number of bytes [`write_to`](Self::write_to) writes: the record
     /// sizes of [`GdsStreamWriter`], summed.
     fn byte_len(&self) -> usize {
-        // `HEADER`, `BGNLIB`, `LIBNAME`, `UNITS` … `ENDLIB`.
-        let library = 6 + 28 + str_record_len(&self.name) + 20 + 4;
-        let structures = self.structures.iter().map(|structure| {
-            // `BGNSTR`, `STRNAME` … `ENDSTR`.
-            let elements: usize = structure.elements.iter().map(element_len).sum();
-            28 + str_record_len(&structure.name) + elements + 4
-        });
-        library + structures.sum::<usize>()
+        let structures = self.structures.iter().map(GdsStructure::byte_len);
+        library_frame_len(&self.name) + structures.sum::<usize>()
     }
+}
+
+impl GdsStructure {
+    /// The number of bytes the structure streams as: its frame and every
+    /// element.
+    pub(crate) fn byte_len(&self) -> usize {
+        structure_frame_len(&self.name) + self.elements.iter().map(element_len).sum::<usize>()
+    }
+}
+
+/// The bytes of a library's frame: `HEADER`, `BGNLIB`, `LIBNAME`, `UNITS`
+/// … `ENDLIB`.
+pub(crate) fn library_frame_len(name: &str) -> usize {
+    6 + 28 + str_record_len(name) + 20 + 4
+}
+
+/// The bytes of a structure's frame: `BGNSTR`, `STRNAME` … `ENDSTR`.
+pub(crate) fn structure_frame_len(name: &str) -> usize {
+    28 + str_record_len(name) + 4
 }
 
 /// The bytes of a string record: its header and the even-padded text.
 fn str_record_len(value: &str) -> usize {
     4 + value.len() + value.len() % 2
+}
+
+/// The bytes [`GdsStreamWriter::sref`] writes for a reference to `name`.
+pub(crate) fn sref_len(name: &str) -> usize {
+    4 + str_record_len(name) + 4 + 8 + 4
+}
+
+/// The bytes [`GdsStreamWriter::path`] writes for a path of `points`
+/// points.
+pub(crate) fn path_len(points: usize) -> usize {
+    4 + 6 + 6 + 8 + 4 + 8 * points + 4
 }
 
 /// The bytes [`GdsStreamWriter::element`] writes for `element`: its
@@ -255,8 +287,8 @@ fn str_record_len(value: &str) -> usize {
 fn element_len(element: &GdsElement) -> usize {
     match element {
         GdsElement::Boundary { points, .. } => 4 + 6 + 6 + 4 + 8 * (points.len() + 1) + 4,
-        GdsElement::Path { points, .. } => 4 + 6 + 6 + 8 + 4 + 8 * points.len() + 4,
-        GdsElement::Sref { name, .. } => 4 + str_record_len(name) + 4 + 8 + 4,
+        GdsElement::Path { points, .. } => path_len(points.len()),
+        GdsElement::Sref { name, .. } => sref_len(name),
         GdsElement::Text { text, .. } => 4 + 6 + 6 + 4 + 8 + str_record_len(text) + 4,
     }
 }
@@ -271,7 +303,10 @@ const DB_PER_UM: f64 = 1000.0;
 /// what lets chip-scale layouts stream to disk without an in-memory byte
 /// image. The writer performs no grammar checking; [`GdsLibrary::write_to`]
 /// and `LayoutGenerator::stream_layout` are the two callers and both emit
-/// well-formed sequences (pinned by the round-trip tests).
+/// well-formed sequences (pinned by the round-trip tests). The layout
+/// generator writes its cell references and wire paths from borrowed cell
+/// and wire data, through the same records [`element`] writes for a
+/// [`GdsElement::Sref`] and a [`GdsElement::Path`].
 ///
 /// [`begin_library`]: Self::begin_library
 /// [`begin_structure`]: Self::begin_structure
@@ -335,20 +370,8 @@ impl<W: Write> GdsStreamWriter<W> {
                 self.record_xy(points, true)?;
                 self.record_empty(RecordTag::EndEl)
             }
-            GdsElement::Path { layer, width, points } => {
-                self.record_empty(RecordTag::Path)?;
-                self.record_i16(RecordTag::Layer, &[*layer])?;
-                self.record_i16(RecordTag::DataType, &[0])?;
-                self.record_i32(RecordTag::Width, &[(width * DB_PER_UM) as i32])?;
-                self.record_xy(points, false)?;
-                self.record_empty(RecordTag::EndEl)
-            }
-            GdsElement::Sref { name, origin } => {
-                self.record_empty(RecordTag::Sref)?;
-                self.record_str(RecordTag::SName, name)?;
-                self.record_xy(std::slice::from_ref(origin), false)?;
-                self.record_empty(RecordTag::EndEl)
-            }
+            GdsElement::Path { layer, width, points } => self.path(*layer, *width, points),
+            GdsElement::Sref { name, origin } => self.sref(name, *origin),
             GdsElement::Text { layer, position, text } => {
                 self.record_empty(RecordTag::Text)?;
                 self.record_i16(RecordTag::Layer, &[*layer])?;
@@ -358,6 +381,28 @@ impl<W: Write> GdsStreamWriter<W> {
                 self.record_empty(RecordTag::EndEl)
             }
         }
+    }
+
+    /// Writes a wire path of `width` µm on `layer` through `points`: the
+    /// bytes [`element`](Self::element) writes for a [`GdsElement::Path`],
+    /// without one.
+    pub(crate) fn path(&mut self, layer: i16, width: f64, points: &[Point]) -> io::Result<()> {
+        self.record_empty(RecordTag::Path)?;
+        self.record_i16(RecordTag::Layer, &[layer])?;
+        self.record_i16(RecordTag::DataType, &[0])?;
+        self.record_i32(RecordTag::Width, &[(width * DB_PER_UM) as i32])?;
+        self.record_xy(points, false)?;
+        self.record_empty(RecordTag::EndEl)
+    }
+
+    /// Writes a reference to structure `name` placed at `origin`: the bytes
+    /// [`element`](Self::element) writes for a [`GdsElement::Sref`],
+    /// without one.
+    pub(crate) fn sref(&mut self, name: &str, origin: Point) -> io::Result<()> {
+        self.record_empty(RecordTag::Sref)?;
+        self.record_str(RecordTag::SName, name)?;
+        self.record_xy(&[origin], false)?;
+        self.record_empty(RecordTag::EndEl)
     }
 
     /// Closes the currently open structure with `ENDSTR`.

@@ -11,8 +11,9 @@
 //! * [`cells`] — abstract layouts for every AQFP standard cell (outline,
 //!   Josephson-junction markers, pins), standing in for the proprietary
 //!   MIT-LL/AIST cell layouts;
-//! * [`generator`] — the [`LayoutGenerator`] that assembles the chip-level
-//!   GDSII from a placement and a routing result;
+//! * [`generator`] — the [`LayoutGenerator`] that writes the chip-level
+//!   GDSII from a placement and a routing result, and the [`Layout`] that
+//!   holds it as a byte image;
 //! * [`drc`] — a design rule checker covering the spacing, wirelength,
 //!   metal-density and via rules the paper lists, substituting for the
 //!   KLayout DRC step.
@@ -33,6 +34,7 @@
 
 #![warn(clippy::unwrap_used)]
 
+mod base64;
 pub mod cells;
 pub mod drc;
 pub mod gds;

@@ -3,8 +3,9 @@
 //!
 //! The extractor walks the raw binary records in place (via
 //! [`aqfp_layout::gds::Records`]) and rebuilds cell instances and wire
-//! segments from the bytes — it never consults the in-memory
-//! [`GdsLibrary`](aqfp_layout::gds::GdsLibrary) that produced them. The
+//! segments from the bytes — the layout's byte image
+//! ([`Layout::gds_bytes`](aqfp_layout::Layout::gds_bytes)) or a `.gds`
+//! file, never the design data that produced them. The
 //! rebuilt view is then compared structurally against the routed netlist,
 //! so a layout-generation bug yields "net n42 missing a segment in channel
 //! 7" instead of an opaque golden-byte diff.
@@ -587,7 +588,6 @@ fn check_wires(
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use aqfp_layout::gds::GdsStructure;
     use aqfp_layout::{Layout, LayoutGenerator};
     use aqfp_netlist::generators::{benchmark_circuit, Benchmark};
     use aqfp_place::{PlacementEngine, PlacerKind};
@@ -1117,18 +1117,12 @@ mod tests {
 
     #[test]
     fn a_shifted_sref_origin_is_v022() {
-        let (design, routing, technology, _) = laid_out_adder();
-        let mut layout = LayoutGenerator::new(technology.clone()).generate(&design, &routing);
-        let top_name = layout.top_name.clone();
-        let top =
-            layout.gds.structures.iter_mut().find(|s| s.name == top_name).expect("top exists");
-        for element in &mut top.elements {
-            if let GdsElement::Sref { origin, .. } = element {
-                origin.x += 1.0;
-                break;
-            }
-        }
-        let findings = check_gds(&layout.to_gds_bytes(), &design, &routing, &technology);
+        let (design, routing, technology, layout) = laid_out(Benchmark::Adder8);
+        let mut stream = Cut::new(layout.gds_bytes());
+        let top = stream.structure(&layout.top_name);
+        let sref = top.iter_mut().find(|e| is_sref(e)).expect("top has references");
+        shift_xy(sref, 1000, 0);
+        let findings = check_gds(&stream.to_bytes(), &design, &routing, &technology);
         assert!(findings.iter().any(|d| d.rule == RULE_INSTANCE), "{findings:?}");
     }
 
@@ -1137,13 +1131,10 @@ mod tests {
     /// hash order of the expected-instance and expected-segment maps.
     #[test]
     fn capped_findings_are_the_same_on_every_call() {
-        let (design, routing, technology, _) = laid_out_adder();
-        let mut layout = LayoutGenerator::new(technology.clone()).generate(&design, &routing);
-        let top_name = layout.top_name.clone();
-        let top =
-            layout.gds.structures.iter_mut().find(|s| s.name == top_name).expect("top exists");
-        top.elements.retain(|e| !matches!(e, GdsElement::Sref { .. } | GdsElement::Path { .. }));
-        let bytes = layout.to_gds_bytes();
+        let (design, routing, technology, layout) = laid_out(Benchmark::Adder8);
+        let mut stream = Cut::new(layout.gds_bytes());
+        stream.structure(&layout.top_name).retain(|e| !is_sref(e) && !is_path(e));
+        let bytes = stream.to_bytes();
         assert!(design.cells.len() > 32, "the cap must be exceeded");
 
         let first = check_gds(&bytes, &design, &routing, &technology);
@@ -1219,27 +1210,130 @@ mod tests {
         out
     }
 
-    /// Edits the layout's library and streams it again.
-    fn edited(layout: &Layout, edit: impl FnOnce(&mut aqfp_layout::gds::GdsLibrary)) -> Vec<u8> {
-        let mut gds = layout.gds.clone();
-        edit(&mut gds);
-        gds.to_bytes()
+    /// A well-formed stream cut at its records into owned bytes a test can
+    /// edit and stream again: the library's opening records, then each
+    /// structure's opening records (`BGNSTR`, `STRNAME`) and its elements,
+    /// each element from its opening record through `ENDEL`.
+    #[derive(Clone)]
+    struct Cut {
+        library: Vec<u8>,
+        structures: Vec<CutStructure>,
+    }
+
+    #[derive(Clone)]
+    struct CutStructure {
+        name: String,
+        opening: Vec<u8>,
+        elements: Vec<Vec<u8>>,
+    }
+
+    impl Cut {
+        fn new(bytes: &[u8]) -> Self {
+            let mut cut = Cut { library: Vec::new(), structures: Vec::new() };
+            for (span, tag) in record_spans(bytes) {
+                let record = &bytes[span];
+                let structure = cut.structures.last_mut();
+                match (tag, structure) {
+                    (Some(RecordTag::EndStr | RecordTag::EndLib), _) => {}
+                    (Some(RecordTag::BgnStr), _) => cut.structures.push(CutStructure {
+                        name: String::new(),
+                        opening: record.to_vec(),
+                        elements: Vec::new(),
+                    }),
+                    (_, None) => cut.library.extend_from_slice(record),
+                    (Some(RecordTag::StrName), Some(structure)) => {
+                        structure.name = record_text(&record[4..]);
+                        structure.opening.extend_from_slice(record);
+                    }
+                    (
+                        Some(
+                            RecordTag::Boundary
+                            | RecordTag::Path
+                            | RecordTag::Sref
+                            | RecordTag::Text,
+                        ),
+                        Some(structure),
+                    ) => structure.elements.push(record.to_vec()),
+                    (_, Some(structure)) => {
+                        structure.elements.last_mut().unwrap().extend_from_slice(record)
+                    }
+                }
+            }
+            cut
+        }
+
+        /// The stream again, each structure closed by `ENDSTR` and the
+        /// library by `ENDLIB`.
+        fn to_bytes(&self) -> Vec<u8> {
+            let mut out = self.library.clone();
+            for structure in &self.structures {
+                out.extend_from_slice(&structure.opening);
+                structure.elements.iter().for_each(|element| out.extend_from_slice(element));
+                out.extend_from_slice(&[0, 4, 0x07, 0]);
+            }
+            out.extend_from_slice(&[0, 4, 0x04, 0]);
+            out
+        }
+
+        /// The elements of the first structure named `name`.
+        fn structure(&mut self, name: &str) -> &mut Vec<Vec<u8>> {
+            &mut self.structures.iter_mut().find(|s| s.name == name).unwrap().elements
+        }
+
+        /// Renames the library: a new `LIBNAME` record.
+        fn rename(&mut self, name: &str) {
+            let (span, _) = record_spans(&self.library)
+                .into_iter()
+                .find(|(_, tag)| *tag == Some(RecordTag::LibName))
+                .unwrap();
+            let padded = name.len() + name.len() % 2;
+            let mut record = ((padded + 4) as u16).to_be_bytes().to_vec();
+            record.extend_from_slice(&[0x02, 0x06]);
+            record.extend_from_slice(name.as_bytes());
+            record.resize(padded + 4, 0);
+            self.library.splice(span, record);
+        }
+    }
+
+    /// A string record's text, without its padding.
+    fn record_text(payload: &[u8]) -> String {
+        String::from_utf8_lossy(payload).trim_end_matches('\0').to_owned()
+    }
+
+    fn is_sref(element: &[u8]) -> bool {
+        RecordTag::from_code(element[2]) == Some(RecordTag::Sref)
+    }
+
+    fn is_path(element: &[u8]) -> bool {
+        RecordTag::from_code(element[2]) == Some(RecordTag::Path)
+    }
+
+    /// Moves every point of an element's `XY` record by (`dx`, `dy`)
+    /// database units.
+    fn shift_xy(element: &mut [u8], dx: i32, dy: i32) {
+        let (span, _) =
+            record_spans(element).into_iter().find(|(_, tag)| *tag == Some(RecordTag::Xy)).unwrap();
+        for point in element[span.start + 4..span.end].chunks_exact_mut(8) {
+            let (x, y) = point.split_at_mut(4);
+            for (coordinate, delta) in [(x, dx), (y, dy)] {
+                let value = i32::from_be_bytes(coordinate.try_into().unwrap()) + delta;
+                coordinate.copy_from_slice(&value.to_be_bytes());
+            }
+        }
     }
 
     /// Edits the `nth` element of the top structure that `select` accepts.
     fn edit_top(
         layout: &Layout,
-        select: fn(&GdsElement) -> bool,
+        select: fn(&[u8]) -> bool,
         nth: usize,
-        edit: impl FnOnce(&mut Vec<GdsElement>, usize),
+        edit: impl FnOnce(&mut Vec<Vec<u8>>, usize),
     ) -> Vec<u8> {
-        let top_name = layout.top_name.clone();
-        edited(layout, |gds| {
-            let top = gds.structures.iter_mut().find(|s| s.name == top_name).unwrap();
-            let index =
-                top.elements.iter().enumerate().filter(|(_, e)| select(e)).nth(nth).unwrap().0;
-            edit(&mut top.elements, index);
-        })
+        let mut stream = Cut::new(layout.gds_bytes());
+        let top = stream.structure(&layout.top_name);
+        let index = top.iter().enumerate().filter(|(_, e)| select(e)).nth(nth).unwrap().0;
+        edit(top, index);
+        stream.to_bytes()
     }
 
     /// The in-place extraction reports exactly what the copying one did —
@@ -1247,8 +1341,6 @@ mod tests {
     /// streams and on designs that no longer match their layout.
     #[test]
     fn in_place_extraction_matches_the_copying_reference() {
-        let is_sref = |e: &GdsElement| matches!(e, GdsElement::Sref { .. });
-        let is_path = |e: &GdsElement| matches!(e, GdsElement::Path { .. });
         let mut rng = SplitMix(0x5eed);
         let mut cases = 0;
         let mut flagged = 0;
@@ -1347,43 +1439,40 @@ mod tests {
                 agree(&format!("SREF {nth} removed"), &removed, &design, &routing);
                 let doubled = edit_top(&layout, is_sref, nth, |e, i| e.insert(i, e[i].clone()));
                 agree(&format!("SREF {nth} duplicated"), &doubled, &design, &routing);
-                let moved = edit_top(&layout, is_sref, nth, |e, i| {
-                    if let GdsElement::Sref { origin, .. } = &mut e[i] {
-                        origin.y -= 0.25;
-                    }
-                });
+                let moved = edit_top(&layout, is_sref, nth, |e, i| shift_xy(&mut e[i], 0, -250));
                 agree(&format!("SREF {nth} shifted"), &moved, &design, &routing);
                 let removed = edit_top(&layout, is_path, nth, |e, i| drop(e.remove(i)));
                 agree(&format!("PATH {nth} removed"), &removed, &design, &routing);
                 let doubled = edit_top(&layout, is_path, nth, |e, i| e.insert(i, e[i].clone()));
                 agree(&format!("PATH {nth} duplicated"), &doubled, &design, &routing);
-                let moved = edit_top(&layout, is_path, nth, |e, i| {
-                    if let GdsElement::Path { points, .. } = &mut e[i] {
-                        points.iter_mut().for_each(|p| p.x += 10.0);
-                    }
-                });
+                let moved = edit_top(&layout, is_path, nth, |e, i| shift_xy(&mut e[i], 10_000, 0));
                 agree(&format!("PATH {nth} shifted"), &moved, &design, &routing);
             }
             let no_elements =
                 edit_top(&layout, is_sref, 0, |e, _| e.retain(|e| !is_sref(e) && !is_path(e)));
             agree("every SREF and PATH removed", &no_elements, &design, &routing);
-            let top_name = layout.top_name.clone();
-            let decoy = edited(&layout, |gds| {
-                let top = gds.structures.iter().position(|s| s.name == top_name).unwrap();
-                let mut decoy = GdsStructure::new(top_name.clone());
-                decoy.elements = gds.structures[top].elements.iter().step_by(2).cloned().collect();
-                gds.structures.insert(0, decoy);
-            });
-            agree("a second top structure first", &decoy, &design, &routing);
-            let masters = edited(&layout, |gds| {
-                let mut copy = gds.structures[0].clone();
-                copy.elements.pop();
-                gds.structures.insert(2, copy);
-                gds.structures.push(gds.structures[1].clone());
-            });
-            agree("masters duplicated, the last of one altered", &masters, &design, &routing);
-            let renamed = edited(&layout, |gds| gds.name = "renamed".to_owned());
-            agree("library renamed", &renamed, &design, &routing);
+            let cut = Cut::new(&bytes);
+            let mut decoy = cut.clone();
+            let top = decoy.structures.iter().position(|s| s.name == layout.top_name).unwrap();
+            let mut first = decoy.structures[top].clone();
+            first.elements = first.elements.into_iter().step_by(2).collect();
+            decoy.structures.insert(0, first);
+            agree("a second top structure first", &decoy.to_bytes(), &design, &routing);
+            let mut masters = cut.clone();
+            let mut copy = masters.structures[0].clone();
+            copy.elements.pop();
+            masters.structures.insert(2, copy);
+            masters.structures.push(masters.structures[1].clone());
+            agree(
+                "masters duplicated, the last of one altered",
+                &masters.to_bytes(),
+                &design,
+                &routing,
+            );
+            let mut renamed = cut.clone();
+            renamed.rename("renamed");
+            agree("library renamed", &renamed.to_bytes(), &design, &routing);
+            assert_eq!(cut.to_bytes(), bytes, "the cut streams the bytes it was cut from");
         }
         assert!(cases > 400, "{cases} cases");
         assert!(flagged > cases / 2, "{flagged} of {cases} cases flagged");

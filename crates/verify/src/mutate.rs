@@ -7,7 +7,8 @@
 //! path everywhere.
 
 use aqfp_cells::CellKind;
-use aqfp_layout::{GdsElement, Layout};
+use aqfp_layout::gds::{RecordTag, Records};
+use aqfp_layout::Layout;
 use aqfp_netlist::Netlist;
 use aqfp_place::PlacedDesign;
 use aqfp_route::RoutingResult;
@@ -92,17 +93,36 @@ pub fn corrupt_routing(routing: &mut RoutingResult) -> Option<usize> {
 }
 
 /// Shifts the first cell reference in the layout's top structure by one
-/// micron. Returns the displaced structure's name.
+/// micron, editing the `XY` record of that `SREF` in the GDS bytes. Returns
+/// the displaced structure's name, or `None` when the top structure holds
+/// no reference (or the stream is too damaged to find one).
 pub fn corrupt_layout(layout: &mut Layout) -> Option<String> {
-    let top_name = layout.top_name.clone();
-    let top = layout.gds.structures.iter_mut().find(|s| s.name == top_name)?;
-    for element in &mut top.elements {
-        if let GdsElement::Sref { name, origin } = element {
-            origin.x += 1.0;
-            return Some(name.clone());
+    // A record's text, without the NUL that pads it to an even length.
+    let text = |payload: &[u8]| payload.strip_suffix(&[0]).unwrap_or(payload).to_vec();
+    let top_name = layout.top_name.as_bytes();
+    let (mut offset, mut in_top, mut name) = (0, false, None);
+    let mut target = None;
+    for record in Records::new(layout.gds_bytes()) {
+        let record = record.ok()?;
+        let payload_at = offset + 4;
+        offset = payload_at + record.payload.len();
+        match record.tag {
+            Some(RecordTag::StrName) => in_top = text(record.payload) == top_name,
+            Some(RecordTag::EndStr) => in_top = false,
+            Some(RecordTag::SName) if in_top => name = Some(text(record.payload)),
+            Some(RecordTag::Xy) if in_top && name.is_some() && record.payload.len() >= 4 => {
+                target = Some(payload_at);
+                break;
+            }
+            Some(RecordTag::EndEl) => name = None,
+            _ => {}
         }
     }
-    None
+    let x = &mut layout.gds_bytes_mut()[target?..][..4];
+    // One micron is 1000 database units of 1 nm.
+    let shifted = i32::from_be_bytes([x[0], x[1], x[2], x[3]]).wrapping_add(1000);
+    x.copy_from_slice(&shifted.to_be_bytes());
+    String::from_utf8(name?).ok()
 }
 
 #[cfg(test)]

@@ -171,6 +171,24 @@ fn a_retried_design_writes_the_gds_of_a_fault_free_run() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A `corrupt:…:check` fault shifts a cell reference inside the layout's
+/// GDS bytes; post-stage LVS catches it, and the design fails at the
+/// verify stage naming the rule.
+#[test]
+fn a_corrupted_layout_fails_at_the_verify_stage_with_lvs_v022() {
+    let faults = FaultPlan::none().with(Fault::parse("corrupt:adder8:check").expect("valid"));
+    let config = fast_batch().with_retry_degraded(false).with_faults(faults);
+    let report =
+        BatchRunner::new(config).run(&[BatchJob::from_input("adder8")]).expect("batch runs");
+    match &status_of(&report, "adder8").status {
+        DesignStatus::Failed { error, stage, .. } => {
+            assert_eq!(stage.as_deref(), Some("verify"), "{error}");
+            assert!(error.contains("AQFP-V022"), "{error}");
+        }
+        other => panic!("a corrupted layout should fail verification, got {other:?}"),
+    }
+}
+
 /// Resume reads a journal checkpoint straight from its file, and a torn
 /// one fails with the parse error its text gives, byte offset and all,
 /// under the file's name.

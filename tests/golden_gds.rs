@@ -29,9 +29,9 @@ fn assert_matches_golden(config: FlowConfig, benchmark: Benchmark, golden: &str)
     );
     assert!(produced == expected, "{golden}: GDS bytes diverged from the committed golden");
 
-    // The streaming writer must emit the exact same record stream without
-    // ever materializing the in-memory `GdsLibrary`: re-derive the layout
-    // record by record from the final (post-repair) placement and routing.
+    // Streaming into any sink must emit the exact same record stream as the
+    // layout's image: re-derive the layout record by record from the final
+    // (post-repair) placement and routing.
     let mut streamed = Vec::new();
     let summary = LayoutGenerator::new(Technology::mit_ll_sqf5ee())
         .stream_layout(checked.routed.design(), &checked.routed.routing, &mut streamed)

@@ -8,10 +8,12 @@ use std::io::BufReader;
 use std::rc::Rc;
 use std::sync::Arc;
 
-use aqfp_layout::{DrcReport, DrcViolationKind};
+use aqfp_cells::Point;
+use aqfp_layout::cells::{cell_structure, structure_name};
+use aqfp_layout::{DrcReport, DrcViolationKind, GdsElement, GdsLibrary, GdsStructure};
 use aqfp_place::PlacerKind;
 use aqfp_route::Router;
-use serde::Serialize;
+use serde::{Serialize, Value};
 use superflow_suite::prelude::*;
 
 /// The tree-first renderer and parser the vendored `serde_json` streamed
@@ -226,17 +228,136 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
+/// The span of the check checkpoint `json` that holds the `"layout"` value,
+/// from the line break before its key through its closing brace.
+fn layout_span(json: &str) -> std::ops::Range<usize> {
+    let start = json.find("\n  \"layout\": ").expect("a check checkpoint");
+    start..start + json[start..].find("\n  }").expect("the layout closes") + 4
+}
+
 /// The bytes of adder8's `--fast` check checkpoint, the whole file: it
 /// holds no wall-clock value. The oracle test above runs the same derived
 /// code on both sides, so this is what pins the shape the derive writes
-/// for every artifact type, the GDS elements included. A change to the
-/// flow's results moves it, as it moves the golden layouts.
+/// for every artifact type, and the base64 chunks the layout writes. A
+/// change to the flow's results moves it, as it moves the golden layouts.
+///
+/// The text outside the `"layout"` value has its own pin, which the
+/// layout's move from an element tree to base64 chunks left where it was
+/// (the whole file then read `2612b1cd3fc6f5d2`).
 #[test]
 fn adder8_check_checkpoint_bytes_are_pinned() {
     let mut session = FlowSession::new(fast_config()).expect("session opens");
     let checked = session.run(&benchmark_circuit(Benchmark::Adder8)).expect("flow runs");
     let json = Artifact::Checked(checked).to_json().expect("serializes");
-    assert_eq!(format!("{:016x}", fnv1a(json.as_bytes())), "2612b1cd3fc6f5d2");
+    assert_eq!(format!("{:016x}", fnv1a(json.as_bytes())), "529155a972e7bcf6");
+    let layout = layout_span(&json);
+    let outside = [&json[..layout.start], &json[layout.end..]].concat();
+    assert_eq!(format!("{:016x}", fnv1a(outside.as_bytes())), "629be150493e500f");
+}
+
+/// A layout as an element tree: what the generator built, and check
+/// checkpoints held, before the layout was kept as its byte image. A
+/// reference per placed cell, then a path per straight wire run.
+fn element_tree(checked: &Checked, technology: &Technology) -> GdsLibrary {
+    let design = checked.routed.design();
+    let mut gds = GdsLibrary::new(design.name.clone());
+    let kinds: std::collections::BTreeSet<_> = design.cells.iter().map(|c| c.kind).collect();
+    for kind in kinds {
+        gds.add_structure(cell_structure(technology, kind));
+    }
+    let mut top = GdsStructure::new(checked.layout.top_name.clone());
+    for cell in &design.cells {
+        let origin = Point::new(cell.x, design.row_y(cell.row));
+        top.elements.push(GdsElement::Sref { name: structure_name(cell.kind), origin });
+    }
+    for wire in &checked.routed.routing.wires {
+        let path = &wire.path;
+        let horizontal = |at: usize| (path[at].y - path[at + 1].y).abs() < 1e-9;
+        let mut start = 0;
+        while start + 1 < path.len() {
+            let mut end = start + 1;
+            while end + 1 < path.len() && horizontal(end) == horizontal(start) {
+                end += 1;
+            }
+            let layers = technology.layers();
+            let layer = if horizontal(start) { layers.metal1 } else { layers.metal2 };
+            let points = path[start..=end].to_vec();
+            let width = technology.rules().wire_width;
+            top.elements.push(GdsElement::Path { layer, width, points });
+            start = end;
+        }
+    }
+    gds.add_structure(top);
+    gds
+}
+
+/// adder8's `--fast` check checkpoint as the flow wrote it while the
+/// layout was an element tree: its `"layout"` holds `"gds"`.
+fn tree_form_check_checkpoint(checked: &Checked, technology: &Technology) -> String {
+    let Value::Map(mut fields) = checked.to_value() else { panic!("an artifact is a map") };
+    let layout = &mut fields.iter_mut().find(|(key, _)| key == "layout").expect("a layout").1;
+    let Value::Map(layout) = layout else { panic!("a layout is a map") };
+    assert_eq!(layout[0].0, "gds_base64");
+    layout[0] = ("gds".to_owned(), element_tree(checked, technology).to_value());
+    serde_json::to_string_pretty(&Value::Map(fields)).expect("renders")
+}
+
+/// A check checkpoint that holds the layout as its element tree — byte for
+/// byte the checkpoint the flow wrote before (its pin above) — still loads,
+/// from its text and through the batch's loader, to the same artifact and
+/// GDS bytes.
+#[test]
+fn a_tree_form_check_checkpoint_loads_to_the_same_gds() {
+    let mut session = FlowSession::new(fast_config()).expect("session opens");
+    let checked = session.run(&benchmark_circuit(Benchmark::Adder8)).expect("flow runs");
+    let old = tree_form_check_checkpoint(&checked, session.technology());
+    assert_eq!(format!("{:016x}", fnv1a(old.as_bytes())), "2612b1cd3fc6f5d2");
+
+    let parsed = Checked::from_json(&old).expect("the tree form parses");
+    assert_eq!(parsed.layout.gds_bytes(), checked.layout.gds_bytes());
+    assert_eq!(parsed, checked);
+    let loaded = session.load_checkpoint(old.as_bytes()).expect("the tree form loads");
+    assert_eq!(loaded, Artifact::Checked(checked.clone()));
+    assert!(!session.verify_checked(&parsed).has_errors());
+    // Written again, it takes the current form.
+    assert_eq!(parsed.to_json().expect("serializes"), checked.to_json().expect("serializes"));
+}
+
+/// A damaged `gds_base64` chunk fails the load with a checkpoint error
+/// that names the layout's chunk, from the text and from the loader alike.
+#[test]
+fn a_damaged_layout_chunk_is_a_checkpoint_error_naming_it() {
+    let mut session = FlowSession::new(fast_config()).expect("session opens");
+    let checked = session.run(&benchmark_circuit(Benchmark::Adder8)).expect("flow runs");
+    let json = checked.to_json().expect("serializes");
+    let chunks = json.find("\"gds_base64\": [").expect("chunks");
+    let third =
+        chunks + json[chunks..].match_indices(",\n      \"").nth(1).expect("3 chunks").0 + 9;
+    for (damage, edited, cause) in [
+        (
+            "a bad character",
+            format!("{}*{}", &json[..third + 5], &json[third + 6..]),
+            "layout `gds_base64` chunk 2 holds '*' at offset 5, which is no base64 digit",
+        ),
+        (
+            "a dropped character",
+            format!("{}{}", &json[..third + 5], &json[third + 6..]),
+            "layout `gds_base64` chunk 2 has 4095 characters, not a multiple of 4",
+        ),
+    ] {
+        for error in [
+            Checked::from_json(&edited).expect_err(damage),
+            session.load_checkpoint(edited.as_bytes()).expect_err(damage),
+        ] {
+            match error {
+                FlowError::Checkpoint(message) => {
+                    assert!(message.starts_with("cannot parse check checkpoint: "), "{message}");
+                    assert!(message.contains(cause), "{damage}: {message}");
+                }
+                other => panic!("{damage}: expected a checkpoint error, got {other:?}"),
+            }
+        }
+    }
 }
 
 /// The bytes of adder8's `--fast` placement checkpoint under each placer.
